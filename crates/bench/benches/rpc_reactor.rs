@@ -1,5 +1,5 @@
 //! Real-wire server comparison: the epoll reactor (`RpcServer`) against
-//! the thread-per-connection baseline (`BlockingServer`), measured in
+//! a thread-per-connection baseline (`BlockingServer`, defined here), measured in
 //! committed transactions per wall second. Not a paper figure — it gates
 //! the reactor rewrite: the paper's scale-out argument (§7) needs
 //! processing nodes to stay network-bound, so the server must not ceiling
@@ -17,17 +17,25 @@
 //! multiplex many fibers over shared links, §4.1). Almost no client-side
 //! compute: the server's I/O model is what's on the clock.
 
+use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use parking_lot::Mutex;
 use tell_bench::{fmt_k, section, table_header, table_row};
 use tell_commitmgr::manager::CmConfig;
 use tell_commitmgr::{CmCluster, CommitService};
+use tell_common::IsolationLevel;
+use tell_rpc::service::dispatch_frame;
+use tell_rpc::wire::encode_frame;
 use tell_rpc::{
-    BlockingServer, Connection, PendingReply, ReactorConfig, RemoteEndpoint, Request, Response,
-    RpcServer, Services,
+    Connection, FrameDecoder, PendingReply, ReactorConfig, RemoteEndpoint, Request, Response,
+    Router, RpcServer, RpcService, Services,
 };
 use tell_store::{StoreCluster, StoreConfig};
 
@@ -70,18 +78,123 @@ impl Server {
                 let config = ReactorConfig { workers: 8, ..ReactorConfig::default() };
                 Server::Reactor(RpcServer::serve_with("127.0.0.1:0", services, config).unwrap())
             }
-            Model::Blocking => {
-                Server::Blocking(BlockingServer::serve("127.0.0.1:0", services).unwrap())
-            }
+            Model::Blocking => Server::Blocking(BlockingServer::serve(services)),
         }
     }
 
     fn addr(&self) -> String {
         match self {
             Server::Reactor(s) => s.local_addr().to_string(),
-            Server::Blocking(s) => s.local_addr().to_string(),
+            Server::Blocking(s) => s.addr.to_string(),
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// BlockingServer: the thread-per-connection baseline.
+
+/// Thread-per-connection blocking server over the same [`Router`], frame
+/// parser and dispatch path as [`RpcServer`] — only the I/O model differs:
+/// every connection costs a thread and blocking syscall round trips per
+/// request. Dropping it stops accepting and severs every connection.
+struct BlockingServer {
+    addr: SocketAddr,
+    shared: Arc<BlockingShared>,
+    accept: Option<thread::JoinHandle<()>>,
+}
+
+struct BlockingShared {
+    service: Arc<dyn RpcService>,
+    shutting_down: AtomicBool,
+    /// Live connections keyed by peer address, so `drop` can sever them.
+    /// Each handler removes its own entry when it exits; leaving dead
+    /// clones here would hold the socket open (no FIN to the peer).
+    conns: Mutex<HashMap<SocketAddr, TcpStream>>,
+}
+
+impl BlockingServer {
+    fn serve(services: Services) -> BlockingServer {
+        tell_obs::timeseries::ensure_wall_driver();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shared = Arc::new(BlockingShared {
+            service: Arc::new(Router::new(services)),
+            shutting_down: AtomicBool::new(false),
+            conns: Mutex::new(HashMap::new()),
+        });
+        let accept_shared = Arc::clone(&shared);
+        let accept = thread::spawn(move || accept_loop(listener, accept_shared));
+        BlockingServer { addr, shared, accept: Some(accept) }
+    }
+}
+
+impl Drop for BlockingServer {
+    fn drop(&mut self) {
+        self.shared.shutting_down.store(true, Ordering::SeqCst);
+        // The blocking accept has no eventfd to poke: unblock it with a
+        // throwaway self-connection.
+        let _ = TcpStream::connect(self.addr);
+        for (_, conn) in self.shared.conns.lock().drain() {
+            let _ = conn.shutdown(std::net::Shutdown::Both);
+        }
+        if let Some(handle) = self.accept.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+fn accept_loop(listener: TcpListener, shared: Arc<BlockingShared>) {
+    for stream in listener.incoming() {
+        if shared.shutting_down.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        let _ = stream.set_nodelay(true);
+        let Ok(peer) = stream.peer_addr() else { continue };
+        if let Ok(clone) = stream.try_clone() {
+            shared.conns.lock().insert(peer, clone);
+        }
+        let conn_shared = Arc::clone(&shared);
+        thread::spawn(move || handle_connection(stream, peer, conn_shared));
+    }
+}
+
+fn handle_connection(mut stream: TcpStream, peer: SocketAddr, shared: Arc<BlockingShared>) {
+    let Ok(write_half) = stream.try_clone() else { return };
+    // The writer is shared with the per-frame reply closure (which must be
+    // `Send + 'static`); `Router` dispatch is synchronous, so the closure
+    // always fires before the next read.
+    let writer = Arc::new(Mutex::new(write_half));
+    let broken = Arc::new(AtomicBool::new(false));
+    let mut decoder = FrameDecoder::new();
+    let mut chunk = vec![0u8; 16 << 10];
+    'read: while let Ok(n @ 1..) = stream.read(&mut chunk) {
+        decoder.push(&chunk[..n]);
+        loop {
+            let (corr_id, ctx, body) = match decoder.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(_) => break 'read,
+            };
+            let reply_writer = Arc::clone(&writer);
+            let reply_broken = Arc::clone(&broken);
+            let service = shared.service.as_ref();
+            dispatch_frame(service, false, Some(peer), ctx, &body, move |response| {
+                let sent = encode_frame(corr_id, ctx, &response.encode())
+                    .map(|frame| reply_writer.lock().write_all(&frame));
+                if !matches!(sent, Ok(Ok(()))) {
+                    reply_broken.store(true, Ordering::SeqCst);
+                }
+            });
+            if broken.load(Ordering::SeqCst) {
+                break 'read;
+            }
+        }
+    }
+    // Drop our registration and actively close: the clone held for
+    // `drop` must not outlive the handler, or the peer never sees EOF.
+    shared.conns.lock().remove(&peer);
+    let _ = writer.lock().shutdown(std::net::Shutdown::Both);
 }
 
 /// One full commit over the wire: tid + snapshot from the commit manager,
@@ -92,7 +205,7 @@ fn commit_once(
     key: &Bytes,
     hint: u64,
 ) -> Result<(), tell_common::Error> {
-    let (started, _, _) = cm.call(&Request::CmStart { hint })?;
+    let (started, _, _) = cm.call(&Request::CmStart { hint, level: IsolationLevel::Si })?;
     let tid = match started {
         Response::TxnStarted { tid, .. } => tid,
         other => panic!("CmStart answered {other:?}"),
@@ -112,7 +225,7 @@ enum Cycle {
 
 impl Cycle {
     fn start(cm: &Connection, hint: u64) -> Result<Cycle, tell_common::Error> {
-        Ok(Cycle::Starting(cm.call_async(&Request::CmStart { hint })?))
+        Ok(Cycle::Starting(cm.call_async(&Request::CmStart { hint, level: IsolationLevel::Si })?))
     }
 
     /// Wait out this cycle's pending reply and issue the next request.

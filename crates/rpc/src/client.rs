@@ -28,7 +28,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::io::BufReader;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -47,9 +47,7 @@ use tell_store::{
 
 use tell_obs::{Counter, Phase, SpanKind, SpanStatus, SpanTimer};
 
-use crate::wire::{
-    read_frame, split_trace, write_frame_ctx, Request, Response, TraceContext, FRAME_HEADER,
-};
+use crate::wire::{encode_frame, FrameDecoder, Request, Response, TraceContext, FRAME_HEADER};
 
 fn unavailable(what: impl std::fmt::Display) -> Error {
     Error::Unavailable(what.to_string())
@@ -58,9 +56,12 @@ fn unavailable(what: impl std::fmt::Display) -> Error {
 // ---------------------------------------------------------------------------
 // Connection: one TCP stream, many in-flight requests.
 
-/// What the reader thread hands back per call: the decoded response, the
-/// received frame size, and the trace id echoed by the server.
-type Reply = (Response, usize, Option<u64>);
+/// What the reader thread hands back per call: the decoded response and
+/// the received frame size.
+type Reply = (Response, usize);
+
+/// Socket read chunk for a connection's reader thread.
+const READ_CHUNK: usize = 16 << 10;
 
 struct ConnShared {
     addr: String,
@@ -124,97 +125,28 @@ impl Connection {
     /// plus the frame sizes sent and received, for traffic accounting.
     /// The thread's current trace id (if any) is stamped into the frame.
     pub fn call(&self, request: &Request) -> Result<(Response, usize, usize)> {
-        let (response, sent, received, _) = self.call_traced(request, tell_obs::current_trace())?;
-        Ok((response, sent, received))
-    }
-
-    /// [`Connection::call`] with an explicit trace id, also returning the
-    /// trace id the server echoed on the response frame.
-    pub fn call_traced(
-        &self,
-        request: &Request,
-        trace: Option<u64>,
-    ) -> Result<(Response, usize, usize, Option<u64>)> {
-        self.call_encoded(request.encode(), trace)
-    }
-
-    /// [`Connection::call`] with the isolation-level suffix appended to
-    /// the message bytes, for requests beginning a transaction at a
-    /// non-default level.
-    pub fn call_with_isolation(
-        &self,
-        request: &Request,
-        level: IsolationLevel,
-    ) -> Result<(Response, usize, usize)> {
-        let mut body = request.encode();
-        crate::wire::append_isolation(&mut body, level);
-        let (response, sent, received, _) = self.call_encoded(body, tell_obs::current_trace())?;
-        Ok((response, sent, received))
-    }
-
-    fn call_encoded(
-        &self,
-        body: Vec<u8>,
-        trace: Option<u64>,
-    ) -> Result<(Response, usize, usize, Option<u64>)> {
-        let shared = &self.shared;
-        if shared.dead.load(Ordering::SeqCst) {
-            return Err(unavailable(format!("connection to {} is closed", shared.addr)));
-        }
         // One span per round trip. Its id rides the frame so the server's
         // dispatch span parents onto it; the span itself parents onto
         // whatever is current on this thread (a txn phase, a batch flush).
         // Client calls have no virtual clock, so virtual timestamps are 0.
+        let trace = tell_obs::current_trace();
         let span = trace.and_then(|t| SpanTimer::start_in_trace(t, SpanKind::RpcClientCall, 0.0));
         let _frame = tell_obs::FrameGuard::enter(tell_obs::FrameKind::RpcClientCall);
         let ctx = trace
             .map(|t| TraceContext { trace: t, parent_span: span.as_ref().map_or(0, |s| s.id()) });
-        let prefix = match ctx {
-            None => 0,
-            Some(c) if c.parent_span == 0 => 9,
-            Some(_) => 17,
-        };
-        let sent = FRAME_HEADER + body.len() + prefix;
-        let corr_id = shared.next_corr.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        shared.pending.lock().insert(corr_id, tx);
-        // Re-check after registering: if the reader died in between, it may
-        // already have drained `pending` without seeing our entry.
-        if shared.dead.load(Ordering::SeqCst) {
-            shared.pending.lock().remove(&corr_id);
-            return Err(unavailable(format!("connection to {} is closed", shared.addr)));
-        }
-        {
-            let mut writer = shared.writer.lock();
-            if let Err(e) = write_frame_ctx(&mut *writer, corr_id, ctx, &body) {
-                drop(writer);
-                shared.mark_dead();
-                return Err(unavailable(format!("send to {} failed: {e}", shared.addr)));
-            }
-        }
-        tell_obs::incr(Counter::RpcClientFramesOut);
-        tell_obs::add(Counter::RpcClientBytesOut, sent as u64);
-        match rx.recv() {
-            Ok((response, received, echoed)) => {
-                tell_obs::incr(Counter::RpcClientFramesIn);
-                tell_obs::add(Counter::RpcClientBytesIn, received as u64);
-                if let Some(span) = span {
-                    let status = match &response {
-                        Response::Error(crate::wire::WireError::Conflict) => SpanStatus::Conflict,
-                        Response::Error(_) => SpanStatus::Error,
-                        _ => SpanStatus::Ok,
-                    };
-                    span.finish(0.0, 1, status);
+        let outcome = self.send(request, ctx).and_then(PendingReply::wait);
+        if let Some(span) = span {
+            let (count, status) = match &outcome {
+                Ok((Response::Error(crate::wire::WireError::Conflict), ..)) => {
+                    (1, SpanStatus::Conflict)
                 }
-                Ok((response, sent, received, echoed))
-            }
-            Err(_) => {
-                if let Some(span) = span {
-                    span.finish(0.0, 0, SpanStatus::Error);
-                }
-                Err(unavailable(format!("connection to {} dropped mid-call", shared.addr)))
-            }
+                Ok((Response::Error(_), ..)) => (1, SpanStatus::Error),
+                Ok(_) => (1, SpanStatus::Ok),
+                Err(_) => (0, SpanStatus::Error),
+            };
+            span.finish(0.0, count, status);
         }
+        outcome
     }
 
     /// Send one request without waiting for its reply. The returned
@@ -223,32 +155,46 @@ impl Connection {
     /// work with its own — the client half of pipelining. Untraced: a
     /// pipelined caller is a throughput path, not a waterfall.
     pub fn call_async(&self, request: &Request) -> Result<PendingReply> {
+        self.send(request, None)
+    }
+
+    /// [`Connection::call`] charging `meter` for the traffic and lifting a
+    /// top-level `Response::Error` into a typed `Err` — the shape every
+    /// non-windowed caller wants.
+    pub fn request(&self, request: &Request, meter: &NetMeter) -> Result<Response> {
+        let (response, sent, received) = self.call(request)?;
+        meter.charge_real(sent, received);
+        match response {
+            Response::Error(e) => Err(e.into()),
+            other => Ok(other),
+        }
+    }
+
+    /// The one send path: register a reply slot, then write the whole
+    /// frame with a single `write_all`.
+    fn send(&self, request: &Request, ctx: Option<TraceContext>) -> Result<PendingReply> {
         let shared = &self.shared;
         if shared.dead.load(Ordering::SeqCst) {
             return Err(unavailable(format!("connection to {} is closed", shared.addr)));
         }
-        let body = request.encode();
-        let sent = FRAME_HEADER + body.len();
         let corr_id = shared.next_corr.fetch_add(1, Ordering::Relaxed);
+        let frame = encode_frame(corr_id, ctx, &request.encode())?;
         let (tx, rx) = mpsc::channel();
         shared.pending.lock().insert(corr_id, tx);
-        // Same re-check as `call_traced`: the reader may have died and
-        // drained `pending` between our liveness check and the insert.
+        // Re-check after registering: if the reader died in between, it may
+        // already have drained `pending` without seeing our entry.
         if shared.dead.load(Ordering::SeqCst) {
             shared.pending.lock().remove(&corr_id);
             return Err(unavailable(format!("connection to {} is closed", shared.addr)));
         }
-        {
-            let mut writer = shared.writer.lock();
-            if let Err(e) = write_frame_ctx(&mut *writer, corr_id, None, &body) {
-                drop(writer);
-                shared.mark_dead();
-                return Err(unavailable(format!("send to {} failed: {e}", shared.addr)));
-            }
+        let written = shared.writer.lock().write_all(&frame);
+        if let Err(e) = written {
+            shared.mark_dead();
+            return Err(unavailable(format!("send to {} failed: {e}", shared.addr)));
         }
         tell_obs::incr(Counter::RpcClientFramesOut);
-        tell_obs::add(Counter::RpcClientBytesOut, sent as u64);
-        Ok(PendingReply { shared: Arc::clone(shared), rx, sent })
+        tell_obs::add(Counter::RpcClientBytesOut, frame.len() as u64);
+        Ok(PendingReply { shared: Arc::clone(shared), rx, sent: frame.len() })
     }
 
     /// Shut the connection down, failing in-flight and future calls.
@@ -271,7 +217,7 @@ impl PendingReply {
     /// and received, exactly like [`Connection::call`].
     pub fn wait(self) -> Result<(Response, usize, usize)> {
         match self.rx.recv() {
-            Ok((response, received, _)) => {
+            Ok((response, received)) => {
                 tell_obs::incr(Counter::RpcClientFramesIn);
                 tell_obs::add(Counter::RpcClientBytesIn, received as u64);
                 Ok((response, self.sent, received))
@@ -289,26 +235,36 @@ impl Drop for Connection {
     }
 }
 
-fn reader_loop(stream: TcpStream, shared: Arc<ConnShared>) {
-    let mut reader = BufReader::new(stream);
-    while let Ok(Some((corr_id, body))) = read_frame(&mut reader) {
-        let received = FRAME_HEADER + body.len();
-        let response = match split_trace(&body)
-            .and_then(|(trace, msg)| Response::decode(msg).map(|response| (trace, response)))
-        {
-            Ok((trace, r)) => (r, trace),
-            Err(e) => {
-                // A frame that parses as a frame but not as a message means
-                // the stream is desynchronized: surface the error to the
-                // waiting caller, then kill the connection.
-                if let Some(tx) = shared.pending.lock().remove(&corr_id) {
-                    let _ = tx.send((Response::Error(e.into()), received, None));
-                }
-                break;
+fn reader_loop(mut stream: TcpStream, shared: Arc<ConnShared>) {
+    let mut decoder = FrameDecoder::new();
+    let mut chunk = vec![0u8; READ_CHUNK];
+    'read: loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => decoder.push(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
+        loop {
+            let (corr_id, body) = match decoder.next_frame() {
+                Ok(Some((corr_id, _, body))) => (corr_id, body),
+                Ok(None) => break,
+                // A rejected header: the stream is desynchronized.
+                Err(_) => break 'read,
+            };
+            let received = FRAME_HEADER + body.len();
+            let decoded = Response::decode(&body);
+            let failed = decoded.is_err();
+            // A frame that parses as a frame but not as a message means
+            // the stream is desynchronized too: surface the error to the
+            // waiting caller, then kill the connection.
+            let response = decoded.unwrap_or_else(|e| Response::Error(e.into()));
+            if let Some(tx) = shared.pending.lock().remove(&corr_id) {
+                let _ = tx.send((response, received));
             }
-        };
-        if let Some(tx) = shared.pending.lock().remove(&corr_id) {
-            let _ = tx.send((response.0, received, response.1));
+            if failed {
+                break 'read;
+            }
         }
     }
     shared.mark_dead();
@@ -367,16 +323,9 @@ impl RpcChannel {
         self.connection()?.call(request)
     }
 
-    /// [`RpcChannel::call`] charging `meter` for the traffic and lifting a
-    /// top-level `Response::Error` into a typed `Err` — the shape every
-    /// non-windowed caller wants.
+    /// [`Connection::request`] on a pooled connection.
     pub fn request(&self, request: &Request, meter: &NetMeter) -> Result<Response> {
-        let (response, sent, received) = self.call(request)?;
-        meter.charge_real(sent, received);
-        match response {
-            Response::Error(e) => Err(e.into()),
-            other => Ok(other),
-        }
+        self.connection()?.request(request, meter)
     }
 }
 
@@ -777,35 +726,6 @@ impl RemoteCmClient {
     }
 }
 
-fn call_and_charge(conn: &Connection, request: &Request, meter: &NetMeter) -> Result<Response> {
-    let (response, sent, received) = conn.call(request)?;
-    meter.charge_real(sent, received);
-    match response {
-        Response::Error(e) => Err(e.into()),
-        other => Ok(other),
-    }
-}
-
-/// [`call_and_charge`] stamping the isolation-level suffix onto the frame
-/// when `level` is not the Si default. The default is sent bare so a
-/// pre-suffix server keeps decoding it.
-fn call_and_charge_iso(
-    conn: &Connection,
-    request: &Request,
-    level: IsolationLevel,
-    meter: &NetMeter,
-) -> Result<Response> {
-    if level == IsolationLevel::Si {
-        return call_and_charge(conn, request, meter);
-    }
-    let (response, sent, received) = conn.call_with_isolation(request, level)?;
-    meter.charge_real(sent, received);
-    match response {
-        Response::Error(e) => Err(e.into()),
-        other => Ok(other),
-    }
-}
-
 impl CommitService for RemoteCmClient {
     fn start_pinned(
         &self,
@@ -824,8 +744,7 @@ impl CommitService for RemoteCmClient {
                     continue;
                 }
             };
-            match call_and_charge_iso(&conn, &Request::CmStart { hint: hint as u64 }, level, meter)
-            {
+            match conn.request(&Request::CmStart { hint: hint as u64, level }, meter) {
                 Ok(Response::TxnStarted { tid, lav, snapshot }) => {
                     let participant = Arc::new(RemoteParticipant { conn });
                     return Ok((TxnStart { tid, snapshot, lav }, participant));
@@ -901,7 +820,7 @@ struct RemoteParticipant {
 
 impl RemoteParticipant {
     fn complete(&self, tid: TxnId, committed: bool, meter: &NetMeter) -> Result<()> {
-        match call_and_charge(&self.conn, &Request::CmComplete { tid, committed }, meter)? {
+        match self.conn.request(&Request::CmComplete { tid, committed }, meter)? {
             Response::Unit => Ok(()),
             other => Err(RemoteStoreClient::unexpected("cm_complete", other)),
         }

@@ -9,13 +9,12 @@
 //! (§3: processing nodes over a shared data store, with a lightweight
 //! commit manager) across real sockets, std-only, no external deps.
 //!
-//! * [`wire`] — length-prefixed binary frames with correlation ids
-//!   (pipelining), tagged request/response messages, and the streaming
-//!   [`FrameDecoder`] for nonblocking receive paths.
-//! * [`service`] — the [`RpcService`] dispatch seam: one trait both
-//!   servers implement, with deferred completion through [`ReplySink`].
-//! * [`server`] — the epoll-reactor [`RpcServer`] (and the
-//!   thread-per-connection [`BlockingServer`] baseline) fronting a
+//! * [`wire`] — frames with one fixed header (length, correlation id for
+//!   pipelining, trace context), tagged request/response messages, and
+//!   [`FrameDecoder`], the one frame parser every receive path feeds.
+//! * [`service`] — the [`RpcService`] dispatch seam every transport
+//!   dispatches through, with deferred completion through [`ReplySink`].
+//! * [`server`] — the epoll-reactor [`RpcServer`] fronting a
 //!   `StoreCluster` and/or a commit service.
 //! * [`reactor`] — the event loop itself: epoll + eventfd via `sys`,
 //!   zero-copy frame slicing, a bounded worker pool, slow-reader
@@ -38,6 +37,6 @@ pub use client::{
     Connection, PendingReply, RemoteCmClient, RemoteCmEndpoint, RemoteEndpoint, RemoteStoreClient,
     RpcChannel,
 };
-pub use server::{BlockingServer, ReactorConfig, RpcServer, Services};
+pub use server::{ReactorConfig, RpcServer, Services};
 pub use service::{ReplySink, RequestCtx, Router, RpcService};
 pub use wire::{FrameDecoder, Request, Response, WireError, MAX_FRAME};

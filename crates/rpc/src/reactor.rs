@@ -48,7 +48,7 @@ use crate::sys::{
     epoll_ctl_op, epoll_event, epoll_wait_events, Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN,
     EPOLLOUT, EPOLLRDHUP, EPOLL_CTL_ADD, EPOLL_CTL_DEL, EPOLL_CTL_MOD,
 };
-use crate::wire::{write_frame_ctx, FrameDecoder, FRAME_HEADER};
+use crate::wire::{encode_frame, FrameDecoder, TraceContext, FRAME_HEADER};
 
 /// Tuning knobs for a reactor-backed server.
 #[derive(Clone, Copy, Debug)]
@@ -110,8 +110,8 @@ struct Conn {
     stream: TcpStream,
     peer: SocketAddr,
     io: Mutex<ConnIo>,
-    /// Complete frames decoded but not yet dispatched: `(corr_id, body)`.
-    pending: Mutex<VecDeque<(u64, Bytes)>>,
+    /// Complete frames decoded but not yet dispatched.
+    pending: Mutex<VecDeque<(u64, Option<TraceContext>, Bytes)>>,
     /// On the dispatch queue or being drained by a worker. At most one
     /// worker owns a connection at a time — that is the FIFO guarantee.
     queued: AtomicBool,
@@ -383,12 +383,12 @@ fn read_ready(shared: &Arc<Shared>, entry: &mut ConnEntry, scratch: &mut [u8]) -
     let mut decoded = 0usize;
     let pending_len = loop {
         match entry.decoder.next_frame() {
-            Ok(Some((corr_id, body))) => {
+            Ok(Some((corr_id, ctx, body))) => {
                 shared.frames.fetch_add(1, Ordering::SeqCst);
                 tell_obs::incr(Counter::RpcServerFramesIn);
                 tell_obs::add(Counter::RpcServerBytesIn, body.len() as u64);
                 let mut pending = conn.pending.lock();
-                pending.push_back((corr_id, body));
+                pending.push_back((corr_id, ctx, body));
                 decoded += 1;
             }
             Ok(None) => break conn.pending.lock().len(),
@@ -535,8 +535,8 @@ fn drain_conn(shared: &Arc<Shared>, conn: Arc<Conn>) {
         if shared.shutdown.load(Ordering::SeqCst) || conn.dead.load(Ordering::Relaxed) {
             break;
         }
-        let Some((corr_id, body)) = conn.pending.lock().pop_front() else { break };
-        process_frame(shared, &conn, corr_id, body);
+        let Some((corr_id, ctx, body)) = conn.pending.lock().pop_front() else { break };
+        process_frame(shared, &conn, corr_id, ctx, &body);
     }
     if conn.dead.load(Ordering::Relaxed) {
         conn.pending.lock().clear();
@@ -585,7 +585,13 @@ fn drain_conn(shared: &Arc<Shared>, conn: Arc<Conn>) {
 }
 
 /// Fault-inject, dispatch, and route the reply into the write buffer.
-fn process_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, corr_id: u64, body: Bytes) {
+fn process_frame(
+    shared: &Arc<Shared>,
+    conn: &Arc<Conn>,
+    corr_id: u64,
+    ctx: Option<TraceContext>,
+    body: &[u8],
+) {
     // The fault injector (when armed by the simulation harness) acts on
     // the frame as a unit, before any dispatch side effects: a dropped
     // frame kills the stream like a broken link would, a delayed frame
@@ -607,20 +613,18 @@ fn process_frame(shared: &Arc<Shared>, conn: &Arc<Conn>, corr_id: u64, body: Byt
         shared.service.as_ref(),
         duplicate,
         Some(conn.peer),
-        &body,
-        move |ctx, response| {
+        ctx,
+        body,
+        move |response| {
             let out = response.encode();
             tell_obs::incr(Counter::RpcServerFramesOut);
             tell_obs::add(Counter::RpcServerBytesOut, out.len() as u64);
-            let mut framed = Vec::with_capacity(FRAME_HEADER + 17 + out.len());
-            if write_frame_ctx(&mut framed, corr_id, ctx, &out).is_err() {
-                // Response exceeds MAX_FRAME: unframeable, the stream
-                // cannot stay synchronized. Sever, as the blocking server's
-                // failed write did.
-                sever(&reply_shared, &reply_conn);
-                return;
+            match encode_frame(corr_id, ctx, &out) {
+                Ok(framed) => enqueue_write(&reply_shared, &reply_conn, framed),
+                // Response exceeds MAX_FRAME: unframeable, the stream cannot
+                // stay synchronized.
+                Err(_) => sever(&reply_shared, &reply_conn),
             }
-            enqueue_write(&reply_shared, &reply_conn, framed);
         },
     );
 }

@@ -1,6 +1,6 @@
-//! The unified dispatch seam: one [`RpcService`] trait both servers (and
-//! any future in-process caller) implement, replacing the two hand-rolled
-//! per-server dispatch loops that used to live in `server.rs`.
+//! The unified dispatch seam: one [`RpcService`] trait every transport
+//! dispatches through ([`dispatch_frame`]), so request handling is written
+//! once whatever the I/O model.
 //!
 //! A service receives a decoded [`Request`] plus its [`RequestCtx`] and
 //! answers through a one-shot [`ReplySink`]. The sink is the deferred-
@@ -24,12 +24,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use tell_commitmgr::{CommitParticipant, CommitService};
-use tell_common::{Error, IsolationLevel, Result};
+use tell_common::{Error, Result};
 use tell_netsim::NetMeter;
 use tell_obs::Counter;
 use tell_store::{Expect, StoreClient, StoreCluster, WriteOp};
 
-use crate::wire::{decode_request_iso, split_context, Request, Response, TraceContext};
+use crate::wire::{Request, Response, TraceContext};
 
 /// What a server process exposes.
 #[derive(Default)]
@@ -48,9 +48,6 @@ pub struct RequestCtx {
     pub trace: Option<TraceContext>,
     /// The connection's peer address, when the transport has one.
     pub peer: Option<SocketAddr>,
-    /// Isolation level carried in the frame's trailing suffix; `None`
-    /// (the common case) means the server-side default applies.
-    pub isolation: Option<IsolationLevel>,
 }
 
 /// One-shot completion handle for a request. Consuming it (`send`) routes
@@ -165,7 +162,7 @@ impl Router {
         }
     }
 
-    fn call_one(&self, request: Request, isolation: Option<IsolationLevel>) -> Response {
+    fn call_one(&self, request: Request) -> Response {
         match request {
             Request::Ping => Response::Pong,
             // Served by every node regardless of hosted services: the
@@ -220,7 +217,7 @@ impl Router {
             | Request::CmLav
             | Request::CmSync
             | Request::CmResolve { .. } => match &self.commit {
-                Some(route) => dispatch_commit(route, request, isolation),
+                Some(route) => dispatch_commit(route, request),
                 None => Response::Error(
                     Error::Unsupported("this node does not serve commit managers".into()).into(),
                 ),
@@ -230,7 +227,7 @@ impl Router {
 }
 
 impl RpcService for Router {
-    fn call(&self, request: Request, ctx: &RequestCtx, reply: ReplySink) {
+    fn call(&self, request: Request, _ctx: &RequestCtx, reply: ReplySink) {
         match request {
             // One frame in, one frame out: each nested op dispatches
             // independently, so per-op failures travel as nested errors
@@ -238,10 +235,10 @@ impl RpcService for Router {
             Request::Batch { ops } => {
                 let sinks = reply.batch(ops.len());
                 for (op, sink) in ops.into_iter().zip(sinks) {
-                    sink.send(self.call_one(op, ctx.isolation));
+                    sink.send(self.call_one(op));
                 }
             }
-            other => reply.send(self.call_one(other, ctx.isolation)),
+            other => reply.send(self.call_one(other)),
         }
     }
 }
@@ -317,17 +314,12 @@ fn apply_write(client: &StoreClient, op: WriteOp) -> Result<Option<u64>> {
     }
 }
 
-fn dispatch_commit(
-    route: &CmRoute,
-    request: Request,
-    isolation: Option<IsolationLevel>,
-) -> Response {
+fn dispatch_commit(route: &CmRoute, request: Request) -> Response {
     // Server threads have no virtual clock; commit-side charges are free.
     let meter = NetMeter::free();
     let commit = route.commit.as_ref();
     let result = match request {
-        Request::CmStart { hint } => {
-            let level = isolation.unwrap_or_default();
+        Request::CmStart { hint, level } => {
             commit.start_pinned(hint as usize, level, &meter).map(|(start, participant)| {
                 route.participants.lock().insert(start.tid.raw(), participant);
                 Response::TxnStarted { tid: start.tid, lav: start.lav, snapshot: start.snapshot }
@@ -399,36 +391,34 @@ fn count_request(request: &Request) {
 // ---------------------------------------------------------------------------
 // Frame-level dispatch, shared by every transport.
 
-/// Decode one frame body and run it through `service`, echoing the frame's
-/// trace context to `reply` along with the response. This is the single
-/// code path both the reactor workers and the blocking baseline server use:
-/// decode → trace adoption → dispatch span → service call → span status —
-/// exactly the sequence the old per-connection loop ran inline.
+/// Decode one frame body and run it through `service`, handing the
+/// response to `reply`. This is the single code path every transport
+/// uses: decode → trace adoption → dispatch span → service call → span
+/// status. `ctx` is the context the frame header carried; the transport
+/// echoes it on the response.
 ///
 /// `duplicate` re-dispatches the request after answering with the first
 /// result (the fault injector's at-least-once delivery). `CmStart` is
 /// exempt — allocation is not idempotent, and a tid handed out by a
 /// duplicate would never be completed by anyone.
-pub(crate) fn dispatch_frame(
+pub fn dispatch_frame(
     service: &dyn RpcService,
     duplicate: bool,
     peer: Option<SocketAddr>,
+    ctx: Option<TraceContext>,
     body: &[u8],
-    reply: impl FnOnce(Option<TraceContext>, Response) + Send + 'static,
+    reply: impl FnOnce(Response) + Send + 'static,
 ) {
-    let decoded = split_context(body).and_then(|(ctx, msg)| {
-        decode_request_iso(msg).map(|(request, isolation)| (ctx, request, isolation))
-    });
-    let (ctx, request, isolation) = match decoded {
-        Ok(decoded) => decoded,
+    let request = match Request::decode(body) {
+        Ok(request) => request,
         Err(e) => {
-            reply(None, Response::Error(e.into()));
+            reply(Response::Error(e.into()));
             return;
         }
     };
     count_request(&request);
     // Expose the originating trace to everything this dispatch touches
-    // (slow-op checks included), then echo it back.
+    // (slow-op checks included).
     let _guard = ctx.map(|c| tell_obs::TraceGuard::enter(c.trace));
     // Profiler frame for the whole dispatch: store/cm work done below
     // stacks under it in the flamegraph.
@@ -458,9 +448,9 @@ pub(crate) fn dispatch_frame(
         // straight to the ring (the bounded drop-oldest ring is the
         // server-side retention policy).
         tell_obs::span::flush_pending_to_ring();
-        reply(ctx, response);
+        reply(response);
     });
-    let rctx = RequestCtx { trace: ctx, peer, isolation };
+    let rctx = RequestCtx { trace: ctx, peer };
     if duplicate && !matches!(request, Request::CmStart { .. }) {
         service.call(request.clone(), &rctx, sink);
         service.call(request, &rctx, ReplySink::ignore());

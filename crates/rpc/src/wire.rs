@@ -1,37 +1,28 @@
 //! The tell-rpc wire format.
 //!
-//! Every exchange is a length-prefixed frame:
+//! Every exchange is one frame with a fixed 28-byte header:
 //!
 //! ```text
-//! v1: [len: u32 LE] [corr_id: u64 LE] [body: len - 8 bytes]
-//! v2: [len: u32 LE] [corr_id: u64 LE] [0xF5] [trace_id: u64 LE] [body]
-//!     [len: u32 LE] [corr_id: u64 LE] [0xF6] [trace_id: u64 LE] [parent_span_id: u64 LE] [body]
+//! [len: u32 LE] [corr_id: u64 LE] [trace: u64 LE] [parent_span: u64 LE] [body: len - 24 bytes]
 //! ```
 //!
-//! where `len` counts everything after itself (correlation id plus body)
-//! and `corr_id` matches a response to its request, so a client can keep
-//! many requests in flight on one connection (pipelining). The body is a
-//! tagged message — one byte of message kind followed by a kind-specific
-//! payload — serialized with `tell_common::codec`, the same little-endian
-//! codec every persistent format in the workspace uses.
+//! where `len` counts everything after itself and `corr_id` matches a
+//! response to its request, so a client can keep many requests in flight
+//! on one connection (pipelining). `trace` and `parent_span` attribute the
+//! frame to the PN-side unit of work that caused it ([`TraceContext`]);
+//! 0 means "none" in both (trace ids are never 0). Servers echo the
+//! request's context on the response. The body is a tagged message — one
+//! byte of message kind followed by a kind-specific payload — serialized
+//! with `tell_common::codec`, the same little-endian codec every
+//! persistent format in the workspace uses.
 //!
-//! Protocol version 2 ([`FRAME_VERSION`]) may prefix the body with a trace
-//! context attributing the frame to the PN-side unit of work that caused
-//! it: either the [`TRACE_MARKER`] byte and an 8-byte trace id, or the
-//! [`SPAN_MARKER`] byte followed by the trace id *and* the sending span's
-//! id, which server dispatch adopts as the parent of its own span. The
-//! marker values can never start a legitimate message (tags are small
-//! integers), so v1 frames — whose first body byte is the message tag —
-//! still decode, as do span-less v2 frames: receivers call
-//! [`split_context`] and get `None` for untraced frames and a zero
-//! `parent_span` for trace-only frames. Servers echo the request's trace
-//! id on the response.
+//! [`encode_frame`] is the one frame encoder and [`FrameDecoder`] the one
+//! parser, for the reactor and the client's reader thread alike.
 //!
 //! Decoding is strict: a message must consume its body exactly. Trailing
-//! bytes, truncated fields and unknown tags are all [`Error::Corrupt`], so
-//! a desynchronized stream is detected instead of misread.
-
-use std::io::{self, Read, Write as IoWrite};
+//! bytes, truncated fields, unknown tags and invalid codes are all
+//! [`Error::Corrupt`], so a desynchronized stream is detected instead of
+//! misread.
 
 use bytes::{Bytes, BytesMut};
 use tell_commitmgr::SnapshotDescriptor;
@@ -45,68 +36,17 @@ use tell_store::{Expect, Key, Predicate, Token, WriteOp};
 /// desynchronized or hostile peer before allocating.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Bytes preceding the body on the wire: length prefix + correlation id.
-pub const FRAME_HEADER: usize = 12;
+/// Bytes preceding the body on the wire: length prefix, correlation id,
+/// trace id and parent span id.
+pub const FRAME_HEADER: usize = 28;
 
-/// Current protocol version: frames may carry a trace id. Version 1 frames
-/// (no trace) are still produced when there is no trace to attach, and are
-/// always accepted.
-pub const FRAME_VERSION: u8 = 2;
-
-/// First body byte of a version-2 frame carrying a trace id. Deliberately
-/// outside the message-tag range so it cannot be confused with a v1 body.
-pub const TRACE_MARKER: u8 = 0xF5;
-
-/// First body byte of a version-2 frame carrying a trace id *and* the
-/// sending span's id (the parent for server-side dispatch spans). Like
-/// [`TRACE_MARKER`], outside the message-tag range.
-pub const SPAN_MARKER: u8 = 0xF6;
-
-/// Final body byte of a version-2 message carrying a per-transaction
-/// isolation level: the message bytes are followed by the two-byte suffix
-/// `[level code][ISO_MARKER]`. The suffix rides *after* the message (the
-/// trace/span prefixes stay first), so every frame generation can carry
-/// it. Decoding is unambiguous because message decoding is strict: a
-/// suffixed body fails the exact-consumption check as a plain message, and
-/// only then is the suffix stripped ([`decode_request_iso`]) — a
-/// legitimate message whose last bytes merely *look* like the suffix
-/// decodes whole and wins. Receivers that predate the suffix reject
-/// suffixed bodies as corrupt instead of misreading them; senders attach
-/// it only to requests that need a non-default level.
-pub const ISO_MARKER: u8 = 0xF4;
-
-/// Append the isolation-level suffix to an encoded message body.
-pub fn append_isolation(body: &mut Vec<u8>, level: IsolationLevel) {
-    body.push(level.code());
-    body.push(ISO_MARKER);
-}
-
-/// Decode a request body that may end with the [`ISO_MARKER`] suffix.
-/// Plain bodies decode to `(request, None)`; suffixed bodies to
-/// `(request, Some(level))`. The plain interpretation is tried first and
-/// wins when it succeeds, so the suffix can never be confused with
-/// message content.
-pub fn decode_request_iso(msg: &[u8]) -> Result<(Request, Option<IsolationLevel>)> {
-    match Request::decode(msg) {
-        Ok(req) => Ok((req, None)),
-        Err(err) => {
-            if msg.len() >= 2 && msg[msg.len() - 1] == ISO_MARKER {
-                if let Some(level) = IsolationLevel::from_code(msg[msg.len() - 2]) {
-                    return Ok((Request::decode(&msg[..msg.len() - 2])?, Some(level)));
-                }
-            }
-            Err(err)
-        }
-    }
-}
-
-/// The trace context a frame may carry ahead of its message body.
+/// The trace context a frame header carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceContext {
-    /// Trace the frame belongs to.
+    /// Trace the frame belongs to; never 0 (0 on the wire means no trace).
     pub trace: u64,
     /// Span id of the sending operation; 0 when the sender recorded no
-    /// span (the frame then encodes with [`TRACE_MARKER`] alone).
+    /// span.
     pub parent_span: u64,
 }
 
@@ -142,8 +82,9 @@ pub enum Request {
     /// storage node** (§5.2 selection pushdown): only matching rows are
     /// framed into the response.
     ScanPrefixFiltered { prefix: Key, limit: u64, predicate: Predicate },
-    /// Begin a transaction on the manager `hint` pins the caller to.
-    CmStart { hint: u64 },
+    /// Begin a transaction at isolation `level` on the manager `hint` pins
+    /// the caller to.
+    CmStart { hint: u64, level: IsolationLevel },
     /// Report the outcome of a transaction this server issued.
     CmComplete { tid: TxnId, committed: bool },
     /// Lowest active version across this server's managers.
@@ -162,9 +103,7 @@ pub enum Request {
     /// default (`drain: false`) is a non-destructive peek, so a background
     /// monitoring poller never steals the traces a one-shot exporter was
     /// about to collect; `drain: true` removes what it returns (each span
-    /// scraped exactly once). Each mode is its own bodyless tag; the peek
-    /// tag is the one pre-flag peers send, so old scrape bytes still
-    /// decode (and to the non-destructive mode).
+    /// scraped exactly once).
     Spans { drain: bool },
     /// Incremental telemetry scrape: the server's time-series ring points
     /// with `seq > since`, plus the metric-name schema to interpret them.
@@ -504,9 +443,10 @@ impl Request {
                     .encode_into(&mut out)
                     .expect("predicate depth is validated at construction");
             }
-            Request::CmStart { hint } => {
+            Request::CmStart { hint, level } => {
                 out.put_u8(16);
                 out.put_u64(*hint);
+                out.put_u8(level.code());
             }
             Request::CmComplete { tid, committed } => {
                 out.put_u8(17);
@@ -521,10 +461,10 @@ impl Request {
                 out.put_u8(u8::from(*committed));
             }
             Request::Metrics => out.put_u8(21),
-            // Peek keeps the pre-flag tag (and its bodyless shape) so old
-            // peers' scrapes still decode; drain is its own bodyless tag.
-            Request::Spans { drain: false } => out.put_u8(22),
-            Request::Spans { drain: true } => out.put_u8(24),
+            Request::Spans { drain } => {
+                out.put_u8(22);
+                out.put_u8(u8::from(*drain));
+            }
             Request::Telemetry { since } => {
                 out.put_u8(23);
                 out.put_u64(*since);
@@ -589,17 +529,14 @@ impl Request {
                 limit: r.u64()?,
                 predicate: Predicate::decode_from(&mut r)?,
             },
-            16 => Request::CmStart { hint: r.u64()? },
+            16 => Request::CmStart { hint: r.u64()?, level: read_level(&mut r)? },
             17 => Request::CmComplete { tid: TxnId(r.u64()?), committed: read_bool(&mut r)? },
             18 => Request::CmLav,
             19 => Request::CmSync,
             20 => Request::CmResolve { tid: TxnId(r.u64()?), committed: read_bool(&mut r)? },
             21 => Request::Metrics,
-            // Pre-flag peers sent tag 22 meaning "drain"; decoding it as a
-            // peek is the safe direction (nothing is lost).
-            22 => Request::Spans { drain: false },
+            22 => Request::Spans { drain: read_bool(&mut r)? },
             23 => Request::Telemetry { since: r.u64()? },
-            24 => Request::Spans { drain: true },
             25 => Request::ProfileStart { hz: r.f64()? },
             26 => Request::ProfileStop,
             27 => Request::ProfileFetch,
@@ -854,6 +791,12 @@ fn read_bool(r: &mut Reader<'_>) -> Result<bool> {
     }
 }
 
+fn read_level(r: &mut Reader<'_>) -> Result<IsolationLevel> {
+    let code = r.u8()?;
+    IsolationLevel::from_code(code)
+        .ok_or_else(|| Error::corrupt(format!("bad isolation level code {code}")))
+}
+
 fn expect_exhausted(r: &Reader<'_>) -> Result<()> {
     if r.is_exhausted() {
         Ok(())
@@ -867,147 +810,35 @@ fn expect_exhausted(r: &Reader<'_>) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Frame I/O.
+// Frames.
 
-/// Write one frame: length prefix, correlation id, body.
-pub fn write_frame(w: &mut impl IoWrite, corr_id: u64, body: &[u8]) -> io::Result<()> {
-    let len = 8 + body.len();
+/// Encode one frame: the fixed header, then `body`. `None` writes 0 into
+/// both context fields. A frame longer than [`MAX_FRAME`] is refused here,
+/// since the receiver would refuse it anyway.
+pub fn encode_frame(corr_id: u64, ctx: Option<TraceContext>, body: &[u8]) -> Result<Vec<u8>> {
+    let len = FRAME_HEADER - 4 + body.len();
     if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds MAX_FRAME"),
-        ));
+        return Err(Error::invalid(format!("frame of {len} bytes exceeds MAX_FRAME")));
     }
-    w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(&corr_id.to_le_bytes())?;
-    w.write_all(body)?;
-    w.flush()
+    let ctx = ctx.unwrap_or(TraceContext { trace: 0, parent_span: 0 });
+    let mut frame = Vec::with_capacity(4 + len);
+    frame.put_u32(len as u32);
+    frame.put_u64(corr_id);
+    frame.put_u64(ctx.trace);
+    frame.put_u64(ctx.parent_span);
+    frame.extend_from_slice(body);
+    Ok(frame)
 }
 
-/// Write one frame, attaching a version-2 trace prefix when `trace` is
-/// present. `None` produces a plain version-1 frame, byte-identical to
-/// [`write_frame`], so untraced traffic stays readable by old peers.
-pub fn write_frame_traced(
-    w: &mut impl IoWrite,
-    corr_id: u64,
-    trace: Option<u64>,
-    body: &[u8],
-) -> io::Result<()> {
-    write_frame_ctx(w, corr_id, trace.map(|t| TraceContext { trace: t, parent_span: 0 }), body)
-}
-
-/// Write one frame with a full trace context. `None` produces a plain
-/// version-1 frame; a context with `parent_span == 0` produces the 9-byte
-/// [`TRACE_MARKER`] prefix (byte-identical to [`write_frame_traced`]); a
-/// nonzero `parent_span` produces the 17-byte [`SPAN_MARKER`] prefix.
-pub fn write_frame_ctx(
-    w: &mut impl IoWrite,
-    corr_id: u64,
-    ctx: Option<TraceContext>,
-    body: &[u8],
-) -> io::Result<()> {
-    let Some(ctx) = ctx else {
-        return write_frame(w, corr_id, body);
-    };
-    let prefix = if ctx.parent_span == 0 { 9 } else { 17 };
-    let len = 8 + prefix + body.len();
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds MAX_FRAME"),
-        ));
-    }
-    w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(&corr_id.to_le_bytes())?;
-    if ctx.parent_span == 0 {
-        w.write_all(&[TRACE_MARKER])?;
-        w.write_all(&ctx.trace.to_le_bytes())?;
-    } else {
-        w.write_all(&[SPAN_MARKER])?;
-        w.write_all(&ctx.trace.to_le_bytes())?;
-        w.write_all(&ctx.parent_span.to_le_bytes())?;
-    }
-    w.write_all(body)?;
-    w.flush()
-}
-
-/// Split a frame body into its optional trace id and the message bytes.
-/// Equivalent to [`split_context`] with the parent span dropped.
-pub fn split_trace(body: &[u8]) -> Result<(Option<u64>, &[u8])> {
-    let (ctx, msg) = split_context(body)?;
-    Ok((ctx.map(|c| c.trace), msg))
-}
-
-/// Split a frame body into its optional trace context and the message
-/// bytes. Version-1 bodies (first byte is a message tag) pass through with
-/// `None`; a [`TRACE_MARKER`] byte must be followed by the full 8-byte
-/// trace id and yields `parent_span == 0`; a [`SPAN_MARKER`] byte must be
-/// followed by both 8-byte ids.
-pub fn split_context(body: &[u8]) -> Result<(Option<TraceContext>, &[u8])> {
-    match body.first() {
-        Some(&TRACE_MARKER) => {
-            if body.len() < 9 {
-                return Err(Error::corrupt("truncated trace id after marker"));
-            }
-            let trace = u64::from_le_bytes(body[1..9].try_into().expect("9-byte prefix"));
-            Ok((Some(TraceContext { trace, parent_span: 0 }), &body[9..]))
-        }
-        Some(&SPAN_MARKER) => {
-            if body.len() < 17 {
-                return Err(Error::corrupt("truncated trace context after span marker"));
-            }
-            let trace = u64::from_le_bytes(body[1..9].try_into().expect("17-byte prefix"));
-            let parent_span = u64::from_le_bytes(body[9..17].try_into().expect("17-byte prefix"));
-            Ok((Some(TraceContext { trace, parent_span }), &body[17..]))
-        }
-        _ => Ok((None, body)),
-    }
-}
-
-/// Read one frame, returning `(corr_id, body)`. A clean EOF before any byte
-/// of a new frame yields `Ok(None)`; an EOF inside a frame is an error, as
-/// is a length outside `(8, MAX_FRAME]`.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u64, Vec<u8>)>> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    while got < len_buf.len() {
-        match r.read(&mut len_buf[got..])? {
-            0 if got == 0 => return Ok(None),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ))
-            }
-            n => got += n,
-        }
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if !(8..=MAX_FRAME).contains(&len) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("invalid frame length {len}"),
-        ));
-    }
-    let mut corr_buf = [0u8; 8];
-    r.read_exact(&mut corr_buf)?;
-    let mut body = vec![0u8; len - 8];
-    r.read_exact(&mut body)?;
-    Ok(Some((u64::from_le_bytes(corr_buf), body)))
-}
-
-/// Incremental frame decoder over an owned receive buffer, for nonblocking
-/// readers that get bytes in arbitrary chunks instead of a stream they can
-/// block on. Push whatever the socket produced, then drain complete frames;
-/// each body comes out as a [`Bytes`] slice of the receive buffer — no copy
-/// beyond the socket read itself.
+/// Incremental frame parser over an owned receive buffer. Push whatever
+/// the transport produced — a nonblocking socket's chunks or a blocking
+/// read's — then drain complete frames.
 ///
-/// Validation matches [`read_frame`] exactly: a `len` outside
-/// `(8, MAX_FRAME]` is [`Error::Corrupt`] (the stream is desynchronized and
-/// cannot be resynchronized), and bytes short of a full frame simply wait
-/// for more input. End-of-stream policy stays with the caller: EOF with
-/// [`FrameDecoder::is_idle`] false is the "closed mid-frame" error
-/// `read_frame` reports.
+/// A `len` outside `[24, MAX_FRAME]`, or a parent span without a trace, is
+/// [`Error::Corrupt`]: the stream is desynchronized and cannot be
+/// resynchronized. Bytes short of a full frame simply wait for more input.
+/// End-of-stream policy stays with the caller: EOF with
+/// [`FrameDecoder::is_idle`] false means the peer closed mid-frame.
 #[derive(Default)]
 pub struct FrameDecoder {
     buf: BytesMut,
@@ -1034,24 +865,29 @@ impl FrameDecoder {
         self.buf.is_empty()
     }
 
-    /// Pop the next complete frame as `(corr_id, body)`, where `body` is
-    /// everything after the correlation id (trace prefix included, exactly
-    /// as [`read_frame`] returns it). `Ok(None)` means more bytes are
-    /// needed.
-    pub fn next_frame(&mut self) -> Result<Option<(u64, Bytes)>> {
+    /// Pop the next complete frame as `(corr_id, context, body)`.
+    /// `Ok(None)` means more bytes are needed.
+    pub fn next_frame(&mut self) -> Result<Option<(u64, Option<TraceContext>, Bytes)>> {
         if self.buf.len() < 4 {
             return Ok(None);
         }
         let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes checked")) as usize;
-        if !(8..=MAX_FRAME).contains(&len) {
+        if !(FRAME_HEADER - 4..=MAX_FRAME).contains(&len) {
             return Err(Error::corrupt(format!("invalid frame length {len}")));
         }
         if self.buf.len() < 4 + len {
             return Ok(None);
         }
         let frame = self.buf.split_to(4 + len);
-        let corr_id = u64::from_le_bytes(frame[4..12].try_into().expect("12 bytes checked"));
-        Ok(Some((corr_id, frame.slice(12..))))
+        let field = |at: usize| {
+            u64::from_le_bytes(frame[at..at + 8].try_into().expect("header length checked"))
+        };
+        let ctx = match (field(12), field(20)) {
+            (0, 0) => None,
+            (0, _) => return Err(Error::corrupt("parent span without a trace")),
+            (trace, parent_span) => Some(TraceContext { trace, parent_span }),
+        };
+        Ok(Some((field(4), ctx, frame.slice(FRAME_HEADER..))))
     }
 }
 
@@ -1101,7 +937,8 @@ mod tests {
             },
             Request::Batch { ops: Vec::new() },
             Request::Ping,
-            Request::CmStart { hint: 3 },
+            Request::CmStart { hint: 3, level: IsolationLevel::Si },
+            Request::CmStart { hint: u64::MAX, level: IsolationLevel::ReadCommitted },
             Request::CmComplete { tid: TxnId(9), committed: true },
             Request::CmLav,
             Request::CmSync,
@@ -1120,13 +957,6 @@ mod tests {
             let body = req.encode();
             assert_eq!(Request::decode(&body).unwrap(), req);
         }
-    }
-
-    #[test]
-    fn bodyless_spans_request_decodes_as_peek() {
-        // Older peers encode `Request::Spans` as the bare tag; that must
-        // keep decoding, and as the non-destructive variant.
-        assert_eq!(Request::decode(&[22]).unwrap(), Request::Spans { drain: false });
     }
 
     #[test]
@@ -1331,181 +1161,77 @@ mod tests {
         assert_eq!(Error::from(e.clone()), Error::Conflict);
     }
 
+    /// Pins the header layout byte for byte: a traced request and an
+    /// untraced response.
     #[test]
-    fn frame_roundtrip_and_eof_handling() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 42, b"hello").unwrap();
-        write_frame(&mut buf, 43, b"").unwrap();
-        let mut cursor = &buf[..];
-        assert_eq!(read_frame(&mut cursor).unwrap(), Some((42, b"hello".to_vec())));
-        assert_eq!(read_frame(&mut cursor).unwrap(), Some((43, Vec::new())));
-        assert_eq!(read_frame(&mut cursor).unwrap(), None);
-        // A truncated frame is an error, not a hang or a silent None.
-        let mut short = &buf[..buf.len() - 2];
-        let _ = read_frame(&mut short).unwrap();
-        assert!(read_frame(&mut short).is_err());
+    fn frame_header_golden_bytes() {
+        let level = IsolationLevel::Serializable;
+        let body = Request::CmStart { hint: 3, level }.encode();
+        let ctx = TraceContext { trace: 0x0102_0304_0506_0708, parent_span: 0x1112_1314 };
+        let frame = encode_frame(0x2A, Some(ctx), &body).unwrap();
+        #[rustfmt::skip]
+        let expected: &[u8] = &[
+            34, 0, 0, 0,                            // len = 24 + 10
+            0x2A, 0, 0, 0, 0, 0, 0, 0,              // corr_id
+            8, 7, 6, 5, 4, 3, 2, 1,                 // trace
+            0x14, 0x13, 0x12, 0x11, 0, 0, 0, 0,     // parent_span
+            16,                                     // CmStart
+            3, 0, 0, 0, 0, 0, 0, 0,                 // hint
+            4,                                      // Serializable
+        ];
+        assert_eq!(frame, expected);
+
+        let frame = encode_frame(7, None, &Response::Pong.encode()).unwrap();
+        #[rustfmt::skip]
+        let expected: &[u8] = &[
+            25, 0, 0, 0,                            // len = 24 + 1
+            7, 0, 0, 0, 0, 0, 0, 0,                 // corr_id
+            0, 0, 0, 0, 0, 0, 0, 0,                 // no trace
+            0, 0, 0, 0, 0, 0, 0, 0,                 // no parent span
+            7,                                      // Pong
+        ];
+        assert_eq!(frame, expected);
     }
 
     #[test]
-    fn traced_frames_roundtrip_and_v1_frames_still_decode() {
-        let body = Request::Ping.encode();
-        // v2 frame with a trace id.
-        let mut buf = Vec::new();
-        write_frame_traced(&mut buf, 7, Some(0xdead_beef), &body).unwrap();
-        let (corr, raw) = read_frame(&mut &buf[..]).unwrap().unwrap();
-        assert_eq!(corr, 7);
-        let (trace, msg) = split_trace(&raw).unwrap();
-        assert_eq!(trace, Some(0xdead_beef));
-        assert_eq!(Request::decode(msg).unwrap(), Request::Ping);
-
-        // No trace: byte-identical to a plain v1 frame.
-        let mut v2 = Vec::new();
-        write_frame_traced(&mut v2, 7, None, &body).unwrap();
-        let mut v1 = Vec::new();
-        write_frame(&mut v1, 7, &body).unwrap();
-        assert_eq!(v2, v1);
-        let (_, raw) = read_frame(&mut &v1[..]).unwrap().unwrap();
-        let (trace, msg) = split_trace(&raw).unwrap();
-        assert_eq!(trace, None);
-        assert_eq!(Request::decode(msg).unwrap(), Request::Ping);
+    fn frames_roundtrip_through_the_decoder() {
+        let ctx = TraceContext { trace: 0xdead_beef, parent_span: 0 };
+        let mut stream = encode_frame(42, Some(ctx), b"hello").unwrap();
+        stream.extend(encode_frame(43, None, b"").unwrap());
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&stream[..stream.len() - 2]);
+        let (corr, got_ctx, body) = decoder.next_frame().unwrap().unwrap();
+        assert_eq!((corr, got_ctx, &body[..]), (42, Some(ctx), &b"hello"[..]));
+        // A cut frame is not a frame yet, and not idle either.
+        assert_eq!(decoder.next_frame().unwrap(), None);
+        assert!(!decoder.is_idle());
+        decoder.push(&stream[stream.len() - 2..]);
+        let (corr, got_ctx, body) = decoder.next_frame().unwrap().unwrap();
+        assert_eq!((corr, got_ctx, body.len()), (43, None, 0));
+        assert!(decoder.is_idle());
     }
 
     #[test]
-    fn truncated_trace_prefix_is_rejected() {
-        for len in 1..9 {
-            let mut body = vec![TRACE_MARKER];
-            body.extend_from_slice(&vec![0u8; len - 1]);
-            assert!(split_trace(&body).is_err(), "{len}-byte prefix accepted");
+    fn corrupt_headers_are_rejected() {
+        for len in [0u32, 23, MAX_FRAME as u32 + 1] {
+            let mut decoder = FrameDecoder::new();
+            decoder.push(&len.to_le_bytes());
+            assert!(decoder.next_frame().is_err(), "len {len} accepted");
         }
-        for len in 1..17 {
-            let mut body = vec![SPAN_MARKER];
-            body.extend_from_slice(&vec![0u8; len - 1]);
-            assert!(split_context(&body).is_err(), "{len}-byte span prefix accepted");
+        let mut frame = encode_frame(1, None, &[]).unwrap();
+        frame[20] = 1; // parent span without a trace
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&frame);
+        assert!(decoder.next_frame().is_err());
+    }
+
+    #[test]
+    fn invalid_isolation_codes_are_corrupt() {
+        let mut body = Request::CmStart { hint: 1, level: IsolationLevel::Si }.encode();
+        for code in [0u8, 5, 0xFF] {
+            *body.last_mut().unwrap() = code;
+            assert!(matches!(Request::decode(&body), Err(Error::Corrupt(_))), "code {code}");
         }
-    }
-
-    #[test]
-    fn span_carrying_frames_roundtrip_and_older_generations_still_decode() {
-        let body = Request::Ping.encode();
-
-        // Full context: 0xF6 prefix with trace and parent span.
-        let ctx = TraceContext { trace: 0xdead_beef, parent_span: 0x1234 };
-        let mut buf = Vec::new();
-        write_frame_ctx(&mut buf, 5, Some(ctx), &body).unwrap();
-        let (corr, raw) = read_frame(&mut &buf[..]).unwrap().unwrap();
-        assert_eq!(corr, 5);
-        assert_eq!(raw[0], SPAN_MARKER);
-        let (back, msg) = split_context(&raw).unwrap();
-        assert_eq!(back, Some(ctx));
-        assert_eq!(Request::decode(msg).unwrap(), Request::Ping);
-        // The older accessor still sees the trace id.
-        assert_eq!(split_trace(&raw).unwrap().0, Some(0xdead_beef));
-
-        // Zero parent degrades to the trace-only 0xF5 form, byte-identical
-        // to what write_frame_traced always produced.
-        let mut ctx_buf = Vec::new();
-        write_frame_ctx(
-            &mut ctx_buf,
-            5,
-            Some(TraceContext { trace: 0xbeef, parent_span: 0 }),
-            &body,
-        )
-        .unwrap();
-        let mut traced_buf = Vec::new();
-        write_frame_traced(&mut traced_buf, 5, Some(0xbeef), &body).unwrap();
-        assert_eq!(ctx_buf, traced_buf);
-        let (_, raw) = read_frame(&mut &ctx_buf[..]).unwrap().unwrap();
-        assert_eq!(raw[0], TRACE_MARKER);
-        assert_eq!(
-            split_context(&raw).unwrap().0,
-            Some(TraceContext { trace: 0xbeef, parent_span: 0 })
-        );
-
-        // No context degrades all the way to a v1 frame.
-        let mut v1 = Vec::new();
-        write_frame_ctx(&mut v1, 5, None, &body).unwrap();
-        let mut plain = Vec::new();
-        write_frame(&mut plain, 5, &body).unwrap();
-        assert_eq!(v1, plain);
-        let (_, raw) = read_frame(&mut &v1[..]).unwrap().unwrap();
-        let (ctx, msg) = split_context(&raw).unwrap();
-        assert_eq!(ctx, None);
-        assert_eq!(Request::decode(msg).unwrap(), Request::Ping);
-    }
-
-    #[test]
-    fn isolation_suffix_roundtrips_every_level() {
-        for level in IsolationLevel::ALL {
-            let mut body = Request::CmStart { hint: 3 }.encode();
-            append_isolation(&mut body, level);
-            let (req, got) = decode_request_iso(&body).unwrap();
-            assert_eq!(req, Request::CmStart { hint: 3 });
-            assert_eq!(got, Some(level));
-        }
-    }
-
-    #[test]
-    fn plain_bodies_decode_with_no_isolation() {
-        for req in [Request::CmStart { hint: 0 }, Request::Ping, Request::CmLav] {
-            let (back, level) = decode_request_iso(&req.encode()).unwrap();
-            assert_eq!(back, req);
-            assert_eq!(level, None);
-        }
-    }
-
-    #[test]
-    fn suffix_lookalike_content_decodes_as_plain_message() {
-        // A key that happens to end in [valid level code][ISO_MARKER] must
-        // not be mistaken for a suffixed shorter message: the full body
-        // decodes exactly, and the plain interpretation wins.
-        let key = Bytes::copy_from_slice(&[7, 7, 3, ISO_MARKER]);
-        let req = Request::Get { key: key.clone() };
-        let (back, level) = decode_request_iso(&req.encode()).unwrap();
-        assert_eq!(back, req);
-        assert_eq!(level, None);
-    }
-
-    #[test]
-    fn bad_isolation_suffixes_are_rejected() {
-        // Invalid level code: not a suffix, and the body itself is corrupt.
-        let mut body = Request::Ping.encode();
-        body.push(0);
-        body.push(ISO_MARKER);
-        assert!(decode_request_iso(&body).is_err());
-        // Valid suffix on a corrupt message: still corrupt.
-        let mut body = vec![99u8];
-        append_isolation(&mut body, IsolationLevel::Si);
-        assert!(decode_request_iso(&body).is_err());
-        // Suffix alone is not a message.
-        let mut body = Vec::new();
-        append_isolation(&mut body, IsolationLevel::Serializable);
-        assert!(decode_request_iso(&body).is_err());
-        // Truncating a suffixed body is rejected — except at exactly the
-        // plain-message boundary, where what remains *is* the valid
-        // unsuffixed message (strictly more decodable than the original).
-        let plain_len = Request::CmStart { hint: 9 }.encode().len();
-        let mut body = Request::CmStart { hint: 9 }.encode();
-        append_isolation(&mut body, IsolationLevel::ReadCommitted);
-        for cut in 0..body.len() {
-            if cut == plain_len {
-                let (req, level) = decode_request_iso(&body[..cut]).unwrap();
-                assert_eq!(req, Request::CmStart { hint: 9 });
-                assert_eq!(level, None);
-            } else {
-                assert!(
-                    decode_request_iso(&body[..cut]).is_err(),
-                    "prefix of {cut} bytes accepted"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn oversized_frame_length_is_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
-        buf.extend_from_slice(&[0u8; 16]);
-        assert!(read_frame(&mut &buf[..]).is_err());
     }
 
     #[test]

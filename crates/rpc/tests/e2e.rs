@@ -14,8 +14,10 @@ use tell_core::recovery::recover_failed_pn;
 use tell_core::txlog::{self, LogEntry};
 use tell_core::{Database, TellConfig, VersionedRecord};
 use tell_netsim::{NetMeter, NetworkProfile};
+use tell_rpc::wire::{encode_frame, TraceContext};
 use tell_rpc::{
-    Connection, RemoteCmClient, RemoteEndpoint, Request, Response, RpcServer, WireError,
+    Connection, FrameDecoder, RemoteCmClient, RemoteEndpoint, Request, Response, RpcServer,
+    WireError,
 };
 use tell_store::{keys, Expect, StoreApi, StoreCluster, StoreConfig, StoreEndpoint, WriteOp};
 
@@ -415,21 +417,29 @@ fn pipelined_counter_increments_share_one_connection() {
 // Observability over the wire.
 
 #[test]
-fn traced_call_echoes_trace_id_over_tcp() {
+fn server_echoes_the_frame_trace_context_over_tcp() {
+    use std::io::{Read, Write};
+
     let (servers, _db) = boot(1, 1);
-    let conn = Connection::connect(&servers.sn.local_addr().to_string()).unwrap();
-
-    // An explicit trace id crosses the wire in the request frame and comes
-    // back stamped on the response frame.
-    let (resp, _, _, echoed) = conn.call_traced(&Request::Ping, Some(0x5EED_CAFE)).unwrap();
-    assert!(matches!(resp, Response::Pong));
-    assert_eq!(echoed, Some(0x5EED_CAFE));
-
-    // An untraced call stays wire-compatible with v1 frames: nothing goes
-    // out, nothing comes back.
-    let (resp, _, _, echoed) = conn.call_traced(&Request::Ping, None).unwrap();
-    assert!(matches!(resp, Response::Pong));
-    assert_eq!(echoed, None);
+    let mut stream = std::net::TcpStream::connect(servers.sn.local_addr()).unwrap();
+    let mut decoder = FrameDecoder::new();
+    let mut chunk = [0u8; 256];
+    // A traced request gets its context back on the response header; an
+    // untraced one gets none.
+    let traced = TraceContext { trace: 0x5EED_CAFE, parent_span: 0x77 };
+    for (corr_id, ctx) in [(1, Some(traced)), (2, None)] {
+        stream.write_all(&encode_frame(corr_id, ctx, &Request::Ping.encode()).unwrap()).unwrap();
+        let (got_corr, got_ctx, body) = loop {
+            if let Some(frame) = decoder.next_frame().unwrap() {
+                break frame;
+            }
+            let n = stream.read(&mut chunk).unwrap();
+            assert!(n > 0, "server closed the connection");
+            decoder.push(&chunk[..n]);
+        };
+        assert_eq!((got_corr, got_ctx), (corr_id, ctx));
+        assert_eq!(Response::decode(&body).unwrap(), Response::Pong);
+    }
 }
 
 #[test]

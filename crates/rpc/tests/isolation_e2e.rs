@@ -1,5 +1,5 @@
 //! Per-transaction isolation levels over real loopback TCP: the level
-//! rides the `CmStart` frame as the `ISO_MARKER` suffix, the commit
+//! rides the `CmStart` request as its `level` field, the commit
 //! servers serve level-appropriate snapshots, and two clients running at
 //! different levels observe exactly the anomalies their levels admit —
 //! write skew commits cleanly at SI and dies with a *typed* conflict at

@@ -2,7 +2,7 @@
 //! concurrent load, peers dying mid-frame, slow-reader backpressure — the
 //! failure shapes the event loop must absorb without hanging anyone.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -11,8 +11,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use tell_common::Error;
 use tell_obs::Counter;
-use tell_rpc::wire::{read_frame, write_frame};
-use tell_rpc::{Connection, ReactorConfig, Request, Response, RpcServer, Services};
+use tell_rpc::wire::encode_frame;
+use tell_rpc::{Connection, FrameDecoder, ReactorConfig, Request, Response, RpcServer, Services};
 use tell_store::{Expect, StoreCluster, StoreConfig, WriteOp};
 
 fn serve(nodes: usize) -> (RpcServer, String) {
@@ -95,8 +95,7 @@ fn peer_dying_mid_frame_leaves_other_connections_serving() {
 
     // A peer starts a frame and dies mid-way through it.
     let mut dying = TcpStream::connect(&addr).unwrap();
-    let mut framed = Vec::new();
-    write_frame(&mut framed, 42, &Request::Ping.encode()).unwrap();
+    let framed = encode_frame(42, None, &Request::Ping.encode()).unwrap();
     dying.write_all(&framed[..framed.len() - 3]).unwrap();
     dying.flush().unwrap();
     drop(dying);
@@ -140,7 +139,9 @@ fn slow_reader_hits_backpressure_and_drains_after_catching_up() {
     let mut slow = TcpStream::connect(&addr).unwrap();
     let mut framed = Vec::new();
     for corr_id in 0..GETS as u64 {
-        write_frame(&mut framed, corr_id, &Request::Get { key: key.clone() }.encode()).unwrap();
+        framed.extend(
+            encode_frame(corr_id, None, &Request::Get { key: key.clone() }.encode()).unwrap(),
+        );
     }
     slow.write_all(&framed).unwrap();
     slow.flush().unwrap();
@@ -154,9 +155,17 @@ fn slow_reader_hits_backpressure_and_drains_after_catching_up() {
 
     // Catching up releases the pause: every reply arrives, in order.
     slow.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut reader = std::io::BufReader::new(slow);
+    let mut decoder = FrameDecoder::new();
+    let mut chunk = vec![0u8; 64 << 10];
     for corr_id in 0..GETS as u64 {
-        let (got_corr, body) = read_frame(&mut reader).unwrap().expect("reply arrives");
+        let (got_corr, _, body) = loop {
+            if let Some(frame) = decoder.next_frame().unwrap() {
+                break frame;
+            }
+            let n = slow.read(&mut chunk).unwrap();
+            assert!(n > 0, "server closed before reply {corr_id}");
+            decoder.push(&chunk[..n]);
+        };
         assert_eq!(got_corr, corr_id);
         match Response::decode(&body).unwrap() {
             Response::Cell(Some((_, got))) => assert_eq!(got, value),

@@ -1,15 +1,19 @@
 //! Property tests for the tell-rpc wire format: every message round-trips
-//! through its encoding, and no truncation of a valid message decodes.
+//! through its encoding, no truncation of a valid message decodes, and no
+//! input at all — valid, cut or random — panics a decoder or makes it
+//! reserve memory the input does not pay for.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use tell_commitmgr::SnapshotDescriptor;
 use tell_common::{BitSet, IsolationLevel, TxnId};
-use tell_obs::{PhaseDigest, Span, SpanAttrs, SpanKind, SpanStatus, TelemetryPage, TsPoint};
-use tell_rpc::wire::{
-    append_isolation, decode_request_iso, read_frame, split_context, split_trace, write_frame,
-    write_frame_ctx, write_frame_traced, TraceContext, FRAME_HEADER,
+use tell_obs::{
+    AllocStat, LockStat, PhaseDigest, Span, SpanAttrs, SpanKind, SpanStatus, TelemetryPage, TsPoint,
 };
+use tell_rpc::wire::{encode_frame, TraceContext, FRAME_HEADER};
 use tell_rpc::{FrameDecoder, Request, Response, WireError, MAX_FRAME};
 use tell_store::{CmpOp, Expect, Predicate, WriteOp};
 
@@ -156,7 +160,8 @@ fn request_strategy() -> impl Strategy<Value = Request> {
             |(prefix, limit, predicate)| Request::ScanPrefixFiltered { prefix, limit, predicate }
         ),
         Just(Request::Ping),
-        any::<u64>().prop_map(|hint| Request::CmStart { hint }),
+        (any::<u64>(), 0..IsolationLevel::ALL.len())
+            .prop_map(|(hint, i)| Request::CmStart { hint, level: IsolationLevel::ALL[i] }),
         (any::<u64>(), any::<bool>())
             .prop_map(|(tid, committed)| Request::CmComplete { tid: TxnId(tid), committed }),
         Just(Request::CmLav),
@@ -316,120 +321,58 @@ proptest! {
         }
     }
 
-    /// A frame round-trips, and cutting it anywhere turns it into either a
-    /// clean end-of-stream (cut at byte 0) or a hard I/O error — never a
-    /// silently short frame.
+    /// A frame round-trips through the decoder, and no strict prefix of
+    /// it surfaces as a frame: the decoder waits for the missing bytes.
     #[test]
-    fn truncated_frames_are_rejected(
+    fn truncated_frames_never_surface(
         request in request_strategy(),
         corr_id in any::<u64>(),
+        ctx in context_strategy(),
     ) {
         let body = request.encode();
-        let mut framed = Vec::new();
-        write_frame(&mut framed, corr_id, &body).unwrap();
+        let framed = encode_frame(corr_id, ctx, &body).unwrap();
         prop_assert_eq!(framed.len(), FRAME_HEADER + body.len());
-
-        let (got_corr, got_body) =
-            read_frame(&mut &framed[..]).unwrap().expect("whole frame reads back");
-        prop_assert_eq!(got_corr, corr_id);
-        prop_assert_eq!(&got_body, &body);
-
-        prop_assert!(read_frame(&mut &framed[..0]).unwrap().is_none(), "empty = clean EOF");
-        for cut in 1..framed.len() {
-            prop_assert!(
-                read_frame(&mut &framed[..cut]).is_err(),
-                "frame prefix of length {} read back", cut
-            );
+        for cut in 0..framed.len() {
+            let mut decoder = FrameDecoder::new();
+            decoder.push(&framed[..cut]);
+            prop_assert!(decoder.next_frame().unwrap().is_none(), "prefix of {} surfaced", cut);
         }
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&framed);
+        let (got_corr, got_ctx, got_body) = decoder.next_frame().unwrap().unwrap();
+        prop_assert_eq!((got_corr, got_ctx), (corr_id, ctx));
+        prop_assert_eq!(&Request::decode(&got_body).unwrap(), &request);
+        prop_assert!(decoder.is_idle());
     }
 
-    /// The three frame generations coexist on one wire: a span-carrying
-    /// frame round-trips its full context, a trace-only context is
-    /// byte-identical to what the older `write_frame_traced` emits, and an
-    /// uncontexted frame is byte-identical to a v1 frame — so peers that
-    /// predate spans (or traces) still decode everything they produce.
+    /// The [`FrameDecoder`] recovers exactly what [`encode_frame`] framed,
+    /// however the byte stream is cut: a run of traced and untraced frames
+    /// fed one byte at a time — every split point a TCP segmentation could
+    /// produce — and again in arbitrary chunk sizes, with no frame
+    /// surfacing before its last byte arrives.
     #[test]
-    fn frame_generations_coexist(
-        request in request_strategy(),
-        corr_id in any::<u64>(),
-        trace in 1..u64::MAX,
-        parent_span in 1..u64::MAX,
-    ) {
-        let body = request.encode();
-
-        // Span-carrying: context survives the trip and split_trace (the
-        // trace-only reader) still sees the trace id.
-        let ctx = TraceContext { trace, parent_span };
-        let mut framed = Vec::new();
-        write_frame_ctx(&mut framed, corr_id, Some(ctx), &body).unwrap();
-        let (got_corr, got_body) = read_frame(&mut &framed[..]).unwrap().unwrap();
-        prop_assert_eq!(got_corr, corr_id);
-        let (got_ctx, msg) = split_context(&got_body).unwrap();
-        prop_assert_eq!(got_ctx, Some(ctx));
-        prop_assert_eq!(&Request::decode(msg).unwrap(), &request);
-        let (got_trace, msg) = split_trace(&got_body).unwrap();
-        prop_assert_eq!(got_trace, Some(trace));
-        prop_assert_eq!(&Request::decode(msg).unwrap(), &request);
-
-        // Span-less v2: parent 0 degrades to the trace-marker form.
-        let mut with_ctx = Vec::new();
-        let span_less = TraceContext { trace, parent_span: 0 };
-        write_frame_ctx(&mut with_ctx, corr_id, Some(span_less), &body).unwrap();
-        let mut with_trace = Vec::new();
-        write_frame_traced(&mut with_trace, corr_id, Some(trace), &body).unwrap();
-        prop_assert_eq!(&with_ctx, &with_trace);
-        let (_, got_body) = read_frame(&mut &with_ctx[..]).unwrap().unwrap();
-        prop_assert_eq!(split_context(&got_body).unwrap().0, Some(span_less));
-
-        // Uncontexted: byte-identical to v1, and a v1 body splits to None.
-        let mut v2_none = Vec::new();
-        write_frame_ctx(&mut v2_none, corr_id, None, &body).unwrap();
-        let mut v1 = Vec::new();
-        write_frame(&mut v1, corr_id, &body).unwrap();
-        prop_assert_eq!(&v2_none, &v1);
-        let (_, got_body) = read_frame(&mut &v1[..]).unwrap().unwrap();
-        let (got_ctx, msg) = split_context(&got_body).unwrap();
-        prop_assert_eq!(got_ctx, None);
-        prop_assert_eq!(&Request::decode(msg).unwrap(), &request);
-    }
-
-    /// The incremental [`FrameDecoder`] (the reactor's receive path) agrees
-    /// with the blocking `read_frame` no matter how the byte stream is cut:
-    /// a mixed run of v1 / trace-only / span-carrying frames fed one byte at
-    /// a time — every split point a TCP segmentation could produce — and
-    /// again in arbitrary chunk sizes, yields the identical frame sequence,
-    /// with no frame surfacing before its last byte arrives.
-    #[test]
-    fn frame_decoder_agrees_with_read_frame_at_every_split(
+    fn frame_decoder_matches_encode_frame_at_every_split(
         frames in prop::collection::vec(
-            (
-                request_strategy(),
-                any::<u64>(),
-                prop::option::of((1..u64::MAX, any::<u64>())),
-            ),
+            (request_strategy(), any::<u64>(), context_strategy()),
             1..5,
         ),
         chunk_sizes in prop::collection::vec(1usize..9, 1..16),
     ) {
         let mut stream = Vec::new();
-        for (request, corr_id, ctx) in &frames {
-            let ctx = ctx.map(|(trace, parent_span)| TraceContext { trace, parent_span });
-            write_frame_ctx(&mut stream, *corr_id, ctx, &request.encode()).unwrap();
-        }
-        let mut reader = &stream[..];
         let mut expected = Vec::new();
-        while let Some((corr_id, body)) = read_frame(&mut reader).unwrap() {
-            expected.push((corr_id, body));
+        for (request, corr_id, ctx) in &frames {
+            let body = request.encode();
+            stream.extend(encode_frame(*corr_id, *ctx, &body).unwrap());
+            expected.push((*corr_id, *ctx, body));
         }
-        prop_assert_eq!(expected.len(), frames.len());
 
         // Byte at a time: the worst case, hitting every split point.
         let mut decoder = FrameDecoder::new();
         let mut got = Vec::new();
         for &byte in &stream {
             decoder.push(&[byte]);
-            while let Some((corr_id, body)) = decoder.next_frame().unwrap() {
-                got.push((corr_id, body.to_vec()));
+            while let Some((corr_id, ctx, body)) = decoder.next_frame().unwrap() {
+                got.push((corr_id, ctx, body.to_vec()));
             }
         }
         prop_assert_eq!(&got, &expected);
@@ -446,98 +389,141 @@ proptest! {
             let end = (offset + chunk).min(stream.len());
             decoder.push(&stream[offset..end]);
             offset = end;
-            while let Some((corr_id, body)) = decoder.next_frame().unwrap() {
-                got.push((corr_id, body.to_vec()));
+            while let Some((corr_id, ctx, body)) = decoder.next_frame().unwrap() {
+                got.push((corr_id, ctx, body.to_vec()));
             }
         }
         prop_assert_eq!(&got, &expected);
         prop_assert!(decoder.is_idle());
     }
 
-    /// The isolation suffix rides every frame generation: appended after
-    /// the message it survives a v1, trace-only or span-carrying frame,
-    /// strips back to exactly the level the client pinned, and a
-    /// suffix-less body decodes to `None` (an old client at the default
-    /// level) — the backward-compatibility contract of `ISO_MARKER`.
+    /// Arbitrary bytes — random, or a valid encoding with one field
+    /// overwritten by a huge length — never panic a decoder, and never
+    /// make it reserve more than the input plus the decoders' `min(1024)`
+    /// element caps (and the few bytes of an error message).
     #[test]
-    fn isolation_suffix_rides_every_frame_generation(
-        request in request_strategy(),
-        corr_id in any::<u64>(),
-        level_idx in 0..IsolationLevel::ALL.len(),
-        ctx in prop::option::of((1..u64::MAX, any::<u64>())),
-    ) {
-        let level = IsolationLevel::ALL[level_idx];
-        let mut body = request.encode();
-        append_isolation(&mut body, level);
-        let ctx = ctx.map(|(trace, parent_span)| TraceContext { trace, parent_span });
-        let mut framed = Vec::new();
-        write_frame_ctx(&mut framed, corr_id, ctx, &body).unwrap();
-        let (got_corr, got_body) = read_frame(&mut &framed[..]).unwrap().unwrap();
-        prop_assert_eq!(got_corr, corr_id);
-        let (got_ctx, msg) = split_context(&got_body).unwrap();
-        prop_assert_eq!(got_ctx, ctx);
-        let (got_req, got_level) = decode_request_iso(msg).unwrap();
-        prop_assert_eq!(&got_req, &request);
-        prop_assert_eq!(got_level, Some(level));
+    fn decoders_survive_arbitrary_bytes(input in hostile_input_strategy()) {
+        let frame_bound = input.len() + ERROR_MESSAGE;
+        let bound = frame_bound + 1024 * MAX_ELEMENT;
+        let largest = largest_allocation_during(|| {
+            let mut decoder = FrameDecoder::new();
+            decoder.push(&input);
+            while let Ok(Some(_)) = decoder.next_frame() {}
+        });
+        prop_assert!(largest <= frame_bound, "FrameDecoder reserved {} bytes", largest);
+        let largest = largest_allocation_during(|| drop(Request::decode(&input)));
+        prop_assert!(largest <= bound, "Request::decode reserved {} bytes", largest);
+        let largest = largest_allocation_during(|| drop(Response::decode(&input)));
+        prop_assert!(largest <= bound, "Response::decode reserved {} bytes", largest);
+    }
+}
 
-        // The same body without the suffix carries no level pin.
-        let (got_req, got_level) = decode_request_iso(&request.encode()).unwrap();
-        prop_assert_eq!(&got_req, &request);
-        prop_assert_eq!(got_level, None);
+fn context_strategy() -> impl Strategy<Value = Option<TraceContext>> {
+    prop::option::of(
+        (1..u64::MAX, any::<u64>())
+            .prop_map(|(trace, parent_span)| TraceContext { trace, parent_span }),
+    )
+}
+
+/// Random bytes, plus valid frames and message bodies with four bytes
+/// replaced by a huge little-endian `u32` — the shape of a lying length or
+/// count field. The overwrite favours the first bytes, where the frame
+/// length and most message counts sit.
+fn hostile_input_strategy() -> impl Strategy<Value = Vec<u8>> {
+    let huge = prop_oneof![Just(u32::MAX), Just(MAX_FRAME as u32 + 1), 1u32 << 20..u32::MAX];
+    let framed = (any_request_strategy(), any::<u64>(), context_strategy())
+        .prop_map(|(request, corr_id, ctx)| encode_frame(corr_id, ctx, &request.encode()).unwrap());
+    let valid = prop_oneof![
+        framed,
+        any_request_strategy().prop_map(|r| r.encode()),
+        any_response_strategy().prop_map(|r| r.encode()),
+    ];
+    let offset = prop_oneof![0usize..8, any::<usize>()];
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 0..256),
+        (valid, offset, huge).prop_map(|(mut bytes, at, huge)| {
+            if bytes.len() >= 4 {
+                let at = at % (bytes.len() - 3);
+                bytes[at..at + 4].copy_from_slice(&huge.to_le_bytes());
+            }
+            bytes
+        }),
+    ]
+}
+
+/// Room for a decoder's error message, which names the offending value.
+const ERROR_MESSAGE: usize = 256;
+
+/// The largest element any decoder collects into a `Vec`: each decoder may
+/// reserve `min(n, 1024)` of them before reading a single one.
+const MAX_ELEMENT: usize = {
+    let sizes = [
+        std::mem::size_of::<Request>(),
+        std::mem::size_of::<Response>(),
+        std::mem::size_of::<WriteOp>(),
+        std::mem::size_of::<Option<(u64, Bytes)>>(),
+        std::mem::size_of::<Result<Option<u64>, WireError>>(),
+        std::mem::size_of::<(Bytes, u64, Bytes)>(),
+        std::mem::size_of::<Span>(),
+        std::mem::size_of::<TsPoint>(),
+        std::mem::size_of::<LockStat>(),
+        std::mem::size_of::<AllocStat>(),
+        std::mem::size_of::<Predicate>(),
+    ];
+    let mut max = 0;
+    let mut i = 0;
+    while i < sizes.len() {
+        if sizes[i] > max {
+            max = sizes[i];
+        }
+        i += 1;
+    }
+    max
+};
+
+/// Records the largest single allocation made on the current thread, so a
+/// test can bound what a decoder reserves.
+struct LargestAllocation;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_allocation(size: usize) {
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// the caller's guarantees carry over; the only addition updates a
+// thread-local `Cell` with a const initializer, which never allocates.
+unsafe impl GlobalAlloc for LargestAllocation {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        System.alloc(layout)
     }
 
-    /// A mixed stream of suffixed and plain requests across all frame
-    /// generations, fed to the incremental decoder one byte at a time
-    /// (every split point TCP segmentation could produce), agrees with the
-    /// blocking `read_frame`, and every body decodes back to exactly the
-    /// (request, level) pair that was framed.
-    #[test]
-    fn iso_suffixed_streams_survive_every_split_point(
-        frames in prop::collection::vec(
-            (
-                request_strategy(),
-                any::<u64>(),
-                prop::option::of(0..IsolationLevel::ALL.len()),
-                prop::option::of((1..u64::MAX, any::<u64>())),
-            ),
-            1..4,
-        ),
-    ) {
-        let mut stream = Vec::new();
-        for (request, corr_id, level_idx, ctx) in &frames {
-            let mut body = request.encode();
-            if let Some(i) = level_idx {
-                append_isolation(&mut body, IsolationLevel::ALL[*i]);
-            }
-            let ctx = ctx.map(|(trace, parent_span)| TraceContext { trace, parent_span });
-            write_frame_ctx(&mut stream, *corr_id, ctx, &body).unwrap();
-        }
-
-        let mut reader = &stream[..];
-        let mut expected = Vec::new();
-        while let Some((corr_id, body)) = read_frame(&mut reader).unwrap() {
-            expected.push((corr_id, body));
-        }
-        prop_assert_eq!(expected.len(), frames.len());
-
-        let mut decoder = FrameDecoder::new();
-        let mut got = Vec::new();
-        for &byte in &stream {
-            decoder.push(&[byte]);
-            while let Some((corr_id, body)) = decoder.next_frame().unwrap() {
-                got.push((corr_id, body.to_vec()));
-            }
-        }
-        prop_assert_eq!(&got, &expected);
-        prop_assert!(decoder.is_idle());
-
-        for ((request, _, level_idx, _), (_, body)) in frames.iter().zip(&got) {
-            let (_, msg) = split_context(body).unwrap();
-            let (req, level) = decode_request_iso(msg).unwrap();
-            prop_assert_eq!(&req, request);
-            prop_assert_eq!(level, level_idx.map(|i| IsolationLevel::ALL[i]));
-        }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        System.alloc_zeroed(layout)
     }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestAllocation = LargestAllocation;
+
+fn largest_allocation_during(f: impl FnOnce()) -> usize {
+    LARGEST.with(|largest| largest.set(0));
+    f();
+    LARGEST.with(Cell::get)
 }
 
 #[test]
@@ -552,10 +538,12 @@ fn zero_length_values_survive_the_full_cycle() {
 
 #[test]
 fn frame_decoder_rejects_desynchronized_lengths() {
-    // len < 8 (no room for the correlation id): corrupt, not "wait for more".
-    let mut decoder = FrameDecoder::new();
-    decoder.push(&3u32.to_le_bytes());
-    assert!(decoder.next_frame().is_err());
+    // len < 24 (no room for the header fields): corrupt, not "wait for more".
+    for len in [3u32, FRAME_HEADER as u32 - 5] {
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&len.to_le_bytes());
+        assert!(decoder.next_frame().is_err());
+    }
 
     // len > MAX_FRAME: corrupt immediately, before any body bytes arrive.
     let mut decoder = FrameDecoder::new();
@@ -563,8 +551,7 @@ fn frame_decoder_rejects_desynchronized_lengths() {
     assert!(decoder.next_frame().is_err());
 
     // A mid-frame cut is not an error — just not a frame yet.
-    let mut framed = Vec::new();
-    write_frame(&mut framed, 7, &Request::Ping.encode()).unwrap();
+    let framed = encode_frame(7, None, &Request::Ping.encode()).unwrap();
     let mut decoder = FrameDecoder::new();
     decoder.push(&framed[..framed.len() - 1]);
     assert!(decoder.next_frame().unwrap().is_none());

@@ -68,6 +68,13 @@ cargo test -q -p tell-rpc --test e2e --test reactor_e2e --test wire_proptests
 echo "==> bench JSON smoke (scripts/bench_report.sh --smoke)"
 scripts/bench_report.sh --smoke
 
+echo "==> end-to-end benchmark smoke (tell_e2e --smoke)"
+# The BENCHMARK.json build of the end-to-end benchmark: every workload
+# boots a loopback SN + CM pair, runs briefly and must pass its
+# correctness check (about two minutes). A non-zero exit fails the script.
+cargo run --release --quiet --offline \
+  --manifest-path crates/bench/src/bin/tell_e2e/Cargo.toml -- --smoke
+
 echo "==> trace smoke (tell_trace against a loopback cluster)"
 # The example validates the emitted Chrome trace-event JSON and exits
 # nonzero when it is malformed or no trace was assembled.
