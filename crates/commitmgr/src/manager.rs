@@ -451,14 +451,9 @@ impl<E: StoreEndpoint> CommitManager<E> {
     /// window closes.
     fn complete(&self, tid: TxnId, committed: bool, meter: &NetMeter) -> Result<()> {
         // On a commit-manager node serving a remote frame, applying the
-        // outcome gets its own span under the dispatch span; the in-process
-        // path stays span-free (the cm_complete phase already covers it).
-        let span = if tell_obs::in_server_dispatch() {
-            tell_obs::SpanTimer::start(tell_obs::SpanKind::CmApply, 0.0)
-        } else {
-            None
-        };
-        let _frame = tell_obs::FrameGuard::enter(tell_obs::FrameKind::CmApply);
+        // outcome gets its own span under the dispatch span (site policy;
+        // in process the cm_complete phase already covers it).
+        let probe = tell_obs::Probe::enter(tell_obs::Site::CmApply);
         meter.charge_request(40, 16, 1);
         let client = self.endpoint.client(meter.clone());
         {
@@ -473,11 +468,9 @@ impl<E: StoreEndpoint> CommitManager<E> {
         if self.maybe_sync(meter).is_err() {
             tell_obs::incr(tell_obs::Counter::CmSyncDeferred);
         }
-        if let Some(span) = span {
-            let status =
-                if committed { tell_obs::SpanStatus::Ok } else { tell_obs::SpanStatus::Conflict };
-            span.finish(0.0, 1, status);
-        }
+        let status =
+            if committed { tell_obs::SpanStatus::Ok } else { tell_obs::SpanStatus::Conflict };
+        probe.finish(0.0, 1, status);
         Ok(())
     }
 

@@ -13,7 +13,7 @@ use std::collections::HashSet;
 use bytes::Bytes;
 use tell_common::{Error, Result};
 use tell_index::DistributedBTree;
-use tell_obs::{slowlog, Counter, Phase, SpanKind, SpanStatus, SpanTimer, TraceGuard};
+use tell_obs::{Counter, Probe, Site, SpanStatus, TraceGuard};
 use tell_store::{keys, StoreApi, StoreEndpoint};
 
 use crate::database::Database;
@@ -39,12 +39,11 @@ pub struct GcReport {
 /// every mutation is a conditional write, and losing a race simply defers
 /// the cleanup to the next sweep.
 pub fn run_gc<E: StoreEndpoint>(db: &Database<E>) -> Result<GcReport> {
-    let sweep_start = std::time::Instant::now();
     // A sweep is its own trace: the conditional writes it issues carry the
-    // id, and the pass itself is one span (count = versions reclaimed).
+    // id, and the pass itself is one probe (count = versions reclaimed)
+    // whose spans go straight to the ring.
     let _trace = TraceGuard::enter(tell_obs::next_trace_id());
-    let span = SpanTimer::start(SpanKind::GcPass, 0.0);
-    let _frame = tell_obs::FrameGuard::enter(tell_obs::FrameKind::GcPass);
+    let probe = Probe::enter(Site::GcPass);
     let client = db.admin_client();
     let lav = db.commit_service().current_lav()?;
     let mut report = GcReport::default();
@@ -110,15 +109,7 @@ pub fn run_gc<E: StoreEndpoint>(db: &Database<E>) -> Result<GcReport> {
     tell_obs::add(Counter::GcRecordsDeleted, report.records_deleted as u64);
     tell_obs::add(Counter::GcIndexEntriesRemoved, report.index_entries_removed as u64);
     tell_obs::add(Counter::GcLogEntriesTruncated, report.log_entries_removed as u64);
-    let elapsed_us = sweep_start.elapsed().as_secs_f64() * 1e6;
-    tell_obs::observe(Phase::GcCycle, elapsed_us);
-    slowlog::check("gc.cycle", elapsed_us);
-    if let Some(span) = span {
-        span.finish(0.0, report.versions_removed as u32, SpanStatus::Ok);
-    }
-    // Sweeps are rare: always promote their spans to the ring rather than
-    // tail-sampling them.
-    tell_obs::span::flush_pending_to_ring();
+    probe.finish(0.0, report.versions_removed as u32, SpanStatus::Ok);
     Ok(report)
 }
 

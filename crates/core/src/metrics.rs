@@ -1,100 +1,21 @@
 //! Per-processing-node transaction metrics.
 //!
-//! Built on `tell-obs` primitives instead of one mutex around everything:
-//! counts are relaxed atomics and the latency distribution is a
-//! [`ShardedHistogram`], so two workers recording into a shared `PnMetrics`
-//! (or a worker recording while a driver thread reads) never serialize on
-//! the record path. Recording also feeds the process-global registry, so a
-//! `Request::Metrics` scrape sees the same commits and aborts.
+//! Counts are relaxed atomics, so two workers recording into a shared
+//! `PnMetrics` (or a worker recording while a driver thread reads) never
+//! serialize on the record path. Recording also feeds the process-global
+//! registry, so a `Request::Metrics` scrape sees the same commits and
+//! aborts; latency lives in the registry's phase histograms.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-use tell_common::{Histogram, SimClock};
-use tell_obs::{slowlog, Counter, Phase, ShardedHistogram, SpanKind, SpanStatus, SpanTimer};
+use tell_obs::Counter;
 
-/// Times one instrumented transaction phase against *both* clocks: the
-/// virtual clock, which a simulated network charge advances (an injected
-/// netsim latency spike shows up here), and the wall clock, which a real
-/// TCP round-trip advances (the virtual clock stands still there). The
-/// phase cost is whichever moved more. `start` returns `None` when the
-/// registry is disabled, so the hot path pays one relaxed load and nothing
-/// else.
-pub(crate) struct PhaseTimer {
-    virt_us: f64,
-    wall: Instant,
-}
-
-impl PhaseTimer {
-    pub(crate) fn start(clock: &SimClock) -> Option<Self> {
-        if !tell_obs::enabled() {
-            return None;
-        }
-        Some(PhaseTimer { virt_us: clock.now_us(), wall: Instant::now() })
-    }
-
-    /// Record the elapsed phase time and run the slow-op check. Returns
-    /// the elapsed time when a timer actually ran.
-    pub(crate) fn finish(
-        timer: Option<Self>,
-        clock: &SimClock,
-        phase: Phase,
-        op: &'static str,
-    ) -> Option<f64> {
-        let t = timer?;
-        let virt = clock.now_us() - t.virt_us;
-        let wall = t.wall.elapsed().as_secs_f64() * 1e6;
-        let elapsed = virt.max(wall);
-        tell_obs::observe(phase, elapsed);
-        slowlog::check(op, elapsed);
-        Some(elapsed)
-    }
-}
-
-/// A [`PhaseTimer`] paired with a [`SpanTimer`]. The histogram/slow-op
-/// half runs only on sampled (`timed`) transactions; the span half runs on
-/// every traced transaction while the registry is enabled, feeding the
-/// tail-sampled trace ring. `finish` reports the elapsed phase time when
-/// either half measured it, for the closing slow-op line's per-phase
-/// breakdown.
-pub(crate) struct PhaseSpan {
-    timer: Option<PhaseTimer>,
-    span: Option<SpanTimer>,
-    /// Profiler frame for the phase. Unlike the sampled halves above this
-    /// runs on *every* transaction — the frame push/pop is one relaxed
-    /// store each way, and the profiler's whole value is seeing the
-    /// unsampled majority.
-    _frame: tell_obs::FrameGuard,
-}
-
-impl PhaseSpan {
-    pub(crate) fn start(clock: &SimClock, timed: bool, spans: bool, kind: SpanKind) -> Self {
-        let span = if spans { SpanTimer::start(kind, clock.now_us()) } else { None };
-        let timer = if timed { PhaseTimer::start(clock) } else { None };
-        PhaseSpan { timer, span, _frame: tell_obs::FrameGuard::enter(kind.into()) }
-    }
-
-    pub(crate) fn finish(
-        self,
-        clock: &SimClock,
-        phase: Phase,
-        op: &'static str,
-        count: u32,
-        status: SpanStatus,
-    ) -> Option<f64> {
-        let span_us = self.span.map(|s| s.finish(clock.now_us(), count, status));
-        PhaseTimer::finish(self.timer, clock, phase, op).or(span_us)
-    }
-}
-
-/// Counters and latency distribution for one processing node (worker).
-/// Benchmark drivers merge these across workers.
+/// Commit and abort counts for one processing node (worker).
 #[derive(Default)]
 pub struct PnMetrics {
     committed: AtomicU64,
     aborted: AtomicU64,
     conflicts: AtomicU64,
-    latency: ShardedHistogram,
 }
 
 impl PnMetrics {
@@ -103,23 +24,21 @@ impl PnMetrics {
         PnMetrics::default()
     }
 
-    /// Record a commit with its virtual latency.
-    pub fn record_commit(&self, latency_us: f64) {
+    /// Record a commit.
+    pub(crate) fn record_commit(&self) {
         self.committed.fetch_add(1, Ordering::Relaxed);
-        self.latency.record(latency_us);
         tell_obs::incr(Counter::TxnCommitted);
     }
 
     /// Record an abort. `conflict` distinguishes optimistic-CC losers from
     /// manual aborts.
-    pub fn record_abort(&self, latency_us: f64, conflict: bool) {
+    pub(crate) fn record_abort(&self, conflict: bool) {
         self.aborted.fetch_add(1, Ordering::Relaxed);
         tell_obs::incr(Counter::TxnAborted);
         if conflict {
             self.conflicts.fetch_add(1, Ordering::Relaxed);
             tell_obs::incr(Counter::TxnConflicts);
         }
-        self.latency.record(latency_us);
     }
 
     /// Committed transaction count.
@@ -136,31 +55,6 @@ impl PnMetrics {
     pub fn conflicts(&self) -> u64 {
         self.conflicts.load(Ordering::Relaxed)
     }
-
-    /// Abort rate over all finished transactions.
-    pub fn abort_rate(&self) -> f64 {
-        let committed = self.committed();
-        let aborted = self.aborted();
-        let total = committed + aborted;
-        if total == 0 {
-            0.0
-        } else {
-            aborted as f64 / total as f64
-        }
-    }
-
-    /// Snapshot of the latency histogram, merged across shards.
-    pub fn latency(&self) -> Histogram {
-        self.latency.merged()
-    }
-
-    /// Merge another node's metrics into this one.
-    pub fn merge(&self, other: &PnMetrics) {
-        self.committed.fetch_add(other.committed(), Ordering::Relaxed);
-        self.aborted.fetch_add(other.aborted(), Ordering::Relaxed);
-        self.conflicts.fetch_add(other.conflicts(), Ordering::Relaxed);
-        self.latency.absorb(&other.latency());
-    }
 }
 
 #[cfg(test)]
@@ -170,33 +64,13 @@ mod tests {
     #[test]
     fn counts_and_rates() {
         let m = PnMetrics::new();
-        m.record_commit(100.0);
-        m.record_commit(200.0);
-        m.record_abort(50.0, true);
-        m.record_abort(60.0, false);
+        m.record_commit();
+        m.record_commit();
+        m.record_abort(true);
+        m.record_abort(false);
         assert_eq!(m.committed(), 2);
         assert_eq!(m.aborted(), 2);
         assert_eq!(m.conflicts(), 1);
-        assert!((m.abort_rate() - 0.5).abs() < 1e-9);
-        assert_eq!(m.latency().count(), 4);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let a = PnMetrics::new();
-        let b = PnMetrics::new();
-        a.record_commit(10.0);
-        b.record_commit(20.0);
-        b.record_abort(5.0, true);
-        a.merge(&b);
-        assert_eq!(a.committed(), 2);
-        assert_eq!(a.aborted(), 1);
-        assert_eq!(a.latency().count(), 3);
-    }
-
-    #[test]
-    fn empty_rate_is_zero() {
-        assert_eq!(PnMetrics::new().abort_rate(), 0.0);
     }
 
     #[test]
@@ -208,16 +82,15 @@ mod tests {
                 s.spawn(|| {
                     for i in 0..500 {
                         if i % 5 == 0 {
-                            m.record_abort(i as f64, i % 10 == 0);
+                            m.record_abort(i % 10 == 0);
                         } else {
-                            m.record_commit(i as f64);
+                            m.record_commit();
                         }
                     }
                 });
             }
         });
         assert_eq!(m.committed() + m.aborted(), 2000);
-        assert_eq!(m.latency().count(), 2000);
         assert_eq!(m.aborted(), 4 * 100);
         assert_eq!(m.conflicts(), 4 * 50);
     }

@@ -17,12 +17,12 @@ use tell_index::DistributedBTree;
 use tell_netsim::NetMeter;
 use tell_store::{StoreCluster, StoreEndpoint};
 
-use tell_obs::{Counter, Phase, SpanKind, SpanStatus, SpanTimer};
+use tell_obs::{Counter, Probe, Site, SpanStatus};
 
 use crate::buffer::{BufferConfig, RecordBuffer};
 use crate::catalog::TableDef;
 use crate::database::Database;
-use crate::metrics::{PhaseSpan, PnMetrics};
+use crate::metrics::PnMetrics;
 use crate::txn::Transaction;
 
 /// State shared by every worker of one logical processing node.
@@ -148,43 +148,20 @@ impl<E: StoreEndpoint> ProcessingNode<E> {
     /// (per-read refresh at RC, read-set promotion at Serializable).
     pub fn begin_at(&self, level: IsolationLevel) -> Result<Transaction<'_, E>> {
         tell_obs::incr(Counter::TxnBegun);
-        // Pin a fresh trace id to this thread: every RPC the transaction
-        // issues stamps it into the frame, and slow-op lines carry it.
-        tell_obs::set_current_trace(Some(tell_obs::next_trace_id()));
-        // Phase timing is sampled: 1 transaction in PHASE_SAMPLE_EVERY (per
-        // thread) runs the timers; the rest skip them entirely.
-        let timed = tell_obs::sample_phases();
-        // Span recording rides its own (sparser) sample, except when the
-        // slow-op budget is armed — then every transaction records so an
-        // over-budget trace keeps full phase detail.
-        let spans = tell_obs::span::should_record();
-        // Root span covering the whole transaction; the phase spans (and,
-        // over the remote transport, RPC client spans) nest under it.
-        let root =
-            if spans { SpanTimer::start(SpanKind::Txn, self.clock().now_us()) } else { None };
-        // Root profiler frame; the phase frames nest under it. Held by the
-        // Transaction until completion so the sampler attributes the whole
-        // lifetime, parked gaps included, to `txn`.
-        let root_frame = tell_obs::FrameGuard::enter(tell_obs::FrameKind::Txn);
-        let begin = PhaseSpan::start(self.clock(), timed, spans, SpanKind::TxnBegin);
-        let started =
-            self.db.commit_service().start_pinned(self.id.raw() as usize, level, &self.meter);
-        let (start, cm) = match started {
-            Ok(v) => v,
-            Err(e) => {
-                // The transaction never existed: discard the open spans
-                // (dropping a timer records nothing), clear whatever its
-                // RPC attempts left pending, and unpin the trace.
-                drop(begin);
-                drop(root);
-                tell_obs::span::trace_finished(false);
-                tell_obs::set_current_trace(None);
-                return Err(e);
-            }
-        };
-        let begin_us = begin.finish(self.clock(), Phase::Begin, "txn.begin", 0, SpanStatus::Ok);
+        // The transaction's trace and root probe: the phase probes (and,
+        // over the remote transport, RPC client spans) nest under it. Held
+        // by the Transaction until completion so the sampler attributes the
+        // whole lifetime, parked gaps included, to `txn`.
+        let root = Probe::trace_root(self.clock().now_us());
+        let begin = Probe::sampled(Site::TxnBegin, root.sample(), self.clock().now_us());
+        // On failure the transaction never existed: dropping the probes
+        // records nothing, discards whatever the trace's RPC attempts left
+        // pending, and unpins the trace.
+        let (start, cm) =
+            self.db.commit_service().start_pinned(self.id.raw() as usize, level, &self.meter)?;
+        let begin_us = begin.finish(self.clock().now_us(), 0, SpanStatus::Ok);
         self.group.note_started(&start.snapshot);
-        Ok(Transaction::new(self, start, cm, level, timed, spans, root, root_frame, begin_us))
+        Ok(Transaction::new(self, start, cm, level, root, begin_us))
     }
 
     /// Run `body` inside a transaction, retrying on optimistic-concurrency

@@ -20,13 +20,12 @@ use std::sync::Arc;
 use bytes::Bytes;
 use tell_commitmgr::{CommitParticipant, SnapshotDescriptor};
 use tell_common::{Error, IsolationLevel, Result, Rid, TableId, TxnId};
-use tell_obs::{slowlog, Phase, SpanKind, SpanStatus, SpanTimer};
+use tell_obs::{Probe, Sample, Site, SpanStatus};
 use tell_store::cell::Token;
 use tell_store::{keys, Expect, Predicate, StoreApi, StoreCluster, StoreEndpoint, WriteOp};
 
 use crate::buffer::BufferConfig;
 use crate::catalog::TableDef;
-use crate::metrics::PhaseSpan;
 use crate::pn::ProcessingNode;
 use crate::record::VersionedRecord;
 use crate::txlog::{self, LogEntry};
@@ -68,6 +67,19 @@ enum State {
     Aborted,
 }
 
+/// How a transaction ended, as [`Transaction::conclude`] reports it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum End {
+    /// Committed without writing (a read-only commit).
+    Commit,
+    /// Lost a write-write conflict at validation or install.
+    Conflict,
+    /// The commit flag never reached the transaction log.
+    LogFailed,
+    /// Aborted by the caller, or dropped while running.
+    UserAbort,
+}
+
 /// An open transaction on one processing node.
 pub struct Transaction<'p, E: StoreEndpoint = Arc<StoreCluster>> {
     pn: &'p ProcessingNode<E>,
@@ -81,28 +93,12 @@ pub struct Transaction<'p, E: StoreEndpoint = Arc<StoreCluster>> {
     /// the conditional-write batch).
     level: IsolationLevel,
     state: State,
-    start_us: f64,
-    /// Whether this transaction runs phase timers (1 in
-    /// [`tell_obs::PHASE_SAMPLE_EVERY`] per thread; see
-    /// [`tell_obs::sample_phases`]).
-    timed: bool,
-    /// Whether this transaction records its span tree (1 in
-    /// [`tell_obs::span::SPAN_SAMPLE_EVERY`] per thread, or every
-    /// transaction while the slow-op budget is armed; see
-    /// [`tell_obs::span::should_record`]).
-    spans: bool,
-    /// Root span covering the whole transaction; phase spans nest under
-    /// it. `None` when spans are off for this transaction or the registry
-    /// is disabled.
-    root_span: Option<SpanTimer>,
-    /// Root profiler frame (`txn`), pushed at begin and popped at
-    /// completion. Unlike the sampled span, every transaction carries it.
-    root_frame: Option<tell_obs::FrameGuard>,
-    /// Trace id minted at begin. Captured here (not read back from the
-    /// thread-local at close) so a conflict abort attributes its
-    /// synthesized root span correctly even when transactions interleave
-    /// on one thread.
-    trace: Option<u64>,
+    /// Which measurements this transaction's phase probes take (drawn at
+    /// begin, see [`tell_obs::Sample`]).
+    sample: Sample,
+    /// Root probe (`txn`), opened at begin and finished at completion; it
+    /// owns the transaction's trace.
+    root: Option<Probe>,
     /// Per-phase duration accumulator for the closing slow-op line.
     phase_us: Vec<(&'static str, f64)>,
     /// Transaction buffer (§5.5.1): every record read once is reused for
@@ -116,37 +112,25 @@ pub struct Transaction<'p, E: StoreEndpoint = Arc<StoreCluster>> {
 }
 
 impl<'p, E: StoreEndpoint> Transaction<'p, E> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         pn: &'p ProcessingNode<E>,
         start: tell_commitmgr::TxnStart,
         cm: Arc<dyn CommitParticipant>,
         level: IsolationLevel,
-        timed: bool,
-        spans: bool,
-        root_span: Option<SpanTimer>,
-        root_frame: tell_obs::FrameGuard,
+        root: Probe,
         begin_us: Option<f64>,
     ) -> Self {
-        let mut phase_us = Vec::new();
-        if let Some(us) = begin_us {
-            phase_us.push(("txn.begin", us));
-        }
         Transaction {
             pn,
             tid: start.tid,
             snapshot: start.snapshot,
-            timed,
-            spans,
-            root_span,
-            root_frame: Some(root_frame),
-            trace: tell_obs::current_trace(),
-            phase_us,
+            sample: root.sample(),
+            root: Some(root),
+            phase_us: begin_us.map(|us| (Site::TxnBegin.name(), us)).into_iter().collect(),
             lav: start.lav,
             cm,
             level,
             state: State::Running,
-            start_us: pn.clock().now_us(),
             reads: HashMap::new(),
             writes: BTreeMap::new(),
             tables: HashMap::new(),
@@ -195,27 +179,20 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
         self.tables.entry(table.id).or_insert_with(|| Arc::clone(table));
     }
 
-    /// Open a phase span (span-sampled transactions) plus a phase timer
-    /// (histogram-sampled transactions).
-    fn phase_start(&self, kind: SpanKind) -> PhaseSpan {
-        PhaseSpan::start(self.pn.clock(), self.timed, self.spans, kind)
+    /// Open a phase probe under this transaction's sample.
+    fn probe(&self, site: Site) -> Probe {
+        Probe::sampled(site, self.sample, self.pn.clock().now_us())
     }
 
-    /// Close a phase span/timer and fold its duration into the per-phase
+    /// Finish a phase probe and fold its duration into the per-phase
     /// breakdown the closing slow-op line reports.
-    fn phase_finish(
-        &mut self,
-        phase_span: PhaseSpan,
-        phase: Phase,
-        op: &'static str,
-        count: u32,
-        status: SpanStatus,
-    ) {
-        if let Some(us) = phase_span.finish(self.pn.clock(), phase, op, count, status) {
-            if let Some(slot) = self.phase_us.iter_mut().find(|(name, _)| *name == op) {
+    fn probe_finish(&mut self, probe: Probe, count: u32, status: SpanStatus) {
+        let name = probe.site().name();
+        if let Some(us) = probe.finish(self.pn.clock().now_us(), count, status) {
+            if let Some(slot) = self.phase_us.iter_mut().find(|(n, _)| *n == name) {
                 slot.1 += us;
             } else {
-                self.phase_us.push((op, us));
+                self.phase_us.push((name, us));
             }
         }
     }
@@ -265,7 +242,7 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
         if let Some(cached) = self.reads.get(&(table, rid)) {
             return Ok(cached.clone());
         }
-        let span = self.phase_start(SpanKind::TxnRead);
+        let probe = self.probe(Site::TxnRead);
         let got = self.pn.group().buffer().read_record(
             self.pn.client(),
             table,
@@ -273,7 +250,7 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
             &self.snapshot,
             &self.pn.group().v_max(),
         )?;
-        self.phase_finish(span, Phase::ReadSetFetch, "txn.read", 1, SpanStatus::Ok);
+        self.probe_finish(probe, 1, SpanStatus::Ok);
         self.reads.insert((table, rid), got.clone());
         Ok(got)
     }
@@ -295,16 +272,10 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
                 .filter(|r| !self.reads.contains_key(&(table, Rid(*r))))
                 .collect();
             if !missing.is_empty() {
-                let span = self.phase_start(SpanKind::TxnRead);
+                let probe = self.probe(Site::TxnRead);
                 let keys: Vec<_> = missing.iter().map(|r| keys::record(table, Rid(*r))).collect();
                 let fetched = self.pn.client().multi_get_async(&keys).wait()?;
-                self.phase_finish(
-                    span,
-                    Phase::ReadSetFetch,
-                    "txn.read",
-                    missing.len() as u32,
-                    SpanStatus::Ok,
-                );
+                self.probe_finish(probe, missing.len() as u32, SpanStatus::Ok);
                 for (rid, cell) in missing.into_iter().zip(fetched) {
                     let decoded = match cell {
                         Some((token, raw)) => Some((token, VersionedRecord::decode(&raw)?)),
@@ -667,18 +638,12 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
                 Vec::new()
             };
         if self.writes.is_empty() && promoted.is_empty() {
-            self.state = State::Committed;
-            let span = self.phase_start(SpanKind::TxnCmComplete);
-            self.cm.set_committed(self.tid, self.pn.meter())?;
-            self.phase_finish(span, Phase::CmComplete, "txn.cm_complete", 0, SpanStatus::Ok);
-            self.pn.metrics().record_commit(self.pn.clock().now_us() - self.start_us);
-            self.note_finished(SpanStatus::Ok, false);
-            return Ok(());
+            return self.conclude(End::Commit);
         }
         self.pn.meter().charge_cpu((self.writes.len() + promoted.len()) as f64 * CPU_OP_US);
 
         // Try-Commit: log entry first (required for recovery, §4.4.1).
-        let validate_span = self.phase_start(SpanKind::TxnValidate);
+        let validate = self.probe(Site::TxnValidate);
         // Write-snapshot check over the promoted reads: a version we did
         // not observe means a writer committed there after our snapshot
         // was taken — first-committer-wins says we lose. Detected here
@@ -690,19 +655,8 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
             .iter()
             .any(|(_, _, rec)| rec.version_numbers().any(|v| !self.snapshot.contains(v)))
         {
-            self.phase_finish(
-                validate_span,
-                Phase::Validate,
-                "txn.validate",
-                0,
-                SpanStatus::Conflict,
-            );
-            self.state = State::Aborted;
-            let span = self.phase_start(SpanKind::TxnCmComplete);
-            self.cm.set_aborted(self.tid, self.pn.meter())?;
-            self.phase_finish(span, Phase::CmComplete, "txn.cm_complete", 0, SpanStatus::Ok);
-            self.pn.metrics().record_abort(self.pn.clock().now_us() - self.start_us, true);
-            self.note_finished(SpanStatus::Conflict, true);
+            self.probe_finish(validate, 0, SpanStatus::Conflict);
+            self.conclude(End::Conflict)?;
             return Err(Error::Conflict);
         }
         let mut entry = LogEntry {
@@ -755,14 +709,8 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
             ops.push(WriteOp::put(keys::record(*table, *rid), Expect::Token(*token), rec.encode()));
         }
         let write_count = ops.len() as u32;
-        self.phase_finish(
-            validate_span,
-            Phase::Validate,
-            "txn.validate",
-            write_count,
-            SpanStatus::Ok,
-        );
-        let install_span = self.phase_start(SpanKind::TxnInstall);
+        self.probe_finish(validate, write_count, SpanStatus::Ok);
+        let install = self.probe(Site::TxnInstall);
         let results = if self.pn.database().config().batching {
             // Submit-then-wait: over the remote transport the whole write
             // set rides one frame of the client's submission window.
@@ -787,13 +735,7 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
         };
         let conflicted = results.iter().any(|r| r.is_err());
         let install_status = if conflicted { SpanStatus::Conflict } else { SpanStatus::Ok };
-        self.phase_finish(
-            install_span,
-            Phase::LlscInstall,
-            "txn.install",
-            write_count,
-            install_status,
-        );
+        self.probe_finish(install, write_count, install_status);
         if conflicted {
             // Abort: revert the updates that did apply, batched the same
             // way recovery rolls back a failed PN's write sets.
@@ -804,12 +746,7 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
                 .map(|(_, (target, _))| *target)
                 .collect();
             crate::recovery::revert_write_set(self.pn.client(), self.tid, &applied)?;
-            self.state = State::Aborted;
-            let span = self.phase_start(SpanKind::TxnCmComplete);
-            self.cm.set_aborted(self.tid, self.pn.meter())?;
-            self.phase_finish(span, Phase::CmComplete, "txn.cm_complete", 0, SpanStatus::Ok);
-            self.pn.metrics().record_abort(self.pn.clock().now_us() - self.start_us, true);
-            self.note_finished(SpanStatus::Conflict, true);
+            self.conclude(End::Conflict)?;
             // A genuine SI conflict is retryable; an infrastructure failure
             // (storage node down, capacity exceeded) is not — report the
             // latter when present so callers do not retry in vain.
@@ -847,15 +784,12 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
             let applied: Vec<(TableId, Rid)> =
                 applied_records.iter().map(|(target, _)| *target).collect();
             let _ = crate::recovery::revert_write_set(self.pn.client(), self.tid, &applied);
-            self.state = State::Aborted;
-            self.cm.set_aborted(self.tid, self.pn.meter())?;
-            self.pn.metrics().record_abort(self.pn.clock().now_us() - self.start_us, true);
-            self.note_finished(SpanStatus::Error, true);
+            self.conclude(End::LogFailed)?;
             return Err(e);
         }
-        let cm_span = self.phase_start(SpanKind::TxnCmComplete);
+        let probe = self.probe(Site::TxnCmComplete);
         self.cm.set_committed(self.tid, self.pn.meter())?;
-        self.phase_finish(cm_span, Phase::CmComplete, "txn.cm_complete", 0, SpanStatus::Ok);
+        self.probe_finish(probe, 0, SpanStatus::Ok);
 
         // Write-through to the PN buffer with the fresh tokens.
         let v_max = self.pn.group().v_max();
@@ -876,7 +810,7 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
         }
 
         self.state = State::Committed;
-        self.pn.metrics().record_commit(self.pn.clock().now_us() - self.start_us);
+        self.pn.metrics().record_commit();
         self.note_finished(SpanStatus::Ok, false);
         Ok(())
     }
@@ -885,65 +819,53 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
     /// updates have been applied as we skipped the Try-Commit state").
     pub fn abort(&mut self) -> Result<()> {
         self.ensure_running()?;
-        self.state = State::Aborted;
-        self.cm.set_aborted(self.tid, self.pn.meter())?;
-        self.pn.metrics().record_abort(self.pn.clock().now_us() - self.start_us, false);
-        self.note_finished(SpanStatus::Error, false);
-        Ok(())
+        self.conclude(End::UserAbort)
     }
 
-    /// End-of-life bookkeeping: record the whole-transaction latency,
-    /// check it against the slow-op budget, close the root span, decide
-    /// the trace's fate (tail-based retention), and drop the trace id that
-    /// [`ProcessingNode::begin`] pinned to this thread.
+    /// Report how the transaction ended to the commit manager, then count
+    /// the outcome and close the trace. The bookkeeping runs even when the
+    /// commit-manager call fails, so the thread is clean — trace unpinned,
+    /// buffered spans decided — before that error propagates; the failed
+    /// call counts as an abort, since the caller sees one. A manual abort
+    /// is not a commit attempt, so its notification is no `cm_complete`
+    /// phase.
+    fn conclude(&mut self, end: End) -> Result<()> {
+        let commit = end == End::Commit;
+        self.state = if commit { State::Committed } else { State::Aborted };
+        let probe = (end != End::UserAbort).then(|| self.probe(Site::TxnCmComplete));
+        let told = if commit {
+            self.cm.set_committed(self.tid, self.pn.meter())
+        } else {
+            self.cm.set_aborted(self.tid, self.pn.meter())
+        };
+        if let Some(probe) = probe {
+            let status = if told.is_ok() { SpanStatus::Ok } else { SpanStatus::Error };
+            self.probe_finish(probe, 0, status);
+        }
+        let conflict = matches!(end, End::Conflict | End::LogFailed);
+        let status = match end {
+            End::Commit if told.is_ok() => SpanStatus::Ok,
+            End::Conflict => SpanStatus::Conflict,
+            _ => SpanStatus::Error,
+        };
+        if status == SpanStatus::Ok {
+            self.pn.metrics().record_commit();
+        } else {
+            self.pn.metrics().record_abort(conflict);
+        }
+        self.note_finished(status, conflict);
+        told
+    }
+
+    /// Close the trace: the root probe records the whole-transaction
+    /// latency and span and runs the closing slow-op check (never sampled
+    /// away while a budget is armed), and the trace is kept for every
+    /// conflict abort, every slow transaction and the span sample.
     fn note_finished(&mut self, status: SpanStatus, conflict: bool) {
-        let total_us = self.pn.clock().now_us() - self.start_us;
-        if self.timed {
-            tell_obs::observe(Phase::TxnTotal, total_us);
+        if let Some(root) = self.root.take() {
+            let now = self.pn.clock().now_us();
+            root.finish_trace(now, self.writes.len() as u32, status, conflict, &self.phase_us);
         }
-        // Pop the root profiler frame before the slow-op check so the
-        // closing line's frame window reads a settled stack.
-        self.root_frame.take();
-        let root = self.root_span.take();
-        // The slow-op check is never sampled away: it is one relaxed load
-        // while no budget is set, and a slow transaction must always log.
-        // The closing line carries the root span id and the per-phase
-        // durations accumulated along the way.
-        let slow = slowlog::check_closing(
-            "txn.total",
-            total_us,
-            root.as_ref().map(|s| s.id()),
-            &self.phase_us,
-        );
-        if let Some(root) = root {
-            root.finish(self.pn.clock().now_us(), self.writes.len() as u32, status);
-        } else if conflict {
-            // Unsampled transactions record nothing while they run, but a
-            // conflict abort must stay visible to a scrape: synthesize the
-            // root span. The wall start is back-computed from the virtual
-            // elapsed time (keeping an exact stamp would put a clock read
-            // on every unsampled transaction just for this rare case).
-            if let Some(trace) = self.trace {
-                let end_wall_us = tell_obs::span::wall_now_us();
-                tell_obs::span::record_to_ring(tell_obs::Span {
-                    trace,
-                    id: tell_obs::span::next_span_id(),
-                    parent: 0,
-                    kind: SpanKind::Txn,
-                    start_virt_us: self.start_us,
-                    end_virt_us: self.pn.clock().now_us(),
-                    start_wall_us: end_wall_us.saturating_sub(total_us as u64),
-                    end_wall_us,
-                    attrs: tell_obs::SpanAttrs { count: self.writes.len() as u32, status },
-                });
-            }
-        }
-        // Tail-based retention: keep every slow trace and every LL/SC
-        // conflict abort; span-recording transactions double as the 1-in-N
-        // sample of fast traces (`spans` is true for exactly those plus,
-        // when the budget is armed, everything).
-        tell_obs::span::trace_finished(slow || conflict || self.spans);
-        tell_obs::set_current_trace(None);
     }
 }
 
@@ -953,10 +875,7 @@ impl<E: StoreEndpoint> Drop for Transaction<'_, E> {
             // Crash-stop semantics for forgotten transactions: report the
             // abort so the commit manager's base can advance. No updates
             // were applied (that only happens inside commit()).
-            self.state = State::Aborted;
-            let _ = self.cm.set_aborted(self.tid, self.pn.meter());
-            self.pn.metrics().record_abort(self.pn.clock().now_us() - self.start_us, false);
-            self.note_finished(SpanStatus::Error, false);
+            let _ = self.conclude(End::UserAbort);
         }
     }
 }

@@ -584,7 +584,7 @@ fn unsampled_conflict_abort_synthesizes_root_span() {
         .collect();
     assert_eq!(spans.len(), 1, "expected only the synthesized root, got {spans:?}");
     let root = &spans[0];
-    assert_eq!(root.kind, tell_obs::SpanKind::Txn);
+    assert_eq!(root.kind, tell_obs::Site::Txn);
     assert_eq!(root.parent, 0);
     assert_eq!(root.attrs.status, tell_obs::SpanStatus::Conflict);
     assert!(root.end_virt_us >= root.start_virt_us);

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use tell_common::{Error, Result, SnId};
-use tell_obs::{add, incr, Counter};
+use tell_obs::{add, incr, Counter, Probe, Site};
 use tell_store::durability::{
     DurabilityProvider, NodeDurability, RecoveredNode, RecoveredPartition,
 };
@@ -612,7 +612,7 @@ impl DurableNode {
         key: &Bytes,
         cell: Option<&Cell>,
     ) -> Result<()> {
-        let _frame = tell_obs::FrameGuard::enter(tell_obs::FrameKind::DurableAppend);
+        let _probe = Probe::enter(Site::DurableAppend);
         let rec = match cell {
             Some(c) => LogRecord::Put { pid, seq, key: key.clone(), cell: c.clone() },
             None => LogRecord::Delete { pid, seq, key: key.clone() },
@@ -660,7 +660,7 @@ impl DurableNode {
             FsyncPolicy::Never => false,
         };
         if should_sync {
-            let _fsync = tell_obs::FrameGuard::enter(tell_obs::FrameKind::DurableFsync);
+            let _fsync = Probe::enter(Site::DurableFsync);
             inner.active.file.sync_data().map_err(|e| io_err("fsync segment", &e))?;
             incr(Counter::DurableFsyncs);
             inner.appends_since_sync = 0;
@@ -715,7 +715,7 @@ impl NodeDurability for DurableNode {
 
     fn sync(&self) -> Result<()> {
         let mut inner = self.inner.lock();
-        let _frame = tell_obs::FrameGuard::enter(tell_obs::FrameKind::DurableFsync);
+        let _probe = Probe::enter(Site::DurableFsync);
         inner.active.file.sync_data().map_err(|e| io_err("fsync segment", &e))?;
         incr(Counter::DurableFsyncs);
         inner.appends_since_sync = 0;

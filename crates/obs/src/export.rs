@@ -310,9 +310,10 @@ pub fn validate_json(text: &str) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{SpanAttrs, SpanKind, SpanStatus};
+    use crate::span::{SpanAttrs, SpanStatus};
+    use crate::Site;
 
-    fn span(trace: u64, id: u64, parent: u64, kind: SpanKind, start: u64, end: u64) -> Span {
+    fn span(trace: u64, id: u64, parent: u64, kind: Site, start: u64, end: u64) -> Span {
         Span {
             trace,
             id,
@@ -333,9 +334,9 @@ mod tests {
     #[test]
     fn grouping_orders_traces_and_spans_by_time() {
         let spans = vec![
-            sourced("pn", span(2, 21, 0, SpanKind::Txn, 500, 900)),
-            sourced("pn", span(1, 11, 0, SpanKind::Txn, 100, 400)),
-            sourced("sn", span(1, 12, 11, SpanKind::ServerDispatch, 150, 250)),
+            sourced("pn", span(2, 21, 0, Site::Txn, 500, 900)),
+            sourced("pn", span(1, 11, 0, Site::Txn, 100, 400)),
+            sourced("sn", span(1, 12, 11, Site::RpcDispatch, 150, 250)),
         ];
         let traces = group_by_trace(spans);
         assert_eq!(traces.len(), 2);
@@ -348,11 +349,11 @@ mod tests {
     #[test]
     fn orphan_parents_counts_unresolvable_links() {
         let spans = vec![
-            sourced("pn", span(1, 11, 0, SpanKind::Txn, 0, 10)),
-            sourced("sn", span(1, 12, 11, SpanKind::ServerDispatch, 1, 5)),
-            sourced("sn", span(1, 13, 999, SpanKind::StoreWrite, 2, 4)),
+            sourced("pn", span(1, 11, 0, Site::Txn, 0, 10)),
+            sourced("sn", span(1, 12, 11, Site::RpcDispatch, 1, 5)),
+            sourced("sn", span(1, 13, 999, Site::StoreWrite, 2, 4)),
             // same id exists but in another trace: still an orphan
-            sourced("pn", span(2, 21, 11, SpanKind::Txn, 20, 30)),
+            sourced("pn", span(2, 21, 11, Site::Txn, 20, 30)),
         ];
         assert_eq!(orphan_parents(&spans), 2);
     }
@@ -360,8 +361,8 @@ mod tests {
     #[test]
     fn chrome_export_is_valid_json_with_expected_events() {
         let spans = vec![
-            sourced("pn", span(1, 11, 0, SpanKind::Txn, 1000, 1400)),
-            sourced("sn 127.0.0.1:9\"x", span(1, 12, 11, SpanKind::ServerDispatch, 1100, 1200)),
+            sourced("pn", span(1, 11, 0, Site::Txn, 1000, 1400)),
+            sourced("sn 127.0.0.1:9\"x", span(1, 12, 11, Site::RpcDispatch, 1100, 1200)),
         ];
         let json = chrome_trace_json(&spans);
         validate_json(&json).unwrap();

@@ -1,12 +1,21 @@
-//! Observability for the `tell-rs` workspace: a sharded lock-free metrics
-//! registry, wire-level trace propagation, threshold-based slow-op logging,
-//! and snapshot exposition in Prometheus text and JSON.
+//! Observability for the `tell-rs` workspace: one probe per instrumented
+//! site feeding a sharded lock-free metrics registry, causal spans, a
+//! logical-stack profiler and threshold-based slow-op logging, plus
+//! wire-level trace propagation and snapshot exposition in Prometheus text
+//! and JSON.
 //!
 //! The paper evaluates Tell entirely through observables — per-layer
 //! latency (Table 4 mean ± σ, Table 5 TP99/TP999), abort rates, message
 //! counts, GC pressure — so the reproduction needs the same measurements to
 //! be first-class. Design rules:
 //!
+//! * **One site, one probe.** Every instrumented place is a [`Site`]: one
+//!   code and one dotted name shared by spans, profiles and slow-op lines,
+//!   carrying its phase histogram. The site opens one [`Probe`], which
+//!   pushes the profiler frame and — by site policy and the transaction's
+//!   [`Sample`] (one per-thread tick per transaction) — opens the span,
+//!   feeds the histogram and runs the slow-op check from a single pair of
+//!   `max(virtual, wall)` clock reads.
 //! * **Hot path pays almost nothing.** Metric ids are enum discriminants
 //!   indexing fixed arrays; counters are relaxed per-shard atomics;
 //!   histograms sit behind per-shard mutexes that threads pinned to
@@ -16,12 +25,13 @@
 //! * **Snapshots pay the merge.** [`snapshot()`] walks every shard and merges
 //!   counters and histograms into a [`MetricsSnapshot`], rendered with
 //!   [`MetricsSnapshot::to_prometheus_text`] or [`MetricsSnapshot::to_json`].
-//! * **Traces ride a thread-local.** [`next_trace_id`] mints an id at
-//!   transaction begin; `tell-rpc` stamps [`current_trace`] into every
-//!   outgoing frame, and [`slowlog::check`] attaches it to slow-op lines.
-//! * **Spans make traces causal.** A [`SpanTimer`] opens one timed
-//!   operation; nesting is tracked through a thread-local register and
-//!   across the wire (the client-call span id rides the frame), so a
+//! * **Traces ride a thread-local.** [`Probe::trace_root`] mints and pins an
+//!   id at transaction begin; `tell-rpc` stamps [`current_trace`] into
+//!   every outgoing frame, and [`slowlog::check`] attaches it to slow-op
+//!   lines.
+//! * **Spans make traces causal.** A probe's span nests through a
+//!   thread-local register and across the wire (the client-call span id
+//!   rides the frame, [`TraceGuard::adopt`] installs it server-side), so a
 //!   scrape of every node's [`span::global_ring`] reassembles into
 //!   per-transaction waterfalls. Retention is tail-based: only slow,
 //!   conflict-aborted, or 1-in-N-sampled traces keep their spans.
@@ -30,15 +40,56 @@
 //!   and per-phase p50/p99/p999 digests; `Request::Telemetry` scrapes it
 //!   incrementally by cursor, and a [`HealthEngine`] evaluates declarative
 //!   rules over the stream into deduplicated firing/resolved events.
-//! * **Profiles ride logical stacks.** Hot paths push [`FrameKind`] guards
-//!   onto a per-thread stack; the [`prof`] sampler folds what it sees into
+//! * **Profiles ride logical stacks.** Probes push their site's code onto a
+//!   per-thread stack; the [`prof`] sampler folds what it sees into
 //!   a collapsed-stack table ([`ProfileReport`], scraped via
 //!   `Request::Profile*`), [`ProfMutex`] attributes lock waits to the
 //!   blocking stack, and a [`SimProfile`] samples on the virtual clock for
 //!   bit-reproducible profiles under tell-sim.
 
+/// A fixed namespace of ids: a fieldless enum whose discriminants index
+/// arrays (and, for [`Site`], are the wire code), with its names and the
+/// doc comments as one-line descriptions.
+macro_rules! id_enum {
+    ($(#[$em:meta])* $name:ident { $($(#[doc = $doc:literal])+ $variant:ident => $label:literal,)+ }) => {
+        $(#[$em])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[doc = $doc])+ $variant,)+
+        }
+
+        impl $name {
+            /// Number of ids in this namespace.
+            pub const COUNT: usize = [$($name::$variant,)+].len();
+            /// All ids in declaration order.
+            pub const ALL: [$name; Self::COUNT] = [$($name::$variant,)+];
+
+            /// The id's name: for metrics the exposition name (Prometheus
+            /// metric name without the `tell_` prefix), for sites the
+            /// dotted name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)+
+                }
+            }
+
+            /// One-line description (the doc comment above the id); metric
+            /// ids render it as their Prometheus `# HELP` line.
+            pub fn help(self) -> &'static str {
+                match self {
+                    $($name::$variant => {
+                        let s: &'static str = concat!($($doc),+);
+                        s.trim_start()
+                    })+
+                }
+            }
+        }
+    };
+}
+
 pub mod export;
 pub mod health;
+pub mod probe;
 pub mod prof;
 pub mod registry;
 pub mod slowlog;
@@ -48,23 +99,15 @@ pub mod timeseries;
 pub mod trace;
 
 pub use health::{HealthConfig, HealthEngine, HealthEvent, NodeTick, RuleKind};
+pub use probe::{Probe, Sample, Site, PHASE_SAMPLE_EVERY, SPAN_SAMPLE_EVERY};
 pub use prof::{
-    AllocStat, CollapsedTable, FrameGuard, FrameKind, LockStat, ProfMutex, ProfRwLock,
-    ProfileReport, SimProfile,
+    AllocStat, CollapsedTable, LockStat, ProfMutex, ProfRwLock, ProfileReport, SimProfile,
 };
-pub use registry::{
-    global, help_for, sample_phases, Counter, Gauge, Phase, Registry, ShardedHistogram,
-    PHASE_SAMPLE_EVERY,
-};
+pub use registry::{global, help_for, Counter, Gauge, Phase, Registry};
 pub use snapshot::MetricsSnapshot;
-pub use span::{
-    current_span, in_server_dispatch, Span, SpanAttrs, SpanKind, SpanStatus, SpanTimer,
-};
+pub use span::{current_span, Span, SpanAttrs, SpanStatus};
 pub use timeseries::{PhaseDigest, Rollup, TelemetryPage, TsPoint, TsRing};
-pub use trace::{
-    current as current_trace, fmt_trace, next_trace_id, set_current as set_current_trace,
-    TraceGuard,
-};
+pub use trace::{current as current_trace, fmt_trace, next_trace_id, TraceGuard};
 
 /// Add `n` to a counter in the global registry (this thread's shard ref is
 /// cached, so the cost is one relaxed load plus one relaxed `fetch_add`).

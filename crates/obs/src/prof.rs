@@ -3,18 +3,18 @@
 //! Histograms (PR 3) and telemetry rings (PR 8) show *that* a percentile
 //! moved; this module shows *where the microseconds go*. It is not a native
 //! profiler — there is no frame-pointer walking and no signal handling.
-//! Instead, the hot paths that already open spans also push a one-byte
-//! [`FrameKind`] onto a per-thread logical stack ([`FrameGuard`], cost: one
-//! thread-local read plus one relaxed store per push/pop), and a dedicated
-//! sampler thread walks a fixed registry of those stacks at `TELL_PROF_HZ`
-//! (default [`DEFAULT_HZ`] = 99, deliberately co-prime with common timer
-//! frequencies), folding what it sees into a bounded [`CollapsedTable`] of
+//! Instead, every [`crate::Probe`] pushes its one-byte [`Site`] code onto a
+//! per-thread logical stack (cost: one thread-local read plus one relaxed
+//! store per push/pop), and a dedicated sampler thread walks a fixed
+//! registry of those stacks at `TELL_PROF_HZ` (default [`DEFAULT_HZ`] = 99,
+//! deliberately co-prime with common timer frequencies), folding what it
+//! sees into a bounded [`CollapsedTable`] of
 //! `frame;frame;frame count` rows — the collapsed-stack format inferno and
 //! speedscope ingest directly. Wakes are capped at `WAKE_HZ_CAP` per
 //! second; higher rates credit multiple periods per wake, because the
 //! cost of a wake is the preemption it inflicts, not the walk.
 //!
-//! Three dimensions share the frame vocabulary:
+//! Three dimensions share the site vocabulary:
 //!
 //! * **CPU-ish time**: the sampler credits one sample per tick to each
 //!   live thread's current stack (`idle` when the stack is empty).
@@ -23,7 +23,7 @@
 //!   lock, bumps the `lock_contended_total` / `lock_wait_us_total`
 //!   registry counters, and — while the live profiler runs — charges
 //!   `wait / period` synthetic samples to the blocking stack capped with a
-//!   [`FrameKind::LockWait`] frame, so lock wait shows up inside the
+//!   [`Site::LockWait`] frame, so lock wait shows up inside the
 //!   flamegraph exactly where it was paid.
 //! * **Allocation**: with the off-by-default `prof-alloc` feature, a
 //!   counting global allocator charges every allocation's bytes/count to
@@ -51,117 +51,7 @@ use tell_common::{Error, Result};
 
 use crate::registry::Counter;
 use crate::span::wall_now_us;
-
-/// One level of the logical stack. The taxonomy mirrors
-/// [`crate::SpanKind`] (same dotted names, so span waterfalls and
-/// flamegraphs speak one vocabulary) plus the profile-only kinds: store
-/// reads, durable append/fsync, and the synthetic [`FrameKind::LockWait`]
-/// cap for contended-lock attribution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum FrameKind {
-    /// Whole transaction, begin to completion (the root frame).
-    Txn = 0,
-    /// Snapshot acquisition from the commit manager.
-    TxnBegin = 1,
-    /// Read-set fetch against storage.
-    TxnRead = 2,
-    /// Write-set assembly and version checks on the PN.
-    TxnValidate = 3,
-    /// The conditional LL/SC multi-write round trip.
-    TxnInstall = 4,
-    /// Commit-manager completion (`set_committed` / `set_aborted`).
-    TxnCmComplete = 5,
-    /// One RPC request/response round trip, client side.
-    RpcClientCall = 6,
-    /// One frame decoded, dispatched, and answered, server side.
-    RpcDispatch = 7,
-    /// One async submit-window flush (possibly many coalesced ops).
-    BatchFlush = 8,
-    /// One garbage-collection sweep.
-    GcPass = 9,
-    /// Storage-engine write application inside a server dispatch.
-    StoreWrite = 10,
-    /// Commit-manager state transition.
-    CmApply = 11,
-    /// Storage-engine read (get / multi-get / scan) service.
-    StoreRead = 12,
-    /// Durable-tier log append.
-    DurableAppend = 13,
-    /// Durable-tier fsync.
-    DurableFsync = 14,
-    /// Synthetic leaf: time spent blocked on a contended [`ProfMutex`].
-    LockWait = 15,
-}
-
-impl FrameKind {
-    /// Every kind, indexed by discriminant.
-    pub const ALL: [FrameKind; 16] = [
-        FrameKind::Txn,
-        FrameKind::TxnBegin,
-        FrameKind::TxnRead,
-        FrameKind::TxnValidate,
-        FrameKind::TxnInstall,
-        FrameKind::TxnCmComplete,
-        FrameKind::RpcClientCall,
-        FrameKind::RpcDispatch,
-        FrameKind::BatchFlush,
-        FrameKind::GcPass,
-        FrameKind::StoreWrite,
-        FrameKind::CmApply,
-        FrameKind::StoreRead,
-        FrameKind::DurableAppend,
-        FrameKind::DurableFsync,
-        FrameKind::LockWait,
-    ];
-
-    /// Dotted display name, matching the span vocabulary where both exist.
-    pub fn name(self) -> &'static str {
-        match self {
-            FrameKind::Txn => "txn",
-            FrameKind::TxnBegin => "txn.begin",
-            FrameKind::TxnRead => "txn.read",
-            FrameKind::TxnValidate => "txn.validate",
-            FrameKind::TxnInstall => "txn.install",
-            FrameKind::TxnCmComplete => "txn.cm_complete",
-            FrameKind::RpcClientCall => "rpc.client_call",
-            FrameKind::RpcDispatch => "rpc.dispatch",
-            FrameKind::BatchFlush => "rpc.batch_flush",
-            FrameKind::GcPass => "gc.pass",
-            FrameKind::StoreWrite => "store.write",
-            FrameKind::CmApply => "cm.apply",
-            FrameKind::StoreRead => "store.read",
-            FrameKind::DurableAppend => "durable.append",
-            FrameKind::DurableFsync => "durable.fsync",
-            FrameKind::LockWait => "lock.wait",
-        }
-    }
-
-    /// Decode a stack-table code.
-    pub fn from_u8(v: u8) -> Result<FrameKind> {
-        FrameKind::ALL
-            .get(v as usize)
-            .copied()
-            .ok_or_else(|| Error::corrupt(format!("unknown frame kind {v}")))
-    }
-
-    /// Reverse of [`FrameKind::name`].
-    pub fn from_name(name: &str) -> Result<FrameKind> {
-        FrameKind::ALL
-            .iter()
-            .copied()
-            .find(|k| k.name() == name)
-            .ok_or_else(|| Error::corrupt(format!("unknown frame name {name:?}")))
-    }
-}
-
-/// The first twelve frame kinds are the span taxonomy, discriminant for
-/// discriminant, so span-instrumented call sites convert for free.
-impl From<crate::SpanKind> for FrameKind {
-    fn from(kind: crate::SpanKind) -> FrameKind {
-        FrameKind::ALL[kind as u8 as usize]
-    }
-}
+use crate::Site;
 
 /// Deepest logical stack the profiler records; deeper pushes still balance
 /// but the excess frames are not sampled.
@@ -268,30 +158,31 @@ fn current_stack_codes() -> Vec<u8> {
     (0..d).map(|i| slot.frames[i].load(Ordering::Relaxed)).collect()
 }
 
-/// RAII frame on the logical stack. Push and pop are each one
-/// thread-local read plus one relaxed/release store; there is no check of
-/// whether any sampler is running — the frames *are* the always-on part.
+/// RAII frame on the logical stack, held by a [`crate::Probe`]. Push and
+/// pop are each one thread-local read plus one relaxed/release store; there
+/// is no check of whether any sampler is running — the frames *are* the
+/// always-on part.
 ///
 /// Guards normally nest like scopes. A guard dropped on another thread
 /// (e.g. a transaction root moved across threads) or out of order simply
 /// truncates the originating slot's stack back to its saved depth — that
 /// smears a few samples, it cannot corrupt memory.
-pub struct FrameGuard {
+pub(crate) struct FrameGuard {
     slot: Option<&'static ThreadSlot>,
     prev_depth: usize,
 }
 
 impl FrameGuard {
-    /// Push `kind` onto this thread's logical stack.
+    /// Push `site` onto this thread's logical stack.
     #[inline]
-    pub fn enter(kind: FrameKind) -> FrameGuard {
+    pub(crate) fn enter(site: Site) -> FrameGuard {
         let slot = my_slot();
         let mut prev_depth = 0;
         if let Some(s) = slot {
             let d = s.depth.load(Ordering::Relaxed);
             prev_depth = d;
             if d < MAX_DEPTH {
-                s.frames[d].store(kind as u8, Ordering::Relaxed);
+                s.frames[d].store(site as u8, Ordering::Relaxed);
             }
             // Release so a sampler that observes the new depth also
             // observes the frame byte written above.
@@ -299,14 +190,25 @@ impl FrameGuard {
         }
         FrameGuard { slot, prev_depth }
     }
+
+    /// A guard that pushed nothing.
+    pub(crate) fn empty() -> FrameGuard {
+        FrameGuard { slot: None, prev_depth: 0 }
+    }
+
+    /// Pop the frame now (idempotent; the drop then does nothing).
+    #[inline]
+    pub(crate) fn pop(&mut self) {
+        if let Some(s) = self.slot.take() {
+            s.depth.store(self.prev_depth, Ordering::Release);
+        }
+    }
 }
 
 impl Drop for FrameGuard {
     #[inline]
     fn drop(&mut self) {
-        if let Some(s) = self.slot {
-            s.depth.store(self.prev_depth, Ordering::Release);
-        }
+        self.pop();
     }
 }
 
@@ -384,10 +286,8 @@ impl CollapsedTable {
         self.stacks
             .iter()
             .map(|(k, v)| {
-                let names = k
-                    .iter()
-                    .map(|&c| FrameKind::from_u8(c).map(|f| f.name()).unwrap_or("?"))
-                    .collect();
+                let names =
+                    k.iter().map(|&c| Site::from_u8(c).map(|f| f.name()).unwrap_or("?")).collect();
                 (names, *v)
             })
             .collect()
@@ -427,7 +327,7 @@ impl CollapsedTable {
                 .map_err(|_| Error::corrupt(format!("bad folded count: {count:?}")))?;
             let key = stack
                 .split(';')
-                .map(|name| FrameKind::from_name(name).map(|k| k as u8))
+                .map(|name| Site::from_name(name).map(|k| k as u8))
                 .collect::<Result<Vec<u8>>>()?;
             if key.is_empty() {
                 return Err(Error::corrupt("empty stack in folded line".to_string()));
@@ -653,7 +553,7 @@ pub fn top_frames_in_window(window_us: f64, max: usize) -> Vec<(&'static str, u3
         return Vec::new();
     };
     let cutoff = wall_now_us().saturating_sub(window_us.max(0.0) as u64);
-    let mut counts = [0u32; FrameKind::ALL.len()];
+    let mut counts = [0u32; Site::ALL.len()];
     for r in slot.recent.iter() {
         let packed = r.load(Ordering::Relaxed);
         if packed == 0 || (packed >> 8) < cutoff {
@@ -668,7 +568,7 @@ pub fn top_frames_in_window(window_us: f64, max: usize) -> Vec<(&'static str, u3
         .iter()
         .enumerate()
         .filter(|(_, &c)| c > 0)
-        .map(|(i, &c)| (FrameKind::ALL[i].name(), c))
+        .map(|(i, &c)| (Site::ALL[i].name(), c))
         .collect();
     top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     top.truncate(max);
@@ -690,7 +590,7 @@ pub struct LockStats {
 impl LockStats {
     /// Account one contended acquire that started waiting at `t0`: bump
     /// the per-name totals and the registry counters, and — while the
-    /// live profiler runs — charge the wait as [`FrameKind::LockWait`]
+    /// live profiler runs — charge the wait as [`Site::LockWait`]
     /// samples on the blocking stack.
     #[cold]
     fn account_wait(&self, t0: Instant) {
@@ -706,7 +606,7 @@ impl LockStats {
                 if n > 0 {
                     let mut key = current_stack_codes();
                     key.truncate(MAX_DEPTH - 1);
-                    key.push(FrameKind::LockWait as u8);
+                    key.push(Site::LockWait as u8);
                     LIVE.samples.fetch_add(n, Ordering::Relaxed);
                     LIVE.table.lock().add(&key, n);
                 }
@@ -753,7 +653,7 @@ pub fn lock_snapshot() -> Vec<LockStat> {
 /// lock. A contended acquire times the wait, feeds the per-name
 /// [`LockStats`] and the `lock_contended_total` / `lock_wait_us_total`
 /// registry counters, and — while the live profiler runs — charges the
-/// wait to this thread's logical stack under a [`FrameKind::LockWait`]
+/// wait to this thread's logical stack under a [`Site::LockWait`]
 /// leaf so flamegraphs show *where* the wait was suffered.
 pub struct ProfMutex<T> {
     stats: &'static LockStats,
@@ -984,7 +884,7 @@ mod alloc_counting {
     use super::*;
     use std::alloc::{GlobalAlloc, Layout, System};
 
-    const BUCKETS: usize = FrameKind::ALL.len() + 1;
+    const BUCKETS: usize = Site::ALL.len() + 1;
 
     static ALLOCS: [AtomicU64; BUCKETS] = [const { AtomicU64::new(0) }; BUCKETS];
     static BYTES: [AtomicU64; BUCKETS] = [const { AtomicU64::new(0) }; BUCKETS];
@@ -1044,8 +944,8 @@ mod alloc_counting {
             if allocs == 0 {
                 continue;
             }
-            let frame = if i < FrameKind::ALL.len() {
-                FrameKind::ALL[i].name().to_string()
+            let frame = if i < Site::ALL.len() {
+                Site::ALL[i].name().to_string()
             } else {
                 UNTRACKED_FRAME.to_string()
             };
@@ -1078,24 +978,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frame_kind_names_round_trip() {
-        for k in FrameKind::ALL {
-            assert_eq!(FrameKind::from_u8(k as u8).unwrap(), k);
-            assert_eq!(FrameKind::from_name(k.name()).unwrap(), k);
-        }
-        assert!(FrameKind::from_u8(200).is_err());
-        assert!(FrameKind::from_name("no.such").is_err());
-    }
-
-    #[test]
     fn guards_nest_and_unwind() {
         let read_stack = || current_stack_codes();
         assert!(read_stack().is_empty());
-        let g1 = FrameGuard::enter(FrameKind::Txn);
-        let g2 = FrameGuard::enter(FrameKind::TxnRead);
-        assert_eq!(read_stack(), vec![FrameKind::Txn as u8, FrameKind::TxnRead as u8]);
+        let g1 = FrameGuard::enter(Site::Txn);
+        let g2 = FrameGuard::enter(Site::TxnRead);
+        assert_eq!(read_stack(), vec![Site::Txn as u8, Site::TxnRead as u8]);
         drop(g2);
-        assert_eq!(read_stack(), vec![FrameKind::Txn as u8]);
+        assert_eq!(read_stack(), vec![Site::Txn as u8]);
         drop(g1);
         assert!(read_stack().is_empty());
     }
@@ -1104,7 +994,7 @@ mod tests {
     fn deep_stacks_stay_balanced() {
         let mut guards = Vec::new();
         for _ in 0..(MAX_DEPTH + 4) {
-            guards.push(FrameGuard::enter(FrameKind::Txn));
+            guards.push(FrameGuard::enter(Site::Txn));
         }
         assert_eq!(current_stack_codes().len(), MAX_DEPTH);
         while let Some(g) = guards.pop() {
@@ -1130,8 +1020,8 @@ mod tests {
     #[test]
     fn folded_round_trips() {
         let mut t = CollapsedTable::new(64);
-        t.add(&[FrameKind::Txn as u8, FrameKind::TxnInstall as u8], 7);
-        t.add(&[FrameKind::GcPass as u8], 3);
+        t.add(&[Site::Txn as u8, Site::TxnInstall as u8], 7);
+        t.add(&[Site::GcPass as u8], 3);
         let parsed = CollapsedTable::parse_folded(&t.to_folded(), 64).unwrap();
         assert_eq!(parsed, t);
         assert!(CollapsedTable::parse_folded("nonsense_frame 1", 64).is_err());
@@ -1167,9 +1057,9 @@ mod tests {
             let p = SimProfile::new(100.0); // 10_000 µs period
             sim_attach(&p, 0.0);
             {
-                let _t = FrameGuard::enter(FrameKind::Txn);
+                let _t = FrameGuard::enter(Site::Txn);
                 {
-                    let _r = FrameGuard::enter(FrameKind::TxnRead);
+                    let _r = FrameGuard::enter(Site::TxnRead);
                     sim_tick(25_000.0); // 2 periods due
                 }
                 sim_tick(40_000.0); // 2 more at depth 1
@@ -1188,7 +1078,7 @@ mod tests {
 
     #[test]
     fn live_sampler_sees_a_held_frame() {
-        let _g = FrameGuard::enter(FrameKind::GcPass);
+        let _g = FrameGuard::enter(Site::GcPass);
         assert!(start(Some(2000.0)));
         assert!(!start(None)); // second start is a no-op
         std::thread::sleep(std::time::Duration::from_millis(50));

@@ -20,43 +20,7 @@ use tell_common::Histogram;
 
 use crate::snapshot::MetricsSnapshot;
 
-macro_rules! metric_ids {
-    ($(#[$em:meta])* $name:ident { $($(#[doc = $doc:literal])+ $variant:ident => $label:literal,)+ }) => {
-        $(#[$em])*
-        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-        pub enum $name {
-            $($(#[doc = $doc])+ $variant,)+
-        }
-
-        impl $name {
-            /// Number of ids in this namespace.
-            pub const COUNT: usize = [$($name::$variant,)+].len();
-            /// All ids in declaration order.
-            pub const ALL: [$name; Self::COUNT] = [$($name::$variant,)+];
-
-            /// Exposition name (Prometheus metric name without the `tell_`
-            /// prefix).
-            pub fn name(self) -> &'static str {
-                match self {
-                    $($name::$variant => $label,)+
-                }
-            }
-
-            /// One-line description (the doc comment above the id), used
-            /// for Prometheus `# HELP` lines.
-            pub fn help(self) -> &'static str {
-                match self {
-                    $($name::$variant => {
-                        let s: &'static str = concat!($($doc),+);
-                        s.trim_start()
-                    })+
-                }
-            }
-        }
-    };
-}
-
-metric_ids! {
+id_enum! {
     /// Monotonic counter ids.
     Counter {
         /// Transactions started on any PN.
@@ -210,7 +174,7 @@ metric_ids! {
     }
 }
 
-metric_ids! {
+id_enum! {
     /// Last-write-wins gauge ids (set, not accumulated; not sharded).
     Gauge {
         /// Lowest tid any snapshot may still observe (the GC horizon).
@@ -237,7 +201,7 @@ metric_ids! {
     }
 }
 
-metric_ids! {
+id_enum! {
     /// Histogram ids. Values are microseconds unless the name says
     /// otherwise.
     Phase {
@@ -475,78 +439,6 @@ pub fn help_for(name: &str) -> Option<&'static str> {
         .or_else(|| Phase::ALL.iter().find(|p| p.name() == name).map(|p| p.help()))
 }
 
-/// How often the transaction layer runs its phase timers: one transaction
-/// in [`PHASE_SAMPLE_EVERY`] (per worker thread) pays for `Instant::now`
-/// reads and histogram records; the rest skip them entirely. Phase
-/// histograms stay statistically faithful while the common transaction
-/// sees near-zero instrumentation cost.
-pub const PHASE_SAMPLE_EVERY: u32 = 32;
-
-thread_local! {
-    static PHASE_TICK: Cell<u32> = const { Cell::new(0) };
-}
-
-/// Sampling gate for phase timing: true on every
-/// [`PHASE_SAMPLE_EVERY`]-th call on this thread (and always false while
-/// the registry is disabled).
-#[inline]
-pub fn sample_phases() -> bool {
-    if !global().enabled() {
-        return false;
-    }
-    PHASE_TICK.with(|c| {
-        let t = c.get();
-        c.set(t.wrapping_add(1));
-        t % PHASE_SAMPLE_EVERY == 0
-    })
-}
-
-/// A standalone sharded histogram, for call sites that keep their own
-/// per-object distribution (e.g. `PnMetrics::latency`) rather than using a
-/// global [`Phase`] slot. Recording locks this thread's shard only, so
-/// threads pinned to distinct shards never contend.
-pub struct ShardedHistogram {
-    shards: Vec<crate::prof::ProfMutex<Histogram>>,
-}
-
-impl Default for ShardedHistogram {
-    fn default() -> Self {
-        ShardedHistogram::new()
-    }
-}
-
-impl ShardedHistogram {
-    /// New empty histogram.
-    pub fn new() -> Self {
-        ShardedHistogram {
-            shards: (0..SHARDS)
-                .map(|_| crate::prof::ProfMutex::new("obs.sharded_hist", Histogram::new()))
-                .collect(),
-        }
-    }
-
-    /// Record one sample into this thread's shard.
-    #[inline]
-    pub fn record(&self, v: f64) {
-        self.shards[shard_index()].lock().record(v);
-    }
-
-    /// Merge every shard into one histogram.
-    pub fn merged(&self) -> Histogram {
-        let mut out = Histogram::new();
-        for s in &self.shards {
-            out.merge(&s.lock());
-        }
-        out
-    }
-
-    /// Fold another histogram's samples into this one (into shard 0; only
-    /// the merged view is observable).
-    pub fn absorb(&self, other: &Histogram) {
-        self.shards[0].lock().merge(other);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,19 +491,6 @@ mod tests {
         assert_eq!(h.count(), 400);
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 399.0);
-    }
-
-    #[test]
-    fn sharded_histogram_merges_and_absorbs() {
-        let sh = ShardedHistogram::new();
-        sh.record(5.0);
-        let mut extra = Histogram::new();
-        extra.record(15.0);
-        sh.absorb(&extra);
-        let merged = sh.merged();
-        assert_eq!(merged.count(), 2);
-        assert_eq!(merged.min(), 5.0);
-        assert_eq!(merged.max(), 15.0);
     }
 
     #[test]

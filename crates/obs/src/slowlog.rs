@@ -240,7 +240,7 @@ mod tests {
 
         // A closing check carries the span id and the phase breakdown.
         assert!(check_closing(
-            "txn.total",
+            "txn",
             400.0,
             Some(0xfeed),
             &[("txn.read", 120.5), ("txn.install", 33.0)],

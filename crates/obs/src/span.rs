@@ -4,21 +4,21 @@
 //! round trip, a server dispatch, a batch flush, a GC pass. Spans carry both
 //! clocks the workspace runs on: the virtual clock (`SimClock` microseconds,
 //! what the cost model charges) and a wall clock anchored to the Unix epoch
-//! at process start (what Perfetto renders). Parent links are maintained by
-//! a thread-local current-span register, so nested [`SpanTimer`]s produce a
-//! correctly-shaped tree without any caller bookkeeping, and `tell-rpc`
-//! stamps the current span id into outgoing frames so server-side dispatch
-//! spans on other nodes parent onto the client call that caused them.
+//! at process start (what Perfetto renders). Spans are opened by
+//! [`crate::Probe`]s; parent links are maintained by a thread-local
+//! current-span register, so nested probes produce a correctly-shaped tree
+//! without any caller bookkeeping, and `tell-rpc` stamps the client-call
+//! span id into outgoing frames so server-side dispatch spans on other nodes
+//! parent onto the client call that caused them.
 //!
 //! Retention is **tail-based**: spans are buffered per thread while their
 //! transaction runs, and only promoted to the process-wide sharded ring when
 //! the trace closes *interesting* — slower than `TELL_SLOW_OP_US`, aborted
-//! on an LL/SC conflict, or picked by the 1-in-[`SPAN_SAMPLE_EVERY`]
-//! fast-trace sample (see [`should_record`]). Server threads cannot know how
-//! a trace will end, so they flush after every dispatched frame and rely on
-//! the bounded drop-oldest ring as the backstop (approximate tail sampling:
-//! a scrape sees all recent server spans, but only interesting client-side
-//! trees).
+//! on an LL/SC conflict, or picked by the 1-in-[`crate::SPAN_SAMPLE_EVERY`]
+//! fast-trace sample. Server threads cannot know how a trace will end, so
+//! they flush after every dispatched frame and rely on the bounded
+//! drop-oldest ring as the backstop (approximate tail sampling: a scrape
+//! sees all recent server spans, but only interesting client-side trees).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -31,81 +31,7 @@ use tell_common::codec::{Reader, Writer};
 use tell_common::Result;
 
 use crate::registry::{self, Counter, SHARDS};
-use crate::trace;
-
-/// What a span measured. Discriminants are the wire encoding.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum SpanKind {
-    /// Whole transaction, begin to completion (the root span).
-    Txn = 0,
-    /// Snapshot acquisition from the commit manager.
-    TxnBegin = 1,
-    /// Read-set fetch against storage.
-    TxnRead = 2,
-    /// Write-set assembly and version checks on the PN.
-    TxnValidate = 3,
-    /// The conditional LL/SC multi-write round trip.
-    TxnInstall = 4,
-    /// Commit-manager completion (`set_committed` / `set_aborted`).
-    TxnCmComplete = 5,
-    /// One RPC request/response round trip, client side.
-    RpcClientCall = 6,
-    /// One frame decoded, dispatched, and answered, server side.
-    ServerDispatch = 7,
-    /// One async submit-window flush (possibly many coalesced ops).
-    BatchFlush = 8,
-    /// One garbage-collection sweep.
-    GcPass = 9,
-    /// Storage-engine write application inside a server dispatch.
-    StoreWrite = 10,
-    /// Commit-manager state transition inside a server dispatch.
-    CmApply = 11,
-}
-
-impl SpanKind {
-    /// Every kind, in wire-code order.
-    pub const ALL: [SpanKind; 12] = [
-        SpanKind::Txn,
-        SpanKind::TxnBegin,
-        SpanKind::TxnRead,
-        SpanKind::TxnValidate,
-        SpanKind::TxnInstall,
-        SpanKind::TxnCmComplete,
-        SpanKind::RpcClientCall,
-        SpanKind::ServerDispatch,
-        SpanKind::BatchFlush,
-        SpanKind::GcPass,
-        SpanKind::StoreWrite,
-        SpanKind::CmApply,
-    ];
-
-    /// Dotted display name (`txn.validate`, `rpc.dispatch`, …).
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanKind::Txn => "txn",
-            SpanKind::TxnBegin => "txn.begin",
-            SpanKind::TxnRead => "txn.read",
-            SpanKind::TxnValidate => "txn.validate",
-            SpanKind::TxnInstall => "txn.install",
-            SpanKind::TxnCmComplete => "txn.cm_complete",
-            SpanKind::RpcClientCall => "rpc.client_call",
-            SpanKind::ServerDispatch => "rpc.dispatch",
-            SpanKind::BatchFlush => "rpc.batch_flush",
-            SpanKind::GcPass => "gc.pass",
-            SpanKind::StoreWrite => "store.write",
-            SpanKind::CmApply => "cm.apply",
-        }
-    }
-
-    /// Decode a wire code.
-    pub fn from_u8(v: u8) -> Result<SpanKind> {
-        SpanKind::ALL
-            .get(v as usize)
-            .copied()
-            .ok_or_else(|| tell_common::Error::corrupt(format!("unknown span kind {v}")))
-    }
-}
+use crate::Site;
 
 /// How the spanned operation ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -152,7 +78,7 @@ pub struct Span {
     /// Parent span id; 0 marks a root.
     pub parent: u64,
     /// What was measured.
-    pub kind: SpanKind,
+    pub kind: Site,
     /// Start on the virtual clock, microseconds (0 on server threads,
     /// which have no virtual clock).
     pub start_virt_us: f64,
@@ -197,7 +123,7 @@ impl Span {
             trace: r.u64()?,
             id: r.u64()?,
             parent: r.u64()?,
-            kind: SpanKind::from_u8(r.u8()?)?,
+            kind: Site::from_u8(r.u8()?)?,
             start_virt_us: r.f64()?,
             end_virt_us: r.f64()?,
             start_wall_us: r.u64()?,
@@ -222,13 +148,20 @@ fn wall_anchor() -> &'static (u64, Instant) {
     })
 }
 
+/// Microseconds since the anchor: the one wall-clock read a probe takes at
+/// each end (`as_secs_f64` keeps u128 division off the hot path).
+pub(crate) fn wall_stamp() -> f64 {
+    wall_anchor().1.elapsed().as_secs_f64() * 1e6
+}
+
+/// A [`wall_stamp`] as microseconds since the Unix epoch.
+pub(crate) fn epoch_us(stamp: f64) -> u64 {
+    wall_anchor().0 + stamp as u64
+}
+
 /// Microseconds since the Unix epoch, via the monotonic anchor.
-pub fn wall_now_us() -> u64 {
-    let (epoch_us, anchor) = wall_anchor();
-    let elapsed = anchor.elapsed();
-    // Split conversion instead of `as_micros`: no u128 division on the
-    // per-span hot path.
-    epoch_us + elapsed.as_secs() * 1_000_000 + elapsed.subsec_micros() as u64
+pub(crate) fn wall_now_us() -> u64 {
+    epoch_us(wall_stamp())
 }
 
 // ---------------------------------------------------------------------------
@@ -252,7 +185,7 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// Mint a fresh non-zero span id.
-pub fn next_span_id() -> u64 {
+pub(crate) fn next_span_id() -> u64 {
     let seq = ID_RANGE.with(|c| {
         let (next, end) = c.get();
         if next < end {
@@ -275,39 +208,6 @@ pub fn next_span_id() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Span sampling: which transactions record their full span tree.
-
-/// How often a transaction records its full span tree when no slow-op
-/// budget is armed: 1 in `SPAN_SAMPLE_EVERY` per thread (the first
-/// transaction on a fresh thread is always sampled, which keeps tests and
-/// examples deterministic). Unsampled transactions record nothing while
-/// they run; a conflict abort still leaves a synthesized root span, and
-/// arming `TELL_SLOW_OP_US` switches every transaction to full recording
-/// so over-budget traces retain complete phase detail.
-pub const SPAN_SAMPLE_EVERY: u32 = 64;
-
-thread_local! {
-    static SPAN_TICK: Cell<u32> = const { Cell::new(0) };
-}
-
-/// Should the transaction starting now record its full span tree? True for
-/// the 1-in-[`SPAN_SAMPLE_EVERY`] per-thread sample and whenever the
-/// slow-op budget is armed; always false while the registry is disabled.
-/// Advances the sampling tick — call exactly once per transaction.
-#[inline]
-pub fn should_record() -> bool {
-    if !registry::global().enabled() {
-        return false;
-    }
-    let sampled = SPAN_TICK.with(|c| {
-        let t = c.get();
-        c.set(t.wrapping_add(1));
-        t % SPAN_SAMPLE_EVERY == 0
-    });
-    sampled || crate::slowlog::budget_us().is_some()
-}
-
-// ---------------------------------------------------------------------------
 // Current-span register: who the next child should parent onto.
 
 thread_local! {
@@ -317,6 +217,12 @@ thread_local! {
 /// The span id children started on this thread will parent onto (0 = none).
 pub fn current_span() -> u64 {
     CURRENT_SPAN.with(|c| c.get())
+}
+
+/// Install `id` as the parent of spans opened next on this thread,
+/// returning the previous value.
+pub(crate) fn swap_current_span(id: u64) -> u64 {
+    CURRENT_SPAN.with(|c| c.replace(id))
 }
 
 // ---------------------------------------------------------------------------
@@ -329,138 +235,71 @@ thread_local! {
 }
 
 /// True while this thread is dispatching an RPC frame.
-pub fn in_server_dispatch() -> bool {
+pub(crate) fn in_server_dispatch() -> bool {
     IN_SERVER.with(|c| c.get())
 }
 
-/// RAII marker: the scope of one server-side frame dispatch.
-pub struct ServerDispatchScope {
-    prev: bool,
-}
-
-impl ServerDispatchScope {
-    /// Mark this thread as dispatching until the scope drops.
-    pub fn enter() -> Self {
-        let prev = IN_SERVER.with(|c| c.replace(true));
-        ServerDispatchScope { prev }
-    }
-}
-
-impl Drop for ServerDispatchScope {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        IN_SERVER.with(|c| c.set(prev));
-    }
+/// Mark (or unmark) this thread as dispatching, returning the previous
+/// flag; a dispatch [`crate::Probe`] holds it for its scope.
+pub(crate) fn set_server_dispatch(on: bool) -> bool {
+    IN_SERVER.with(|c| c.replace(on))
 }
 
 // ---------------------------------------------------------------------------
-// SpanTimer: the recording primitive.
+// SpanTimer: the recording half of a probe.
 
-/// An open span. Created at an operation's start, finished (or dropped) at
-/// its end; while open, children started on this thread parent onto it.
-#[must_use = "an unfinished SpanTimer records nothing"]
-pub struct SpanTimer {
+/// An open span. While open, children started on this thread parent onto
+/// it; the owning probe supplies both clock stamps at each end.
+pub(crate) struct SpanTimer {
     trace: u64,
     id: u64,
-    /// Parent recorded in the finished span.
     parent: u64,
-    /// Value to restore into the current-span register on close. Usually
-    /// equal to `parent`, but a server dispatch records the remote client
-    /// call as parent while restoring this thread's own previous span.
-    restore: u64,
-    kind: SpanKind,
+    site: Site,
     start_virt_us: f64,
     start_wall_us: u64,
 }
 
 impl SpanTimer {
-    /// Open a span of `kind` starting now. Returns `None` when the registry
-    /// is disabled or no trace is active on this thread — both make every
-    /// later call a no-op. `virt_now_us` is the caller's virtual clock
-    /// (pass 0.0 on server threads, which have none).
-    pub fn start(kind: SpanKind, virt_now_us: f64) -> Option<SpanTimer> {
-        if !registry::global().enabled() {
-            return None;
-        }
-        let trace = trace::current()?;
-        Self::start_in_trace(trace, kind, virt_now_us)
-    }
-
-    /// Open a span in an explicit trace, parenting onto this thread's
-    /// current span. Used by server dispatch, where the trace arrives on
-    /// the wire rather than through the thread-local.
-    pub fn start_in_trace(trace: u64, kind: SpanKind, virt_now_us: f64) -> Option<SpanTimer> {
-        if !registry::global().enabled() {
-            return None;
-        }
+    /// Open a span of `site` in `trace`, parenting onto this thread's
+    /// current span and becoming it.
+    pub(crate) fn open(trace: u64, site: Site, virt_us: f64, wall_us: u64) -> SpanTimer {
         let id = next_span_id();
-        let prev = CURRENT_SPAN.with(|c| c.replace(id));
-        Some(SpanTimer {
-            trace,
-            id,
-            parent: prev,
-            restore: prev,
-            kind,
-            start_virt_us: virt_now_us,
-            start_wall_us: wall_now_us(),
-        })
-    }
-
-    /// As [`start_in_trace`](Self::start_in_trace), but recording `parent`
-    /// explicitly (a server dispatch parenting onto the client-call id
-    /// carried in the frame). The thread's previous current span is still
-    /// what gets restored on close.
-    pub fn start_with_parent(
-        trace: u64,
-        parent: u64,
-        kind: SpanKind,
-        virt_now_us: f64,
-    ) -> Option<SpanTimer> {
-        let mut t = Self::start_in_trace(trace, kind, virt_now_us)?;
-        if parent != 0 {
-            t.parent = parent;
-        }
-        Some(t)
+        let parent = swap_current_span(id);
+        SpanTimer { trace, id, parent, site, start_virt_us: virt_us, start_wall_us: wall_us }
     }
 
     /// This span's id.
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.id
     }
 
-    /// Close the span and buffer it on this thread's pending list. Returns
-    /// the elapsed microseconds: the larger of the virtual and wall deltas,
-    /// matching the phase-timer convention.
-    pub fn finish(self, virt_now_us: f64, count: u32, status: SpanStatus) -> f64 {
-        let end_wall = wall_now_us();
-        let wall_us = end_wall.saturating_sub(self.start_wall_us) as f64;
-        let virt_us = (virt_now_us - self.start_virt_us).max(0.0);
-        let span = Span {
+    /// Close the span at the given stamps and buffer it on this thread's
+    /// pending list.
+    pub(crate) fn close(self, virt_us: f64, wall_us: u64, count: u32, status: SpanStatus) {
+        push_pending(Span {
             trace: self.trace,
             id: self.id,
             parent: self.parent,
-            kind: self.kind,
+            kind: self.site,
             start_virt_us: self.start_virt_us,
-            end_virt_us: virt_now_us.max(self.start_virt_us),
+            end_virt_us: virt_us.max(self.start_virt_us),
             start_wall_us: self.start_wall_us,
-            end_wall_us: end_wall,
+            end_wall_us: wall_us,
             attrs: SpanAttrs { count, status },
-        };
+        });
         // `self` drops here and restores the current-span register.
-        push_pending(span);
-        virt_us.max(wall_us)
     }
 }
 
 impl Drop for SpanTimer {
     fn drop(&mut self) {
-        // Restore the register even when `finish` was skipped (an error
+        // Restore the register even when `close` was skipped (an error
         // return unwound past it); otherwise later spans on this thread
         // would parent onto a dead id.
-        let (id, restore) = (self.id, self.restore);
+        let (id, parent) = (self.id, self.parent);
         CURRENT_SPAN.with(|c| {
             if c.get() == id {
-                c.set(restore);
+                c.set(parent);
             }
         });
     }
@@ -475,9 +314,9 @@ const PENDING_CAP: usize = 1024;
 
 thread_local! {
     static PENDING: RefCell<Vec<Span>> = const { RefCell::new(Vec::new()) };
-    /// Mirrors `!PENDING.is_empty()`. [`trace_finished`] runs on every
-    /// transaction close (usually with nothing buffered), and a `Cell` read
-    /// is cheaper than a `RefCell` borrow.
+    /// Mirrors `!PENDING.is_empty()`. [`settle_pending`] runs on every
+    /// transaction close and dispatch (usually with nothing buffered), and
+    /// a `Cell` read is cheaper than a `RefCell` borrow.
     static HAS_PENDING: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -493,10 +332,12 @@ fn push_pending(span: Span) {
     HAS_PENDING.with(|c| c.set(true));
 }
 
-/// Close the current trace on this thread: promote its buffered spans to
-/// the ring when `keep`, discard them otherwise. Call exactly once per
-/// trace, after the root span finished.
-pub fn trace_finished(keep: bool) {
+/// Settle this thread's buffered spans: promote them to the ring when
+/// `keep`, discard them otherwise. A trace root settles once, after its own
+/// span closed; server threads promote after every dispatch, since they
+/// never learn how a trace ends and the bounded ring is their retention
+/// policy.
+pub(crate) fn settle_pending(keep: bool) {
     if !HAS_PENDING.with(|c| c.replace(false)) {
         return;
     }
@@ -511,18 +352,11 @@ pub fn trace_finished(keep: bool) {
     });
 }
 
-/// Promote everything buffered on this thread to the ring unconditionally.
-/// Server threads call this after each dispatched frame: they never learn
-/// how the trace ends, so the bounded ring is their retention policy.
-pub fn flush_pending_to_ring() {
-    trace_finished(true);
-}
-
 /// Put one already-built span straight into the ring, bypassing the
 /// pending buffer. Used for the root span synthesized when an *unsampled*
 /// transaction aborts on an LL/SC conflict: nothing was recorded while it
 /// ran, but the abort itself must stay visible to a scrape.
-pub fn record_to_ring(span: Span) {
+pub(crate) fn record_to_ring(span: Span) {
     if !registry::global().enabled() {
         return;
     }
@@ -618,6 +452,7 @@ pub fn global_ring() -> &'static SpanRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{trace, Probe};
 
     #[test]
     fn span_ids_are_nonzero_and_distinct() {
@@ -631,7 +466,7 @@ mod tests {
 
     #[test]
     fn span_encoding_round_trips() {
-        for kind in SpanKind::ALL {
+        for kind in Site::ALL {
             let span = Span {
                 trace: 0xdead_beef,
                 id: 42,
@@ -661,7 +496,7 @@ mod tests {
             trace: 9,
             id: 1,
             parent: 0,
-            kind: SpanKind::Txn,
+            kind: Site::Txn,
             start_virt_us: 0.0,
             end_virt_us: 1.0,
             start_wall_us: 0,
@@ -682,7 +517,7 @@ mod tests {
             trace: 1,
             id: 2,
             parent: 0,
-            kind: SpanKind::Txn,
+            kind: Site::Txn,
             start_virt_us: 0.0,
             end_virt_us: 0.0,
             start_wall_us: 0,
@@ -706,20 +541,20 @@ mod tests {
         let trace = trace::next_trace_id();
         std::thread::spawn(move || {
             let _guard = trace::TraceGuard::enter(trace);
-            let root = SpanTimer::start(SpanKind::Txn, 0.0).unwrap();
-            let root_id = root.id();
+            let root = Probe::enter(Site::Txn);
+            let root_id = root.span_id();
             assert_eq!(current_span(), root_id);
-            let child = SpanTimer::start(SpanKind::TxnRead, 0.0).unwrap();
-            let child_id = child.id();
+            let child = Probe::enter(Site::TxnRead);
+            let child_id = child.span_id();
             assert_eq!(current_span(), child_id);
-            let grandchild = SpanTimer::start(SpanKind::RpcClientCall, 0.0).unwrap();
+            let grandchild = Probe::enter(Site::RpcClientCall);
             grandchild.finish(0.0, 1, SpanStatus::Ok);
             assert_eq!(current_span(), child_id);
             child.finish(0.0, 2, SpanStatus::Ok);
             assert_eq!(current_span(), root_id);
             root.finish(0.0, 0, SpanStatus::Ok);
             assert_eq!(current_span(), 0);
-            trace_finished(true);
+            settle_pending(true);
             (root_id, child_id)
         })
         .join()
@@ -727,9 +562,9 @@ mod tests {
         let spans: Vec<Span> =
             global_ring().drain().into_iter().filter(|s| s.trace == trace).collect();
         assert_eq!(spans.len(), 3);
-        let root = spans.iter().find(|s| s.kind == SpanKind::Txn).unwrap();
-        let child = spans.iter().find(|s| s.kind == SpanKind::TxnRead).unwrap();
-        let grand = spans.iter().find(|s| s.kind == SpanKind::RpcClientCall).unwrap();
+        let root = spans.iter().find(|s| s.kind == Site::Txn).unwrap();
+        let child = spans.iter().find(|s| s.kind == Site::TxnRead).unwrap();
+        let grand = spans.iter().find(|s| s.kind == Site::RpcClientCall).unwrap();
         assert_eq!(root.parent, 0);
         assert_eq!(child.parent, root.id);
         assert_eq!(grand.parent, child.id);
@@ -740,15 +575,15 @@ mod tests {
         let trace = trace::next_trace_id();
         std::thread::spawn(move || {
             let _guard = trace::TraceGuard::enter(trace);
-            let root = SpanTimer::start(SpanKind::Txn, 0.0).unwrap();
-            let root_id = root.id();
+            let root = Probe::enter(Site::Txn);
+            let root_id = root.span_id();
             {
-                let _child = SpanTimer::start(SpanKind::TxnValidate, 0.0).unwrap();
+                let _child = Probe::enter(Site::TxnValidate);
                 // dropped without finish — the error path
             }
             assert_eq!(current_span(), root_id);
             root.finish(0.0, 0, SpanStatus::Error);
-            trace_finished(false); // dropped trace leaves no spans behind
+            settle_pending(false); // dropped trace leaves no spans behind
         })
         .join()
         .unwrap();
@@ -761,9 +596,9 @@ mod tests {
         std::thread::spawn(move || {
             let _guard = trace::TraceGuard::enter(trace);
             registry::global().set_enabled(false);
-            let t = SpanTimer::start(SpanKind::Txn, 0.0);
+            let probe = Probe::enter(Site::Txn);
             registry::global().set_enabled(true);
-            assert!(t.is_none());
+            assert_eq!(probe.span_id(), 0);
         })
         .join()
         .unwrap();
@@ -773,7 +608,7 @@ mod tests {
     fn no_trace_means_no_span() {
         std::thread::spawn(|| {
             assert!(trace::current().is_none());
-            assert!(SpanTimer::start(SpanKind::GcPass, 0.0).is_none());
+            assert_eq!(Probe::enter(Site::GcPass).span_id(), 0);
         })
         .join()
         .unwrap();
@@ -786,7 +621,7 @@ mod tests {
             trace: 9,
             id: i,
             parent: 0,
-            kind: SpanKind::GcPass,
+            kind: Site::GcPass,
             start_virt_us: 0.0,
             end_virt_us: 0.0,
             start_wall_us: 0,
@@ -804,10 +639,10 @@ mod tests {
     fn server_dispatch_scope_nests() {
         assert!(!in_server_dispatch());
         {
-            let _outer = ServerDispatchScope::enter();
+            let _outer = Probe::enter(Site::RpcDispatch);
             assert!(in_server_dispatch());
             {
-                let _inner = ServerDispatchScope::enter();
+                let _inner = Probe::enter(Site::RpcDispatch);
                 assert!(in_server_dispatch());
             }
             assert!(in_server_dispatch());

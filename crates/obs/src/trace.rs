@@ -55,20 +55,34 @@ pub fn set_current(t: Option<u64>) {
 /// drop, so nested traced scopes compose.
 pub struct TraceGuard {
     prev: u64,
+    /// The current-span register to restore, when [`TraceGuard::adopt`]
+    /// replaced it.
+    prev_span: Option<u64>,
 }
 
 impl TraceGuard {
     /// Set `t` as this thread's current trace id until the guard drops.
     pub fn enter(t: u64) -> Self {
-        let prev = CURRENT.with(Cell::get);
-        CURRENT.with(|c| c.set(t));
-        TraceGuard { prev }
+        let prev = CURRENT.with(|c| c.replace(t));
+        TraceGuard { prev, prev_span: None }
+    }
+
+    /// Adopt a trace that arrived on the wire: `t` becomes this thread's
+    /// trace and `parent_span` (the remote caller's span, 0 = none) the
+    /// parent of the spans opened here, until the guard drops.
+    pub fn adopt(t: u64, parent_span: u64) -> Self {
+        let mut guard = TraceGuard::enter(t);
+        guard.prev_span = Some(crate::span::swap_current_span(parent_span));
+        guard
     }
 }
 
 impl Drop for TraceGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| c.set(self.prev));
+        if let Some(span) = self.prev_span {
+            crate::span::swap_current_span(span);
+        }
     }
 }
 

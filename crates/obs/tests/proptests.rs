@@ -11,9 +11,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tell_common::Summary;
-use tell_obs::{
-    CollapsedTable, Counter, FrameKind, MetricsSnapshot, Registry, Rollup, TsPoint, TsRing,
-};
+use tell_obs::{CollapsedTable, Counter, MetricsSnapshot, Registry, Rollup, Site, TsPoint, TsRing};
 
 fn metric_name() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9_]{0,30}"
@@ -170,9 +168,9 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Profiler collapsed-stack encoder.
 
-/// A logical stack: 1..=MAX_DEPTH frame codes, each a valid [`FrameKind`].
+/// A logical stack: 1..=MAX_DEPTH frame codes, each a valid [`Site`].
 fn stack() -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(0u8..FrameKind::ALL.len() as u8, 1..16)
+    proptest::collection::vec(0u8..Site::ALL.len() as u8, 1..16)
 }
 
 fn adds() -> impl Strategy<Value = Vec<(Vec<u8>, u64)>> {
@@ -222,7 +220,7 @@ proptest! {
             .map(|(names, _)| {
                 names
                     .iter()
-                    .map(|n| FrameKind::from_name(n).expect("rendered name decodes") as u8)
+                    .map(|n| Site::from_name(n).expect("rendered name decodes") as u8)
                     .collect()
             })
             .collect();

@@ -45,7 +45,7 @@ use tell_store::{
     Token, WriteOp,
 };
 
-use tell_obs::{Counter, Phase, SpanKind, SpanStatus, SpanTimer};
+use tell_obs::{Counter, Phase, Probe, Sample, Site, SpanStatus};
 
 use crate::wire::{encode_frame, FrameDecoder, Request, Response, TraceContext, FRAME_HEADER};
 
@@ -129,23 +129,15 @@ impl Connection {
         // dispatch span parents onto it; the span itself parents onto
         // whatever is current on this thread (a txn phase, a batch flush).
         // Client calls have no virtual clock, so virtual timestamps are 0.
-        let trace = tell_obs::current_trace();
-        let span = trace.and_then(|t| SpanTimer::start_in_trace(t, SpanKind::RpcClientCall, 0.0));
-        let _frame = tell_obs::FrameGuard::enter(tell_obs::FrameKind::RpcClientCall);
-        let ctx = trace
-            .map(|t| TraceContext { trace: t, parent_span: span.as_ref().map_or(0, |s| s.id()) });
+        let probe = Probe::enter(Site::RpcClientCall);
+        let ctx = tell_obs::current_trace()
+            .map(|trace| TraceContext { trace, parent_span: probe.span_id() });
         let outcome = self.send(request, ctx).and_then(PendingReply::wait);
-        if let Some(span) = span {
-            let (count, status) = match &outcome {
-                Ok((Response::Error(crate::wire::WireError::Conflict), ..)) => {
-                    (1, SpanStatus::Conflict)
-                }
-                Ok((Response::Error(_), ..)) => (1, SpanStatus::Error),
-                Ok(_) => (1, SpanStatus::Ok),
-                Err(_) => (0, SpanStatus::Error),
-            };
-            span.finish(0.0, count, status);
-        }
+        let (count, status) = match &outcome {
+            Ok((response, ..)) => (1, response_status(response)),
+            Err(_) => (0, SpanStatus::Error),
+        };
+        probe.finish(0.0, count, status);
         outcome
     }
 
@@ -399,16 +391,13 @@ impl SubmitWindow {
         if stall > 0 {
             thread::sleep(std::time::Duration::from_micros(stall));
         }
-        // The flush is a span of its own so the waterfall shows how many
+        // The flush is a probe of its own so the waterfall shows how many
         // ops one frame coalesced; the `RpcClientCall` underneath it is
         // the wire round trip.
-        let span = SpanTimer::start(SpanKind::BatchFlush, self.meter.clock().now_us());
-        let _frame = tell_obs::FrameGuard::enter(tell_obs::FrameKind::BatchFlush);
+        let probe = Probe::sampled(Site::BatchFlush, Sample::ALL, self.meter.clock().now_us());
         let outcome = self.channel.call(&request);
-        if let Some(span) = span {
-            let status = if outcome.is_ok() { SpanStatus::Ok } else { SpanStatus::Error };
-            span.finish(self.meter.clock().now_us(), n as u32, status);
-        }
+        let status = if outcome.is_ok() { SpanStatus::Ok } else { SpanStatus::Error };
+        probe.finish(self.meter.clock().now_us(), n as u32, status);
         let mut state = self.state.borrow_mut();
         match outcome {
             Err(e) => {
@@ -501,6 +490,15 @@ fn complete_op(op: &StoreOp, response: Response) -> Result<OpResult> {
 
 fn unexpected(context: &str, response: Response) -> Error {
     Error::corrupt(format!("unexpected response to {context}: {response:?}"))
+}
+
+/// How a response ends the span of the call (or dispatch) it answers.
+pub(crate) fn response_status(response: &Response) -> SpanStatus {
+    match response {
+        Response::Error(crate::wire::WireError::Conflict) => SpanStatus::Conflict,
+        Response::Error(_) => SpanStatus::Error,
+        _ => SpanStatus::Ok,
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -418,45 +418,24 @@ pub fn dispatch_frame(
     };
     count_request(&request);
     // Expose the originating trace to everything this dispatch touches
-    // (slow-op checks included).
-    let _guard = ctx.map(|c| tell_obs::TraceGuard::enter(c.trace));
-    // Profiler frame for the whole dispatch: store/cm work done below
-    // stacks under it in the flamegraph.
-    let _frame = tell_obs::FrameGuard::enter(tell_obs::FrameKind::RpcDispatch);
-    // Record this dispatch as a child of the remote client-call span
-    // carried in the frame (servers have no virtual clock, so the virtual
-    // timestamps stay 0).
-    let _in_server = tell_obs::span::ServerDispatchScope::enter();
-    let span = ctx.and_then(|c| {
-        tell_obs::SpanTimer::start_with_parent(
-            c.trace,
-            c.parent_span,
-            tell_obs::SpanKind::ServerDispatch,
-            0.0,
-        )
-    });
+    // (slow-op checks included), parenting it onto the remote client-call
+    // span carried in the frame.
+    let _guard = ctx.map(|c| tell_obs::TraceGuard::adopt(c.trace, c.parent_span));
+    // The dispatch probe: its frame (store/cm work done below stacks under
+    // it) and dispatch scope last until this function returns; its span
+    // closes with the reply, which may come later and on another thread.
+    // Dispatch spans skip tail retention: the thread never learns how the
+    // trace ends, so the bounded ring is the server-side policy.
+    let mut probe = tell_obs::Probe::enter(tell_obs::Site::RpcDispatch);
+    let measured = probe.detach();
     let sink = ReplySink::new(move |response| {
-        if let Some(span) = span {
-            let status = match &response {
-                Response::Error(crate::wire::WireError::Conflict) => tell_obs::SpanStatus::Conflict,
-                Response::Error(_) => tell_obs::SpanStatus::Error,
-                _ => tell_obs::SpanStatus::Ok,
-            };
-            span.finish(0.0, 0, status);
-        }
-        // A server thread never learns how the trace ends, so its spans go
-        // straight to the ring (the bounded drop-oldest ring is the
-        // server-side retention policy).
-        tell_obs::span::flush_pending_to_ring();
+        measured.finish(0.0, 0, crate::client::response_status(&response));
         reply(response);
     });
     let rctx = RequestCtx { trace: ctx, peer };
     if duplicate && !matches!(request, Request::CmStart { .. }) {
         service.call(request.clone(), &rctx, sink);
         service.call(request, &rctx, ReplySink::ignore());
-        // Spans opened by the discarded second dispatch still land on this
-        // thread's pending list; sweep them to the ring like the first.
-        tell_obs::span::flush_pending_to_ring();
     } else {
         service.call(request, &rctx, sink);
     }

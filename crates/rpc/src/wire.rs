@@ -996,7 +996,7 @@ mod tests {
                     trace: 0xabc,
                     id: 1,
                     parent: 0,
-                    kind: tell_obs::SpanKind::Txn,
+                    kind: tell_obs::Site::Txn,
                     start_virt_us: 0.0,
                     end_virt_us: 12.5,
                     start_wall_us: 100,
@@ -1007,7 +1007,7 @@ mod tests {
                     trace: 0xabc,
                     id: 2,
                     parent: 1,
-                    kind: tell_obs::SpanKind::ServerDispatch,
+                    kind: tell_obs::Site::RpcDispatch,
                     start_virt_us: 1.0,
                     end_virt_us: 2.0,
                     start_wall_us: 110,

@@ -500,7 +500,7 @@ fn metrics_scrape_over_tcp_returns_parseable_snapshot() {
 #[test]
 fn assembled_trace_parents_pn_sn_and_cm_spans_correctly() {
     use std::collections::HashMap;
-    use tell_obs::{Span, SpanKind};
+    use tell_obs::{Site, Span};
 
     let (servers, db) = boot(2, 1);
     let table = db.create_table("spans", vec![pk_spec()]).unwrap();
@@ -550,15 +550,11 @@ fn assembled_trace_parents_pn_sn_and_cm_spans_correctly() {
     };
 
     // The PN side: a root transaction span with every phase nested in it.
-    let root = spans.iter().find(|s| s.kind == SpanKind::Txn).expect("root txn span");
+    let root = spans.iter().find(|s| s.kind == Site::Txn).expect("root txn span");
     assert_eq!(root.parent, 0, "the root span has no parent");
-    for kind in [
-        SpanKind::TxnBegin,
-        SpanKind::TxnRead,
-        SpanKind::TxnValidate,
-        SpanKind::TxnInstall,
-        SpanKind::TxnCmComplete,
-    ] {
+    for kind in
+        [Site::TxnBegin, Site::TxnRead, Site::TxnValidate, Site::TxnInstall, Site::TxnCmComplete]
+    {
         let phase = spans
             .iter()
             .find(|s| s.kind == kind)
@@ -569,20 +565,20 @@ fn assembled_trace_parents_pn_sn_and_cm_spans_correctly() {
     // The SN side: the storage node's apply work, reached through the
     // install phase's RPC (install → [batch flush →] client call →
     // dispatch → store write).
-    let sw = spans.iter().find(|s| s.kind == SpanKind::StoreWrite).expect("store.write span");
+    let sw = spans.iter().find(|s| s.kind == Site::StoreWrite).expect("store.write span");
     let chain = kinds_up(sw);
-    assert_eq!(chain[0], SpanKind::ServerDispatch, "store write runs under dispatch: {chain:?}");
-    assert!(chain.contains(&SpanKind::RpcClientCall), "reached via an rpc: {chain:?}");
-    assert!(chain.contains(&SpanKind::TxnInstall), "caused by the install phase: {chain:?}");
-    assert_eq!(*chain.last().unwrap(), SpanKind::Txn, "chain tops out at the root: {chain:?}");
+    assert_eq!(chain[0], Site::RpcDispatch, "store write runs under dispatch: {chain:?}");
+    assert!(chain.contains(&Site::RpcClientCall), "reached via an rpc: {chain:?}");
+    assert!(chain.contains(&Site::TxnInstall), "caused by the install phase: {chain:?}");
+    assert_eq!(*chain.last().unwrap(), Site::Txn, "chain tops out at the root: {chain:?}");
 
     // The CM side: outcome application, reached through the cm-complete
     // phase's RPC.
-    let ca = spans.iter().find(|s| s.kind == SpanKind::CmApply).expect("cm.apply span");
+    let ca = spans.iter().find(|s| s.kind == Site::CmApply).expect("cm.apply span");
     let chain = kinds_up(ca);
-    assert_eq!(chain[0], SpanKind::ServerDispatch, "cm apply runs under dispatch: {chain:?}");
-    assert!(chain.contains(&SpanKind::RpcClientCall), "reached via an rpc: {chain:?}");
-    assert!(chain.contains(&SpanKind::TxnCmComplete), "caused by cm-complete: {chain:?}");
+    assert_eq!(chain[0], Site::RpcDispatch, "cm apply runs under dispatch: {chain:?}");
+    assert!(chain.contains(&Site::RpcClientCall), "reached via an rpc: {chain:?}");
+    assert!(chain.contains(&Site::TxnCmComplete), "caused by cm-complete: {chain:?}");
 
     // The assembled trace renders as well-formed Chrome trace-event JSON.
     let sourced: Vec<tell_obs::export::SourcedSpan> = spans

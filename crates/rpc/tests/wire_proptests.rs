@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use tell_commitmgr::SnapshotDescriptor;
 use tell_common::{BitSet, IsolationLevel, TxnId};
 use tell_obs::{
-    AllocStat, LockStat, PhaseDigest, Span, SpanAttrs, SpanKind, SpanStatus, TelemetryPage, TsPoint,
+    AllocStat, LockStat, PhaseDigest, Site, Span, SpanAttrs, SpanStatus, TelemetryPage, TsPoint,
 };
 use tell_rpc::wire::{encode_frame, TraceContext, FRAME_HEADER};
 use tell_rpc::{FrameDecoder, Request, Response, WireError, MAX_FRAME};
@@ -114,8 +114,8 @@ fn predicate_strategy() -> impl Strategy<Value = Predicate> {
     predicate_strategy_at(2)
 }
 
-fn span_kind_strategy() -> impl Strategy<Value = SpanKind> {
-    (0..SpanKind::ALL.len()).prop_map(|i| SpanKind::ALL[i])
+fn site_strategy() -> impl Strategy<Value = Site> {
+    (0..Site::ALL.len()).prop_map(|i| Site::ALL[i])
 }
 
 fn span_status_strategy() -> impl Strategy<Value = SpanStatus> {
@@ -126,7 +126,7 @@ fn span_status_strategy() -> impl Strategy<Value = SpanStatus> {
 /// infinities, and `PartialEq` on the round-trip demands reflexive floats).
 fn span_strategy() -> impl Strategy<Value = Span> {
     (
-        (any::<u64>(), any::<u64>(), any::<u64>(), span_kind_strategy()),
+        (any::<u64>(), any::<u64>(), any::<u64>(), site_strategy()),
         (0u32..1_000_000, 0u32..1_000_000, any::<u64>(), any::<u64>()),
         (any::<u32>(), span_status_strategy()),
     )

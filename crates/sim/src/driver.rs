@@ -1222,6 +1222,10 @@ mod tests {
         assert_eq!(a.telemetry.points.len(), a.stats.scrapes);
         assert_eq!(a.telemetry.points, b.telemetry.points);
         assert_eq!(a.telemetry.rendered_events(), b.telemetry.rendered_events());
+        // ... and identical to what earlier builds rendered for this seed.
+        let golden: Vec<&str> =
+            include_str!("../golden/health_snchurn_seed17.txt").lines().collect();
+        assert_eq!(a.telemetry.rendered_events(), golden, "health events drifted from the golden");
         // Commit/abort deltas in the points tile the run's totals.
         let commits: u64 =
             a.telemetry.points.iter().map(|p| p.counter(Counter::TxnCommitted)).sum();
@@ -1291,6 +1295,8 @@ mod tests {
         assert!(pa.samples > 0, "sampler must credit samples: {pa:?}");
         assert!(!pa.folded.is_empty(), "folded output must be non-empty");
         assert_eq!(pa.folded, pb.folded, "same seed must give a bit-identical profile");
+        let golden = include_str!("../golden/profile_snchurn_seed19_2000hz.folded");
+        assert_eq!(pa.folded, golden, "folded profile drifted from the golden");
         assert_eq!(pa.samples, pb.samples);
         assert_eq!(pa.idle, pb.idle);
         assert!(pa.folded.contains("txn."), "profile must contain a txn phase: {}", pa.folded);

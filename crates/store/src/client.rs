@@ -13,6 +13,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use tell_common::{Error, Result};
 use tell_netsim::NetMeter;
+use tell_obs::{Probe, Sample, Site, SpanStatus};
 
 use crate::cell::Token;
 use crate::cluster::{Expect as ClusterExpect, Mutation, StoreCluster};
@@ -113,7 +114,7 @@ impl StoreClient {
     /// Load-link: read `key`, returning its token and value. The token is
     /// the link for a later [`StoreClient::store_conditional`].
     pub fn get(&self, key: &Key) -> Result<Option<(Token, Bytes)>> {
-        let _frame = tell_obs::FrameGuard::enter(tell_obs::FrameKind::StoreRead);
+        let _probe = Probe::enter(Site::StoreRead);
         self.meter.stats().note_reads(1);
         tell_obs::incr(tell_obs::Counter::StoreReadOps);
         let res = self.cluster.srv_read(key)?;
@@ -127,7 +128,7 @@ impl StoreClient {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        let _frame = tell_obs::FrameGuard::enter(tell_obs::FrameKind::StoreRead);
+        let _probe = Probe::enter(Site::StoreRead);
         self.meter.stats().note_reads(keys.len() as u64);
         tell_obs::add(tell_obs::Counter::StoreReadOps, keys.len() as u64);
         let mut out = Vec::with_capacity(keys.len());
@@ -178,8 +179,9 @@ impl StoreClient {
             None => Mutation::Delete,
         };
         // Charge the exchange whether or not it conflicts: a failed SC costs
-        // a round trip too.
-        let _frame = tell_obs::FrameGuard::enter(tell_obs::FrameKind::StoreWrite);
+        // a round trip too. A single write takes the frame only: under a
+        // server dispatch its dispatch span already is the apply span.
+        let _probe = Probe::sampled(Site::StoreWrite, Sample::NONE, 0.0);
         self.meter.stats().note_writes(1);
         tell_obs::incr(tell_obs::Counter::StoreWriteOps);
         self.meter.charge_request(payload, ACK_BYTES, 1);
@@ -198,14 +200,9 @@ impl StoreClient {
             return Ok(Vec::new());
         }
         // On a storage node serving a remote frame, the apply work gets its
-        // own span under the dispatch span. The PN's in-process path stays
-        // span-free: the transaction's install phase already covers it.
-        let span = if tell_obs::in_server_dispatch() {
-            tell_obs::SpanTimer::start(tell_obs::SpanKind::StoreWrite, 0.0)
-        } else {
-            None
-        };
-        let _frame = tell_obs::FrameGuard::enter(tell_obs::FrameKind::StoreWrite);
+        // own span under the dispatch span (site policy; the PN's in-process
+        // path stays span-free, the install phase already covers it).
+        let probe = Probe::enter(Site::StoreWrite);
         let op_count = ops.len() as u32;
         let out_bytes: usize = ops.iter().map(|o| o.payload_len()).sum();
         self.meter.stats().note_writes(ops.len() as u64);
@@ -232,14 +229,9 @@ impl StoreClient {
                 Err(e) => results.push(Err(e)),
             }
         }
-        if let Some(span) = span {
-            let status = if results.iter().any(|r| r.is_err()) {
-                tell_obs::SpanStatus::Conflict
-            } else {
-                tell_obs::SpanStatus::Ok
-            };
-            span.finish(0.0, op_count, status);
-        }
+        let status =
+            if results.iter().any(|r| r.is_err()) { SpanStatus::Conflict } else { SpanStatus::Ok };
+        probe.finish(0.0, op_count, status);
         Ok(results)
     }
 

@@ -102,12 +102,14 @@ if [[ "$flame_folded" != *'txn'* || "$flame_folded" != *'rpc.dispatch'* ]]; then
   exit 1
 fi
 
-echo "==> profiled sim replay (bit-identical folded output, seed 5)"
-prof_a="$(cargo run -q --example tell_sim -- --seed 5 --seconds 0.1 --profile)"
-prof_b="$(cargo run -q --example tell_sim -- --seed 5 --seconds 0.1 --profile)"
-if [[ "$prof_a" != "$prof_b" || "$prof_a" != *'txn'* ]]; then
-  echo "error: profiled sim replay diverged or sampled nothing" >&2
-  diff <(echo "$prof_a") <(echo "$prof_b") >&2 || true
+echo "==> profiled sim replay (folded output matches the committed golden, seed 5)"
+# The verdict line and folded stacks are a pure function of the seed, so a
+# diff against the file earlier builds produced catches any change in what
+# the probes push or where the sim charges time.
+golden=crates/sim/golden/tell_sim_seed5_profile.txt
+if ! diff -u "$golden" \
+  <(TELL_PROF_HZ= cargo run -q --example tell_sim -- --seed 5 --seconds 0.1 --profile); then
+  echo "error: profiled sim replay diverged from $golden" >&2
   exit 1
 fi
 
