@@ -72,7 +72,7 @@ impl Server {
     fn serve(model: Model, services: Services) -> Server {
         match model {
             // Commit handlers block on nested wire calls to storage (state
-            // publication), so the dispatch pool needs depth beyond the
+            // publication), so the serving threads need depth beyond the
             // core count — the knob exists for exactly this deployment.
             Model::Reactor => {
                 let config = ReactorConfig { workers: 8, ..ReactorConfig::default() };

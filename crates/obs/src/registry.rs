@@ -193,9 +193,6 @@ id_enum! {
         /// `tid_limit - watermark`: tids remaining before the CM must fetch
         /// a fresh range.
         CmTidRangeRemaining => "cm_tid_range_remaining",
-        /// Connections queued for dispatch across all reactors in this
-        /// process (sampled on enqueue/dequeue).
-        ReactorQueueDepth => "rpc_reactor_queue_depth",
         /// Reply bytes buffered toward slow peers across all reactors.
         ReactorBufferedWriteBytes => "rpc_reactor_buffered_write_bytes",
     }

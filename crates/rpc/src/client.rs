@@ -2,9 +2,13 @@
 //! client/endpoint, and the remote commit-manager client.
 //!
 //! A [`Connection`] multiplexes many in-flight requests over one TCP
-//! stream: callers stamp a fresh correlation id, park on a channel, and a
-//! reader thread routes each response frame back to its caller. When the
-//! stream dies, every parked caller — and every later one — gets a typed
+//! stream: callers stamp a fresh correlation id and register a reply slot.
+//! There is no reader thread. A caller waiting for its reply reads the
+//! socket itself when nobody else is (leader/follower), fills the slot of
+//! every reply it reads and wakes that slot's caller, and before it
+//! leaves wakes one still-parked caller to take over reading — so a sole
+//! waiter reads its own reply with no thread handoff. When the stream
+//! dies, every parked caller — and every later one — gets a typed
 //! [`Error::Unavailable`] instead of a hang.
 //!
 //! [`RpcChannel`] is the one transport primitive above a connection: a
@@ -30,10 +34,11 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread;
+use std::sync::Arc;
+use std::thread::{self, Thread};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -56,17 +61,43 @@ fn unavailable(what: impl std::fmt::Display) -> Error {
 // ---------------------------------------------------------------------------
 // Connection: one TCP stream, many in-flight requests.
 
-/// What the reader thread hands back per call: the decoded response and
-/// the received frame size.
+/// What a caller gets back per call: the decoded response and the received
+/// frame size.
 type Reply = (Response, usize);
 
-/// Socket read chunk for a connection's reader thread.
+/// Socket read chunk for whichever caller is reading.
 const READ_CHUNK: usize = 16 << 10;
+
+/// One in-flight call.
+#[derive(Default)]
+struct Slot {
+    /// Filled by whichever caller read the reply off the socket.
+    reply: Option<Reply>,
+    /// The caller parked on this slot, if it is parked.
+    waiter: Option<Thread>,
+}
+
+/// The receive half of a connection. A caller checks it out to read, so
+/// one thread reads at a time and no lock is held across the read.
+struct RecvHalf {
+    decoder: FrameDecoder,
+    chunk: Vec<u8>,
+    /// Frames decoded by the current read, delivered in one locked pass.
+    ready: Vec<(u64, Reply)>,
+}
+
+struct Calls {
+    slots: HashMap<u64, Slot>,
+    /// `None` while a caller is reading.
+    recv: Option<RecvHalf>,
+}
 
 struct ConnShared {
     addr: String,
-    writer: Mutex<TcpStream>,
-    pending: Mutex<HashMap<u64, mpsc::Sender<Reply>>>,
+    stream: TcpStream,
+    /// Serializes frame writes; reads need no lock (see [`RecvHalf`]).
+    write: Mutex<()>,
+    calls: Mutex<Calls>,
     next_corr: AtomicU64,
     dead: AtomicBool,
 }
@@ -74,10 +105,111 @@ struct ConnShared {
 impl ConnShared {
     fn mark_dead(&self) {
         self.dead.store(true, Ordering::SeqCst);
-        let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
-        // Dropping the senders wakes every parked caller with a RecvError,
-        // which they surface as Unavailable.
-        self.pending.lock().clear();
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        // Every parked caller wakes, finds the connection dead and surfaces
+        // Unavailable — unless its reply got here first.
+        for slot in self.calls.lock().slots.values_mut() {
+            if let Some(waiter) = slot.waiter.take() {
+                waiter.unpark();
+            }
+        }
+    }
+
+    /// Block until `corr_id`'s reply is in its slot. A caller that finds
+    /// nobody reading reads itself (leader/follower): a sole waiter reads
+    /// its own reply with no thread handoff at all.
+    fn wait_for(&self, corr_id: u64) -> Result<Reply> {
+        let mut calls = self.calls.lock();
+        loop {
+            let state = &mut *calls;
+            let Some(slot) = state.slots.get_mut(&corr_id) else {
+                return Err(Error::corrupt("reply awaited twice or never registered"));
+            };
+            if let Some(reply) = slot.reply.take() {
+                state.slots.remove(&corr_id);
+                return Ok(reply);
+            }
+            if self.dead.load(Ordering::SeqCst) {
+                state.slots.remove(&corr_id);
+                return Err(unavailable(format!("connection to {} dropped mid-call", self.addr)));
+            }
+            match state.recv.take() {
+                Some(recv) => {
+                    drop(calls);
+                    self.read_until(corr_id, recv);
+                }
+                None => {
+                    slot.waiter = Some(thread::current());
+                    drop(calls);
+                    thread::park();
+                }
+            }
+            calls = self.calls.lock();
+        }
+    }
+
+    /// Read as the connection's reader until `corr_id`'s reply arrives or
+    /// the stream fails, filling every slot a reply arrives for and waking
+    /// its caller. Then hand the receive half back and wake one caller
+    /// still parked without a reply to take over reading.
+    fn read_until(&self, corr_id: u64, mut recv: RecvHalf) {
+        loop {
+            let healthy = match (&self.stream).read(&mut recv.chunk) {
+                Ok(0) => false,
+                Ok(n) => {
+                    recv.decoder.push(&recv.chunk[..n]);
+                    decode_replies(&mut recv.decoder, &mut recv.ready)
+                }
+                Err(e) => e.kind() == std::io::ErrorKind::Interrupted,
+            };
+            let mut calls = self.calls.lock();
+            let mut done = false;
+            for (id, reply) in recv.ready.drain(..) {
+                // A slot that is gone belonged to a dropped `PendingReply`.
+                if let Some(slot) = calls.slots.get_mut(&id) {
+                    slot.reply = Some(reply);
+                    if let Some(waiter) = slot.waiter.take() {
+                        waiter.unpark();
+                    }
+                    done |= id == corr_id;
+                }
+            }
+            if !healthy {
+                calls.recv = Some(recv);
+                drop(calls);
+                return self.mark_dead();
+            }
+            if done {
+                let mut parked = calls.slots.values_mut().filter(|s| s.reply.is_none());
+                if let Some(waiter) = parked.find_map(|s| s.waiter.take()) {
+                    waiter.unpark();
+                }
+                calls.recv = Some(recv);
+                return;
+            }
+        }
+    }
+}
+
+/// Drain every complete frame from `decoder` into `ready`. Returns false
+/// when the stream is desynchronized: a rejected header, or a frame that
+/// parses as a frame but not as a message — that one still reaches its
+/// caller, as the decode error.
+fn decode_replies(decoder: &mut FrameDecoder, ready: &mut Vec<(u64, Reply)>) -> bool {
+    loop {
+        let (corr_id, body) = match decoder.next_frame() {
+            Ok(Some((corr_id, _, body))) => (corr_id, body),
+            Ok(None) => return true,
+            Err(_) => return false,
+        };
+        let received = FRAME_HEADER + body.len();
+        match Response::decode(&body) {
+            Ok(response) => ready.push((corr_id, (response, received))),
+            Err(e) => {
+                ready.push((corr_id, (Response::Error(e.into()), received)));
+                return false;
+            }
+        }
     }
 }
 
@@ -87,33 +219,50 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Connect and start the demultiplexing reader thread.
+    /// Connect. No thread is started: callers waiting for replies take
+    /// turns reading them.
     pub fn connect(addr: &str) -> Result<Connection> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| unavailable(format!("connect to {addr} failed: {e}")))?;
         let _ = stream.set_nodelay(true);
-        let read_half = stream
-            .try_clone()
-            .map_err(|e| unavailable(format!("clone stream to {addr} failed: {e}")))?;
+        let recv = RecvHalf {
+            decoder: FrameDecoder::new(),
+            chunk: vec![0u8; READ_CHUNK],
+            ready: Vec::new(),
+        };
         let shared = Arc::new(ConnShared {
             addr: addr.to_string(),
-            writer: Mutex::new(stream),
-            pending: Mutex::new(HashMap::new()),
+            stream,
+            write: Mutex::new(()),
+            calls: Mutex::new(Calls { slots: HashMap::new(), recv: Some(recv) }),
             next_corr: AtomicU64::new(1),
             dead: AtomicBool::new(false),
         });
-        let reader_shared = Arc::clone(&shared);
-        thread::Builder::new()
-            .name(format!("tell-rpc-reader-{addr}"))
-            .spawn(move || reader_loop(read_half, reader_shared))
-            .map_err(|e| unavailable(format!("spawn reader failed: {e}")))?;
         Ok(Connection { shared })
     }
 
-    /// True once the stream has failed; the connection never recovers
-    /// (callers reconnect through their pool).
+    /// True once the stream has failed — including a peer that closed it
+    /// while nothing was in flight, which this checks for without blocking.
+    /// The connection never recovers (callers reconnect through their
+    /// pool).
     pub fn is_dead(&self) -> bool {
-        self.shared.dead.load(Ordering::SeqCst)
+        let shared = &self.shared;
+        let idle = {
+            let calls = shared.calls.lock();
+            calls.slots.is_empty() && calls.recv.is_some()
+        };
+        // Idle means nobody is reading, so nobody else would notice the
+        // close until the next request is lost.
+        if idle && !shared.dead.load(Ordering::SeqCst) {
+            let closed = match crate::sys::peek_nonblocking(shared.stream.as_raw_fd()) {
+                Ok(n) => n == 0,
+                Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
+            };
+            if closed {
+                shared.mark_dead();
+            }
+        }
+        shared.dead.load(Ordering::SeqCst)
     }
 
     /// The address this connection was opened against.
@@ -142,7 +291,7 @@ impl Connection {
     }
 
     /// Send one request without waiting for its reply. The returned
-    /// [`PendingReply`] parks on the response later, so a caller can keep
+    /// [`PendingReply`] waits for the response later, so a caller can keep
     /// several requests in flight over one connection and overlap server
     /// work with its own — the client half of pipelining. Untraced: a
     /// pipelined caller is a throughput path, not a waterfall.
@@ -171,22 +320,25 @@ impl Connection {
         }
         let corr_id = shared.next_corr.fetch_add(1, Ordering::Relaxed);
         let frame = encode_frame(corr_id, ctx, &request.encode())?;
-        let (tx, rx) = mpsc::channel();
-        shared.pending.lock().insert(corr_id, tx);
-        // Re-check after registering: if the reader died in between, it may
-        // already have drained `pending` without seeing our entry.
+        shared.calls.lock().slots.insert(corr_id, Slot::default());
+        // From here the slot is the `PendingReply`'s to remove, on any path.
+        let pending = PendingReply { shared: Arc::clone(shared), corr_id, sent: frame.len() };
+        // Re-check after registering: if the connection died in between,
+        // nobody will ever fill the slot.
         if shared.dead.load(Ordering::SeqCst) {
-            shared.pending.lock().remove(&corr_id);
             return Err(unavailable(format!("connection to {} is closed", shared.addr)));
         }
-        let written = shared.writer.lock().write_all(&frame);
+        let written = {
+            let _write = shared.write.lock();
+            (&shared.stream).write_all(&frame)
+        };
         if let Err(e) = written {
             shared.mark_dead();
             return Err(unavailable(format!("send to {} failed: {e}", shared.addr)));
         }
         tell_obs::incr(Counter::RpcClientFramesOut);
         tell_obs::add(Counter::RpcClientBytesOut, frame.len() as u64);
-        Ok(PendingReply { shared: Arc::clone(shared), rx, sent: frame.len() })
+        Ok(pending)
     }
 
     /// Shut the connection down, failing in-flight and future calls.
@@ -197,10 +349,11 @@ impl Connection {
 
 /// The receiving half of a [`Connection::call_async`]: a reply that is on
 /// its way but has not been waited on yet. Dropping one abandons the reply
-/// (the reader discards it on arrival); the connection stays healthy.
+/// (its slot goes, and the reply is discarded on arrival); the connection
+/// stays healthy.
 pub struct PendingReply {
     shared: Arc<ConnShared>,
-    rx: mpsc::Receiver<Reply>,
+    corr_id: u64,
     sent: usize,
 }
 
@@ -208,16 +361,16 @@ impl PendingReply {
     /// Block for the reply. Returns the response plus the frame sizes sent
     /// and received, exactly like [`Connection::call`].
     pub fn wait(self) -> Result<(Response, usize, usize)> {
-        match self.rx.recv() {
-            Ok((response, received)) => {
-                tell_obs::incr(Counter::RpcClientFramesIn);
-                tell_obs::add(Counter::RpcClientBytesIn, received as u64);
-                Ok((response, self.sent, received))
-            }
-            Err(_) => {
-                Err(unavailable(format!("connection to {} dropped mid-call", self.shared.addr)))
-            }
-        }
+        let (response, received) = self.shared.wait_for(self.corr_id)?;
+        tell_obs::incr(Counter::RpcClientFramesIn);
+        tell_obs::add(Counter::RpcClientBytesIn, received as u64);
+        Ok((response, self.sent, received))
+    }
+}
+
+impl Drop for PendingReply {
+    fn drop(&mut self) {
+        self.shared.calls.lock().slots.remove(&self.corr_id);
     }
 }
 
@@ -225,41 +378,6 @@ impl Drop for Connection {
     fn drop(&mut self) {
         self.close();
     }
-}
-
-fn reader_loop(mut stream: TcpStream, shared: Arc<ConnShared>) {
-    let mut decoder = FrameDecoder::new();
-    let mut chunk = vec![0u8; READ_CHUNK];
-    'read: loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => decoder.push(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        }
-        loop {
-            let (corr_id, body) = match decoder.next_frame() {
-                Ok(Some((corr_id, _, body))) => (corr_id, body),
-                Ok(None) => break,
-                // A rejected header: the stream is desynchronized.
-                Err(_) => break 'read,
-            };
-            let received = FRAME_HEADER + body.len();
-            let decoded = Response::decode(&body);
-            let failed = decoded.is_err();
-            // A frame that parses as a frame but not as a message means
-            // the stream is desynchronized too: surface the error to the
-            // waiting caller, then kill the connection.
-            let response = decoded.unwrap_or_else(|e| Response::Error(e.into()));
-            if let Some(tx) = shared.pending.lock().remove(&corr_id) {
-                let _ = tx.send((response, received));
-            }
-            if failed {
-                break 'read;
-            }
-        }
-    }
-    shared.mark_dead();
 }
 
 // ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@
 //!   dispatches through, with deferred completion through [`ReplySink`].
 //! * [`server`] — the epoll-reactor [`RpcServer`] fronting a
 //!   `StoreCluster` and/or a commit service.
-//! * [`reactor`] — the event loop itself: epoll + eventfd via `sys`,
-//!   zero-copy frame slicing, a bounded worker pool, slow-reader
-//!   backpressure.
-//! * [`client`] — pipelined connections under the generic [`RpcChannel`],
-//!   the remote storage client, and the remote commit-manager client with
-//!   fail-over.
+//! * [`reactor`] — the event loop itself: a pool of serving threads over
+//!   one epoll instance (epoll + eventfd via `sys`), each running the
+//!   connection it wakes for from read to reply; zero-copy frame slicing,
+//!   slow-reader backpressure.
+//! * [`client`] — pipelined connections under the generic [`RpcChannel`]
+//!   (no reader thread: a waiting caller reads its own reply), the remote
+//!   storage client, and the remote commit-manager client with fail-over.
 //! * [`fault`] — deterministic fault injection (drop/delay/duplicate frames,
 //!   batch-flush stalls) for the simulation harness; off by default.
 

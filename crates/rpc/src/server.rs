@@ -1,12 +1,13 @@
 //! The TCP server fronting an [`RpcService`].
 //!
-//! [`RpcServer`] runs the epoll reactor from [`crate::reactor`]: one
-//! event-loop thread multiplexing every connection, a bounded worker pool
-//! executing dispatch, zero-copy frame slicing and slow-reader
-//! backpressure. A connection's requests dispatch in arrival order but a
-//! client may keep many in flight — responses carry the request's
-//! correlation id, so the client needs no lockstep (pipelining per §5.1's
-//! batching spirit: the wire stays full).
+//! [`RpcServer`] runs the epoll reactor from [`crate::reactor`]: a small
+//! pool of serving threads multiplexing every connection over one epoll
+//! instance, each dispatching the frames of the connection it woke for
+//! inline, with zero-copy frame slicing and slow-reader backpressure. A
+//! connection's requests dispatch in arrival order but a client may keep
+//! many in flight — responses carry the request's correlation id, so the
+//! client needs no lockstep (pipelining per §5.1's batching spirit: the
+//! wire stays full).
 //!
 //! The same server can expose both services; the shipped binaries run them
 //! separately (`tell_sn` serves storage, `tell_cm` serves commit managers)
@@ -39,8 +40,8 @@ impl RpcServer {
         RpcServer::serve_with(addr, services, ReactorConfig::default())
     }
 
-    /// [`RpcServer::serve`] with explicit reactor tuning (worker count,
-    /// write-buffer cap).
+    /// [`RpcServer::serve`] with explicit reactor tuning (serving-thread
+    /// count, write-buffer cap).
     pub fn serve_with(
         addr: impl ToSocketAddrs,
         services: Services,
@@ -93,9 +94,9 @@ impl RpcServer {
         self.reactor.frames_served()
     }
 
-    /// Stop the reactor, sever every open connection and join the event
-    /// loop plus workers. Idempotent; called automatically on drop. The
-    /// wakeup is the reactor's eventfd — no throwaway self-connection.
+    /// Stop the reactor, join its serving threads and sever every open
+    /// connection. Idempotent; called automatically on drop. The wakeup is
+    /// the reactor's eventfd — no throwaway self-connection.
     pub fn shutdown(&mut self) {
         self.reactor.shutdown();
     }

@@ -246,7 +246,7 @@ impl RpcService for Router {
 // The storage client is deliberately `!Send` (its meter models one worker's
 // virtual clock), so a shared `Router` cannot hold one. Each dispatch
 // thread caches its own unmetered client per cluster instead — the same
-// lifetime the old thread-per-connection server got for free, since worker
+// lifetime the old thread-per-connection server got for free, since serving
 // threads die with the server that spawned them.
 thread_local! {
     static STORE_CLIENTS: std::cell::RefCell<Vec<(usize, StoreClient)>> =

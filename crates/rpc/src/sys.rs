@@ -1,13 +1,13 @@
-//! Minimal raw bindings to the Linux epoll/eventfd syscalls the reactor
-//! needs. `std` already links libc, so plain `extern "C"` declarations
+//! Minimal raw bindings to the Linux syscalls the transport needs beyond
+//! `std`. `std` already links libc, so plain `extern "C"` declarations
 //! reach these symbols without adding any crate dependency.
 //!
-//! Only what [`crate::reactor`] uses is declared: `epoll_create1`,
-//! `epoll_ctl`, `epoll_wait`, `eventfd`, and `close`/`read`/`write` for
-//! the eventfd itself (socket fds are owned by `TcpStream`s and never
-//! closed through here). Everything is wrapped in safe helpers that
-//! translate `-1` into `io::Error::last_os_error()` and retry `EINTR`
-//! where the caller cannot.
+//! Only what is used is declared: `epoll_create1`, `epoll_ctl`,
+//! `epoll_wait`, `eventfd`, and `close`/`write` for the eventfd
+//! itself, for [`crate::reactor`]; `recv` for the client's idle-peer
+//! check (socket fds are owned by `TcpStream`s and never closed through
+//! here). Everything is wrapped in safe helpers that translate `-1` into
+//! `io::Error::last_os_error()` and retry `EINTR` where the caller cannot.
 
 #![allow(non_camel_case_types)]
 
@@ -19,6 +19,7 @@ pub const EPOLLOUT: u32 = 0x004;
 pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLRDHUP: u32 = 0x2000;
+pub const EPOLLONESHOT: u32 = 1 << 30;
 
 pub const EPOLL_CTL_ADD: i32 = 1;
 pub const EPOLL_CTL_DEL: i32 = 2;
@@ -27,6 +28,9 @@ pub const EPOLL_CTL_MOD: i32 = 3;
 const EPOLL_CLOEXEC: i32 = 0x80000;
 const EFD_CLOEXEC: i32 = 0x80000;
 const EFD_NONBLOCK: i32 = 0x800;
+
+const MSG_PEEK: i32 = 0x2;
+const MSG_DONTWAIT: i32 = 0x40;
 
 const EINTR: i32 = 4;
 
@@ -47,8 +51,8 @@ extern "C" {
     fn epoll_wait(epfd: i32, events: *mut epoll_event, maxevents: i32, timeout: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
     fn close(fd: i32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -61,7 +65,7 @@ fn cvt(ret: i32) -> io::Result<i32> {
 
 /// An owned epoll instance; closes its fd on drop. Registered interest
 /// sets are updated through [`epoll_ctl_op`] with this instance's fd —
-/// concurrent MOD calls from worker threads are kernel-serialized, the
+/// concurrent MOD calls from serving threads are kernel-serialized, the
 /// wrapper only owns the lifetime.
 pub struct Epoll {
     fd: RawFd,
@@ -114,8 +118,8 @@ pub fn epoll_wait_events(
     }
 }
 
-/// A nonblocking `eventfd` used to wake the reactor from other threads.
-/// Closes its fd on drop.
+/// A nonblocking `eventfd` used to wake the serving threads from another
+/// thread. Closes its fd on drop.
 pub struct EventFd {
     fd: RawFd,
 }
@@ -133,18 +137,11 @@ impl EventFd {
 
     /// Add 1 to the eventfd counter, making it readable. Never blocks
     /// meaningfully: the counter saturates far beyond any wake rate, and a
-    /// full counter already means the reactor has a pending wakeup.
+    /// full counter already means a wakeup is pending.
     pub fn notify(&self) {
         let one: u64 = 1;
         // SAFETY: writes exactly 8 bytes from a live stack value.
         let _ = unsafe { write(self.fd, one.to_ne_bytes().as_ptr(), 8) };
-    }
-
-    /// Drain the counter so level-triggered epoll stops reporting it.
-    pub fn drain(&self) {
-        let mut buf = [0u8; 8];
-        // SAFETY: reads at most 8 bytes into a live stack buffer.
-        let _ = unsafe { read(self.fd, buf.as_mut_ptr(), 8) };
     }
 }
 
@@ -152,5 +149,25 @@ impl Drop for EventFd {
     fn drop(&mut self) {
         // SAFETY: we own this fd; nothing else closes it.
         let _ = unsafe { close(self.fd) };
+    }
+}
+
+/// Peek at one byte of a socket without blocking or consuming it: `Ok(0)`
+/// means the peer closed its end, `Ok(1)` that data is waiting, and an
+/// `io::ErrorKind::WouldBlock` error that the socket is open but quiet.
+pub fn peek_nonblocking(fd: RawFd) -> io::Result<usize> {
+    let mut byte = 0u8;
+    loop {
+        // SAFETY: reads at most 1 byte into a live stack value; MSG_PEEK
+        // leaves it in the socket and MSG_DONTWAIT keeps the call from
+        // blocking whatever mode the fd is in.
+        let n = unsafe { recv(fd, &mut byte, 1, MSG_PEEK | MSG_DONTWAIT) };
+        if n >= 0 {
+            return Ok(n as usize);
+        }
+        let e = io::Error::last_os_error();
+        if e.raw_os_error() != Some(EINTR) {
+            return Err(e);
+        }
     }
 }

@@ -17,7 +17,7 @@
 //! persistent format in the workspace uses.
 //!
 //! [`encode_frame`] is the one frame encoder and [`FrameDecoder`] the one
-//! parser, for the reactor and the client's reader thread alike.
+//! parser, for the reactor and the client's reading caller alike.
 //!
 //! Decoding is strict: a message must consume its body exactly. Trailing
 //! bytes, truncated fields, unknown tags and invalid codes are all

@@ -413,6 +413,32 @@ fn pipelined_counter_increments_share_one_connection() {
     assert_eq!(client.increment(&keys::counter("e2e/pipeline"), 0), Ok(100));
 }
 
+#[test]
+fn pooled_connections_heal_after_server_restart_on_same_address() {
+    let store = StoreCluster::new(StoreConfig::new(1));
+    let mut server = RpcServer::serve_store("127.0.0.1:0", Arc::clone(&store)).unwrap();
+    let addr = server.local_addr();
+    let endpoint = RemoteEndpoint::connect(addr.to_string(), 2);
+    let client = endpoint.unmetered_client();
+    let key = Bytes::from_static(b"e2e/heal");
+    client.put(&key, Bytes::from_static(b"v")).unwrap();
+    let get_all = |round: &str| {
+        for i in 0..4 {
+            let got = client.get(&key).unwrap_or_else(|e| panic!("{round} get {i}: {e:?}"));
+            assert_eq!(got.map(|(_, v)| v), Some(Bytes::from_static(b"v")));
+        }
+    };
+    get_all("before restart");
+
+    // The server goes away while both pooled connections sit idle, and a
+    // new one comes up on the same address. Nothing is in flight, so only
+    // the pool's checkout can notice that the old streams are closed.
+    server.shutdown();
+    let _server = RpcServer::serve_store(addr, Arc::clone(&store)).unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    get_all("after restart");
+}
+
 // ---------------------------------------------------------------------------
 // Observability over the wire.
 

@@ -1,18 +1,23 @@
 //! End-to-end tests for the epoll reactor itself: shutdown under
-//! concurrent load, peers dying mid-frame, slow-reader backpressure — the
-//! failure shapes the event loop must absorb without hanging anyone.
+//! concurrent load, peers dying mid-frame, slow-reader backpressure,
+//! replies completed on other threads — the failure shapes the event loop
+//! must absorb without hanging anyone.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Barrier, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use tell_common::Error;
 use tell_obs::Counter;
 use tell_rpc::wire::encode_frame;
-use tell_rpc::{Connection, FrameDecoder, ReactorConfig, Request, Response, RpcServer, Services};
+use tell_rpc::{
+    Connection, FrameDecoder, ReactorConfig, ReplySink, Request, RequestCtx, Response, RpcServer,
+    RpcService, Services,
+};
 use tell_store::{Expect, StoreCluster, StoreConfig, WriteOp};
 
 fn serve(nodes: usize) -> (RpcServer, String) {
@@ -173,6 +178,80 @@ fn slow_reader_hits_backpressure_and_drains_after_catching_up() {
         }
     }
     server.shutdown();
+}
+
+/// Answers pings inline and moves every other request's sink to a thread
+/// of its own — the `RpcService` contract's "the sink may outlive the
+/// call". Each such thread reports that it holds its sink, waits at `gate`,
+/// then answers with the request's delta.
+struct DeferredService {
+    parked: Mutex<mpsc::Sender<()>>,
+    gate: Arc<Barrier>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl RpcService for DeferredService {
+    fn call(&self, request: Request, _ctx: &RequestCtx, reply: ReplySink) {
+        match request {
+            Request::Ping => reply.send(Response::Pong),
+            Request::Increment { delta, .. } => {
+                let parked = self.parked.lock().unwrap().clone();
+                let gate = Arc::clone(&self.gate);
+                self.threads.lock().unwrap().push(std::thread::spawn(move || {
+                    parked.send(()).unwrap();
+                    gate.wait();
+                    reply.send(Response::Counter(delta));
+                }));
+            }
+            other => panic!("unexpected request {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn deferred_replies_arrive_over_tcp_while_other_connections_keep_serving() {
+    const PARKED: usize = 16;
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let service = Arc::new(DeferredService {
+        parked: Mutex::new(parked_tx),
+        gate: Arc::new(Barrier::new(PARKED + 1)),
+        threads: Mutex::new(Vec::new()),
+    });
+    let config = ReactorConfig { workers: 2, ..ReactorConfig::default() };
+    let server = RpcServer::serve_service("127.0.0.1:0", service.clone(), config).unwrap();
+    let addr = server.local_addr().to_string();
+    let parked = Connection::connect(&addr).unwrap();
+    let pinger = Connection::connect(&addr).unwrap();
+
+    let key = Bytes::from_static(b"deferred");
+    let pending: Vec<_> = (0..PARKED as u64)
+        .map(|delta| parked.call_async(&Request::Increment { key: key.clone(), delta }).unwrap())
+        .collect();
+    for _ in 0..PARKED {
+        parked_rx.recv_timeout(Duration::from_secs(10)).expect("every request dispatched");
+    }
+    // Every sink is parked on another thread; the serving threads are not,
+    // so a second connection is answered at once. On a pinging thread, so
+    // a server that held a serving thread per parked sink fails here
+    // instead of hanging the test.
+    let pings = std::thread::spawn(move || {
+        for _ in 0..4 {
+            let ping = Instant::now();
+            assert_eq!(pinger.call(&Request::Ping).unwrap().0, Response::Pong);
+            assert!(ping.elapsed() < Duration::from_secs(1), "ping took {:?}", ping.elapsed());
+        }
+    });
+    join_within(pings, Duration::from_secs(10), "pings while sinks are parked");
+
+    // Released together, sixteen threads complete sinks on a connection no
+    // serving thread owns: every reply arrives, each to its own caller.
+    service.gate.wait();
+    for (delta, reply) in pending.into_iter().enumerate() {
+        assert_eq!(reply.wait().unwrap().0, Response::Counter(delta as u64));
+    }
+    for handle in service.threads.lock().unwrap().drain(..) {
+        handle.join().unwrap();
+    }
 }
 
 #[test]

@@ -59,7 +59,7 @@ fn parse_args() -> Result<Args, String> {
                      --store ADDR      storage server to keep state in (default 127.0.0.1:7701)\n  \
                      --managers N      parallel commit managers (default 1)\n  \
                      --pool N          TCP connections to the storage server (default 2)\n  \
-                     --workers N       reactor dispatch threads (default: auto)"
+                     --workers N       serving threads (default: auto)"
                 );
                 std::process::exit(0);
             }

@@ -63,7 +63,7 @@ fn parse_args() -> Result<Args, String> {
                      options:\n  \
                      --listen ADDR   listen address (default 127.0.0.1:7701)\n  \
                      --nodes N       storage nodes in the cluster (default 4)\n  \
-                     --workers N     reactor dispatch threads (default: auto)\n  \
+                     --workers N     serving threads (default: auto)\n  \
                      --data-dir DIR  durable log tier root (one subdir per node);\n  \
                                      restarting with the same dir recovers acked writes\n  \
                      --fsync POLICY  always | never | batch:<n> (default always;\n  \
