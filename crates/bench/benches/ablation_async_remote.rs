@@ -1,14 +1,14 @@
 //! Ablation (§5.1, over real TCP): cross-operation request batching in the
 //! asynchronous store API. A remote client that blocks on every `get` pays
-//! one wire frame per operation; submitting the same operations through
-//! `get_async` coalesces each window into a single batch frame. Frames are
+//! one wire frame per operation; submitting the same operations as
+//! `StoreOp::Get` coalesces each window into a single batch frame. Frames are
 //! counted twice — on the client's meter and on the server — and the two
 //! must agree.
 
 use tell_bench::*;
 use tell_netsim::NetMeter;
 use tell_rpc::{RemoteEndpoint, RpcServer};
-use tell_store::{keys, StoreApi, StoreCluster, StoreConfig, StoreEndpoint};
+use tell_store::{keys, OpResult, StoreApi, StoreCluster, StoreConfig, StoreEndpoint, StoreOp};
 
 /// Operations per round = the submission-window size being amortized.
 const WINDOW: usize = 16;
@@ -43,9 +43,13 @@ fn main() {
         for _ in 0..ROUNDS {
             if async_mode {
                 // Submit the whole window, then wait: one frame round trip.
-                let handles: Vec<_> = record_keys.iter().map(|k| client.get_async(k)).collect();
+                let handles: Vec<_> = record_keys
+                    .iter()
+                    .map(|k| client.submit(StoreOp::Get { key: k.clone() }))
+                    .collect();
                 for handle in handles {
-                    let (_, raw) = handle.wait().expect("get").expect("present");
+                    let cell = handle.wait().and_then(OpResult::into_cell).expect("get");
+                    let (_, raw) = cell.expect("present");
                     values.push(raw[0]);
                 }
             } else {

@@ -13,7 +13,7 @@ use tell_core::VersionedRecord;
 use tell_index::{BTreeConfig, DistributedBTree};
 use tell_sql::row::{decode_row, encode_key, encode_row};
 use tell_sql::{Column, DataType, TableSchema, Value};
-use tell_store::{StoreClient, StoreCluster, StoreConfig};
+use tell_store::{StoreApi, StoreClient, StoreCluster, StoreConfig};
 
 fn bench_llsc(c: &mut Criterion) {
     let cluster = StoreCluster::new(StoreConfig::new(2));

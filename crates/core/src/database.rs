@@ -156,8 +156,8 @@ impl<E: StoreEndpoint> Database<E> {
     /// storage nodes and commit managers (see `tell-rpc`). The two sides
     /// are symmetric: a local deployment passes (`Arc<StoreCluster>`,
     /// `Arc<CmCluster>`), a remote one (`RemoteEndpoint`,
-    /// `RemoteCmEndpoint`). A bare `Arc<dyn CommitService>` still works —
-    /// it is its own endpoint.
+    /// `Arc<RemoteCmClient>`): any `Arc` of a commit service is its own
+    /// endpoint, a bare `Arc<dyn CommitService>` included.
     pub fn open<C: CmEndpoint>(endpoint: E, commit: C, config: TellConfig) -> Arc<Self> {
         Arc::new(Database {
             endpoint,
@@ -306,7 +306,7 @@ impl<E: StoreEndpoint> Database<E> {
                 .ok_or_else(|| Error::invalid(format!("no extractor for index {}", idx.id)))?;
             trees.push((tree, ex));
         }
-        // Record images go in through the async surface in chunks: one
+        // Record images go in as batched writes in chunks: one
         // batched frame per chunk on a remote endpoint instead of one
         // round trip per row (§5.1).
         const CHUNK: usize = 128;
@@ -321,7 +321,7 @@ impl<E: StoreEndpoint> Database<E> {
         while !ops.is_empty() {
             let tail = ops.split_off(ops.len().min(CHUNK));
             let chunk = std::mem::replace(&mut ops, tail);
-            for result in client.multi_write_async(chunk).wait()? {
+            for result in client.multi_write(chunk)? {
                 result?;
             }
         }

@@ -77,7 +77,7 @@ pub fn revert_write_set<C: StoreApi>(
         targets.iter().map(|(table, rid)| keys::record(*table, *rid)).collect();
     let mut reverted = 0;
     while !pending.is_empty() {
-        let cells = client.multi_get_async(&pending).wait()?;
+        let cells = client.multi_get(&pending)?;
         let mut ops = Vec::new();
         let mut op_keys = Vec::new();
         for (key, cell) in pending.iter().zip(cells) {
@@ -99,7 +99,7 @@ pub fn revert_write_set<C: StoreApi>(
         if ops.is_empty() {
             break;
         }
-        let results = client.multi_write_async(ops).wait()?;
+        let results = client.multi_write(ops)?;
         let mut retry = Vec::with_capacity(op_keys.len());
         for (key, result) in op_keys.into_iter().zip(results) {
             match result {

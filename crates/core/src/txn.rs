@@ -274,7 +274,7 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
             if !missing.is_empty() {
                 let probe = self.probe(Site::TxnRead);
                 let keys: Vec<_> = missing.iter().map(|r| keys::record(table, Rid(*r))).collect();
-                let fetched = self.pn.client().multi_get_async(&keys).wait()?;
+                let fetched = self.pn.client().multi_get(&keys)?;
                 self.probe_finish(probe, missing.len() as u32, SpanStatus::Ok);
                 for (rid, cell) in missing.into_iter().zip(fetched) {
                     let decoded = match cell {
@@ -415,26 +415,6 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
         let rows = self.pn.client().scan_prefix(&prefix, usize::MAX)?;
         self.pn.meter().charge_cpu(rows.len() as f64 * 0.2);
         self.collect_scan(table, rows, limit, |_, _| true)
-    }
-
-    /// Table scan filtered by an arbitrary Rust closure. A closure cannot
-    /// be serialized into a frame, so every record is shipped to the PN
-    /// (like [`Transaction::scan_table`]) and filtered there; when the
-    /// filter is expressible as a [`Predicate`], prefer
-    /// [`Transaction::scan_table_pushdown_filtered`], which evaluates it in
-    /// the storage layer.
-    pub fn scan_table_pushdown(
-        &mut self,
-        table: &Arc<TableDef>,
-        limit: usize,
-        pred: impl Fn(&[u8]) -> bool,
-    ) -> Result<Vec<(Rid, Bytes)>> {
-        self.ensure_running()?;
-        self.refresh_rc_snapshot()?;
-        let prefix = keys::record_prefix(table.id);
-        let rows = self.pn.client().scan_prefix(&prefix, usize::MAX)?;
-        self.pn.meter().charge_cpu(rows.len() as f64 * 0.2);
-        self.collect_scan(table, rows, limit, |_, row| pred(row))
     }
 
     /// Table scan with the row filter pushed down into the storage layer
@@ -712,9 +692,9 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
         self.probe_finish(validate, write_count, SpanStatus::Ok);
         let install = self.probe(Site::TxnInstall);
         let results = if self.pn.database().config().batching {
-            // Submit-then-wait: over the remote transport the whole write
-            // set rides one frame of the client's submission window.
-            self.pn.client().multi_write_async(ops).wait()?
+            // One batched call: over the remote transport the whole write
+            // set rides one frame.
+            self.pn.client().multi_write(ops)?
         } else {
             // Ablation mode: one exchange per update.
             ops.into_iter()

@@ -9,6 +9,7 @@ use tell_core::database::IndexSpec;
 use tell_core::gc::run_gc;
 use tell_core::recovery::recover_failed_pn;
 use tell_core::{BufferConfig, Database, TellConfig};
+use tell_store::StoreApi;
 
 /// Test rows: `[pk: u64 BE][group: u8][payload...]`.
 fn row(pk: u64, group: u8, payload: &str) -> Bytes {
@@ -277,9 +278,11 @@ fn table_scan_and_pushdown_agree() {
     let mut t = pn.begin().unwrap();
     let all = t.scan_table(&table, usize::MAX).unwrap();
     assert_eq!(all.len(), 30);
-    let filtered = t.scan_table_pushdown(&table, usize::MAX, |r| r[8] == 1).unwrap();
+    let filtered: Vec<_> = all.into_iter().filter(|(_, r)| r[8] == 1).collect();
     assert_eq!(filtered.len(), 10);
-    assert!(filtered.iter().all(|(_, r)| r[8] == 1));
+    let group_is_1 = tell_store::Predicate::value_eq(8, vec![1u8]);
+    let pushed = t.scan_table_pushdown_filtered(&table, usize::MAX, &group_is_1).unwrap();
+    assert_eq!(pushed, filtered);
     t.commit().unwrap();
 }
 
@@ -298,7 +301,8 @@ fn predicate_pushdown_scan_agrees_with_closure_scan() {
 
     let group_is_1 = tell_store::Predicate::value_eq(8, vec![1u8]);
     let mut t = pn.begin().unwrap();
-    let via_closure = t.scan_table_pushdown(&table, usize::MAX, |r| r[8] == 1).unwrap();
+    let all = t.scan_table(&table, usize::MAX).unwrap();
+    let via_closure: Vec<_> = all.into_iter().filter(|(_, r)| r[8] == 1).collect();
     let via_predicate = t.scan_table_pushdown_filtered(&table, usize::MAX, &group_is_1).unwrap();
     assert_eq!(via_closure, via_predicate);
     assert_eq!(via_predicate.len(), 11);

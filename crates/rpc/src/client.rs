@@ -19,13 +19,14 @@
 //! [`RemoteStoreClient`] implements `tell_store::StoreApi` over a channel
 //! and [`RemoteEndpoint`] implements `StoreEndpoint`, so a
 //! `tell_core::Database` opened over them runs the exact transaction code
-//! paths it runs in-process. Asynchronously submitted operations gather in
-//! a per-client *submission window* and cross the wire as **one**
-//! `Request::Batch` frame when the first handle is awaited — N logical
-//! operations, one frame each way (§5.1's aggressive batching). The
-//! blocking `StoreApi` methods are submit-then-wait wrappers, so a
-//! blocking call issued while async handles are outstanding joins their
-//! batch instead of racing it. [`RemoteCmClient`] likewise implements the
+//! paths it runs in-process. The remote client implements only `submit`,
+//! the scans and `meter`: submitted operations gather in a per-client
+//! *submission window* and cross the wire as **one** `Request::Batch`
+//! frame when the first handle is awaited — N logical operations, one
+//! frame each way (§5.1's aggressive batching). The blocking point methods
+//! come from `StoreApi` as submit-then-wait, so a blocking call issued
+//! while handles are outstanding joins their batch instead of racing it.
+//! [`RemoteCmClient`] likewise implements the
 //! `CommitService`/`CommitParticipant` pair over one connection per commit
 //! server, with the same fail-over-to-the-next-manager behavior as the
 //! local `CmCluster` (§4.4.3).
@@ -42,12 +43,11 @@ use std::thread::{self, Thread};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use tell_commitmgr::{CmEndpoint, CommitParticipant, CommitService, TxnStart};
+use tell_commitmgr::{CommitParticipant, CommitService, TxnStart};
 use tell_common::{Error, IsolationLevel, Result, TxnId};
 use tell_netsim::NetMeter;
 use tell_store::{
-    BatchDriver, Expect, Key, OpHandle, OpResult, Predicate, StoreApi, StoreEndpoint, StoreOp,
-    Token, WriteOp,
+    BatchDriver, Key, OpHandle, OpResult, Predicate, StoreApi, StoreEndpoint, StoreOp, Token,
 };
 
 use tell_obs::{Counter, Phase, Probe, Sample, Site, SpanStatus};
@@ -444,8 +444,10 @@ impl RpcChannel {
 
 struct WindowState {
     next_ticket: u64,
-    /// Operations submitted but not yet flushed, in submission order.
-    queued: Vec<(u64, StoreOp)>,
+    /// Operations submitted but not yet flushed, in submission order. The
+    /// ticket is `None` once its handle was dropped: the op still ships,
+    /// its completion is not parked.
+    queued: Vec<(Option<u64>, StoreOp)>,
     /// Completions parked for tickets whose handles have not been waited.
     done: HashMap<u64, Result<OpResult>>,
 }
@@ -478,7 +480,7 @@ impl SubmitWindow {
         let mut state = self.state.borrow_mut();
         let ticket = state.next_ticket;
         state.next_ticket += 1;
-        state.queued.push((ticket, op));
+        state.queued.push((Some(ticket), op));
         ticket
     }
 
@@ -493,7 +495,7 @@ impl SubmitWindow {
         if queued.is_empty() {
             return;
         }
-        let (tickets, ops): (Vec<u64>, Vec<StoreOp>) = queued.into_iter().unzip();
+        let (tickets, ops): (Vec<Option<u64>>, Vec<StoreOp>) = queued.into_iter().unzip();
         let mut requests: Vec<Request> = ops.iter().map(op_to_request).collect();
         let n = requests.len();
         tell_obs::observe(Phase::BatchWindow, n as f64);
@@ -516,50 +518,33 @@ impl SubmitWindow {
         let outcome = self.channel.call(&request);
         let status = if outcome.is_ok() { SpanStatus::Ok } else { SpanStatus::Error };
         probe.finish(self.meter.clock().now_us(), n as u32, status);
+        let per_op = outcome.and_then(|(response, sent, received)| {
+            self.meter.charge_real(sent, received);
+            match response {
+                response if single => Ok(vec![response]),
+                Response::Batch { results } if results.len() == n => Ok(results),
+                Response::Batch { results } => Err(Error::corrupt(format!(
+                    "batch of {n} ops answered with {} results",
+                    results.len()
+                ))),
+                // A top-level error (e.g. "this node does not serve
+                // storage") applies to every op in the frame.
+                Response::Error(e) => Err(e.into()),
+                other => Err(unexpected("batch", other)),
+            }
+        });
         let mut state = self.state.borrow_mut();
-        match outcome {
-            Err(e) => {
-                for ticket in tickets {
-                    state.done.insert(ticket, Err(e.clone()));
+        match per_op {
+            Ok(per_op) => {
+                for ((ticket, op), response) in tickets.into_iter().zip(&ops).zip(per_op) {
+                    if let Some(ticket) = ticket {
+                        state.done.insert(ticket, complete_op(op, response));
+                    }
                 }
             }
-            Ok((response, sent, received)) => {
-                self.meter.charge_real(sent, received);
-                let per_op: Vec<Response> = if single {
-                    vec![response]
-                } else {
-                    match response {
-                        Response::Batch { results } if results.len() == n => results,
-                        Response::Batch { results } => {
-                            let e = Error::corrupt(format!(
-                                "batch of {n} ops answered with {} results",
-                                results.len()
-                            ));
-                            for ticket in tickets {
-                                state.done.insert(ticket, Err(e.clone()));
-                            }
-                            return;
-                        }
-                        // A top-level error (e.g. "this node does not serve
-                        // storage") applies to every op in the frame.
-                        Response::Error(e) => {
-                            let e: Error = e.into();
-                            for ticket in tickets {
-                                state.done.insert(ticket, Err(e.clone()));
-                            }
-                            return;
-                        }
-                        other => {
-                            let e = unexpected("batch", other);
-                            for ticket in tickets {
-                                state.done.insert(ticket, Err(e.clone()));
-                            }
-                            return;
-                        }
-                    }
-                };
-                for ((ticket, op), response) in tickets.into_iter().zip(&ops).zip(per_op) {
-                    state.done.insert(ticket, complete_op(op, response));
+            Err(e) => {
+                for ticket in tickets.into_iter().flatten() {
+                    state.done.insert(ticket, Err(e.clone()));
                 }
             }
         }
@@ -576,6 +561,15 @@ impl BatchDriver for SubmitWindow {
             .done
             .remove(&ticket)
             .unwrap_or_else(|| Err(Error::corrupt("op handle resolved twice or never enqueued")))
+    }
+
+    fn forget(&self, ticket: u64) {
+        let mut state = self.state.borrow_mut();
+        if state.done.remove(&ticket).is_none() {
+            if let Some(queued) = state.queued.iter_mut().find(|(t, _)| *t == Some(ticket)) {
+                queued.0 = None;
+            }
+        }
     }
 }
 
@@ -628,10 +622,11 @@ pub(crate) fn response_status(response: &Response) -> SpanStatus {
 ///
 /// Point operations route through the client's submission window: `submit`
 /// queues, the first `wait` flushes the whole window as one frame. The
-/// blocking methods are submit-then-wait, so they cost one frame alone but
-/// share a frame with any outstanding async handles. Scans call directly
-/// (their payload dwarfs framing) after flushing the window, preserving
-/// program order between a submitted write and a subsequent scan.
+/// trait's blocking point methods are submit-then-wait, so they cost one
+/// frame alone but share a frame with any outstanding handles. Scans call
+/// directly (their payload dwarfs framing) after flushing the window,
+/// preserving program order between a submitted write and a subsequent
+/// scan.
 #[derive(Clone)]
 pub struct RemoteStoreClient {
     window: Rc<SubmitWindow>,
@@ -652,55 +647,12 @@ impl RemoteStoreClient {
         self.window.flush();
         self.window.channel.request(request, &self.meter)
     }
-
-    fn unexpected(context: &str, response: Response) -> Error {
-        unexpected(context, response)
-    }
 }
 
 impl StoreApi for RemoteStoreClient {
     fn submit(&self, op: StoreOp) -> OpHandle {
         let ticket = self.window.enqueue(op);
         OpHandle::pending(Rc::clone(&self.window) as Rc<dyn BatchDriver>, ticket)
-    }
-
-    fn get(&self, key: &Key) -> Result<Option<(Token, Bytes)>> {
-        self.get_async(key).wait()
-    }
-
-    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<(Token, Bytes)>>> {
-        self.multi_get_async(keys).wait()
-    }
-
-    fn put(&self, key: &Key, value: Bytes) -> Result<Token> {
-        self.write_expecting_token(WriteOp::put(key.clone(), Expect::Any, value), "put")
-    }
-
-    fn insert(&self, key: &Key, value: Bytes) -> Result<Token> {
-        self.write_expecting_token(WriteOp::put(key.clone(), Expect::Absent, value), "insert")
-    }
-
-    fn store_conditional(&self, key: &Key, token: Token, value: Bytes) -> Result<Token> {
-        self.write_expecting_token(
-            WriteOp::put(key.clone(), Expect::Token(token), value),
-            "store_conditional",
-        )
-    }
-
-    fn delete_conditional(&self, key: &Key, token: Token) -> Result<()> {
-        self.write_async(WriteOp::delete(key.clone(), Expect::Token(token))).wait().map(|_| ())
-    }
-
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.write_async(WriteOp::delete(key.clone(), Expect::Any)).wait().map(|_| ())
-    }
-
-    fn multi_write(&self, ops: Vec<WriteOp>) -> Result<Vec<Result<Option<Token>>>> {
-        self.multi_write_async(ops).wait()
-    }
-
-    fn increment(&self, key: &Key, delta: u64) -> Result<u64> {
-        self.increment_async(key, delta).wait()
     }
 
     fn scan_range(
@@ -726,7 +678,7 @@ impl StoreApi for RemoteStoreClient {
             Request::ScanPrefix { prefix: Bytes::copy_from_slice(prefix), limit: limit as u64 };
         match self.call(&request)? {
             Response::Rows(rows) => Ok(rows),
-            other => Err(Self::unexpected("scan_prefix", other)),
+            other => Err(unexpected("scan_prefix", other)),
         }
     }
 
@@ -751,7 +703,7 @@ impl StoreApi for RemoteStoreClient {
         };
         match self.call(&request)? {
             Response::Rows(rows) => Ok(rows),
-            other => Err(Self::unexpected("scan_prefix_pushdown", other)),
+            other => Err(unexpected("scan_prefix_pushdown", other)),
         }
     }
 
@@ -761,13 +713,6 @@ impl StoreApi for RemoteStoreClient {
 }
 
 impl RemoteStoreClient {
-    fn write_expecting_token(&self, op: WriteOp, context: &str) -> Result<Token> {
-        match self.write_async(op).wait()? {
-            Some(token) => Ok(token),
-            None => Err(Error::corrupt(format!("{context} returned no token"))),
-        }
-    }
-
     fn scan(
         &self,
         start: &[u8],
@@ -783,7 +728,7 @@ impl RemoteStoreClient {
         };
         match self.call(&request)? {
             Response::Rows(rows) => Ok(rows),
-            other => Err(Self::unexpected("scan", other)),
+            other => Err(unexpected("scan", other)),
         }
     }
 }
@@ -865,7 +810,7 @@ impl CommitService for RemoteCmClient {
                     let participant = Arc::new(RemoteParticipant { conn });
                     return Ok((TxnStart { tid, snapshot, lav }, participant));
                 }
-                Ok(other) => return Err(RemoteStoreClient::unexpected("cm_start", other)),
+                Ok(other) => return Err(unexpected("cm_start", other)),
                 Err(Error::Unavailable(w)) => {
                     last_err = Error::Unavailable(w);
                     continue;
@@ -882,7 +827,7 @@ impl CommitService for RemoteCmClient {
         for idx in 0..self.targets.len() {
             match self.call_on(idx, &Request::CmLav, &meter) {
                 Ok(Response::Lav(v)) => lav = Some(lav.map_or(v, |cur| cur.min(v))),
-                Ok(other) => return Err(RemoteStoreClient::unexpected("cm_lav", other)),
+                Ok(other) => return Err(unexpected("cm_lav", other)),
                 Err(Error::Unavailable(_)) => continue,
                 Err(e) => return Err(e),
             }
@@ -897,7 +842,7 @@ impl CommitService for RemoteCmClient {
         for idx in 0..self.targets.len() {
             match self.call_on(idx, &request, &meter) {
                 Ok(Response::Unit) => reached = true,
-                Ok(other) => return Err(RemoteStoreClient::unexpected("cm_resolve", other)),
+                Ok(other) => return Err(unexpected("cm_resolve", other)),
                 Err(Error::Unavailable(_)) => continue,
                 Err(e) => return Err(e),
             }
@@ -914,7 +859,7 @@ impl CommitService for RemoteCmClient {
         for idx in 0..self.targets.len() {
             match self.call_on(idx, &Request::CmSync, meter) {
                 Ok(Response::Unit) => reached = true,
-                Ok(other) => return Err(RemoteStoreClient::unexpected("cm_sync", other)),
+                Ok(other) => return Err(unexpected("cm_sync", other)),
                 Err(Error::Unavailable(_)) => continue,
                 Err(e) => return Err(e),
             }
@@ -938,7 +883,7 @@ impl RemoteParticipant {
     fn complete(&self, tid: TxnId, committed: bool, meter: &NetMeter) -> Result<()> {
         match self.conn.request(&Request::CmComplete { tid, committed }, meter)? {
             Response::Unit => Ok(()),
-            other => Err(RemoteStoreClient::unexpected("cm_complete", other)),
+            other => Err(unexpected("cm_complete", other)),
         }
     }
 }
@@ -953,23 +898,167 @@ impl CommitParticipant for RemoteParticipant {
     }
 }
 
-/// `CmEndpoint` over TCP — the commit-manager mirror of [`RemoteEndpoint`],
-/// so `Database::open` takes (store endpoint, commit endpoint) symmetrically
-/// for both deployments instead of a hand-wrapped trait object on one side.
-#[derive(Clone)]
-pub struct RemoteCmEndpoint {
-    client: Arc<RemoteCmClient>,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::RpcServer;
+    use tell_common::SimClock;
+    use tell_netsim::{NetworkProfile, TrafficStats};
+    use tell_store::{Expect, StoreClient, StoreCluster, StoreConfig, WriteOp};
 
-impl RemoteCmEndpoint {
-    /// Endpoint over the commit servers at `addrs` (connected lazily).
-    pub fn connect(addrs: impl IntoIterator<Item = impl Into<String>>) -> RemoteCmEndpoint {
-        RemoteCmEndpoint { client: Arc::new(RemoteCmClient::connect(addrs)) }
+    fn key(s: &str) -> Key {
+        Bytes::copy_from_slice(s.as_bytes())
     }
-}
 
-impl CmEndpoint for RemoteCmEndpoint {
-    fn commit_service(&self) -> Arc<dyn CommitService> {
-        Arc::clone(&self.client) as Arc<dyn CommitService>
+    fn val(s: &str) -> Bytes {
+        Bytes::copy_from_slice(s.as_bytes())
+    }
+
+    /// A one-node store seeded with record `k`, whose token is returned.
+    fn seeded() -> (Arc<StoreCluster>, Token) {
+        let store = StoreCluster::new(StoreConfig::new(1));
+        let token =
+            StoreClient::unmetered(Arc::clone(&store)).insert(&key("k"), val("v0")).unwrap();
+        (store, token)
+    }
+
+    /// A seeded store behind a loopback server, and a remote client of it.
+    fn served() -> (Arc<StoreCluster>, RpcServer, RemoteStoreClient, Token) {
+        let (store, token) = seeded();
+        let server = RpcServer::serve_store("127.0.0.1:0", Arc::clone(&store)).unwrap();
+        let client = RemoteEndpoint::connect(server.local_addr().to_string(), 1).unmetered_client();
+        (store, server, client, token)
+    }
+
+    /// The nine point methods `StoreApi` provides, each against the seeded
+    /// record `k` (token `t`).
+    #[derive(Clone, Copy, Debug)]
+    enum Point {
+        Get,
+        MultiGet,
+        Put,
+        Insert,
+        StoreConditional,
+        DeleteConditional,
+        Delete,
+        MultiWrite,
+        Increment,
+    }
+
+    const POINTS: [Point; 9] = [
+        Point::Get,
+        Point::MultiGet,
+        Point::Put,
+        Point::Insert,
+        Point::StoreConditional,
+        Point::DeleteConditional,
+        Point::Delete,
+        Point::MultiWrite,
+        Point::Increment,
+    ];
+
+    impl Point {
+        /// Call the provided method, lifting its result into `OpResult`.
+        fn call<C: StoreApi>(self, c: &C, t: Token) -> Result<OpResult> {
+            let k = key("k");
+            let written = |t: Token| OpResult::Written(Some(t));
+            match self {
+                Point::Get => c.get(&k).map(OpResult::Cell),
+                Point::MultiGet => c.multi_get(&[k, key("absent")]).map(OpResult::Cells),
+                Point::Put => c.put(&k, val("v1")).map(written),
+                Point::Insert => c.insert(&key("new"), val("v1")).map(written),
+                Point::StoreConditional => c.store_conditional(&k, t, val("v1")).map(written),
+                Point::DeleteConditional => {
+                    c.delete_conditional(&k, t).map(|()| OpResult::Written(None))
+                }
+                Point::Delete => c.delete(&k).map(|()| OpResult::Written(None)),
+                Point::MultiWrite => c.multi_write(Point::writes(t)).map(OpResult::WriteResults),
+                Point::Increment => c.increment(&key("ctr"), 5).map(OpResult::Counter),
+            }
+        }
+
+        /// The same operation in its `submit` form.
+        fn op(self, t: Token) -> StoreOp {
+            let k = key("k");
+            let write = |op| StoreOp::Write { op };
+            match self {
+                Point::Get => StoreOp::Get { key: k },
+                Point::MultiGet => StoreOp::MultiGet { keys: vec![k, key("absent")] },
+                Point::Put => write(WriteOp::put(k, Expect::Any, val("v1"))),
+                Point::Insert => write(WriteOp::put(key("new"), Expect::Absent, val("v1"))),
+                Point::StoreConditional => write(WriteOp::put(k, Expect::Token(t), val("v1"))),
+                Point::DeleteConditional => write(WriteOp::delete(k, Expect::Token(t))),
+                Point::Delete => write(WriteOp::delete(k, Expect::Any)),
+                Point::MultiWrite => StoreOp::MultiWrite { ops: Point::writes(t) },
+                Point::Increment => StoreOp::Increment { key: key("ctr"), delta: 5 },
+            }
+        }
+
+        /// A batch whose second write fails its precondition, so per-op
+        /// errors are compared too.
+        fn writes(t: Token) -> Vec<WriteOp> {
+            vec![
+                WriteOp::put(key("k"), Expect::Token(t), val("v1")),
+                WriteOp::put(key("k"), Expect::Absent, val("v2")),
+            ]
+        }
+    }
+
+    #[test]
+    fn local_point_methods_match_their_submit_form_result_and_charge() {
+        for point in POINTS {
+            let [(direct, direct_us), (submitted, submitted_us)] = [false, true].map(|submit| {
+                let (store, t) = seeded();
+                let clock = SimClock::new();
+                let profile = NetworkProfile::infiniband();
+                let client = StoreClient::new(
+                    store,
+                    NetMeter::new(profile, clock.clone(), TrafficStats::new()),
+                );
+                let result =
+                    if submit { client.submit(point.op(t)).wait() } else { point.call(&client, t) };
+                (result, clock.now_us())
+            });
+            assert!(direct.is_ok(), "{point:?}: {direct:?}");
+            assert_eq!(direct, submitted, "{point:?}");
+            assert!(direct_us > 0.0, "{point:?} charges the virtual clock");
+            assert!((direct_us - submitted_us).abs() < 1e-9, "{point:?}: same charge both ways");
+        }
+    }
+
+    #[test]
+    fn remote_point_methods_match_their_submit_form_and_join_the_open_window() {
+        for point in POINTS {
+            let (_store, server, client, t) = served();
+            let outstanding = client.submit(StoreOp::Get { key: key("k") });
+            let before = server.frames_served();
+            let direct = point.call(&client, t);
+            assert_eq!(server.frames_served() - before, 1, "{point:?} rides the open window");
+            assert_eq!(outstanding.wait(), Ok(OpResult::Cell(Some((t, val("v0"))))));
+            assert!(direct.is_ok(), "{point:?}: {direct:?}");
+
+            let (_store, _server, client, t) = served();
+            assert_eq!(direct, client.submit(point.op(t)).wait(), "{point:?}");
+        }
+    }
+
+    #[test]
+    fn dropped_handles_park_nothing_and_their_ops_still_run() {
+        let (store, _server, client, _) = served();
+        let put = |k: &str| {
+            client.submit(StoreOp::Write { op: WriteOp::put(key(k), Expect::Any, val("x")) })
+        };
+        let (a, b, c) = (put("a"), put("b"), put("c"));
+        // One handle goes before the flush, one after its completion parked.
+        drop(a);
+        c.wait().unwrap();
+        drop(b);
+        let local = StoreClient::unmetered(store);
+        for k in ["a", "b"] {
+            assert_eq!(local.get(&key(k)).unwrap().map(|(_, v)| v), Some(val("x")), "{k} applied");
+        }
+        let state = client.window.state.borrow();
+        assert_eq!(state.done.len(), 0, "the window parks no completion nobody can collect");
+        assert!(state.queued.is_empty());
     }
 }

@@ -35,8 +35,7 @@ mod sys;
 pub mod wire;
 
 pub use client::{
-    Connection, PendingReply, RemoteCmClient, RemoteCmEndpoint, RemoteEndpoint, RemoteStoreClient,
-    RpcChannel,
+    Connection, PendingReply, RemoteCmClient, RemoteEndpoint, RemoteStoreClient, RpcChannel,
 };
 pub use server::{ReactorConfig, RpcServer, Services};
 pub use service::{ReplySink, RequestCtx, Router, RpcService};

@@ -24,10 +24,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use tell_commitmgr::{CommitParticipant, CommitService};
-use tell_common::{Error, Result};
+use tell_common::Error;
 use tell_netsim::NetMeter;
 use tell_obs::Counter;
-use tell_store::{Expect, StoreClient, StoreCluster, WriteOp};
+use tell_store::{OpResult, StoreClient, StoreCluster, StoreOp};
 
 use crate::wire::{Request, Response, TraceContext};
 
@@ -269,7 +269,13 @@ fn dispatch_store(client: &StoreClient, request: Request) -> Response {
     let result = match request {
         Request::Get { key } => client.get(&key).map(Response::Cell),
         Request::MultiGet { keys } => client.multi_get(&keys).map(Response::Cells),
-        Request::Write { op } => apply_write(client, op).map(Response::Written),
+        // The client's submit path owns single-write semantics, refusal of
+        // a meaningless shape included; a local client completes at once.
+        Request::Write { op } => client
+            .submit(StoreOp::Write { op })
+            .wait()
+            .and_then(OpResult::into_written)
+            .map(Response::Written),
         Request::MultiWrite { ops } => client.multi_write(ops).map(|results| {
             Response::WriteResults(results.into_iter().map(|r| r.map_err(Into::into)).collect())
         }),
@@ -296,22 +302,6 @@ fn dispatch_store(client: &StoreClient, request: Request) -> Response {
         _ => unreachable!("non-storage request routed to dispatch_store"),
     };
     result.unwrap_or_else(|e| Response::Error(e.into()))
-}
-
-/// Route a single conditional write to the store call with exactly its
-/// semantics (see `StoreApi`: put / insert / store-conditional / delete /
-/// delete-conditional are distinct operations, not sugar over one another).
-fn apply_write(client: &StoreClient, op: WriteOp) -> Result<Option<u64>> {
-    match (op.expect, op.value) {
-        (Expect::Any, Some(value)) => client.put(&op.key, value).map(Some),
-        (Expect::Absent, Some(value)) => client.insert(&op.key, value).map(Some),
-        (Expect::Token(token), Some(value)) => {
-            client.store_conditional(&op.key, token, value).map(Some)
-        }
-        (Expect::Token(token), None) => client.delete_conditional(&op.key, token).map(|()| None),
-        (Expect::Any, None) => client.delete(&op.key).map(|()| None),
-        (Expect::Absent, None) => Err(Error::invalid("delete with Expect::Absent is meaningless")),
-    }
 }
 
 fn dispatch_commit(route: &CmRoute, request: Request) -> Response {

@@ -19,7 +19,10 @@ use tell_rpc::{
     Connection, FrameDecoder, RemoteCmClient, RemoteEndpoint, Request, Response, RpcServer,
     WireError,
 };
-use tell_store::{keys, Expect, StoreApi, StoreCluster, StoreConfig, StoreEndpoint, WriteOp};
+use tell_store::{
+    keys, Expect, OpHandle, OpResult, StoreApi, StoreCluster, StoreConfig, StoreEndpoint, StoreOp,
+    WriteOp,
+};
 
 /// Everything server-side: the simulated storage hardware plus the two
 /// rpc servers fronting it. Held by tests so they can reach in and fail
@@ -290,11 +293,15 @@ fn concurrent_async_gets_batch_into_one_frame_and_survive_node_failure() {
     // Eight operations in flight on one client, resolved out of submission
     // order: the whole window crosses the wire as a single batch frame.
     let client = db.endpoint().client(NetMeter::free());
+    let submit_gets = || -> Vec<OpHandle> {
+        record_keys.iter().map(|k| client.submit(StoreOp::Get { key: k.clone() })).collect()
+    };
     let before = servers.sn.frames_served();
-    let mut handles: Vec<_> = record_keys.iter().map(|k| client.get_async(k)).collect();
+    let mut handles = submit_gets();
     handles.reverse();
     for (i, handle) in handles.into_iter().enumerate() {
-        let (_, raw) = handle.wait().unwrap().expect("loaded record exists");
+        let cell = handle.wait().and_then(OpResult::into_cell).unwrap();
+        let (_, raw) = cell.expect("loaded record exists");
         assert_eq!(stored_balance(&raw), (7 - i as u64) * 11);
     }
     assert_eq!(servers.sn.frames_served() - before, 1, "eight async gets, one frame");
@@ -302,7 +309,7 @@ fn concurrent_async_gets_batch_into_one_frame_and_survive_node_failure() {
     // The storage node dies with a full window outstanding. The TCP server
     // stays up, so every handle resolves to the storage layer's typed
     // error — carried per-op inside the batch response, never a hang.
-    let handles: Vec<_> = record_keys.iter().map(|k| client.get_async(k)).collect();
+    let handles = submit_gets();
     servers.store.kill_node(SnId(0));
     for handle in handles {
         match handle.wait() {
@@ -313,9 +320,9 @@ fn concurrent_async_gets_batch_into_one_frame_and_survive_node_failure() {
 
     // After revival the same client's next window works unchanged.
     servers.store.revive_node(SnId(0));
-    let handles: Vec<_> = record_keys.iter().map(|k| client.get_async(k)).collect();
-    for (i, handle) in handles.into_iter().enumerate() {
-        let (_, raw) = handle.wait().unwrap().expect("record survived the bounce");
+    for (i, handle) in submit_gets().into_iter().enumerate() {
+        let cell = handle.wait().and_then(OpResult::into_cell).unwrap();
+        let (_, raw) = cell.expect("record survived the bounce");
         assert_eq!(stored_balance(&raw), i as u64 * 11);
     }
 }

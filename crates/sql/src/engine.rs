@@ -8,7 +8,7 @@ use parking_lot::RwLock;
 use tell_common::{Error, Result};
 use tell_core::database::IndexSpec;
 use tell_core::{Database, ProcessingNode, Transaction};
-use tell_store::keys;
+use tell_store::{keys, StoreApi};
 
 use crate::exec;
 use crate::parser::{parse, Statement};

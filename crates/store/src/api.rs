@@ -13,87 +13,83 @@
 
 use bytes::Bytes;
 use std::sync::Arc;
-use tell_common::Result;
+use tell_common::{Error, Result};
 use tell_netsim::NetMeter;
 
 use crate::cell::Token;
-use crate::client::{StoreClient, WriteOp};
+use crate::client::{Expect, StoreClient, WriteOp};
 use crate::cluster::StoreCluster;
 use crate::keys::Key;
-use crate::op::{
-    CounterHandle, GetHandle, MultiGetHandle, MultiWriteHandle, OpHandle, StoreOp, WriteHandle,
-};
+use crate::op::{OpHandle, OpResult, StoreOp};
 use crate::predicate::Predicate;
 
 /// Storage operations available to a processing node, commit manager or
-/// index. Mirrors [`StoreClient`]'s inherent methods; see those for cost
-/// accounting and semantics (LL/SC per §4.1, batching per §5.1).
+/// index (LL/SC per §4.1, batching per §5.1; see [`StoreClient`] for cost
+/// accounting).
 ///
-/// The surface has two halves. The **asynchronous** half is primary:
-/// [`StoreApi::submit`] hands an operation to the client and returns an
-/// [`OpHandle`] immediately; independent operations submitted before the
-/// first `wait` share one submission window, which a remote client flushes
-/// as a *single* batched frame (§5.1's "aggressively batches operations").
-/// The **blocking** half (`get`, `put`, …) is kept for convenience and
-/// compatibility — implementations define it as submit-then-wait, so a
-/// blocking call issued while async operations are outstanding rides the
-/// same frame as the window it joins.
+/// An implementation supplies one point-operation entry, [`StoreApi::submit`],
+/// plus the scans and its meter. `submit` hands an operation to the client
+/// and returns an [`OpHandle`] immediately; independent operations
+/// submitted before the first `wait` share one submission window, which a
+/// remote client flushes as a *single* batched frame (§5.1's "aggressively
+/// batches operations"). Every blocking point method below is provided
+/// once, here, as submit-then-wait — so a blocking call issued while
+/// submitted operations are outstanding rides the same frame as the window
+/// it joins. Scans are not submitted: their payload dwarfs framing.
 pub trait StoreApi: Clone {
     /// Submit `op` for asynchronous execution. The returned handle may be
     /// waited on at any later point, or dropped to fire-and-forget.
     fn submit(&self, op: StoreOp) -> OpHandle;
 
-    /// Asynchronous load-link of one key.
-    fn get_async(&self, key: &Key) -> GetHandle {
-        GetHandle::new(self.submit(StoreOp::Get { key: key.clone() }))
-    }
-
-    /// Asynchronous batched load-link.
-    fn multi_get_async(&self, keys: &[Key]) -> MultiGetHandle {
-        MultiGetHandle::new(self.submit(StoreOp::MultiGet { keys: keys.to_vec() }))
-    }
-
-    /// Asynchronous conditional write.
-    fn write_async(&self, op: WriteOp) -> WriteHandle {
-        WriteHandle::new(self.submit(StoreOp::Write { op }))
-    }
-
-    /// Asynchronous batched conditional writes.
-    fn multi_write_async(&self, ops: Vec<WriteOp>) -> MultiWriteHandle {
-        MultiWriteHandle::new(self.submit(StoreOp::MultiWrite { ops }))
-    }
-
-    /// Asynchronous fetch-and-add.
-    fn increment_async(&self, key: &Key, delta: u64) -> CounterHandle {
-        CounterHandle::new(self.submit(StoreOp::Increment { key: key.clone(), delta }))
-    }
-
     /// Load-link: read `key`, returning its token and value.
-    fn get(&self, key: &Key) -> Result<Option<(Token, Bytes)>>;
+    fn get(&self, key: &Key) -> Result<Option<(Token, Bytes)>> {
+        self.submit(StoreOp::Get { key: key.clone() }).wait()?.into_cell()
+    }
 
     /// Batched load-link of several keys in one exchange.
-    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<(Token, Bytes)>>>;
+    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<(Token, Bytes)>>> {
+        self.submit(StoreOp::MultiGet { keys: keys.to_vec() }).wait()?.into_cells()
+    }
 
     /// Unconditional upsert; returns the new token.
-    fn put(&self, key: &Key, value: Bytes) -> Result<Token>;
+    fn put(&self, key: &Key, value: Bytes) -> Result<Token> {
+        let op = WriteOp::put(key.clone(), Expect::Any, value);
+        new_token(self.submit(StoreOp::Write { op }).wait()?, "put")
+    }
 
     /// Insert; fails with `Conflict` if the key exists.
-    fn insert(&self, key: &Key, value: Bytes) -> Result<Token>;
+    fn insert(&self, key: &Key, value: Bytes) -> Result<Token> {
+        let op = WriteOp::put(key.clone(), Expect::Absent, value);
+        new_token(self.submit(StoreOp::Write { op }).wait()?, "insert")
+    }
 
     /// Store-conditional: write only if the cell still carries `token`.
-    fn store_conditional(&self, key: &Key, token: Token, value: Bytes) -> Result<Token>;
+    fn store_conditional(&self, key: &Key, token: Token, value: Bytes) -> Result<Token> {
+        let op = WriteOp::put(key.clone(), Expect::Token(token), value);
+        new_token(self.submit(StoreOp::Write { op }).wait()?, "store_conditional")
+    }
 
     /// Delete only if the cell still carries `token`.
-    fn delete_conditional(&self, key: &Key, token: Token) -> Result<()>;
+    fn delete_conditional(&self, key: &Key, token: Token) -> Result<()> {
+        let op = WriteOp::delete(key.clone(), Expect::Token(token));
+        self.submit(StoreOp::Write { op }).wait()?.into_written().map(|_| ())
+    }
 
     /// Unconditional delete (no-op when missing).
-    fn delete(&self, key: &Key) -> Result<()>;
+    fn delete(&self, key: &Key) -> Result<()> {
+        let op = WriteOp::delete(key.clone(), Expect::Any);
+        self.submit(StoreOp::Write { op }).wait()?.into_written().map(|_| ())
+    }
 
     /// Batched conditional writes: one exchange, independent per-op results.
-    fn multi_write(&self, ops: Vec<WriteOp>) -> Result<Vec<Result<Option<Token>>>>;
+    fn multi_write(&self, ops: Vec<WriteOp>) -> Result<Vec<Result<Option<Token>>>> {
+        self.submit(StoreOp::MultiWrite { ops }).wait()?.into_write_results()
+    }
 
     /// Atomic fetch-and-add.
-    fn increment(&self, key: &Key, delta: u64) -> Result<u64>;
+    fn increment(&self, key: &Key, delta: u64) -> Result<u64> {
+        self.submit(StoreOp::Increment { key: key.clone(), delta }).wait()?.into_counter()
+    }
 
     /// Ordered scan of `[start, end)`, at most `limit` entries.
     fn scan_range(
@@ -129,45 +125,15 @@ pub trait StoreApi: Clone {
     fn meter(&self) -> &NetMeter;
 }
 
+/// The token a put-shaped write completes with. A completion without one
+/// is a protocol corruption, reported as such rather than a panic.
+fn new_token(done: OpResult, op: &str) -> Result<Token> {
+    done.into_written()?.ok_or_else(|| Error::corrupt(format!("{op} returned no token")))
+}
+
 impl StoreApi for StoreClient {
     fn submit(&self, op: StoreOp) -> OpHandle {
         StoreClient::submit(self, op)
-    }
-
-    fn get(&self, key: &Key) -> Result<Option<(Token, Bytes)>> {
-        StoreClient::get(self, key)
-    }
-
-    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<(Token, Bytes)>>> {
-        StoreClient::multi_get(self, keys)
-    }
-
-    fn put(&self, key: &Key, value: Bytes) -> Result<Token> {
-        StoreClient::put(self, key, value)
-    }
-
-    fn insert(&self, key: &Key, value: Bytes) -> Result<Token> {
-        StoreClient::insert(self, key, value)
-    }
-
-    fn store_conditional(&self, key: &Key, token: Token, value: Bytes) -> Result<Token> {
-        StoreClient::store_conditional(self, key, token, value)
-    }
-
-    fn delete_conditional(&self, key: &Key, token: Token) -> Result<()> {
-        StoreClient::delete_conditional(self, key, token)
-    }
-
-    fn delete(&self, key: &Key) -> Result<()> {
-        StoreClient::delete(self, key)
-    }
-
-    fn multi_write(&self, ops: Vec<WriteOp>) -> Result<Vec<Result<Option<Token>>>> {
-        StoreClient::multi_write(self, ops)
-    }
-
-    fn increment(&self, key: &Key, delta: u64) -> Result<u64> {
-        StoreClient::increment(self, key, delta)
     }
 
     fn scan_range(

@@ -16,7 +16,7 @@ use tell_netsim::NetMeter;
 use tell_obs::{Probe, Sample, Site, SpanStatus};
 
 use crate::cell::Token;
-use crate::cluster::{Expect as ClusterExpect, Mutation, StoreCluster};
+use crate::cluster::{Mutation, StoreCluster};
 use crate::keys::{prefix_end, Key};
 use crate::op::{OpHandle, OpResult, StoreOp};
 use crate::predicate::Predicate;
@@ -86,24 +86,25 @@ impl StoreClient {
         &self.meter
     }
 
-    /// Submit an operation asynchronously. The local cluster is in-process
-    /// memory, so the operation executes *now* — through the very blocking
-    /// methods below, which keeps the simulated-clock accounting identical
-    /// whether a caller uses the async or the blocking surface — and the
-    /// returned handle is already complete. Overlap is a remote-transport
-    /// phenomenon; in the simulation it is already priced into the batched
-    /// multi-op charges (§5.1).
+    /// Submit an operation. The local cluster is in-process memory, so the
+    /// operation executes *now* — through the methods below, the one place
+    /// each point operation is charged — and the returned handle is already
+    /// complete. `StoreApi`'s blocking point methods are this plus `wait`,
+    /// so their simulated-clock accounting is this method's. Overlap is a
+    /// remote-transport phenomenon; in the simulation it is already priced
+    /// into the batched multi-op charges (§5.1). A storage server applies
+    /// every decoded single write through here too.
     pub fn submit(&self, op: StoreOp) -> OpHandle {
         let result = match op {
             StoreOp::Get { key } => self.get(&key).map(OpResult::Cell),
             StoreOp::MultiGet { keys } => self.multi_get(&keys).map(OpResult::Cells),
             StoreOp::Write { op } => match (&op.expect, &op.value) {
-                // Same refusal the wire server gives this shape, so the two
-                // transports stay behaviorally identical.
+                // The one refusal of this shape, for both transports: the
+                // wire server applies decoded writes through here.
                 (Expect::Absent, None) => {
                     Err(Error::invalid("delete with Expect::Absent is meaningless"))
                 }
-                _ => self.write_one(&op.key, op.expect, op.value).map(OpResult::Written),
+                _ => self.write_one(op).map(OpResult::Written),
             },
             StoreOp::MultiWrite { ops } => self.multi_write(ops).map(OpResult::WriteResults),
             StoreOp::Increment { key, delta } => self.increment(&key, delta).map(OpResult::Counter),
@@ -112,7 +113,8 @@ impl StoreClient {
     }
 
     /// Load-link: read `key`, returning its token and value. The token is
-    /// the link for a later [`StoreClient::store_conditional`].
+    /// the link for a later
+    /// [`StoreApi::store_conditional`](crate::api::StoreApi::store_conditional).
     pub fn get(&self, key: &Key) -> Result<Option<(Token, Bytes)>> {
         let _probe = Probe::enter(Site::StoreRead);
         self.meter.stats().note_reads(1);
@@ -144,37 +146,11 @@ impl StoreClient {
         Ok(out)
     }
 
-    /// Unconditional upsert. Returns the new token.
-    pub fn put(&self, key: &Key, value: Bytes) -> Result<Token> {
-        self.write_one(key, Expect::Any, Some(value)).map(|t| t.expect("put returns a token"))
-    }
-
-    /// Insert; fails with `Conflict` if the key exists.
-    pub fn insert(&self, key: &Key, value: Bytes) -> Result<Token> {
-        self.write_one(key, Expect::Absent, Some(value)).map(|t| t.expect("insert returns a token"))
-    }
-
-    /// Store-conditional: write `value` only if the cell still carries
-    /// `token` from our load-link. This is the paper's conflict-detection
-    /// primitive (§4.1).
-    pub fn store_conditional(&self, key: &Key, token: Token, value: Bytes) -> Result<Token> {
-        self.write_one(key, Expect::Token(token), Some(value))
-            .map(|t| t.expect("sc returns a token"))
-    }
-
-    /// Conditional delete.
-    pub fn delete_conditional(&self, key: &Key, token: Token) -> Result<()> {
-        self.write_one(key, Expect::Token(token), None).map(|_| ())
-    }
-
-    /// Unconditional delete (no-op when missing).
-    pub fn delete(&self, key: &Key) -> Result<()> {
-        self.write_one(key, Expect::Any, None).map(|_| ())
-    }
-
-    fn write_one(&self, key: &Key, expect: Expect, value: Option<Bytes>) -> Result<Option<Token>> {
-        let payload = key.len() + value.as_ref().map(|v| v.len()).unwrap_or(0) + OP_OVERHEAD;
-        let mutation = match value {
+    /// One conditional write: put / insert / store-conditional / delete /
+    /// delete-conditional, by the op's precondition and value.
+    fn write_one(&self, op: WriteOp) -> Result<Option<Token>> {
+        let payload = op.payload_len();
+        let mutation = match op.value {
             Some(v) => Mutation::Put(v),
             None => Mutation::Delete,
         };
@@ -185,7 +161,7 @@ impl StoreClient {
         self.meter.stats().note_writes(1);
         tell_obs::incr(tell_obs::Counter::StoreWriteOps);
         self.meter.charge_request(payload, ACK_BYTES, 1);
-        let (token, replicas) = self.cluster.srv_write(key, to_cluster(expect), mutation)?;
+        let (token, replicas) = self.cluster.srv_write(&op.key, op.expect, mutation)?;
         if replicas > 0 {
             self.meter.charge_replication(replicas, payload);
         }
@@ -215,7 +191,7 @@ impl StoreClient {
                 Some(v) => Mutation::Put(v),
                 None => Mutation::Delete,
             };
-            match self.cluster.srv_write(&op.key, to_cluster(op.expect), mutation) {
+            match self.cluster.srv_write(&op.key, op.expect, mutation) {
                 Ok((token, replicas)) => {
                     if replicas > 0 {
                         // Synchronous replication is per written object: the
@@ -315,13 +291,10 @@ impl StoreClient {
     }
 }
 
-fn to_cluster(e: Expect) -> ClusterExpect {
-    e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::StoreApi;
     use crate::cluster::StoreConfig;
     use tell_common::{Error, SimClock};
     use tell_netsim::{NetworkProfile, TrafficStats};
@@ -468,7 +441,6 @@ mod tests {
 
     #[test]
     fn submit_completes_immediately_with_identical_accounting() {
-        use crate::api::StoreApi;
         let (c, clock) = metered(1);
         let keys: Vec<Key> = (0..8).map(|i| k(&format!("key{i}"))).collect();
         for key in &keys {
@@ -478,8 +450,8 @@ mod tests {
         let blocking = c.multi_get(&keys).unwrap();
         let blocking_cost = clock.now_us();
         clock.reset();
-        let h = c.multi_get_async(&keys);
-        let asynced = h.wait().unwrap();
+        let h = c.submit(StoreOp::MultiGet { keys: keys.clone() });
+        let asynced = h.wait().unwrap().into_cells().unwrap();
         let async_cost = clock.now_us();
         assert_eq!(blocking, asynced);
         assert!((blocking_cost - async_cost).abs() < 1e-9, "same virtual charge both ways");
@@ -487,14 +459,14 @@ mod tests {
 
     #[test]
     fn submit_surfaces_typed_errors_in_the_handle() {
-        use crate::api::StoreApi;
         let c = client();
         c.insert(&k("a"), Bytes::from_static(b"1")).unwrap();
         let (ta, _) = c.get(&k("a")).unwrap().unwrap();
         c.store_conditional(&k("a"), ta, Bytes::from_static(b"2")).unwrap();
-        let h = c.write_async(WriteOp::put(k("a"), Expect::Token(ta), Bytes::from_static(b"x")));
-        assert_eq!(h.wait().unwrap_err(), Error::Conflict);
-        let h = c.write_async(WriteOp::delete(k("a"), Expect::Absent));
+        let op = WriteOp::put(k("a"), Expect::Token(ta), Bytes::from_static(b"x"));
+        assert_eq!(c.submit(StoreOp::Write { op }).wait().unwrap_err(), Error::Conflict);
+        let op = WriteOp::delete(k("a"), Expect::Absent);
+        let h = c.submit(StoreOp::Write { op });
         assert!(matches!(h.wait().unwrap_err(), Error::InvalidOperation(_)));
     }
 

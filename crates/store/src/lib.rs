@@ -5,10 +5,9 @@
 //! partitioned key-value store with
 //!
 //! * atomic `get`/`put` on single records,
-//! * **LL/SC**: [`client::StoreClient::get`] is the load-link (it returns a
-//!   store token alongside the value) and
-//!   [`client::StoreClient::store_conditional`] is the store-conditional —
-//!   it succeeds only if the token is unchanged. Tokens are
+//! * **LL/SC**: [`StoreApi::get`] is the load-link (it returns a store
+//!   token alongside the value) and [`StoreApi::store_conditional`] is the
+//!   store-conditional — it succeeds only if the token is unchanged. Tokens are
 //!   partition-monotonic, so a delete/re-insert can never reuse a token and
 //!   the ABA problem (§4.1) cannot occur,
 //! * an atomic fetch-and-add counter primitive (tid/rid allocation),
@@ -39,8 +38,5 @@ pub use client::{Expect, StoreClient, WriteOp};
 pub use cluster::{StoreCluster, StoreConfig};
 pub use durability::{DurabilityProvider, NodeDurability, RecoveredNode, RecoveredPartition};
 pub use keys::Key;
-pub use op::{
-    BatchDriver, CounterHandle, GetHandle, MultiGetHandle, MultiWriteHandle, OpHandle, OpResult,
-    StoreOp, WriteHandle,
-};
+pub use op::{BatchDriver, OpHandle, OpResult, StoreOp};
 pub use predicate::{CmpOp, Predicate};

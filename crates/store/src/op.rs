@@ -5,7 +5,8 @@
 //! client API cannot express either. [`StoreOp`] reifies the point
 //! operations of `StoreApi` as values, so a client can *submit* work and
 //! collect it later through an [`OpHandle`]: `submit(op) -> OpHandle` is
-//! the asynchronous half, `OpHandle::wait()` the synchronous join. Remote
+//! the one point-operation entry, `OpHandle::wait()` the join, and every
+//! blocking point method of `StoreApi` is the two in a row. Remote
 //! clients coalesce every operation outstanding in the same submission
 //! window into one wire frame; the local simulated client completes
 //! immediately (its batching already happens in virtual-time accounting).
@@ -131,6 +132,11 @@ fn shape_error(wanted: &str, got: &OpResult) -> Error {
 pub trait BatchDriver {
     /// Produce the completion for `ticket`, flushing first if needed.
     fn resolve(&self, ticket: u64) -> Result<OpResult>;
+
+    /// `ticket`'s handle was dropped unawaited: its operation still runs,
+    /// but nobody will collect the completion, so the driver must not keep
+    /// it. A driver that parks nothing has nothing to do.
+    fn forget(&self, _ticket: u64) {}
 }
 
 enum HandleState {
@@ -138,11 +144,13 @@ enum HandleState {
     Ready(Result<OpResult>),
     /// Outstanding in a driver's window.
     Pending { driver: Rc<dyn BatchDriver>, ticket: u64 },
+    /// Handed to `wait`; nothing left to release on drop.
+    Waited,
 }
 
 /// A submitted operation's future result. `wait` consumes the handle; an
-/// unawaited handle is legal (its completion is simply dropped when the
-/// window flushes), so fire-and-forget writes need no ceremony.
+/// unawaited handle is legal (the operation still executes and its
+/// completion is discarded), so fire-and-forget writes need no ceremony.
 pub struct OpHandle {
     state: HandleState,
 }
@@ -161,10 +169,19 @@ impl OpHandle {
     /// Block until the operation completes and return its result. For a
     /// window-batched handle this flushes *every* operation outstanding in
     /// the same window — one frame out, one back — then demultiplexes.
-    pub fn wait(self) -> Result<OpResult> {
-        match self.state {
+    pub fn wait(mut self) -> Result<OpResult> {
+        match std::mem::replace(&mut self.state, HandleState::Waited) {
             HandleState::Ready(result) => result,
             HandleState::Pending { driver, ticket } => driver.resolve(ticket),
+            HandleState::Waited => unreachable!("wait consumes the handle"),
+        }
+    }
+}
+
+impl Drop for OpHandle {
+    fn drop(&mut self) {
+        if let HandleState::Pending { driver, ticket } = &self.state {
+            driver.forget(*ticket);
         }
     }
 }
@@ -174,60 +191,10 @@ impl std::fmt::Debug for OpHandle {
         match &self.state {
             HandleState::Ready(r) => write!(f, "OpHandle::Ready({r:?})"),
             HandleState::Pending { ticket, .. } => write!(f, "OpHandle::Pending(ticket={ticket})"),
+            HandleState::Waited => write!(f, "OpHandle::Waited"),
         }
     }
 }
-
-macro_rules! typed_handle {
-    ($(#[$doc:meta])* $name:ident, $out:ty, $extract:ident) => {
-        $(#[$doc])*
-        #[derive(Debug)]
-        pub struct $name(OpHandle);
-
-        impl $name {
-            /// Wrap a raw handle; `wait` will demand the matching shape.
-            pub fn new(inner: OpHandle) -> Self {
-                $name(inner)
-            }
-
-            /// Block until complete; see [`OpHandle::wait`].
-            pub fn wait(self) -> Result<$out> {
-                self.0.wait()?.$extract()
-            }
-        }
-    };
-}
-
-typed_handle!(
-    /// Typed handle for a submitted [`StoreOp::Get`].
-    GetHandle,
-    Option<(Token, Bytes)>,
-    into_cell
-);
-typed_handle!(
-    /// Typed handle for a submitted [`StoreOp::MultiGet`].
-    MultiGetHandle,
-    Vec<Option<(Token, Bytes)>>,
-    into_cells
-);
-typed_handle!(
-    /// Typed handle for a submitted [`StoreOp::Write`].
-    WriteHandle,
-    Option<Token>,
-    into_written
-);
-typed_handle!(
-    /// Typed handle for a submitted [`StoreOp::MultiWrite`].
-    MultiWriteHandle,
-    Vec<Result<Option<Token>>>,
-    into_write_results
-);
-typed_handle!(
-    /// Typed handle for a submitted [`StoreOp::Increment`].
-    CounterHandle,
-    u64,
-    into_counter
-);
 
 #[cfg(test)]
 mod tests {
@@ -244,14 +211,16 @@ mod tests {
 
     #[test]
     fn typed_handles_reject_shape_mismatch() {
-        let h = CounterHandle::new(OpHandle::ready(Ok(OpResult::Cell(None))));
-        assert!(matches!(h.wait().unwrap_err(), Error::Corrupt(_)));
-        let h = GetHandle::new(OpHandle::ready(Ok(OpResult::Cell(None))));
-        assert_eq!(h.wait().unwrap(), None);
+        let h = OpHandle::ready(Ok(OpResult::Cell(None)));
+        assert!(matches!(h.wait().unwrap().into_counter().unwrap_err(), Error::Corrupt(_)));
+        let h = OpHandle::ready(Ok(OpResult::Cell(None)));
+        assert_eq!(h.wait().unwrap().into_cell().unwrap(), None);
     }
 
+    #[derive(Default)]
     struct CountingDriver {
         calls: RefCell<u32>,
+        forgotten: RefCell<Vec<u64>>,
     }
 
     impl BatchDriver for CountingDriver {
@@ -259,13 +228,27 @@ mod tests {
             *self.calls.borrow_mut() += 1;
             Ok(OpResult::Counter(ticket))
         }
+
+        fn forget(&self, ticket: u64) {
+            self.forgotten.borrow_mut().push(ticket);
+        }
     }
 
     #[test]
     fn pending_handle_resolves_through_its_driver() {
-        let driver = Rc::new(CountingDriver { calls: RefCell::new(0) });
+        let driver = Rc::new(CountingDriver::default());
         let h = OpHandle::pending(Rc::clone(&driver) as Rc<dyn BatchDriver>, 42);
         assert_eq!(h.wait().unwrap(), OpResult::Counter(42));
         assert_eq!(*driver.calls.borrow(), 1);
+    }
+
+    #[test]
+    fn only_an_unawaited_pending_handle_is_forgotten_on_drop() {
+        let driver = Rc::new(CountingDriver::default());
+        let pending = |ticket| OpHandle::pending(Rc::clone(&driver) as Rc<dyn BatchDriver>, ticket);
+        pending(1).wait().unwrap();
+        drop(pending(2));
+        drop(OpHandle::ready(Ok(OpResult::Counter(3))));
+        assert_eq!(*driver.forgotten.borrow(), vec![2]);
     }
 }

@@ -12,6 +12,7 @@ use tell::common::{CmId, SnId};
 use tell::core::database::IndexSpec;
 use tell::core::recovery::recover_failed_pn;
 use tell::core::{Database, TellConfig, VersionedRecord};
+use tell::store::StoreApi;
 
 fn row(v: u64, pk: u64) -> Bytes {
     let mut b = v.to_be_bytes().to_vec();
