@@ -7,28 +7,17 @@
 //! plus a [`HealthEngine`] run over one [`NodeTick`] per node per poll.
 //! `tell_top` renders exactly this view; nothing in here draws.
 //!
-//! Remote points arrive indexed by the *remote* build's metric declaration
-//! order, with the name lists carried alongside ([`TelemetryPage`]). Every
-//! point is remapped by name into this build's order ([`remap_point`])
-//! before it is stored or judged, so a collector can watch a mixed-version
-//! cluster: metrics the remote lacks read 0, metrics this build lacks are
-//! dropped.
+//! A page's points are indexed by this build's metric declarations, and an
+//! id past the end of a point reads 0.
 //!
 //! A target that refuses the connection or fails the call is marked
 //! unreachable for that poll — which is precisely what feeds the
 //! `replica_unavailable` health rule — and the connection is re-dialed on
 //! the next poll.
 
-pub mod health;
-
-pub use health::{HealthReplay, TickRecord};
-
 use std::collections::VecDeque;
 
-use tell_obs::registry::{Counter, Gauge, Phase};
-use tell_obs::{
-    HealthConfig, HealthEngine, HealthEvent, NodeTick, RuleKind, TelemetryPage, TsPoint,
-};
+use tell_obs::{HealthConfig, HealthEngine, HealthEvent, NodeTick, RuleKind, TsPoint};
 use tell_rpc::client::Connection;
 use tell_rpc::{Request, Response};
 
@@ -46,47 +35,6 @@ impl Target {
     pub fn new(name: impl Into<String>, addr: impl Into<String>) -> Target {
         Target { name: name.into(), addr: addr.into() }
     }
-}
-
-/// Reindex a remote point into this build's metric order by matching the
-/// page's name lists against the local declarations. Missing names read 0
-/// (counters/gauges) or an empty digest (phases); unknown remote names are
-/// dropped.
-pub fn remap_point(page: &TelemetryPage, point: &TsPoint) -> TsPoint {
-    let mut out = TsPoint {
-        seq: point.seq,
-        virt_us: point.virt_us,
-        wall_us: point.wall_us,
-        ..TsPoint::default()
-    };
-    for c in Counter::ALL {
-        let v = page
-            .counter_names
-            .iter()
-            .position(|n| n == c.name())
-            .and_then(|i| point.counters.get(i).copied())
-            .unwrap_or(0);
-        out.counters.push(v);
-    }
-    for g in Gauge::ALL {
-        let v = page
-            .gauge_names
-            .iter()
-            .position(|n| n == g.name())
-            .and_then(|i| point.gauges.get(i).copied())
-            .unwrap_or(0);
-        out.gauges.push(v);
-    }
-    for p in Phase::ALL {
-        let d = page
-            .phase_names
-            .iter()
-            .position(|n| n == p.name())
-            .and_then(|i| point.phases.get(i).copied())
-            .unwrap_or_default();
-        out.phases.push(d);
-    }
-    out
 }
 
 /// Collapse one scrape page's points (possibly several intervals of
@@ -107,14 +55,14 @@ pub fn merge_points(points: &[TsPoint]) -> Option<TsPoint> {
 }
 
 /// One node's collected state: scrape cursor, reachability, and a bounded
-/// history of remapped points (newest last).
+/// history of points (newest last).
 pub struct NodeView {
     pub target: Target,
     /// Whether the last poll reached the node.
     pub reachable: bool,
     /// Last error message, for display; cleared on a successful poll.
     pub last_error: Option<String>,
-    /// Remapped points, oldest first, at most `history_cap`.
+    /// Points, oldest first, at most `history_cap`.
     pub history: VecDeque<TsPoint>,
     cursor: u64,
     conn: Option<Connection>,
@@ -139,7 +87,7 @@ impl NodeView {
         self.history.back()
     }
 
-    /// Scrape once; returns the interval's merged, remapped point.
+    /// Scrape once; returns the interval's merged point.
     fn scrape(&mut self) -> Result<Option<TsPoint>, String> {
         if self.conn.as_ref().is_none_or(|c| c.is_dead()) {
             self.conn = Some(Connection::connect(&self.target.addr).map_err(|e| e.to_string())?);
@@ -148,8 +96,8 @@ impl NodeView {
         let page = match conn.call(&Request::Telemetry { since: self.cursor }) {
             Ok((Response::Telemetry(page), _, _)) => page,
             Ok((resp, _, _)) => {
-                // A peer too old for the op keeps answering other requests;
-                // drop the connection so the error is visible, not sticky.
+                // The peer may keep answering other requests; drop the
+                // connection so the error is visible, not sticky.
                 self.conn = None;
                 return Err(format!("unexpected telemetry response: {resp:?}"));
             }
@@ -159,14 +107,13 @@ impl NodeView {
             }
         };
         self.cursor = page.next_cursor;
-        let mapped: Vec<TsPoint> = page.points.iter().map(|p| remap_point(&page, p)).collect();
-        for p in &mapped {
+        for p in &page.points {
             if self.history.len() == self.history_cap {
                 self.history.pop_front();
             }
             self.history.push_back(p.clone());
         }
-        Ok(merge_points(&mapped))
+        Ok(merge_points(&page.points))
     }
 }
 
@@ -250,33 +197,61 @@ impl Collector {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    use tell_obs::registry::{Counter, Gauge, Phase};
+    use tell_obs::TelemetryPage;
+    use tell_rpc::{ReactorConfig, ReplySink, RequestCtx, RpcServer, RpcService};
+
     use super::*;
 
-    fn page(counter_names: &[&str], counters: Vec<u64>) -> (TelemetryPage, TsPoint) {
-        let point = TsPoint { seq: 1, counters, ..TsPoint::default() };
-        let page = TelemetryPage {
-            counter_names: counter_names.iter().map(|s| s.to_string()).collect(),
-            gauge_names: Vec::new(),
-            phase_names: Vec::new(),
-            points: vec![point.clone()],
-            next_cursor: 1,
-        };
-        (page, point)
+    /// Answers each telemetry scrape with one new point that carries only
+    /// the first two counters (`txn_begun_total`, `txn_committed_total`)
+    /// and no gauges or phases.
+    struct ShortPoints {
+        seq: AtomicU64,
+    }
+
+    impl RpcService for ShortPoints {
+        fn call(&self, request: Request, _ctx: &RequestCtx, reply: ReplySink) {
+            if let Request::Telemetry { .. } = request {
+                let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+                let point = TsPoint {
+                    seq,
+                    wall_us: seq * 1_000_000,
+                    counters: vec![5, 40],
+                    ..TsPoint::default()
+                };
+                reply.send(Response::Telemetry(TelemetryPage {
+                    points: vec![point],
+                    next_cursor: seq,
+                }));
+            }
+        }
     }
 
     #[test]
-    fn remap_reorders_by_name_and_zeroes_missing() {
-        // Remote declares the two counters in the opposite of local order
-        // and adds one this build does not know.
-        let (page, point) = page(
-            &[Counter::TxnAborted.name(), "made_up_metric_total", Counter::TxnCommitted.name()],
-            vec![7, 99, 11],
-        );
-        let mapped = remap_point(&page, &point);
-        assert_eq!(mapped.counter(Counter::TxnCommitted), 11);
-        assert_eq!(mapped.counter(Counter::TxnAborted), 7);
-        assert_eq!(mapped.counters.len(), Counter::ALL.len());
-        assert_eq!(mapped.counters.iter().sum::<u64>(), 18, "unknown remote metric dropped");
+    fn short_points_read_zero_for_missing_ids_and_feed_the_health_rules() {
+        let service = Arc::new(ShortPoints { seq: AtomicU64::new(0) });
+        let server =
+            RpcServer::serve_service("127.0.0.1:0", service, ReactorConfig::default()).unwrap();
+        let mut collector =
+            Collector::new(vec![Target::new("sn0", server.local_addr().to_string())]);
+        for _ in 0..4 {
+            assert!(collector.poll().is_empty(), "a healthy node raises nothing");
+        }
+        let node = &collector.nodes()[0];
+        assert!(node.reachable, "{:?}", node.last_error);
+        assert_eq!(node.history.len(), 4);
+        let latest = node.latest().unwrap();
+        assert!(latest.counters.len() < Counter::COUNT);
+        assert_eq!(latest.counter(Counter::TxnCommitted), 40);
+        assert_eq!(latest.counter(Counter::TxnAborted), 0);
+        assert_eq!(latest.counter(Counter::ALL[Counter::COUNT - 1]), 0);
+        assert_eq!(latest.gauge(Gauge::CmLav), 0);
+        assert_eq!(latest.phase(Phase::TxnTotal).count, 0);
+        assert!(collector.active().is_empty());
     }
 
     #[test]

@@ -1,20 +1,24 @@
-//! Trace assembly and Chrome trace-event export.
+//! Trace assembly and the JSON exports: Chrome trace events and
+//! speedscope profiles.
 //!
-//! A scrape (the `tell_trace` example, or a test) drains span rings from
-//! several processes, tags each span with the node it came from, and hands
-//! the pile to this module: [`group_by_trace`] reassembles per-transaction
-//! trees, [`chrome_trace_json`] renders them as Chrome trace-event JSON —
-//! one Perfetto "process" per trace, one "thread" per node, so each
-//! transaction reads as a waterfall across PN, SN, and CM.
+//! A scrape (`tell_top trace`, or a test) drains span rings from several
+//! processes, tags each span with the node it came from, and hands the pile
+//! to this module: [`group_by_trace`] reassembles per-transaction trees,
+//! [`chrome_trace_json`] renders them as Chrome trace-event JSON — one
+//! Perfetto "process" per trace, one "thread" per node, so each transaction
+//! reads as a waterfall across PN, SN, and CM. [`speedscope_json`] renders
+//! a profiler report in the speedscope file format (`tell_top flame
+//! --json`).
 //!
 //! [`validate_json`] is a dependency-free well-formedness check (RFC 8259
-//! grammar, no schema) used by the e2e test and the `check.sh` smoke step
-//! to fail fast on a malformed export.
+//! grammar, no schema) used by the e2e test and by `tell_top` to fail fast
+//! on a malformed export.
 
 use std::collections::HashMap;
 
 use tell_common::{Error, Result};
 
+use crate::prof::{CollapsedTable, ProfileReport};
 use crate::span::Span;
 use crate::trace::fmt_trace;
 
@@ -59,7 +63,8 @@ pub fn orphan_parents(spans: &[SourcedSpan]) -> usize {
         .count()
 }
 
-fn json_escape(s: &str) -> String {
+/// Escape `s` for use inside a JSON string literal.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -133,6 +138,50 @@ pub fn chrome_trace_json(spans: &[SourcedSpan]) -> String {
         }
     }
     format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
+}
+
+/// Render a profiler report in the speedscope file format
+/// (<https://www.speedscope.app/file-format-schema.json>): a shared frame
+/// table plus one sampled profile whose samples are frame-index stacks
+/// with per-stack weights. Fails only on a malformed folded payload. The
+/// `exporter` field keeps the name of the tool that first wrote these
+/// files, so output stays byte-comparable with older profiles.
+pub fn speedscope_json(report: &ProfileReport) -> Result<String> {
+    let table = CollapsedTable::parse_folded(&report.folded, usize::MAX)?;
+    let mut frames: Vec<&str> = Vec::new();
+    let mut samples: Vec<String> = Vec::new();
+    let mut weights: Vec<String> = Vec::new();
+    let mut total = 0u64;
+    for (names, count) in table.rows() {
+        let stack: Vec<String> = names
+            .iter()
+            .map(|&name| {
+                let i = frames.iter().position(|f| *f == name).unwrap_or_else(|| {
+                    frames.push(name);
+                    frames.len() - 1
+                });
+                i.to_string()
+            })
+            .collect();
+        samples.push(format!("[{}]", stack.join(",")));
+        weights.push(count.to_string());
+        total += count;
+    }
+    let frames: Vec<String> =
+        frames.iter().map(|f| format!("{{\"name\":\"{}\"}}", json_escape(f))).collect();
+    Ok(format!(
+        "{{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",\
+         \"shared\":{{\"frames\":[{}]}},\
+         \"profiles\":[{{\"type\":\"sampled\",\"name\":\"tell ({:.0} Hz, {} samples)\",\
+         \"unit\":\"none\",\"startValue\":0,\"endValue\":{total},\
+         \"samples\":[{}],\"weights\":[{}]}}],\
+         \"exporter\":\"tell_flame\"}}\n",
+        frames.join(","),
+        report.hz,
+        report.samples,
+        samples.join(","),
+        weights.join(","),
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -371,6 +420,64 @@ mod tests {
         assert!(json.contains(r#""ph":"M""#));
         assert!(json.contains(r#""ts":0"#)); // rebased to the earliest span
         assert!(json.contains("\\\"x")); // node name escaped
+    }
+
+    #[test]
+    fn chrome_export_bytes_are_pinned() {
+        let spans = vec![
+            sourced("pn", span(7, 11, 0, Site::Txn, 1000, 1400)),
+            sourced("sn 127.0.0.1:9", span(7, 12, 11, Site::RpcDispatch, 1100, 1200)),
+        ];
+        let expected = concat!(
+            "{\"traceEvents\":[\n",
+            r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"#,
+            r#""args":{"name":"trace 0000000000000007"}},"#,
+            "\n",
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"pn"}},"#,
+            "\n",
+            r#"{"name":"txn","cat":"span","ph":"X","ts":0,"dur":400,"pid":1,"tid":1,"#,
+            r#""args":{"span":"000000000000000b","parent":"0000000000000000","#,
+            r#""status":"ok","count":1,"virt_us":400}},"#,
+            "\n",
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"sn 127.0.0.1:9"}},"#,
+            "\n",
+            r#"{"name":"rpc.dispatch","cat":"span","ph":"X","ts":100,"dur":100,"pid":1,"tid":2,"#,
+            r#""args":{"span":"000000000000000c","parent":"000000000000000b","#,
+            r#""status":"ok","count":1,"virt_us":100}}"#,
+            "\n]}\n"
+        );
+        assert_eq!(chrome_trace_json(&spans), expected);
+    }
+
+    #[test]
+    fn speedscope_export_bytes_are_pinned() {
+        let report = ProfileReport {
+            running: true,
+            hz: 99.0,
+            samples: 21,
+            idle: 7,
+            dropped: 1,
+            folded: "txn 5\ntxn;txn.read 12\nrpc.dispatch;cm.apply 3\n".to_string(),
+            locks: Vec::new(),
+            alloc: Vec::new(),
+        };
+        let json = speedscope_json(&report).unwrap();
+        validate_json(&json).unwrap();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"$schema":"https://www.speedscope.app/file-format-schema.json","#,
+                r#""shared":{"frames":[{"name":"txn"},{"name":"txn.read"},"#,
+                r#"{"name":"rpc.dispatch"},{"name":"cm.apply"}]},"#,
+                r#""profiles":[{"type":"sampled","name":"tell (99 Hz, 21 samples)","#,
+                r#""unit":"none","startValue":0,"endValue":20,"#,
+                r#""samples":[[0],[0,1],[2,3]],"weights":[5,12,3]}],"#,
+                r#""exporter":"tell_flame"}"#,
+                "\n"
+            )
+        );
+        let bad = ProfileReport { folded: "no_such_frame 1\n".to_string(), ..report };
+        assert!(speedscope_json(&bad).is_err());
     }
 
     #[test]

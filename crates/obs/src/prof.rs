@@ -389,6 +389,44 @@ pub struct ProfileReport {
     pub alloc: Vec<AllocStat>,
 }
 
+impl ProfileReport {
+    /// Merge several nodes' reports into one cluster profile. Stacks,
+    /// sample, idle and drop counts add up; lock stats add up by name,
+    /// busiest (by wait) first; allocation rows are concatenated. The rate
+    /// is the first report's, and the merge is running if any part is.
+    /// `None` for no parts; an error for a malformed folded payload.
+    pub fn merge(parts: Vec<ProfileReport>) -> Result<Option<ProfileReport>> {
+        let mut table = CollapsedTable::new(usize::MAX);
+        let mut merged: Option<ProfileReport> = None;
+        for part in parts {
+            table.merge(&CollapsedTable::parse_folded(&part.folded, usize::MAX)?);
+            let Some(acc) = merged.as_mut() else {
+                merged = Some(part);
+                continue;
+            };
+            acc.running |= part.running;
+            acc.samples += part.samples;
+            acc.idle += part.idle;
+            acc.dropped += part.dropped;
+            for lock in part.locks {
+                match acc.locks.iter_mut().find(|l| l.name == lock.name) {
+                    Some(l) => {
+                        l.contended += lock.contended;
+                        l.wait_us += lock.wait_us;
+                    }
+                    None => acc.locks.push(lock),
+                }
+            }
+            acc.alloc.extend(part.alloc);
+        }
+        Ok(merged.map(|mut report| {
+            report.folded = table.to_folded();
+            report.locks.sort_by(|a, b| b.wait_us.cmp(&a.wait_us).then(a.name.cmp(&b.name)));
+            report
+        }))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Live (wall-clock) sampler
 // ---------------------------------------------------------------------------
@@ -1092,5 +1130,43 @@ mod tests {
         let top = top_frames_in_window(10e6, 3);
         // Profiler stopped: lookup is disabled again.
         assert!(top.is_empty());
+    }
+
+    #[test]
+    fn merge_sums_tables_counts_and_locks_by_name() {
+        let lock =
+            |name: &str, contended, wait_us| LockStat { name: name.into(), contended, wait_us };
+        let report = |folded: &str, samples, idle, locks| ProfileReport {
+            running: false,
+            hz: 99.0,
+            samples,
+            idle,
+            dropped: 1,
+            folded: folded.to_string(),
+            locks,
+            alloc: Vec::new(),
+        };
+        let a = report("txn 2\ntxn;txn.read 3\n", 5, 4, vec![lock("cm.state", 2, 30)]);
+        let b = report(
+            "gc.pass 1\ntxn;txn.read 4\n",
+            5,
+            1,
+            vec![lock("store.shard", 1, 10), lock("cm.state", 1, 5)],
+        );
+        let mut parts = CollapsedTable::new(usize::MAX);
+        for r in [&a, &b] {
+            parts.merge(&CollapsedTable::parse_folded(&r.folded, usize::MAX).unwrap());
+        }
+
+        let merged = ProfileReport::merge(vec![a.clone(), b]).unwrap().unwrap();
+        assert_eq!(merged.folded, parts.to_folded());
+        assert_eq!(merged.folded, "txn 2\ntxn;txn.read 7\ngc.pass 1\n");
+        assert_eq!((merged.samples, merged.idle, merged.dropped), (10, 5, 2));
+        assert_eq!(merged.locks, vec![lock("cm.state", 3, 35), lock("store.shard", 1, 10)]);
+        // One part merges to itself; no parts merge to nothing.
+        assert_eq!(ProfileReport::merge(vec![a.clone()]).unwrap(), Some(a));
+        assert_eq!(ProfileReport::merge(Vec::new()).unwrap(), None);
+        let bad = report("no_such_frame 1\n", 1, 0, Vec::new());
+        assert!(ProfileReport::merge(vec![bad]).is_err());
     }
 }

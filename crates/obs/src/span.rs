@@ -418,7 +418,7 @@ impl SpanRing {
     /// Copy every buffered span without removing anything, oldest first per
     /// shard. This is the default scrape (`Request::Spans` peek), so a
     /// monitoring poller never steals the traces a one-shot exporter like
-    /// `tell_trace` is about to drain.
+    /// `tell_top trace` is about to drain.
     pub fn peek(&self) -> Vec<Span> {
         let mut out = Vec::new();
         for shard in &self.shards {

@@ -27,9 +27,8 @@
 //!   ([`ensure_wall_driver`]) rolls the global registry on the wall clock.
 //!
 //! The wire shape ([`TelemetryPage`], served by `Request::Telemetry`)
-//! carries the metric-name lists alongside the points, so a collector can
-//! map indices by name even when the remote node runs a build with a
-//! different metric set.
+//! carries the points indexed by the metric declaration order every node
+//! of a cluster shares; an id past the end of a point reads 0.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -92,8 +91,8 @@ pub struct TsPoint {
     /// Wall clock at the rollup (microseconds since the Unix epoch; 0 under
     /// tell-sim so seeded histories stay bit-reproducible).
     pub wall_us: u64,
-    /// Counter *deltas* since the previous point, indexed like the
-    /// producer's `Counter::ALL`.
+    /// Counter *deltas* since the previous point, indexed like
+    /// `Counter::ALL`.
     pub counters: Vec<u64>,
     /// Gauge values sampled at the rollup, indexed like `Gauge::ALL`.
     pub gauges: Vec<u64>,
@@ -102,7 +101,7 @@ pub struct TsPoint {
 }
 
 impl TsPoint {
-    /// Counter delta by id (0 when the point predates the id).
+    /// Counter delta by id (0 past the end of the point).
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters.get(c as usize).copied().unwrap_or(0)
     }
@@ -319,18 +318,10 @@ impl Rollup {
 }
 
 /// One incremental telemetry scrape, as carried by `Response::Telemetry`.
-///
-/// The name lists describe the *producer's* index order, so a collector
-/// running a build with a different metric set still maps every series
-/// correctly by name.
+/// Its points are indexed by this build's `Counter::ALL`, `Gauge::ALL` and
+/// `Phase::ALL`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TelemetryPage {
-    /// Producer's counter names, in its index order.
-    pub counter_names: Vec<String>,
-    /// Producer's gauge names, in its index order.
-    pub gauge_names: Vec<String>,
-    /// Producer's histogram names, in its index order.
-    pub phase_names: Vec<String>,
     /// Points newer than the request's cursor, oldest first.
     pub points: Vec<TsPoint>,
     /// Cursor to pass in the next scrape.
@@ -340,18 +331,6 @@ pub struct TelemetryPage {
 impl TelemetryPage {
     /// Append the wire encoding.
     pub fn encode(&self, w: &mut impl Writer) {
-        w.put_u32(self.counter_names.len() as u32);
-        for n in &self.counter_names {
-            w.put_string(n);
-        }
-        w.put_u32(self.gauge_names.len() as u32);
-        for n in &self.gauge_names {
-            w.put_string(n);
-        }
-        w.put_u32(self.phase_names.len() as u32);
-        for n in &self.phase_names {
-            w.put_string(n);
-        }
         w.put_u32(self.points.len() as u32);
         for p in &self.points {
             p.encode(w);
@@ -362,18 +341,6 @@ impl TelemetryPage {
     /// Decode one page from the reader.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let mut page = TelemetryPage::default();
-        let n = check_len(r.u32()?)?;
-        for _ in 0..n {
-            page.counter_names.push(r.string()?);
-        }
-        let n = check_len(r.u32()?)?;
-        for _ in 0..n {
-            page.gauge_names.push(r.string()?);
-        }
-        let n = check_len(r.u32()?)?;
-        for _ in 0..n {
-            page.phase_names.push(r.string()?);
-        }
         let n = r.u32()?;
         if n as usize > MAX_PAGE_POINTS {
             return Err(Error::corrupt(format!("telemetry page of {n} points exceeds cap")));
@@ -386,16 +353,6 @@ impl TelemetryPage {
     }
 }
 
-/// This build's metric-name lists, in index order (the schema half of a
-/// locally produced [`TelemetryPage`]).
-pub fn local_names() -> (Vec<String>, Vec<String>, Vec<String>) {
-    (
-        Counter::ALL.iter().map(|c| c.name().to_string()).collect(),
-        Gauge::ALL.iter().map(|g| g.name().to_string()).collect(),
-        Phase::ALL.iter().map(|p| p.name().to_string()).collect(),
-    )
-}
-
 /// The process-wide telemetry ring every server answers
 /// `Request::Telemetry` from.
 pub fn global_ring() -> &'static Arc<TsRing> {
@@ -405,9 +362,8 @@ pub fn global_ring() -> &'static Arc<TsRing> {
 
 /// Build a [`TelemetryPage`] from the global ring for the given cursor.
 pub fn page_since(cursor: u64) -> TelemetryPage {
-    let (counter_names, gauge_names, phase_names) = local_names();
     let (points, next_cursor) = global_ring().since(cursor, MAX_PAGE_POINTS);
-    TelemetryPage { counter_names, gauge_names, phase_names, points, next_cursor }
+    TelemetryPage { points, next_cursor }
 }
 
 fn global_rollup() -> &'static Mutex<Rollup> {
@@ -559,9 +515,8 @@ mod tests {
         rollup.roll(&reg, 1.5, 7);
         rollup.roll(&reg, 2.5, 8);
 
-        let (counter_names, gauge_names, phase_names) = local_names();
         let (points, next_cursor) = ring.since(0, MAX_PAGE_POINTS);
-        let page = TelemetryPage { counter_names, gauge_names, phase_names, points, next_cursor };
+        let page = TelemetryPage { points, next_cursor };
         let mut buf = Vec::new();
         page.encode(&mut buf);
         let mut r = Reader::new(&buf);

@@ -10,7 +10,9 @@
 //! replies can complete independently and still assemble into one
 //! [`Response::Batch`] in submission order. A sink dropped without a reply
 //! answers a typed error — a lost reply must never strand the caller's
-//! correlation id.
+//! correlation id. A service that panics drops its sink the same way:
+//! [`dispatch_frame`] catches the unwind, so the caller gets that error and
+//! the connection keeps serving.
 //!
 //! [`Router`] is the service the shipped servers run: storage requests go
 //! to the wrapped `StoreCluster`, commit requests to the wrapped
@@ -19,6 +21,7 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -423,10 +426,16 @@ pub fn dispatch_frame(
         reply(response);
     });
     let rctx = RequestCtx { trace: ctx, peer };
-    if duplicate && !matches!(request, Request::CmStart { .. }) {
-        service.call(request.clone(), &rctx, sink);
-        service.call(request, &rctx, ReplySink::ignore());
-    } else {
-        service.call(request, &rctx, sink);
-    }
+    // A panicking service must not take the calling thread down with it —
+    // in the reactor that thread owns the connection, which would then
+    // never be served again. The unwind drops the sink, which answers a
+    // typed error, and the transport carries on.
+    let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+        if duplicate && !matches!(request, Request::CmStart { .. }) {
+            service.call(request.clone(), &rctx, sink);
+            service.call(request, &rctx, ReplySink::ignore());
+        } else {
+            service.call(request, &rctx, sink);
+        }
+    }));
 }

@@ -106,8 +106,7 @@ pub enum Request {
     /// scraped exactly once).
     Spans { drain: bool },
     /// Incremental telemetry scrape: the server's time-series ring points
-    /// with `seq > since`, plus the metric-name schema to interpret them.
-    /// Answered with [`Response::Telemetry`]; any server answers it. Pass
+    /// with `seq > since`. Answered with [`Response::Telemetry`]; any server answers it. Pass
     /// `since: 0` for history from the oldest retained point, then the
     /// returned `next_cursor` on every later scrape.
     Telemetry { since: u64 },
@@ -164,7 +163,7 @@ pub enum Response {
     /// first per shard (removed only when the request asked to drain).
     Spans(Vec<Span>),
     /// Answer to `Request::Telemetry`: one incremental page of time-series
-    /// points plus the producer's metric-name schema.
+    /// points.
     Telemetry(TelemetryPage),
     /// Answer to `Request::ProfileFetch`: the server's collapsed-stack
     /// profile, lock-contention totals, and (when built with
@@ -1015,17 +1014,8 @@ mod tests {
                     attrs: tell_obs::SpanAttrs { count: 0, status: tell_obs::SpanStatus::Conflict },
                 },
             ]),
+            Response::Telemetry(TelemetryPage { points: Vec::new(), next_cursor: 0 }),
             Response::Telemetry(TelemetryPage {
-                counter_names: Vec::new(),
-                gauge_names: Vec::new(),
-                phase_names: Vec::new(),
-                points: Vec::new(),
-                next_cursor: 0,
-            }),
-            Response::Telemetry(TelemetryPage {
-                counter_names: vec!["txn_committed_total".into(), "txn_aborted_total".into()],
-                gauge_names: vec!["cm_lav".into()],
-                phase_names: vec!["txn_total_us".into()],
                 points: vec![tell_obs::TsPoint {
                     seq: 3,
                     virt_us: 125.0,

@@ -254,6 +254,38 @@ fn deferred_replies_arrive_over_tcp_while_other_connections_keep_serving() {
     }
 }
 
+/// Answers pings and panics on anything else: a service bug under
+/// dispatch.
+struct PanickingService;
+
+impl RpcService for PanickingService {
+    fn call(&self, request: Request, _ctx: &RequestCtx, reply: ReplySink) {
+        match request {
+            Request::Ping => reply.send(Response::Pong),
+            other => panic!("service bug on {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_panicking_service_answers_with_an_error_and_keeps_serving_the_connection() {
+    let config = ReactorConfig { workers: 2, ..ReactorConfig::default() };
+    let server =
+        RpcServer::serve_service("127.0.0.1:0", Arc::new(PanickingService), config).unwrap();
+    let conn = Connection::connect(&server.local_addr().to_string()).unwrap();
+    // On a thread of its own, so a connection the panic left unserved fails
+    // the test instead of hanging it.
+    let calls = std::thread::spawn(move || {
+        let bug = Request::Increment { key: Bytes::from_static(b"k"), delta: 1 };
+        let failed = conn.call(&bug).map(|(response, ..)| response);
+        let pong = conn.call(&Request::Ping).map(|(response, ..)| response);
+        (failed, pong)
+    });
+    let (failed, pong) = join_within(calls, Duration::from_secs(10), "calls after a panic");
+    assert!(matches!(failed, Ok(Response::Error(_))), "panicking request answered {failed:?}");
+    assert_eq!(pong.unwrap(), Response::Pong, "the same connection serves on");
+}
+
 #[test]
 fn frames_served_counts_frames_not_operations() {
     let (server, addr) = serve(1);

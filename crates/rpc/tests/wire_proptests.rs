@@ -173,11 +173,6 @@ fn request_strategy() -> impl Strategy<Value = Request> {
     ]
 }
 
-/// Metric names as the registry produces them (snake_case identifiers).
-fn metric_name_strategy() -> impl Strategy<Value = String> {
-    "[a-z][a-z0-9_]{0,30}"
-}
-
 /// Time-series points with finite clocks and digests, the domain `Rollup`
 /// produces (reflexive floats, so `PartialEq` holds on the round trip).
 fn ts_point_strategy() -> impl Strategy<Value = TsPoint> {
@@ -208,16 +203,8 @@ fn ts_point_strategy() -> impl Strategy<Value = TsPoint> {
 }
 
 fn telemetry_page_strategy() -> impl Strategy<Value = TelemetryPage> {
-    (
-        prop::collection::vec(metric_name_strategy(), 0..6),
-        prop::collection::vec(metric_name_strategy(), 0..6),
-        prop::collection::vec(metric_name_strategy(), 0..4),
-        prop::collection::vec(ts_point_strategy(), 0..4),
-        any::<u64>(),
-    )
-        .prop_map(|(counter_names, gauge_names, phase_names, points, next_cursor)| {
-            TelemetryPage { counter_names, gauge_names, phase_names, points, next_cursor }
-        })
+    (prop::collection::vec(ts_point_strategy(), 0..4), any::<u64>())
+        .prop_map(|(points, next_cursor)| TelemetryPage { points, next_cursor })
 }
 
 /// Every `Response` variant, all fields randomized.

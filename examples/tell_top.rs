@@ -1,25 +1,41 @@
-//! Live cluster dashboard over `Request::Telemetry`.
-//!
-//! `tell_top` polls every named node's telemetry ring through a
-//! `tell_monitor::Collector`, evaluates the health rules, and refreshes a
-//! plain-ANSI terminal view: per-node throughput, abort and latency
-//! figures with a sparkline of the recent commit trend, plus the active
-//! health alerts and the newest firing/resolved transitions.
+//! The operator tool: one binary for everything a running cluster ships
+//! over the wire.
 //!
 //! ```text
+//! tell_top [watch]  live dashboard over every node's Request::Telemetry
+//!                   ring and the health rules (--json: one snapshot)
+//! tell_top metrics  one node's Request::Metrics as Prometheus text
+//!                   (--json: the raw snapshot)
+//! tell_top trace    run a few transactions, collect Request::Spans from
+//!                   every process, print Chrome trace JSON for Perfetto
+//! tell_top flame    profile over Request::Profile{Start,Fetch,Stop}: folded
+//!                   stacks on stdout (--json: speedscope), the hottest
+//!                   stacks and contended locks on stderr
+//!
 //! # against a running cluster (tell_sn + tell_cm):
 //! cargo run --release --example tell_top -- \
 //!     --node sn0=127.0.0.1:7701 --node cm0=127.0.0.1:7801
+//! cargo run --release --example tell_top -- metrics --node sn0=127.0.0.1:7701
+//! cargo run --release --example tell_top -- trace \
+//!     --store 127.0.0.1:7701 --cm 127.0.0.1:7801 > trace.json
+//! cargo run --release --example tell_top -- flame \
+//!     --node sn0=127.0.0.1:7701 --duration 5 > prof.folded
 //!
-//! # self-contained smoke: boot a loopback cluster in-process and render
-//! # one machine-readable snapshot (the check.sh telemetry gate):
-//! cargo run --release --example tell_top -- --loopback --json
+//! # self-contained: boot an SN + CM pair and a committing client in this
+//! # process (the check.sh gates)
+//! cargo run --release --example tell_top -- flame --loopback
 //! ```
 //!
-//! No raw terminal mode, no curses, no dependencies: the refresh is a
-//! cursor-home + clear-to-end escape, so the output degrades gracefully
-//! when piped. `--json` renders one snapshot as JSON and exits.
+//! The loopback servers share this process's registry, span ring and
+//! profiler, so `metrics` and `flame` scrape that state from one target
+//! and `trace` reads it from the local ring; scraping it once per server
+//! would count it twice.
+//!
+//! No raw terminal mode, no curses, no dependencies: the dashboard refresh
+//! is a cursor-home + clear-to-end escape, so the output degrades
+//! gracefully when piped.
 
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,28 +44,111 @@ use bytes::Bytes;
 use tell_core::database::IndexSpec;
 use tell_core::{Database, TellConfig};
 use tell_monitor::{Collector, NodeView, Target};
+use tell_obs::export::{
+    chrome_trace_json, group_by_trace, orphan_parents, speedscope_json, validate_json, SourcedSpan,
+};
 use tell_obs::registry::{Counter, Phase};
+use tell_obs::{CollapsedTable, MetricsSnapshot, ProfileReport};
 use tell_rpc::{Connection, RemoteCmClient, RemoteEndpoint, Request, Response, RpcServer};
 
+#[derive(Clone, Copy, PartialEq)]
+enum Command {
+    Watch,
+    Metrics,
+    Trace,
+    Flame,
+}
+
+/// What `flame` does with the samplers.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    /// Scrape every target without disturbing the sampler (the default).
+    Fetch,
+    /// Start the sampler on every target and exit.
+    Start,
+    /// Stop the sampler on every target and exit.
+    Stop,
+    /// Start, wait this many seconds, fetch, stop.
+    Window(f64),
+}
+
 struct Args {
+    command: Command,
     nodes: Vec<Target>,
+    loopback: bool,
+    json: bool,
     interval_ms: u64,
     iterations: u64,
-    json: bool,
-    loopback: bool,
-    profile: bool,
+    store: String,
+    cm: String,
+    txns: u64,
+    mode: Mode,
+    hz: f64,
+}
+
+const HELP: &str = "\
+tell_top: the operator tool for a tell cluster
+
+usage: tell_top [watch|metrics|trace|flame] [options]
+
+  watch (default)   live telemetry dashboard with health alerts
+  metrics           one node's metrics as Prometheus text
+  trace             run transactions, emit Chrome trace JSON
+  flame             profile: folded stacks on stdout, summary on stderr
+
+options:
+  --node NAME=ADDR  add a scrape target (repeatable; metrics takes one)
+  --loopback        boot an in-process loopback cluster with a background
+                    workload and use that instead
+  --json            watch: one snapshot as JSON; metrics: the raw JSON
+                    snapshot; flame: speedscope JSON
+  --interval MS     watch: refresh interval (default 1000)
+  --iterations N    watch: stop after N refreshes (default: until ^C)
+  --store ADDR      trace: storage server (default 127.0.0.1:7701)
+  --cm ADDR         trace: commit server (default 127.0.0.1:7801)
+  --txns N          trace: transactions to run (default 8)
+  --start           flame: start sampling on every target and exit
+  --stop            flame: stop sampling on every target and exit
+  --duration S      flame: start, wait S seconds, fetch, stop
+                    (--loopback: 1 unless given)
+  --hz F            flame: sample rate for --start/--duration (default:
+                    the server's TELL_PROF_HZ, 99 if unset)
+
+flame with no mode flag fetches without disturbing the sampler.";
+
+fn parse<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn parse_args() -> Result<Args, String> {
+    let mut raw: Vec<String> = std::env::args().skip(1).collect();
+    let command = match raw.first().map(String::as_str) {
+        Some("watch") => Some(Command::Watch),
+        Some("metrics") => Some(Command::Metrics),
+        Some("trace") => Some(Command::Trace),
+        Some("flame") => Some(Command::Flame),
+        _ => None,
+    };
+    if command.is_some() {
+        raw.remove(0);
+    }
     let mut args = Args {
+        command: command.unwrap_or(Command::Watch),
         nodes: Vec::new(),
+        loopback: false,
+        json: false,
         interval_ms: 1000,
         iterations: 0,
-        json: false,
-        loopback: false,
-        profile: false,
+        store: "127.0.0.1:7701".to_string(),
+        cm: "127.0.0.1:7801".to_string(),
+        txns: 8,
+        mode: Mode::Fetch,
+        hz: 0.0,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = raw.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
@@ -60,53 +159,49 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or_else(|| format!("--node wants NAME=ADDR, got {spec}"))?;
                 args.nodes.push(Target::new(name, addr));
             }
-            "--interval" => {
-                args.interval_ms =
-                    value("--interval")?.parse().map_err(|e| format!("--interval: {e}"))?;
-            }
-            "--iterations" => {
-                args.iterations =
-                    value("--iterations")?.parse().map_err(|e| format!("--iterations: {e}"))?;
-            }
-            "--json" => args.json = true,
             "--loopback" => args.loopback = true,
-            "--profile" => args.profile = true,
+            "--json" => args.json = true,
+            "--interval" => args.interval_ms = parse("--interval", value("--interval")?)?,
+            "--iterations" => args.iterations = parse("--iterations", value("--iterations")?)?,
+            "--store" => args.store = value("--store")?,
+            "--cm" => args.cm = value("--cm")?,
+            "--txns" => args.txns = parse("--txns", value("--txns")?)?,
+            "--start" => args.mode = Mode::Start,
+            "--stop" => args.mode = Mode::Stop,
+            "--duration" => args.mode = Mode::Window(parse("--duration", value("--duration")?)?),
+            "--hz" => args.hz = parse("--hz", value("--hz")?)?,
             "--help" | "-h" => {
-                println!(
-                    "tell_top: live telemetry dashboard for a tell cluster\n\n\
-                     options:\n  \
-                     --node NAME=ADDR  add a scrape target (repeatable)\n  \
-                     --interval MS     refresh interval (default 1000)\n  \
-                     --iterations N    stop after N refreshes (default: run until ^C)\n  \
-                     --json            render one snapshot as JSON and exit\n  \
-                     --loopback        boot an in-process loopback cluster with a\n                    \
-                     background workload and watch that\n  \
-                     --profile         one-shot profiler panel: sample every node for one\n                    \
-                     interval, show the hottest stacks and contended locks"
-                );
+                println!("{HELP}");
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown flag {other} (try --help)")),
+            other => return Err(format!("unknown argument {other} (try --help)")),
         }
     }
-    if args.nodes.is_empty() && !args.loopback {
+    if args.command != Command::Trace && args.nodes.is_empty() && !args.loopback {
         return Err("no targets: pass --node NAME=ADDR (or --loopback)".to_string());
+    }
+    if args.command == Command::Metrics && args.nodes.len() > 1 {
+        return Err("metrics scrapes one node: pass one --node".to_string());
     }
     Ok(args)
 }
 
 // ---------------------------------------------------------------------------
-// Loopback cluster: an in-process SN + CM pair with a background workload,
-// so the dashboard has live numbers without any external deployment.
+// Loopback cluster: an in-process SN + CM pair, with a background workload
+// for the subcommands that watch one, so every subcommand has live numbers
+// without any external deployment.
 
 struct Loopback {
     servers: Vec<RpcServer>,
+    targets: Vec<Target>,
     stop: Arc<AtomicBool>,
     worker: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Loopback {
-    fn boot() -> Result<(Loopback, Vec<Target>), String> {
+    /// Boot the pair; with `background`, also a client committing the demo
+    /// workload until drop.
+    fn boot(background: bool) -> Result<Loopback, String> {
         let store = tell_store::StoreCluster::new(tell_store::StoreConfig::new(2));
         let sn = RpcServer::serve_store("127.0.0.1:0", store).map_err(|e| e.to_string())?;
         let sn_addr = sn.local_addr().to_string();
@@ -122,18 +217,24 @@ impl Loopback {
         .map_err(|e| e.to_string())?;
         let cm_addr = cm.local_addr().to_string();
 
-        let endpoint = RemoteEndpoint::connect(sn_addr.clone(), 2);
-        let commit: Arc<dyn tell_commitmgr::CommitService> =
-            Arc::new(RemoteCmClient::connect([cm_addr.clone()]));
-        let db = Database::open(endpoint, commit, TellConfig::default());
-
         let stop = Arc::new(AtomicBool::new(false));
-        let worker = {
+        let worker = background.then(|| {
+            let db = open_db(&sn_addr, &cm_addr);
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || loopback_workload(&db, &stop))
-        };
-        let targets = vec![Target::new("sn0", &sn_addr), Target::new("cm0", &cm_addr)];
-        Ok((Loopback { servers: vec![sn, cm], stop, worker: Some(worker) }, targets))
+            std::thread::spawn(move || {
+                let _ = loopback_workload(&db, u64::MAX, &stop);
+            })
+        });
+        if background {
+            // Let the workload commit a few transactions first.
+            std::thread::sleep(Duration::from_millis(200));
+        }
+        Ok(Loopback {
+            servers: vec![sn, cm],
+            targets: vec![Target::new("sn0", &sn_addr), Target::new("cm0", &cm_addr)],
+            stop,
+            worker,
+        })
     }
 }
 
@@ -147,32 +248,68 @@ impl Drop for Loopback {
     }
 }
 
-fn loopback_workload(db: &Arc<Database<RemoteEndpoint>>, stop: &AtomicBool) {
+fn open_db(store: &str, cm: &str) -> Arc<Database<RemoteEndpoint>> {
+    let endpoint = RemoteEndpoint::connect(store.to_string(), 2);
+    let commit: Arc<dyn tell_commitmgr::CommitService> =
+        Arc::new(RemoteCmClient::connect([cm.to_string()]));
+    Database::open(endpoint, commit, TellConfig::default())
+}
+
+/// The demo workload: insert one row into the `demo` table (created on
+/// first use), then commit up to `txns` read-modify-write increments of its
+/// balance, or until `stop` is set.
+fn loopback_workload(
+    db: &Arc<Database<RemoteEndpoint>>,
+    txns: u64,
+    stop: &AtomicBool,
+) -> Result<(), String> {
     let pk = IndexSpec::new("pk", true, |row: &[u8]| row.get(8..16).map(Bytes::copy_from_slice));
-    let Ok(table) = db.create_table("top_demo", vec![pk]) else { return };
-    let row = |balance: u64, id: u64| {
+    let pn = db.processing_node();
+    // An earlier run against the same cluster may have created the table.
+    let table = match db.create_table("demo", vec![pk]) {
+        Ok(t) => t,
+        Err(_) => pn.table("demo").map_err(|e| e.to_string())?,
+    };
+    let row = |balance: u64| {
         let mut b = balance.to_be_bytes().to_vec();
-        b.extend_from_slice(&id.to_be_bytes());
+        b.extend_from_slice(&1u64.to_be_bytes());
         Bytes::from(b)
     };
-    let pn = db.processing_node();
-    let Ok(rid) = pn.run(100, |txn| txn.insert(&table, row(0, 1))) else { return };
-    let mut i = 0u64;
-    while !stop.load(Ordering::Relaxed) {
-        i += 1;
-        let _ = pn.run(100, |txn| {
+    let rid =
+        pn.run(100, |txn| txn.insert(&table, row(0))).map_err(|e| format!("insert failed: {e}"))?;
+    for i in 1..=txns {
+        if stop.load(Ordering::Relaxed) {
+            break;
+        }
+        pn.run(100, |txn| {
             let current = txn.get(&table, rid)?.expect("row inserted above");
             let balance = u64::from_be_bytes(current[..8].try_into().unwrap());
-            txn.update(&table, rid, row(balance + 1, 1))
-        });
+            txn.update(&table, rid, row(balance + 1))
+        })
+        .map_err(|e| format!("update failed: {e}"))?;
         if i.is_multiple_of(64) {
             std::thread::sleep(Duration::from_millis(5));
         }
     }
+    Ok(())
+}
+
+/// Send `req` to every target in turn; a server error fails the call.
+fn call_each(targets: &[Target], req: &Request) -> Result<Vec<Response>, String> {
+    let mut out = Vec::with_capacity(targets.len());
+    for t in targets {
+        let conn = Connection::connect(&t.addr).map_err(|e| format!("{}: {e}", t.name))?;
+        let (response, _, _) = conn.call(req).map_err(|e| format!("{}: {e}", t.name))?;
+        if let Response::Error(msg) = &response {
+            return Err(format!("{}: server error: {msg:?}", t.name));
+        }
+        out.push(response);
+    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
-// Rendering.
+// watch: the dashboard.
 
 const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
@@ -300,51 +437,131 @@ fn render_json(collector: &Collector) -> String {
     out
 }
 
-/// One-shot profiler panel: sample every target for one interval through
-/// the `Profile{Start,Fetch,Stop}` wire ops, then show the hottest logical
-/// stacks and the most contended locks across the cluster.
-fn profile_panel(targets: &[Target], interval_ms: u64) -> Result<String, String> {
-    let call = |target: &Target, req: &Request| -> Result<Response, String> {
-        let conn =
-            Connection::connect(&target.addr).map_err(|e| format!("{}: {e}", target.name))?;
-        let (response, _, _) = conn.call(req).map_err(|e| format!("{}: {e}", target.name))?;
-        Ok(response)
-    };
-    for t in targets {
-        call(t, &Request::ProfileStart { hz: 0.0 })?;
+fn watch(args: &Args, targets: Vec<Target>) -> Result<(), String> {
+    let mut collector = Collector::new(targets);
+    if args.json {
+        if args.loopback {
+            // Force a ring point so the very first scrape carries real
+            // deltas (the wall driver's first tick may still be pending).
+            tell_obs::timeseries::roll_global_now();
+        }
+        collector.poll();
+        println!("{}", render_json(&collector));
+        return Ok(());
     }
-    std::thread::sleep(Duration::from_millis(interval_ms));
-    let mut table = tell_obs::CollapsedTable::new(usize::MAX);
-    let mut locks: Vec<tell_obs::LockStat> = Vec::new();
-    let mut samples = 0u64;
-    let mut idle = 0u64;
-    for t in targets {
-        let response = call(t, &Request::ProfileFetch)?;
-        let _ = call(t, &Request::ProfileStop);
-        let Response::Profile(report) = response else {
-            return Err(format!("{}: unexpected response {response:?}", t.name));
-        };
-        samples += report.samples;
-        idle += report.idle;
-        let part = tell_obs::CollapsedTable::parse_folded(&report.folded, usize::MAX)
-            .map_err(|e| format!("{}: bad folded payload: {e}", t.name))?;
-        table.merge(&part);
-        for lock in report.locks {
-            match locks.iter_mut().find(|l| l.name == lock.name) {
-                Some(l) => {
-                    l.contended += lock.contended;
-                    l.wait_us += lock.wait_us;
-                }
-                None => locks.push(lock),
+    let mut remaining = args.iterations;
+    loop {
+        collector.poll();
+        // Cursor home + clear to end: a flicker-free refresh that still
+        // degrades to plain sequential output when piped.
+        print!("\x1b[H\x1b[J{}", render(&collector, args.interval_ms));
+        let _ = std::io::stdout().flush();
+        if args.iterations > 0 {
+            remaining -= 1;
+            if remaining == 0 {
+                return Ok(());
             }
         }
+        std::thread::sleep(Duration::from_millis(args.interval_ms));
     }
+}
+
+// ---------------------------------------------------------------------------
+// metrics: one Prometheus scrape.
+
+fn metrics(target: &Target, json: bool) -> Result<(), String> {
+    let response = call_each(std::slice::from_ref(target), &Request::Metrics)?.remove(0);
+    let Response::Metrics(body) = response else {
+        return Err(format!("{}: unexpected response: {response:?}", target.name));
+    };
+    if json {
+        print!("{body}");
+        return Ok(());
+    }
+    // Parse rather than pass through: a malformed snapshot should fail the
+    // scrape here, not downstream in whatever ingests the text.
+    print!("{}", MetricsSnapshot::from_json(&body)?.to_prometheus_text());
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// trace: spans from every process, as Chrome trace JSON.
+//
+// Spans are tail-sampled (see `tell-obs`): kept traces are the slow ones,
+// LL/SC conflict aborts, and a 1-in-N sample of fast transactions — the
+// first transaction on a fresh thread is always sampled, so a run always
+// has at least one trace to show. `Request::Spans` drains a server's ring;
+// each run is a one-shot snapshot.
+
+fn trace(args: &Args, loopback: Option<&Loopback>) -> Result<(), String> {
+    let (store, cm) = match loopback {
+        Some(lb) => (lb.targets[0].addr.clone(), lb.targets[1].addr.clone()),
+        None => (args.store.clone(), args.cm.clone()),
+    };
+    let db = open_db(&store, &cm);
+    loopback_workload(&db, args.txns, &AtomicBool::new(false))?;
+
+    // This process's ring holds the PN side; in loopback mode it holds the
+    // servers' spans too.
+    let mut spans: Vec<SourcedSpan> = tell_obs::span::global_ring()
+        .drain()
+        .into_iter()
+        .map(|span| SourcedSpan { node: "pn".to_string(), span })
+        .collect();
+    if loopback.is_none() {
+        let servers =
+            [Target::new(format!("sn {store}"), &store), Target::new(format!("cm {cm}"), &cm)];
+        let responses = call_each(&servers, &Request::Spans { drain: true })?;
+        for (server, response) in servers.iter().zip(responses) {
+            let Response::Spans(part) = response else {
+                return Err(format!("{}: unexpected response: {response:?}", server.name));
+            };
+            spans.extend(
+                part.into_iter().map(|span| SourcedSpan { node: server.name.clone(), span }),
+            );
+        }
+    }
+    if spans.is_empty() {
+        return Err("no spans collected (is the registry enabled?)".to_string());
+    }
+    eprintln!(
+        "tell_top: {} spans in {} traces ({} orphan parent links, {} dropped locally)",
+        spans.len(),
+        group_by_trace(spans.clone()).len(),
+        orphan_parents(&spans),
+        tell_obs::span::global_ring().dropped(),
+    );
+    let json = chrome_trace_json(&spans);
+    validate_json(&json).map_err(|e| format!("emitted trace JSON failed validation: {e}"))?;
+    println!("{json}");
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// flame: the profiler scrape.
+
+fn fetch_profile(targets: &[Target]) -> Result<ProfileReport, String> {
+    let reports = call_each(targets, &Request::ProfileFetch)?
+        .into_iter()
+        .map(|response| match response {
+            Response::Profile(report) => Ok(report),
+            other => Err(format!("unexpected response: {other:?}")),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    ProfileReport::merge(reports)
+        .map_err(|e| format!("bad folded payload: {e}"))?
+        .ok_or_else(|| "no targets".to_string())
+}
+
+/// The human half of `flame`: totals, then the hottest logical stacks and
+/// the most contended locks across every scraped node.
+fn profile_summary(report: &ProfileReport, nodes: usize) -> Result<String, String> {
+    let table = CollapsedTable::parse_folded(&report.folded, usize::MAX)
+        .map_err(|e| format!("bad folded payload: {e}"))?;
     let mut out = format!(
-        "tell_top — profile over {}ms, {} node(s): {} samples, {} idle\n\nHOTTEST STACKS:\n",
-        interval_ms,
-        targets.len(),
-        samples,
-        idle,
+        "tell_top flame — {nodes} node(s): running={} hz={} samples={} idle={} dropped={}\n\n\
+         HOTTEST STACKS:\n",
+        report.running, report.hz, report.samples, report.idle, report.dropped,
     );
     let mut rows = table.rows();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -361,67 +578,81 @@ fn profile_panel(targets: &[Target], interval_ms: u64) -> Result<String, String>
         out.push_str("  (no samples landed in instrumented regions)\n");
     }
     out.push_str("\nCONTENDED LOCKS:\n");
-    locks.sort_by(|a, b| b.wait_us.cmp(&a.wait_us).then(a.name.cmp(&b.name)));
-    let mut any = false;
-    for lock in locks.iter().filter(|l| l.contended > 0).take(10) {
-        any = true;
+    let contended: Vec<_> = report.locks.iter().filter(|l| l.contended > 0).take(10).collect();
+    for lock in &contended {
         out.push_str(&format!(
             "  {:<24} contended={:<8} wait={}us\n",
             lock.name, lock.contended, lock.wait_us
         ));
     }
-    if !any {
+    if contended.is_empty() {
         out.push_str("  (no contention observed)\n");
+    }
+    if !report.alloc.is_empty() {
+        out.push_str("\nALLOCATIONS:\n");
+        for a in report.alloc.iter().take(5) {
+            out.push_str(&format!("  {:<24} allocs={} bytes={}\n", a.frame, a.allocs, a.bytes));
+        }
     }
     Ok(out)
 }
 
+fn flame(args: &Args, targets: &[Target]) -> Result<(), String> {
+    let mode = match args.mode {
+        Mode::Fetch if args.loopback => Mode::Window(1.0),
+        mode => mode,
+    };
+    let start = Request::ProfileStart { hz: args.hz };
+    let report = match mode {
+        Mode::Start | Mode::Stop => {
+            let (req, done) = if mode == Mode::Start {
+                (start, "started")
+            } else {
+                (Request::ProfileStop, "stopped")
+            };
+            call_each(targets, &req)?;
+            eprintln!("tell_top: sampling {done} on {} node(s)", targets.len());
+            return Ok(());
+        }
+        Mode::Fetch => fetch_profile(targets)?,
+        Mode::Window(secs) => {
+            call_each(targets, &start)?;
+            std::thread::sleep(Duration::from_secs_f64(secs));
+            let report = fetch_profile(targets)?;
+            call_each(targets, &Request::ProfileStop)?;
+            report
+        }
+    };
+    eprint!("{}", profile_summary(&report, targets.len())?);
+    if args.json {
+        let json = speedscope_json(&report).map_err(|e| format!("bad folded payload: {e}"))?;
+        validate_json(&json)
+            .map_err(|e| format!("emitted speedscope JSON failed validation: {e}"))?;
+        print!("{json}");
+    } else {
+        print!("{}", report.folded);
+    }
+    Ok(())
+}
+
 fn run(args: &Args) -> Result<(), String> {
-    // Loopback handles must outlive the polling loop.
-    let loopback = if args.loopback { Some(Loopback::boot()?) } else { None };
-    let targets = match &loopback {
-        Some((_, targets)) => targets.clone(),
+    // The loopback cluster must outlive every call below. `trace` runs
+    // transactions of its own; the others watch a background workload.
+    let loopback =
+        if args.loopback { Some(Loopback::boot(args.command != Command::Trace)?) } else { None };
+    let mut targets = match &loopback {
+        Some(lb) => lb.targets.clone(),
         None => args.nodes.clone(),
     };
-    if args.profile {
-        if args.loopback {
-            // Let the background workload commit a few transactions first.
-            std::thread::sleep(Duration::from_millis(200));
-        }
-        let panel = profile_panel(&targets, args.interval_ms)?;
-        print!("{panel}");
-        return Ok(());
+    if loopback.is_some() && args.command != Command::Watch {
+        // Process-global state: one target answers for the pair.
+        targets.truncate(1);
     }
-    let mut collector = Collector::new(targets);
-
-    if args.json {
-        if args.loopback {
-            // Give the background workload a moment to commit, then force
-            // a ring point so the very first scrape carries real deltas
-            // (the wall driver's first tick may still be pending).
-            std::thread::sleep(Duration::from_millis(200));
-            tell_obs::timeseries::roll_global_now();
-        }
-        collector.poll();
-        println!("{}", render_json(&collector));
-        return Ok(());
-    }
-
-    let mut remaining = args.iterations;
-    loop {
-        collector.poll();
-        // Cursor home + clear to end: a flicker-free refresh that still
-        // degrades to plain sequential output when piped.
-        print!("\x1b[H\x1b[J{}", render(&collector, args.interval_ms));
-        use std::io::Write;
-        let _ = std::io::stdout().flush();
-        if args.iterations > 0 {
-            remaining -= 1;
-            if remaining == 0 {
-                return Ok(());
-            }
-        }
-        std::thread::sleep(Duration::from_millis(args.interval_ms));
+    match args.command {
+        Command::Watch => watch(args, targets),
+        Command::Metrics => metrics(&targets[0], args.json),
+        Command::Trace => trace(args, loopback.as_ref()),
+        Command::Flame => flame(args, &targets),
     }
 }
 

@@ -75,30 +75,47 @@ echo "==> end-to-end benchmark smoke (tell_e2e --smoke)"
 cargo run --release --quiet --offline \
   --manifest-path crates/bench/src/bin/tell_e2e/Cargo.toml -- --smoke
 
-echo "==> trace smoke (tell_trace against a loopback cluster)"
-# The example validates the emitted Chrome trace-event JSON and exits
+echo "==> trace smoke (tell_top trace against a loopback cluster)"
+# The tool validates the emitted Chrome trace-event JSON and exits
 # nonzero when it is malformed or no trace was assembled.
-cargo run -q --example tell_trace -- --loopback --txns 4 > /dev/null
+cargo run -q --example tell_top -- trace --loopback --txns 4 > /dev/null
 
-echo "==> telemetry smoke (tell_top --json against a loopback cluster)"
+echo "==> metrics smoke (tell_top metrics against a loopback cluster)"
+# One Request::Metrics scrape, parsed and rendered as Prometheus text.
+metrics_text="$(cargo run -q --example tell_top -- metrics --loopback)"
+if [[ "$metrics_text" != *'tell_txn_committed_total'* ]]; then
+  echo "error: tell_top metrics --loopback rendered no transaction counters:" >&2
+  echo "$metrics_text" >&2
+  exit 1
+fi
+
+echo "==> telemetry smoke (tell_top watch --json against a loopback cluster)"
 # One collector poll over Request::Telemetry against an in-process SN+CM
 # pair: both nodes must answer and the snapshot must carry ring points.
-top_json="$(cargo run -q --example tell_top -- --loopback --json)"
+top_json="$(cargo run -q --example tell_top -- watch --loopback --json)"
 if [[ "$top_json" != *'"reachable":true'* || "$top_json" != *'"polls":1'* ]]; then
-  echo "error: tell_top --loopback --json returned an unhealthy snapshot:" >&2
+  echo "error: tell_top watch --loopback --json returned an unhealthy snapshot:" >&2
   echo "$top_json" >&2
   exit 1
 fi
 
-echo "==> profiler smoke (tell_flame --loopback over the wire)"
+echo "==> profiler smoke (tell_top flame --loopback over the wire)"
 # Boot a loopback cluster, start/fetch/stop the profiler through the
 # Profile wire ops, and require a valid non-empty folded payload that
-# saw the transaction path. parse_folded in the example already rejects
+# saw the transaction path. The merge in the tool already rejects
 # malformed lines; here we also pin the content.
-flame_folded="$(cargo run -q --example tell_flame -- --loopback 2>/dev/null)"
+flame_folded="$(cargo run -q --example tell_top -- flame --loopback 2>/dev/null)"
 if [[ "$flame_folded" != *'txn'* || "$flame_folded" != *'rpc.dispatch'* ]]; then
-  echo "error: tell_flame --loopback produced no transaction/dispatch stacks:" >&2
+  echo "error: tell_top flame --loopback produced no transaction/dispatch stacks:" >&2
   echo "$flame_folded" >&2
+  exit 1
+fi
+# The speedscope rendering of the same kind of window: the tool validates
+# the JSON before printing it, and it must name the dispatch frame.
+flame_json="$(cargo run -q --example tell_top -- flame --loopback --json 2>/dev/null)"
+if [[ "$flame_json" != *'"exporter":"tell_flame"'* || "$flame_json" != *'rpc.dispatch'* ]]; then
+  echo "error: tell_top flame --loopback --json produced no speedscope profile:" >&2
+  echo "$flame_json" >&2
   exit 1
 fi
 
