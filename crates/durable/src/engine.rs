@@ -45,25 +45,21 @@ use crate::segment::{
 /// When to fsync the active segment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// fsync after every record: `record()` returning means durable.
+    /// fsync once per `record_all` (one storage request's records on this
+    /// node): its returning `Ok` means every record in it is durable.
     Always,
-    /// fsync every N records: bounded loss window, much cheaper.
-    Batch(u64),
     /// Never fsync (the OS flushes eventually): crash durability is
     /// whatever the page cache survived — for benches and tests only.
     Never,
 }
 
 impl FsyncPolicy {
-    /// Parse `always`, `never`, or `batch:<n>` (CLI flag format).
+    /// Parse `always` or `never` (CLI flag format).
     pub fn parse(s: &str) -> std::result::Result<FsyncPolicy, String> {
         match s {
             "always" => Ok(FsyncPolicy::Always),
             "never" => Ok(FsyncPolicy::Never),
-            other => match other.strip_prefix("batch:").and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) if n > 0 => Ok(FsyncPolicy::Batch(n)),
-                _ => Err(format!("bad fsync policy {other:?} (always | never | batch:<n>)")),
-            },
+            other => Err(format!("bad fsync policy {other:?} (always | never)")),
         }
     }
 }
@@ -138,7 +134,9 @@ struct Inner {
     manifest: Manifest,
     index: HashMap<u32, PartitionIndex>,
     records_since_ckpt: u64,
-    appends_since_sync: u64,
+    /// Whether a record was appended to the active segment since its last
+    /// sync.
+    unsynced: bool,
 }
 
 /// A log-structured persistence engine for one storage node.
@@ -404,7 +402,7 @@ impl DurableNode {
                 manifest,
                 index,
                 records_since_ckpt: 0,
-                appends_since_sync: 0,
+                unsynced: false,
             }),
             evictor_stop: Arc::new(AtomicBool::new(false)),
             evictor: Mutex::new(None),
@@ -494,7 +492,7 @@ impl DurableNode {
         inner.active.file.sync_all().map_err(|e| io_err("sync sealed segment", &e))?;
         incr(Counter::DurableFsyncs);
         incr(Counter::DurableSegmentsSealed);
-        inner.appends_since_sync = 0;
+        inner.unsynced = false;
         let seg_seq = inner.next_seg_seq;
         inner.next_seg_seq += 1;
         let slot = inner.allocator.alloc();
@@ -652,19 +650,7 @@ impl DurableNode {
             }
         }
         part.applied_seq = part.applied_seq.max(seq);
-
-        inner.appends_since_sync += 1;
-        let should_sync = match self.config.fsync {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::Batch(n) => inner.appends_since_sync >= n,
-            FsyncPolicy::Never => false,
-        };
-        if should_sync {
-            let _fsync = Probe::enter(Site::DurableFsync);
-            inner.active.file.sync_data().map_err(|e| io_err("fsync segment", &e))?;
-            incr(Counter::DurableFsyncs);
-            inner.appends_since_sync = 0;
-        }
+        inner.unsynced = true;
 
         if inner.active.len >= self.config.segment_bytes {
             self.rotate(inner)?;
@@ -677,12 +663,37 @@ impl DurableNode {
         }
         Ok(())
     }
+
+    /// Sync the active segment if the policy asks for it and an append
+    /// since the last sync (a rotation or checkpoint also syncs) is not yet
+    /// on stable storage: the one fsync of a `record_all` or a reset.
+    fn sync_if_due(&self, inner: &mut Inner) -> Result<()> {
+        if self.config.fsync == FsyncPolicy::Always && inner.unsynced {
+            self.sync_locked(inner)?;
+        }
+        Ok(())
+    }
+
+    fn sync_locked(&self, inner: &mut Inner) -> Result<()> {
+        let _probe = Probe::enter(Site::DurableFsync);
+        inner.active.file.sync_data().map_err(|e| io_err("fsync segment", &e))?;
+        incr(Counter::DurableFsyncs);
+        inner.unsynced = false;
+        Ok(())
+    }
 }
 
 impl NodeDurability for DurableNode {
     fn record(&self, pid: u32, seq: u64, key: &Bytes, cell: Option<&Cell>) -> Result<()> {
+        self.record_all(&[(pid, seq, key, cell)])
+    }
+
+    fn record_all(&self, records: &[(u32, u64, &Bytes, Option<&Cell>)]) -> Result<()> {
         let mut inner = self.inner.lock();
-        self.append_locked(&mut inner, pid, seq, key, cell)
+        for &(pid, seq, key, cell) in records {
+            self.append_locked(&mut inner, pid, seq, key, cell)?;
+        }
+        self.sync_if_due(&mut inner)
     }
 
     fn reset_partition(&self, pid: u32, applied_seq: u64, entries: &[(Bytes, Cell)]) -> Result<()> {
@@ -710,16 +721,16 @@ impl NodeDurability for DurableNode {
         // genuinely contains an empty key.
         let watermark_cell = entries.iter().find(|(k, _)| k.is_empty()).map(|(_, c)| c);
         self.append_locked(&mut inner, pid, applied_seq, &Bytes::new(), watermark_cell)?;
-        Ok(())
+        // One sync for the whole reset. A crash before it leaves at most a
+        // prefix of the records readable (replay stops at the first bad
+        // frame; a rotation synced every sealed segment), which recovery
+        // reads as a torn reset (see above).
+        self.sync_if_due(&mut inner)
     }
 
     fn sync(&self) -> Result<()> {
         let mut inner = self.inner.lock();
-        let _probe = Probe::enter(Site::DurableFsync);
-        inner.active.file.sync_data().map_err(|e| io_err("fsync segment", &e))?;
-        incr(Counter::DurableFsyncs);
-        inner.appends_since_sync = 0;
-        Ok(())
+        self.sync_locked(&mut inner)
     }
 }
 
@@ -992,8 +1003,7 @@ mod tests {
     fn fsync_policy_parses() {
         assert_eq!(FsyncPolicy::parse("always"), Ok(FsyncPolicy::Always));
         assert_eq!(FsyncPolicy::parse("never"), Ok(FsyncPolicy::Never));
-        assert_eq!(FsyncPolicy::parse("batch:32"), Ok(FsyncPolicy::Batch(32)));
-        assert!(FsyncPolicy::parse("batch:0").is_err());
+        assert!(FsyncPolicy::parse("batch:32").is_err());
         assert!(FsyncPolicy::parse("sometimes").is_err());
     }
 

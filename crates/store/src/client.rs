@@ -16,7 +16,7 @@ use tell_netsim::NetMeter;
 use tell_obs::{Probe, Sample, Site, SpanStatus};
 
 use crate::cell::Token;
-use crate::cluster::{Mutation, StoreCluster};
+use crate::cluster::StoreCluster;
 use crate::keys::{prefix_end, Key};
 use crate::op::{OpHandle, OpResult, StoreOp};
 use crate::predicate::Predicate;
@@ -150,10 +150,6 @@ impl StoreClient {
     /// delete-conditional, by the op's precondition and value.
     fn write_one(&self, op: WriteOp) -> Result<Option<Token>> {
         let payload = op.payload_len();
-        let mutation = match op.value {
-            Some(v) => Mutation::Put(v),
-            None => Mutation::Delete,
-        };
         // Charge the exchange whether or not it conflicts: a failed SC costs
         // a round trip too. A single write takes the frame only: under a
         // server dispatch its dispatch span already is the apply span.
@@ -161,7 +157,8 @@ impl StoreClient {
         self.meter.stats().note_writes(1);
         tell_obs::incr(tell_obs::Counter::StoreWriteOps);
         self.meter.charge_request(payload, ACK_BYTES, 1);
-        let (token, replicas) = self.cluster.srv_write(&op.key, op.expect, mutation)?;
+        let (token, replicas) =
+            self.cluster.srv_multi_write(vec![op]).pop().expect("one result per op")?;
         if replicas > 0 {
             self.meter.charge_replication(replicas, payload);
         }
@@ -180,31 +177,27 @@ impl StoreClient {
         // path stays span-free, the install phase already covers it).
         let probe = Probe::enter(Site::StoreWrite);
         let op_count = ops.len() as u32;
-        let out_bytes: usize = ops.iter().map(|o| o.payload_len()).sum();
+        let payloads: Vec<usize> = ops.iter().map(|o| o.payload_len()).collect();
         self.meter.stats().note_writes(ops.len() as u64);
         tell_obs::add(tell_obs::Counter::StoreWriteOps, ops.len() as u64);
-        self.meter.charge_request(out_bytes, ACK_BYTES + 8 * ops.len(), ops.len());
-        let mut results = Vec::with_capacity(ops.len());
-        for op in ops {
-            let payload = op.payload_len();
-            let mutation = match op.value {
-                Some(v) => Mutation::Put(v),
-                None => Mutation::Delete,
-            };
-            match self.cluster.srv_write(&op.key, op.expect, mutation) {
-                Ok((token, replicas)) => {
-                    if replicas > 0 {
-                        // Synchronous replication is per written object: the
-                        // batch amortizes the client round trip, but every
-                        // object still travels master -> backups before the
-                        // ack (the dominant RF3 cost, Fig 5).
-                        self.meter.charge_replication(replicas, payload);
-                    }
-                    results.push(Ok(token));
+        self.meter.charge_request(payloads.iter().sum(), ACK_BYTES + 8 * ops.len(), ops.len());
+        let results: Vec<Result<Option<Token>>> = self
+            .cluster
+            .srv_multi_write(ops)
+            .into_iter()
+            .zip(payloads)
+            .map(|(result, payload)| {
+                let (token, replicas) = result?;
+                if replicas > 0 {
+                    // Synchronous replication is per written object: the
+                    // batch amortizes the client round trip, but every
+                    // object still travels master -> backups before the
+                    // ack (the dominant RF3 cost, Fig 5).
+                    self.meter.charge_replication(replicas, payload);
                 }
-                Err(e) => results.push(Err(e)),
-            }
-        }
+                Ok(token)
+            })
+            .collect();
         let status =
             if results.iter().any(|r| r.is_err()) { SpanStatus::Conflict } else { SpanStatus::Ok };
         probe.finish(0.0, op_count, status);

@@ -16,6 +16,7 @@ use tell_common::{Error, PartitionId, Result, SnId};
 use tell_netsim::NetworkProfile;
 
 use crate::cell::{Cell, Token};
+use crate::client::WriteOp;
 use crate::durability::{DurabilityProvider, NodeDurability};
 use crate::keys::Key;
 use crate::node::{CopyStore, StorageNode};
@@ -42,6 +43,48 @@ pub enum Mutation {
     Put(Bytes),
     /// Remove the key.
     Delete,
+}
+
+/// What one op of a batched mutation does to its key, decided from the
+/// key's current cell under its partition's write lock.
+enum Change {
+    /// Store these bytes under a fresh token.
+    Put(Bytes),
+    /// Remove the (present) key.
+    Delete,
+    /// Leave the key as it is (an unconditional delete of a missing key).
+    Keep,
+}
+
+/// A partition a batch writes, resolved before the batch takes any write
+/// lock. The host list and the other copies are snapshots, so no
+/// partition-level lock is taken while copy locks are held.
+struct Resolved {
+    master: SnId,
+    /// Alive replicas at resolution: what the caller charges replication for.
+    replicas: usize,
+    copy: Arc<CopyStore>,
+    hosts: Vec<SnId>,
+    peers: Vec<(SnId, Arc<CopyStore>)>,
+}
+
+/// One mutation as [`NodeDurability::record_all`] takes it.
+type Record<'a> = (u32, u64, &'a Key, Option<&'a Cell>);
+
+/// A mutation a batch applied to a locked master copy, kept until its
+/// record is durable so it can be logged, undone or replicated.
+struct Applied {
+    /// Index of the op in the batch.
+    op: usize,
+    /// Index of its partition among the batch's touched partitions.
+    part: usize,
+    seq: u64,
+    /// The new cell, `None` for a delete.
+    cell: Option<Cell>,
+    /// What the key held before, for undo.
+    prev: Option<Cell>,
+    /// Footprint change on every node holding the copy.
+    delta: isize,
 }
 
 /// One logical partition of the key space with its replica copies.
@@ -324,199 +367,326 @@ impl StoreCluster {
         Ok(map.get(key).map(|c| (c.token, c.value.clone())))
     }
 
-    /// Apply a conditional write. Returns the new token for puts, `None`
-    /// for deletes. The write is applied to the master and *synchronously*
-    /// to every alive replica while the master's write lock is held, so
-    /// copies are always byte-identical (in-memory storage requires
-    /// synchronous replication, §2.3). Also returns the number of replicas
-    /// written, so the caller can charge replication cost.
+    /// Apply one conditional write: the one-op case of
+    /// [`StoreCluster::srv_multi_write`]. Returns the new token for puts,
+    /// `None` for deletes, and the number of replicas written, so the
+    /// caller can charge replication cost.
     pub fn srv_write(
         &self,
         key: &Key,
         expect: Expect,
         mutation: Mutation,
     ) -> Result<(Option<Token>, usize)> {
-        let pid = self.partition_id(key);
-        let (master, replicas) = self.master_of(pid)?;
-        let part = &self.partitions[pid];
-        let master_copy =
-            part.copy_of(master).ok_or_else(|| Error::Unavailable("master copy missing".into()))?;
-
-        let mut map = master_copy.map.write();
-        let existing = map.get(key.as_ref());
-        match (expect, existing) {
-            (Expect::Absent, Some(_)) => return Err(Error::Conflict),
-            (Expect::Token(_), None) => return Err(Error::Conflict),
-            (Expect::Token(t), Some(c)) if c.token != t => return Err(Error::Conflict),
-            _ => {}
-        }
-
-        let old_footprint =
-            existing.map(|c| Cell::footprint(key.len(), c.value.len()) as isize).unwrap_or(0);
-
-        match mutation {
-            Mutation::Put(value) => {
-                let new_footprint = Cell::footprint(key.len(), value.len()) as isize;
-                let delta = new_footprint - old_footprint;
-                // Capacity check against every hosting alive node before the
-                // write becomes visible anywhere.
-                if delta > 0 {
-                    let assignment = part.assignment.read();
-                    for &host in assignment.iter() {
-                        let n = self.node(host);
-                        if n.is_alive() && n.would_exceed(delta as usize) {
-                            return Err(Error::CapacityExceeded {
-                                node: host.raw(),
-                                capacity: n.capacity_bytes().unwrap_or(0),
-                            });
-                        }
-                    }
-                }
-                let token = part.next_token.fetch_add(1, Ordering::Relaxed);
-                let cell = Cell { token, value };
-                let seq = self.alloc_seq_and_record(part, pid, master, key, Some(&cell))?;
-                map.insert(key.clone(), cell.clone());
-                self.node(master).account(delta);
-                master_copy.applied_seq.store(seq, Ordering::Release);
-                // Replicas: same cell, while still holding the master lock.
-                self.replicate(part, pid, master, seq, key, Some(cell), delta);
-                Ok((Some(token), replicas))
-            }
-            Mutation::Delete => {
-                if existing.is_none() {
-                    // Deleting a missing key unconditionally is a no-op.
-                    return if expect == Expect::Any {
-                        Ok((None, 0))
-                    } else {
-                        Err(Error::Conflict)
-                    };
-                }
-                let seq = self.alloc_seq_and_record(part, pid, master, key, None)?;
-                map.remove(key.as_ref());
-                self.node(master).account(-old_footprint);
-                master_copy.applied_seq.store(seq, Ordering::Release);
-                self.replicate(part, pid, master, seq, key, None, -old_footprint);
-                Ok((None, replicas))
-            }
-        }
+        let value = match mutation {
+            Mutation::Put(v) => Some(v),
+            Mutation::Delete => None,
+        };
+        self.srv_multi_write(vec![WriteOp { key: key.clone(), expect, value }])
+            .pop()
+            .expect("one result per op")
     }
 
-    /// Record one acked mutation to `host`'s durability engine, if any.
-    fn record_durable(
-        &self,
-        pid: usize,
-        host: SnId,
-        seq: u64,
-        key: &Key,
-        cell: Option<&Cell>,
-    ) -> Result<()> {
-        match self.engine_of(host) {
-            Some(engine) => engine.record(pid as u32, seq, key, cell),
-            None => Ok(()),
-        }
-    }
-
-    /// Allocate the partition's next acked sequence and record the mutation
-    /// to the master's durability engine *before* anything becomes visible:
-    /// an engine error must not leave a mutation applied in RAM that the
-    /// caller sees fail (a later restart-from-log or a `mark_committed`
-    /// rollback would then disagree with live state). On error the sequence
-    /// allocation is rolled back — safe because the caller holds the master
-    /// copy's write lock, and only a fresh-copy master allocates, so no
-    /// concurrent writer can have advanced `seq` meanwhile.
-    fn alloc_seq_and_record(
-        &self,
-        part: &LogicalPartition,
-        pid: usize,
-        master: SnId,
-        key: &Key,
-        cell: Option<&Cell>,
-    ) -> Result<u64> {
-        let seq = part.seq.fetch_add(1, Ordering::AcqRel) + 1;
-        if let Err(e) = self.record_durable(pid, master, seq, key, cell) {
-            part.seq.store(seq - 1, Ordering::Release);
-            return Err(e);
-        }
-        Ok(seq)
-    }
-
-    /// Apply a mutation at `seq` to every alive replica that is current
-    /// through `seq - 1`. A stale replica (revived without a fresh peer to
-    /// re-sync from) is skipped — applying the new write would not make it
-    /// fresh, and advancing its `applied_seq` would falsely mark it so.
-    #[allow(clippy::too_many_arguments)]
-    fn replicate(
-        &self,
-        part: &LogicalPartition,
-        pid: usize,
-        master: SnId,
-        seq: u64,
-        key: &Key,
-        cell: Option<Cell>,
-        delta: isize,
-    ) {
-        let copies = part.copies.read();
-        for (host, copy) in copies.iter() {
-            if *host == master || !self.node(*host).is_alive() {
-                continue;
-            }
-            let mut m = copy.map.write();
-            if copy.applied_seq.load(Ordering::Acquire) != seq - 1 {
-                continue;
-            }
-            match &cell {
-                Some(c) => {
-                    m.insert(key.clone(), c.clone());
+    /// Apply a batch of conditional writes with independent per-op results
+    /// (the batch is a network optimisation, not an atomic unit — commit
+    /// atomicity lives in the transaction layer above, §4.3). Each `Ok`
+    /// carries the new token (`None` for deletes) and the number of
+    /// replicas written. Ops see each other in op order, exactly as one
+    /// write at a time would. Each node's engine gets all of the batch's
+    /// records on that node in one [`NodeDurability::record_all`], and
+    /// the written partitions stay write-locked until then, so no reader
+    /// sees a write before it is durable.
+    pub fn srv_multi_write(&self, ops: Vec<WriteOp>) -> Vec<Result<(Option<Token>, usize)>> {
+        let (keys, mut writes): (Vec<Key>, Vec<(Expect, Option<Bytes>)>) =
+            ops.into_iter().map(|op| (op.key, (op.expect, op.value))).unzip();
+        self.mutate(&keys, |i, existing| {
+            let (expect, value) = &mut writes[i];
+            match (*expect, existing) {
+                (Expect::Absent, Some(_)) | (Expect::Token(_), None) => {
+                    return Err(Error::Conflict)
                 }
-                None => {
-                    m.remove(key.as_ref());
-                }
+                (Expect::Token(t), Some(c)) if c.token != t => return Err(Error::Conflict),
+                _ => {}
             }
-            copy.applied_seq.store(seq, Ordering::Release);
-            drop(m);
-            self.node(*host).account(delta);
-            // A replica engine that cannot log the record is equivalent to a
-            // trailing batched-fsync log: the copy stays fresh in RAM, and a
-            // later restart-from-log recovers behind and re-syncs from a
-            // fresh peer. Propagating the error would abort this loop and
-            // leave the *remaining* replicas permanently stale instead.
-            if self.record_durable(pid, *host, seq, key, cell.as_ref()).is_err() {
-                tell_obs::incr(tell_obs::Counter::DurableReplicaRecordsDropped);
+            match value.take() {
+                Some(v) => Ok(Change::Put(v)),
+                None if existing.is_some() => Ok(Change::Delete),
+                // Deleting a missing key unconditionally is a no-op.
+                None if *expect == Expect::Any => Ok(Change::Keep),
+                None => Err(Error::Conflict),
             }
-        }
+        })
     }
 
     /// Atomic fetch-and-add on a counter cell (u64, little-endian). Missing
     /// counters start at zero. Returns the post-increment value.
     pub fn srv_increment(&self, key: &Key, delta: u64) -> Result<u64> {
-        let pid = self.partition_id(key);
-        let (master, _) = self.master_of(pid)?;
-        let part = &self.partitions[pid];
-        let master_copy =
-            part.copy_of(master).ok_or_else(|| Error::Unavailable("master copy missing".into()))?;
-        let mut map = master_copy.map.write();
-        let current = match map.get(key.as_ref()) {
-            Some(c) => {
-                let bytes: [u8; 8] = c
-                    .value
-                    .as_ref()
-                    .try_into()
-                    .map_err(|_| Error::corrupt("counter cell is not 8 bytes"))?;
-                u64::from_le_bytes(bytes)
-            }
-            None => 0,
-        };
-        let new = current.checked_add(delta).ok_or_else(|| Error::invalid("counter overflow"))?;
-        let token = part.next_token.fetch_add(1, Ordering::Relaxed);
-        let cell = Cell { token, value: Bytes::copy_from_slice(&new.to_le_bytes()) };
-        let delta_fp =
-            if map.contains_key(key.as_ref()) { 0 } else { Cell::footprint(key.len(), 8) as isize };
-        let seq = self.alloc_seq_and_record(part, pid, master, key, Some(&cell))?;
-        map.insert(key.clone(), cell.clone());
-        self.node(master).account(delta_fp);
-        master_copy.applied_seq.store(seq, Ordering::Release);
-        self.replicate(part, pid, master, seq, key, Some(cell), delta_fp);
+        let mut new = 0;
+        self.mutate(std::slice::from_ref(key), |_, existing| {
+            let current = match existing {
+                Some(c) => {
+                    let bytes: [u8; 8] = c
+                        .value
+                        .as_ref()
+                        .try_into()
+                        .map_err(|_| Error::corrupt("counter cell is not 8 bytes"))?;
+                    u64::from_le_bytes(bytes)
+                }
+                None => 0,
+            };
+            new = current.checked_add(delta).ok_or_else(|| Error::invalid("counter overflow"))?;
+            Ok(Change::Put(Bytes::copy_from_slice(&new.to_le_bytes())))
+        })
+        .pop()
+        .expect("one result per op")?;
         Ok(new)
+    }
+
+    /// The one mutation path. `change` decides, for each of `keys` in
+    /// order and from the key's current cell, what the op does; `mutate`
+    /// applies it:
+    ///
+    /// 1. resolve every touched partition's master — before any write
+    ///    lock, because `master_of` read-locks copies;
+    /// 2. write-lock those master copies in ascending partition order, so
+    ///    two batches cannot deadlock;
+    /// 3. check, allocate and apply each op in op order;
+    /// 4. hand each master's durability engine all its records in one
+    ///    [`NodeDurability::record_all`] — one fsync per node per request;
+    /// 5. if an engine fails, undo its ops and roll their partitions'
+    ///    sequences back, so each of those ops returns the error and the
+    ///    partitions stay fresh (safe: only a fresh master allocates, and
+    ///    it is locked);
+    /// 6. replicate to every in-sync replica, then unlock.
+    ///
+    /// Readers need the master's read lock, so no reader sees a cell before
+    /// its record is durable ([`NodeDurability`] says why that matters).
+    fn mutate(
+        &self,
+        keys: &[Key],
+        mut change: impl FnMut(usize, Option<&Cell>) -> Result<Change>,
+    ) -> Vec<Result<(Option<Token>, usize)>> {
+        let pids: Vec<usize> = keys.iter().map(|k| self.partition_id(k)).collect();
+        let mut touched = pids.clone();
+        touched.sort_unstable();
+        touched.dedup();
+        let resolved: Vec<Result<Resolved>> =
+            touched.iter().map(|&pid| self.resolve(pid)).collect();
+        let mut maps: Vec<Result<_>> = resolved
+            .iter()
+            .zip(&touched)
+            .map(|(r, &pid)| {
+                let r = r.as_ref().map_err(Clone::clone)?;
+                let map = r.copy.map.write();
+                if r.copy.applied_seq.load(Ordering::Acquire)
+                    != self.partitions[pid].seq.load(Ordering::Acquire)
+                {
+                    return Err(Error::Unavailable(format!(
+                        "master copy of partition {pid} went stale"
+                    )));
+                }
+                Ok(map)
+            })
+            .collect();
+        // Under the locks: each partition's sequence before the batch, and
+        // the replicas current through it (only those receive the batch).
+        let bases: Vec<u64> =
+            touched.iter().map(|&pid| self.partitions[pid].seq.load(Ordering::Acquire)).collect();
+        let in_sync: Vec<Vec<(SnId, Arc<CopyStore>)>> = resolved
+            .iter()
+            .zip(&bases)
+            .map(|(r, &base)| match r {
+                Ok(r) => r
+                    .peers
+                    .iter()
+                    .filter(|(host, copy)| {
+                        self.node(*host).is_alive()
+                            && copy.applied_seq.load(Ordering::Acquire) == base
+                    })
+                    .cloned()
+                    .collect(),
+                Err(_) => Vec::new(),
+            })
+            .collect();
+
+        let mut results = Vec::with_capacity(keys.len());
+        let mut applied: Vec<Applied> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            let p = touched.binary_search(&pids[i]).expect("every pid is touched");
+            let map = match &mut maps[p] {
+                Ok(map) => map,
+                Err(e) => {
+                    results.push(Err(e.clone()));
+                    continue;
+                }
+            };
+            let r = resolved[p].as_ref().expect("a locked partition resolved");
+            let part = &self.partitions[pids[i]];
+            let existing = map.get(key.as_ref());
+            let old_footprint =
+                existing.map_or(0, |c| Cell::footprint(key.len(), c.value.len()) as isize);
+            let (token, cell, delta) = match change(i, existing) {
+                Err(e) => {
+                    results.push(Err(e));
+                    continue;
+                }
+                Ok(Change::Keep) => {
+                    results.push(Ok((None, 0)));
+                    continue;
+                }
+                Ok(Change::Delete) => (None, None, -old_footprint),
+                Ok(Change::Put(value)) => {
+                    let delta = Cell::footprint(key.len(), value.len()) as isize - old_footprint;
+                    // Capacity check against every hosting alive node before
+                    // the write becomes visible anywhere.
+                    let full = r
+                        .hosts
+                        .iter()
+                        .map(|&h| self.node(h))
+                        .find(|n| delta > 0 && n.is_alive() && n.would_exceed(delta as usize));
+                    if let Some(n) = full {
+                        results.push(Err(Error::CapacityExceeded {
+                            node: n.id.raw(),
+                            capacity: n.capacity_bytes().unwrap_or(0),
+                        }));
+                        continue;
+                    }
+                    let token = part.next_token.fetch_add(1, Ordering::Relaxed);
+                    (Some(token), Some(Cell { token, value }), delta)
+                }
+            };
+            let seq = part.seq.fetch_add(1, Ordering::AcqRel) + 1;
+            let prev = match &cell {
+                Some(c) => map.insert(key.clone(), c.clone()),
+                None => map.remove(key.as_ref()),
+            };
+            r.copy.applied_seq.store(seq, Ordering::Release);
+            self.node(r.master).account(delta);
+            for (host, _) in &in_sync[p] {
+                self.node(*host).account(delta);
+            }
+            applied.push(Applied { op: i, part: p, seq, cell, prev, delta });
+            results.push(Ok((token, r.replicas)));
+        }
+
+        let master = |p: usize| resolved[p].as_ref().expect("applied partitions resolved").master;
+        let mut masters: Vec<SnId> = applied.iter().map(|a| master(a.part)).collect();
+        masters.sort_unstable();
+        masters.dedup();
+        for m in masters {
+            let Some(engine) = self.engine_of(m) else { continue };
+            let records: Vec<_> = applied
+                .iter()
+                .filter(|a| master(a.part) == m)
+                .map(|a| (touched[a.part] as u32, a.seq, &keys[a.op], a.cell.as_ref()))
+                .collect();
+            let Err(e) = engine.record_all(&records) else { continue };
+            for a in applied.iter_mut().rev().filter(|a| master(a.part) == m) {
+                let map = maps[a.part].as_mut().expect("applied partitions are locked");
+                let key = &keys[a.op];
+                match a.prev.take() {
+                    Some(c) => map.insert(key.clone(), c),
+                    None => map.remove(key.as_ref()),
+                };
+                self.node(m).account(-a.delta);
+                for (host, _) in &in_sync[a.part] {
+                    self.node(*host).account(-a.delta);
+                }
+                results[a.op] = Err(e.clone());
+            }
+            for (p, r) in resolved.iter().enumerate() {
+                match (r, &maps[p]) {
+                    (Ok(r), Ok(_)) if r.master == m => {
+                        self.partitions[touched[p]].seq.store(bases[p], Ordering::Release);
+                        r.copy.applied_seq.store(bases[p], Ordering::Release);
+                    }
+                    _ => {}
+                }
+            }
+            applied.retain(|a| master(a.part) != m);
+        }
+
+        self.replicate(&touched, &bases, &in_sync, keys, &applied);
+        drop(maps);
+        results
+    }
+
+    /// Apply a batch's durable mutations to every replica that was current
+    /// through the batch's base sequence when the batch locked its masters,
+    /// then log them: one `record_all` per replica node. A replica that
+    /// died or moved meanwhile is skipped — applying the batch would not
+    /// make it fresh, and advancing its `applied_seq` would falsely mark it
+    /// so.
+    fn replicate(
+        &self,
+        touched: &[usize],
+        bases: &[u64],
+        in_sync: &[Vec<(SnId, Arc<CopyStore>)>],
+        keys: &[Key],
+        applied: &[Applied],
+    ) {
+        let mut logs: Vec<(SnId, Vec<Record>)> = Vec::new();
+        for (p, replicas) in in_sync.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
+            let ops: Vec<&Applied> = applied.iter().filter(|a| a.part == p).collect();
+            let Some(last) = ops.last() else { continue };
+            for (host, copy) in replicas {
+                let mut m = copy.map.write();
+                if !self.node(*host).is_alive()
+                    || copy.applied_seq.load(Ordering::Acquire) != bases[p]
+                {
+                    drop(m);
+                    self.node(*host).account(-ops.iter().map(|a| a.delta).sum::<isize>());
+                    continue;
+                }
+                for a in &ops {
+                    match &a.cell {
+                        Some(c) => m.insert(keys[a.op].clone(), c.clone()),
+                        None => m.remove(keys[a.op].as_ref()),
+                    };
+                }
+                copy.applied_seq.store(last.seq, Ordering::Release);
+                drop(m);
+                let at = match logs.iter().position(|(h, _)| h == host) {
+                    Some(at) => at,
+                    None => {
+                        logs.push((*host, Vec::new()));
+                        logs.len() - 1
+                    }
+                };
+                let pid = touched[p] as u32;
+                logs[at].1.extend(ops.iter().map(|a| (pid, a.seq, &keys[a.op], a.cell.as_ref())));
+            }
+        }
+        for (host, records) in logs {
+            // A replica engine that cannot log the records is equivalent to
+            // a log that lost its tail in a crash: the copy stays fresh in
+            // RAM, and a later restart-from-log recovers behind and re-syncs
+            // from a fresh peer. Failing the batch instead would leave the
+            // *remaining* replicas permanently stale.
+            let Some(engine) = self.engine_of(host) else { continue };
+            if engine.record_all(&records).is_err() {
+                tell_obs::add(
+                    tell_obs::Counter::DurableReplicaRecordsDropped,
+                    records.len() as u64,
+                );
+            }
+        }
+    }
+
+    /// A partition's master and its other copies, resolved before a batch
+    /// takes any write lock.
+    fn resolve(&self, pid: usize) -> Result<Resolved> {
+        let (master, replicas) = self.master_of(pid)?;
+        let part = &self.partitions[pid];
+        let copies = part.copies.read();
+        let copy = copies
+            .iter()
+            .find(|(id, _)| *id == master)
+            .map(|(_, c)| Arc::clone(c))
+            .ok_or_else(|| Error::Unavailable("master copy missing".into()))?;
+        let peers = copies.iter().filter(|(id, _)| *id != master).cloned().collect();
+        drop(copies);
+        let hosts = part.assignment.read().clone();
+        Ok(Resolved { master, replicas, copy, hosts, peers })
     }
 
     /// Ordered scan of `[start, end)` across all partitions (scatter-gather
@@ -701,8 +871,8 @@ impl StoreCluster {
             }
         }
         self.load_node_from_log(id)?;
-        // Recovered-but-behind copies catch up from fresh peers (the log
-        // may trail under a batched fsync policy).
+        // Recovered-but-behind copies catch up from fresh peers (the node
+        // missed writes while down, or its engine dropped replica records).
         for (pid, part) in self.partitions.iter().enumerate() {
             let Some(copy) = part.copy_of(id) else { continue };
             if copy.applied_seq.load(Ordering::Acquire) != part.seq.load(Ordering::Acquire) {

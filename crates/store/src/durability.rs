@@ -21,12 +21,31 @@ use tell_common::{Result, SnId};
 use crate::cell::Cell;
 
 /// Per-node durability engine: the write-ahead side of the seam.
+///
+/// The cluster hands an engine every record of one storage request in a
+/// single [`NodeDurability::record_all`], so an engine that fsyncs pays one
+/// sync per request, not one per record. It calls it while the written
+/// partitions' master copies are still write-locked, and only unlocks once
+/// it returned: a cell that readers could see before its record is durable
+/// could be read, lost in a crash, and its LL/SC token handed out again
+/// after a restart from the log — and a store-conditional against the
+/// stale read would then succeed.
 pub trait NodeDurability: Send + Sync + std::fmt::Debug {
     /// Persist one acked mutation: `key` in partition `pid` now holds
     /// `cell` (`None` = delete) at partition mutation sequence `seq`.
     /// Returning `Ok` means the write is durable to the engine's configured
     /// fsync policy.
     fn record(&self, pid: u32, seq: u64, key: &Bytes, cell: Option<&Cell>) -> Result<()>;
+
+    /// Persist several mutations, each as [`NodeDurability::record`] takes
+    /// it, in order. Returning `Ok` means *every* record is durable to the
+    /// engine's fsync policy; on `Err` the caller treats all of them as
+    /// failed. The default records one at a time, which is right for a
+    /// wrapper (a tracing shim, a test double) that forwards to an engine
+    /// by record; an engine that syncs implements it to sync once.
+    fn record_all(&self, records: &[(u32, u64, &Bytes, Option<&Cell>)]) -> Result<()> {
+        records.iter().try_for_each(|&(pid, seq, key, cell)| self.record(pid, seq, key, cell))
+    }
 
     /// Force everything recorded so far to stable storage.
     fn sync(&self) -> Result<()>;

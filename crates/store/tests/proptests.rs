@@ -1,14 +1,19 @@
 //! Model-based property tests of the store: a sequence of operations on a
 //! replicated, partitioned cluster behaves exactly like a single HashMap
-//! with tokens — including across node failures under RF2.
+//! with tokens — including across node failures under RF2 — and a batched
+//! multi-write behaves exactly like its ops applied one at a time.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use bytes::Bytes;
+use parking_lot::Mutex;
 use proptest::prelude::*;
-use tell_common::{Error, SnId};
-use tell_store::{StoreApi, StoreClient, StoreCluster, StoreConfig};
+use tell_common::{Error, Result, SnId};
+use tell_store::{
+    Cell, DurabilityProvider, Expect, NodeDurability, RecoveredNode, StoreApi, StoreClient,
+    StoreCluster, StoreConfig, Token, WriteOp,
+};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -132,5 +137,161 @@ proptest! {
         let rows = client.scan_prefix(b"k", usize::MAX).unwrap();
         prop_assert_eq!(rows.len(), model.len());
         prop_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+}
+
+/// One op of a batched multi-write. Store-conditionals and conditional
+/// deletes name the token the key held *before* the batch (`fresh`) or one
+/// that never existed.
+#[derive(Clone, Debug)]
+enum WOp {
+    Put(u8, Vec<u8>),
+    Insert(u8, Vec<u8>),
+    Sc(u8, Vec<u8>, bool),
+    Delete(u8, Option<bool>),
+}
+
+fn wop_strategy() -> impl Strategy<Value = WOp> {
+    // Few keys, so batches often hold two ops on one key.
+    let k = 0u8..10;
+    let v = || prop::collection::vec(any::<u8>(), 0..16);
+    prop_oneof![
+        (k.clone(), v()).prop_map(|(k, v)| WOp::Put(k, v)),
+        (k.clone(), v()).prop_map(|(k, v)| WOp::Insert(k, v)),
+        (k.clone(), v(), any::<bool>()).prop_map(|(k, v, fresh)| WOp::Sc(k, v, fresh)),
+        (k, prop::option::of(any::<bool>())).prop_map(|(k, fresh)| WOp::Delete(k, fresh)),
+    ]
+}
+
+/// A logged mutation: partition, sequence, key, new cell.
+type Record = (u32, u64, Bytes, Option<(Token, Bytes)>);
+
+/// Durability double that only remembers what it was handed, in order.
+#[derive(Debug, Default)]
+struct Recorder(Arc<Mutex<Vec<Record>>>);
+
+impl NodeDurability for Recorder {
+    fn record(&self, pid: u32, seq: u64, key: &Bytes, cell: Option<&Cell>) -> Result<()> {
+        let cell = cell.map(|c| (c.token, c.value.clone()));
+        self.0.lock().push((pid, seq, key.clone(), cell));
+        Ok(())
+    }
+    fn sync(&self) -> Result<()> {
+        Ok(())
+    }
+    fn reset_partition(&self, _: u32, _: u64, _: &[(Bytes, Cell)]) -> Result<()> {
+        Ok(())
+    }
+}
+
+#[derive(Debug, Default)]
+struct RecorderProvider(Arc<Mutex<Vec<Record>>>);
+
+impl DurabilityProvider for RecorderProvider {
+    fn open_node(&self, _: SnId) -> Result<RecoveredNode> {
+        let engine = Arc::new(Recorder(Arc::clone(&self.0)));
+        Ok(RecoveredNode { engine, partitions: Vec::new() })
+    }
+}
+
+/// One-at-a-time model of the store: per-partition token counters and
+/// acked sequences, the live map, and the log every mutation produces.
+#[derive(Default)]
+struct SerialModel {
+    next_token: HashMap<u32, Token>,
+    seq: HashMap<u32, u64>,
+    map: BTreeMap<Bytes, (Token, Bytes)>,
+    log: Vec<Record>,
+}
+
+impl SerialModel {
+    fn apply(&mut self, pid: u32, op: &WriteOp) -> Result<Option<Token>> {
+        let current = self.map.get(&op.key).map(|(t, _)| *t);
+        match (op.expect, current) {
+            (Expect::Absent, Some(_)) | (Expect::Token(_), None) => return Err(Error::Conflict),
+            (Expect::Token(t), Some(c)) if t != c => return Err(Error::Conflict),
+            _ => {}
+        }
+        let token = match &op.value {
+            Some(v) => {
+                let next = self.next_token.entry(pid).or_insert(1);
+                let token = *next;
+                *next += 1;
+                self.map.insert(op.key.clone(), (token, v.clone()));
+                Some(token)
+            }
+            None if current.is_none() => return Ok(None),
+            None => {
+                self.map.remove(&op.key);
+                None
+            }
+        };
+        let seq = self.seq.entry(pid).or_insert(0);
+        *seq += 1;
+        let cell = token.map(|t| (t, op.value.clone().expect("a put has a value")));
+        self.log.push((pid, *seq, op.key.clone(), cell));
+        Ok(token)
+    }
+}
+
+/// Records grouped by partition, each partition's in log order.
+fn by_partition(log: &[Record]) -> BTreeMap<u32, Vec<Record>> {
+    let mut out: BTreeMap<u32, Vec<Record>> = BTreeMap::new();
+    for r in log {
+        out.entry(r.0).or_default().push(r.clone());
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Batches through `srv_multi_write` give the same per-op results, the
+    /// same final map, the same per-partition token order and the same
+    /// acked sequence per partition as the ops applied one at a time.
+    #[test]
+    fn multi_write_matches_one_at_a_time(
+        batches in prop::collection::vec(prop::collection::vec(wop_strategy(), 1..24), 1..6),
+    ) {
+        let provider = Arc::new(RecorderProvider::default());
+        let cluster =
+            StoreCluster::new(StoreConfig::new(3).durability(Arc::clone(&provider) as _));
+        let mut model = SerialModel::default();
+        for batch in batches {
+            // Tokens a conditional op names are read before the batch.
+            let before = |k: u8| model.map.get(&key(k)).map(|(t, _)| *t);
+            let named = |k: u8, fresh: bool| match (fresh, before(k)) {
+                (true, Some(t)) => Expect::Token(t),
+                _ => Expect::Token(u64::MAX - k as u64),
+            };
+            let ops: Vec<WriteOp> = batch
+                .iter()
+                .map(|op| match op {
+                    WOp::Put(k, v) => WriteOp::put(key(*k), Expect::Any, Bytes::from(v.clone())),
+                    WOp::Insert(k, v) => {
+                        WriteOp::put(key(*k), Expect::Absent, Bytes::from(v.clone()))
+                    }
+                    WOp::Sc(k, v, fresh) => {
+                        WriteOp::put(key(*k), named(*k, *fresh), Bytes::from(v.clone()))
+                    }
+                    WOp::Delete(k, None) => WriteOp::delete(key(*k), Expect::Any),
+                    WOp::Delete(k, Some(fresh)) => WriteOp::delete(key(*k), named(*k, *fresh)),
+                })
+                .collect();
+            let expected: Vec<Result<Option<Token>>> =
+                ops.iter().map(|op| model.apply(cluster.route(&op.key).raw(), op)).collect();
+            let got: Vec<Result<Option<Token>>> = cluster
+                .srv_multi_write(ops)
+                .into_iter()
+                .map(|r| r.map(|(token, _)| token))
+                .collect();
+            prop_assert_eq!(got, expected);
+        }
+        let (rows, _) = cluster.srv_scan(b"", None, usize::MAX, false).unwrap();
+        let rows: Vec<(Bytes, Token, Bytes)> = rows;
+        let want: Vec<(Bytes, Token, Bytes)> =
+            model.map.iter().map(|(k, (t, v))| (k.clone(), *t, v.clone())).collect();
+        prop_assert_eq!(rows, want);
+        prop_assert_eq!(by_partition(&provider.0.lock()), by_partition(&model.log));
     }
 }

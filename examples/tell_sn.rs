@@ -11,7 +11,7 @@
 //! acknowledged write:
 //!
 //! ```text
-//! cargo run --release --example tell_sn -- --data-dir /var/lib/tell --fsync batch:64
+//! cargo run --release --example tell_sn -- --data-dir /var/lib/tell --fsync always
 //! ```
 //!
 //! Pair it with `tell_cm` (the commit manager server) and open a
@@ -66,7 +66,7 @@ fn parse_args() -> Result<Args, String> {
                      --workers N     serving threads (default: auto)\n  \
                      --data-dir DIR  durable log tier root (one subdir per node);\n  \
                                      restarting with the same dir recovers acked writes\n  \
-                     --fsync POLICY  always | never | batch:<n> (default always;\n  \
+                     --fsync POLICY  always | never (default always;\n  \
                                      only meaningful with --data-dir)"
                 );
                 std::process::exit(0);
