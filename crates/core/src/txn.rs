@@ -14,7 +14,7 @@
 //!    flag is set in the log, the commit manager is notified. **Abort** —
 //!    applied updates are rolled back, then the commit manager is notified.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -22,7 +22,9 @@ use tell_commitmgr::{CommitParticipant, SnapshotDescriptor};
 use tell_common::{Error, IsolationLevel, Result, Rid, TableId, TxnId};
 use tell_obs::{Probe, Sample, Site, SpanStatus};
 use tell_store::cell::Token;
-use tell_store::{keys, Expect, Predicate, StoreApi, StoreCluster, StoreEndpoint, WriteOp};
+use tell_store::{
+    keys, Expect, OpHandle, Predicate, StoreApi, StoreCluster, StoreEndpoint, StoreOp, WriteOp,
+};
 
 use crate::buffer::BufferConfig;
 use crate::catalog::TableDef;
@@ -255,39 +257,68 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
         Ok(got)
     }
 
-    /// Batched record load (§5.1 batching: one exchange for many records).
-    /// Only the transaction-buffer strategy batches; the shared buffers
-    /// resolve records one by one against their validity metadata.
+    /// Does this PN batch record reads? Only the transaction-buffer
+    /// strategy does; the shared buffers resolve records one by one against
+    /// their validity metadata.
+    fn batches_reads(&self) -> bool {
+        matches!(self.pn.group().buffer().config(), BufferConfig::TransactionOnly)
+            && self.pn.database().config().batching
+    }
+
+    /// Submit, without waiting, one batched read of the records at `rids`
+    /// the transaction buffer lacks. Index reads call this with the rids
+    /// their cached leaves predict, so the read rides the leaf read's frame.
+    fn prefetch_records(&self, table: TableId, rids: &[u64]) -> Option<(Vec<u64>, OpHandle)> {
+        if !self.batches_reads() {
+            return None;
+        }
+        let rids: Vec<u64> =
+            rids.iter().copied().filter(|r| !self.reads.contains_key(&(table, Rid(*r)))).collect();
+        if rids.is_empty() {
+            return None;
+        }
+        let keys = rids.iter().map(|r| keys::record(table, Rid(*r))).collect();
+        Some((rids, self.pn.client().submit(StoreOp::MultiGet { keys })))
+    }
+
+    /// Batched record load (§5.1 batching: one exchange for many records),
+    /// starting from what [`Self::prefetch_records`] submitted, if anything.
     fn multi_read_records(
         &mut self,
         table: TableId,
         rids: &[u64],
+        prefetched: Option<(Vec<u64>, OpHandle)>,
     ) -> Result<Vec<Option<(Token, VersionedRecord)>>> {
-        if matches!(self.pn.group().buffer().config(), BufferConfig::TransactionOnly)
-            && self.pn.database().config().batching
-        {
-            let missing: Vec<u64> = rids
-                .iter()
-                .copied()
-                .filter(|r| !self.reads.contains_key(&(table, Rid(*r))))
-                .collect();
-            if !missing.is_empty() {
-                let probe = self.probe(Site::TxnRead);
-                let keys: Vec<_> = missing.iter().map(|r| keys::record(table, Rid(*r))).collect();
-                let fetched = self.pn.client().multi_get(&keys)?;
-                self.probe_finish(probe, missing.len() as u32, SpanStatus::Ok);
-                for (rid, cell) in missing.into_iter().zip(fetched) {
-                    let decoded = match cell {
-                        Some((token, raw)) => Some((token, VersionedRecord::decode(&raw)?)),
-                        None => None,
-                    };
-                    self.reads.insert((table, Rid(rid)), decoded);
+        if !self.batches_reads() {
+            return rids.iter().map(|r| self.read_record(table, Rid(*r))).collect();
+        }
+        if let Some((fetched, pending)) = prefetched {
+            let probe = self.probe(Site::TxnRead);
+            let cells = pending.wait()?.into_cells()?;
+            // The prediction came from a cached leaf: only records the fresh
+            // leaves name join the read set, the rest drop unread.
+            let named: HashSet<u64> = rids.iter().copied().collect();
+            let mut kept = 0u32;
+            for (rid, cell) in fetched.into_iter().zip(cells) {
+                if named.contains(&rid) {
+                    self.reads.insert((table, Rid(rid)), decode_record(cell)?);
+                    kept += 1;
                 }
             }
-            Ok(rids.iter().map(|r| self.reads.get(&(table, Rid(*r))).cloned().flatten()).collect())
-        } else {
-            rids.iter().map(|r| self.read_record(table, Rid(*r))).collect()
+            self.probe_finish(probe, kept, SpanStatus::Ok);
         }
+        let missing: Vec<u64> =
+            rids.iter().copied().filter(|r| !self.reads.contains_key(&(table, Rid(*r)))).collect();
+        if !missing.is_empty() {
+            let probe = self.probe(Site::TxnRead);
+            let keys: Vec<_> = missing.iter().map(|r| keys::record(table, Rid(*r))).collect();
+            let fetched = self.pn.client().multi_get(&keys)?;
+            self.probe_finish(probe, missing.len() as u32, SpanStatus::Ok);
+            for (rid, cell) in missing.into_iter().zip(fetched) {
+                self.reads.insert((table, Rid(rid)), decode_record(cell)?);
+            }
+        }
+        Ok(rids.iter().map(|r| self.reads.get(&(table, Rid(*r))).cloned().flatten()).collect())
     }
 
     /// Look up records by an indexed key. Because indexes are
@@ -308,8 +339,9 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
             self.pn.database().extractor(index).ok_or_else(|| {
                 Error::invalid(format!("no extractor registered for index {index}"))
             })?;
-        let rids = tree.lookup(key)?;
-        let records = self.multi_read_records(table.id, &rids)?;
+        let (rids, prefetched) =
+            tree.lookup_prefetch(key, |rids| self.prefetch_records(table.id, rids))?;
+        let records = self.multi_read_records(table.id, &rids, prefetched.flatten())?;
         let mut out: Vec<(Rid, Bytes)> = Vec::new();
         for (rid, rec) in rids.iter().zip(records) {
             if self.writes.contains_key(&(table.id, Rid(*rid))) {
@@ -371,9 +403,12 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
             self.pn.database().extractor(index).ok_or_else(|| {
                 Error::invalid(format!("no extractor registered for index {index}"))
             })?;
-        let entries = tree.range(start, end, limit.saturating_mul(2).max(limit))?;
+        let (entries, prefetched) =
+            tree.range_prefetch(start, end, limit.saturating_mul(2).max(limit), |rids| {
+                self.prefetch_records(table.id, rids)
+            })?;
         let rids: Vec<u64> = entries.iter().map(|(_, r)| *r).collect();
-        let records = self.multi_read_records(table.id, &rids)?;
+        let records = self.multi_read_records(table.id, &rids, prefetched.flatten())?;
         let mut out: Vec<(Bytes, Rid, Bytes)> = Vec::new();
         for ((ekey, rid), rec) in entries.iter().zip(records) {
             if self.writes.contains_key(&(table.id, Rid(*rid))) {
@@ -858,4 +893,9 @@ impl<E: StoreEndpoint> Drop for Transaction<'_, E> {
             let _ = self.conclude(End::UserAbort);
         }
     }
+}
+
+/// Decode a record cell as the store returned it (`None` = no record).
+fn decode_record(cell: Option<(Token, Bytes)>) -> Result<Option<(Token, VersionedRecord)>> {
+    cell.map(|(token, raw)| Ok((token, VersionedRecord::decode(&raw)?))).transpose()
 }

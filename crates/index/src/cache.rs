@@ -1,13 +1,21 @@
-//! PN-side caching of inner index nodes (§5.3.1).
+//! PN-side caching of index nodes (§5.3.1).
 //!
 //! "All index nodes with exception of the leaf level are cached. The
 //! leaf-level nodes are always retrieved from the storage system." The cache
-//! holds decoded inner nodes keyed by node id, together with the store token
-//! observed when they were fetched, so a cached node can be used as the
-//! load-link of a later store-conditional.
+//! holds decoded nodes keyed by node id, together with the store token
+//! observed when they were read. Inner nodes route descents straight from
+//! the cache. Leaves are cached too, but only to predict: a reader still
+//! reads every leaf it answers from the store, and the cached copy merely
+//! names the records whose read can ride the same frame as that leaf read.
+//! The prediction holds exactly when the fresh read returns the cached
+//! token (LL/SC tokens never repeat, so equal tokens mean equal bytes).
+//!
+//! Entries are shared `Arc`s, so a hit costs a reference-count increment,
+//! not a copy of the node's entries.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use tell_obs::ProfMutex;
 use tell_store::cell::Token;
@@ -15,6 +23,7 @@ use tell_store::cell::Token;
 use crate::node::NodeData;
 
 /// Hit/miss counters (exposed so benchmarks can show cache effectiveness).
+/// Leaf lookups count alongside inner-node lookups.
 #[derive(Debug, Default)]
 pub struct CacheStats {
     pub hits: AtomicU64,
@@ -35,9 +44,9 @@ impl CacheStats {
     }
 }
 
-/// Inner-node cache of one processing node.
+/// Node cache of one processing node.
 pub struct NodeCache {
-    nodes: ProfMutex<HashMap<u64, (Token, NodeData)>>,
+    nodes: ProfMutex<HashMap<u64, (Token, Arc<NodeData>)>>,
     stats: CacheStats,
 }
 
@@ -56,8 +65,8 @@ impl NodeCache {
         }
     }
 
-    /// Look up a cached inner node.
-    pub fn get(&self, id: u64) -> Option<(Token, NodeData)> {
+    /// Look up a cached node.
+    pub fn get(&self, id: u64) -> Option<(Token, Arc<NodeData>)> {
         let got = self.nodes.lock().get(&id).cloned();
         match &got {
             Some(_) => {
@@ -72,11 +81,9 @@ impl NodeCache {
         got
     }
 
-    /// Install or refresh an inner node. Leaves must never be cached; the
-    /// caller enforces that, this method just stores what it is given.
-    pub fn put(&self, id: u64, token: Token, node: NodeData) {
-        debug_assert!(!node.is_leaf, "leaf nodes are always fetched fresh (§5.3.1)");
-        self.nodes.lock().insert(id, (token, node));
+    /// Install or refresh a node as read (or written) under `token`.
+    pub fn put(&self, id: u64, token: Token, node: impl Into<Arc<NodeData>>) {
+        self.nodes.lock().insert(id, (token, node.into()));
     }
 
     /// Drop one node (stale path refresh).

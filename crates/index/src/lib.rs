@@ -14,7 +14,9 @@
 //!   single LL/SC, each retryable;
 //! * inner nodes are cached on the processing node, leaves are always
 //!   fetched fresh; when a leaf's fences show the cached parents are stale,
-//!   the cached path is refreshed (§5.3.1 caching rule);
+//!   the cached path is refreshed (§5.3.1 caching rule). Leaves are cached
+//!   too, but only to predict which records can be read in the same frame
+//!   as the leaf; the leaf's LL/SC token validates the prediction;
 //! * entries are **version-unaware** `(key, rid)` pairs (§5.3.2): updates
 //!   that do not change the indexed key touch no index node at all.
 //!

@@ -1,12 +1,13 @@
 //! The distributed latch-free B+tree.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 use tell_common::{Error, IndexId, Result};
 use tell_store::cell::Token;
-use tell_store::{keys, StoreApi, StoreClient};
+use tell_store::{keys, StoreApi, StoreClient, StoreOp};
 
 use crate::cache::NodeCache;
 use crate::node::{cmp_entry, min_key, EntryKey, NodeData};
@@ -28,10 +29,15 @@ impl Default for BTreeConfig {
     }
 }
 
+/// A node as this PN last saw it: the token it was read under, and its body.
+type Seen = (Token, Arc<NodeData>);
+
 struct Descent {
     leaf_id: u64,
-    leaf_token: Token,
-    leaf: NodeData,
+    /// The leaf, as read from the store unless `cached`.
+    leaf: Seen,
+    /// The leaf came from the node cache: it predicts, it does not answer.
+    cached: bool,
     /// Ancestor node ids, root first.
     path: Vec<u64>,
 }
@@ -40,7 +46,7 @@ struct Descent {
 ///
 /// The tree's nodes live in the shared store; any number of handles (on any
 /// number of PNs) can operate concurrently. Each handle carries the PN-local
-/// inner-node cache. Generic over the storage client so the same tree code
+/// node cache. Generic over the storage client so the same tree code
 /// runs against the in-process store or a remote one via `tell-rpc`.
 pub struct DistributedBTree<C: StoreApi = StoreClient> {
     index_id: IndexId,
@@ -121,34 +127,39 @@ impl<C: StoreApi> DistributedBTree<C> {
         Ok(self.read_root()?.1)
     }
 
-    fn fetch(&self, node_id: u64) -> Result<(Token, NodeData)> {
-        let (token, raw) = self
-            .client
-            .get(&self.node_key(node_id))?
-            .ok_or_else(|| Error::corrupt(format!("index node {node_id} missing")))?;
-        Ok((token, NodeData::decode(&raw)?))
+    /// Read a node from the store, leaving the cache alone: the load-link
+    /// of a write, which caches what it wrote instead.
+    fn read(&self, node_id: u64) -> Result<Seen> {
+        decode_node(node_id, self.client.get(&self.node_key(node_id))?)
     }
 
-    /// Fetch, preferring the cache. Freshly fetched inner nodes are cached;
-    /// leaves never are (§5.3.1).
-    fn fetch_cached(&self, node_id: u64) -> Result<(Token, NodeData)> {
-        if let Some(hit) = self.cache.get(node_id) {
-            return Ok(hit);
-        }
-        let (token, node) = self.fetch(node_id)?;
-        if !node.is_leaf {
-            self.cache.put(node_id, token, node.clone());
-        }
-        Ok((token, node))
+    /// Read a node from the store, refreshing its cache entry.
+    fn fetch(&self, node_id: u64) -> Result<Seen> {
+        let cell = self.client.get(&self.node_key(node_id))?;
+        self.accept(node_id, cell)
     }
 
+    /// Decode a node's store cell and refresh its cache entry with it.
+    fn accept(&self, node_id: u64, cell: Option<(Token, Bytes)>) -> Result<Seen> {
+        let seen = decode_node(node_id, cell)?;
+        self.cache.put(node_id, seen.0, Arc::clone(&seen.1));
+        Ok(seen)
+    }
+
+    /// Route `k` from the root to its leaf. With `use_cache`, nodes come
+    /// from the cache where they can; a cached leaf ends the descent marked
+    /// `cached`, for the caller to read fresh or speculate on.
     fn descend(&self, k: &EntryKey, use_cache: bool) -> Result<Descent> {
         let mut node_id = self.root_id()?;
         let mut path = Vec::new();
         let mut hops = 0usize;
         for _ in 0..self.config.max_retries {
-            let (token, node) =
-                if use_cache { self.fetch_cached(node_id)? } else { self.fetch(node_id)? };
+            let hit = if use_cache { self.cache.get(node_id) } else { None };
+            let cached = hit.is_some();
+            let (token, node) = match hit {
+                Some(seen) => seen,
+                None => self.fetch(node_id)?,
+            };
             if node.beyond_high(k) {
                 // B-link right hop: the node split since our routing info was
                 // read. If a *cached* inner node sent us here, it is stale.
@@ -160,15 +171,9 @@ impl<C: StoreApi> DistributedBTree<C> {
             }
             if node.is_leaf {
                 if hops > 0 && use_cache {
-                    // §5.3.1: "the parent nodes are recursively updated to
-                    // keep the cache consistent". Dropping them re-fetches
-                    // the latest versions on the next descent.
-                    for id in &path {
-                        self.cache.invalidate(*id);
-                    }
-                    let _ = self.read_root();
+                    self.refresh_path(&path);
                 }
-                return Ok(Descent { leaf_id: node_id, leaf_token: token, leaf: node, path });
+                return Ok(Descent { leaf_id: node_id, leaf: (token, node), cached, path });
             }
             path.push(node_id);
             node_id = node.route(k);
@@ -176,24 +181,69 @@ impl<C: StoreApi> DistributedBTree<C> {
         Err(Error::Unavailable("index descend retry limit exceeded".into()))
     }
 
+    /// A right hop showed the cached `path` stale. §5.3.1: "the parent
+    /// nodes are recursively updated to keep the cache consistent".
+    /// Dropping them re-fetches the latest versions on the next descent.
+    fn refresh_path(&self, path: &[u64]) {
+        for id in path {
+            self.cache.invalidate(*id);
+        }
+        let _ = self.read_root();
+    }
+
+    /// Finish a descent on `fresh`, a store read of `d.leaf_id`: hop right
+    /// (B-link) while `k` lies beyond the leaf's high fence.
+    fn settle(&self, mut d: Descent, k: &EntryKey, mut fresh: Seen) -> Result<Descent> {
+        let mut hops = 0usize;
+        while fresh.1.beyond_high(k) {
+            if hops == self.config.max_retries {
+                return Err(Error::Unavailable("index descend retry limit exceeded".into()));
+            }
+            d.leaf_id =
+                fresh.1.right.ok_or_else(|| Error::corrupt("high fence without right sibling"))?;
+            fresh = self.fetch(d.leaf_id)?;
+            hops += 1;
+        }
+        if hops > 0 {
+            self.refresh_path(&d.path);
+        }
+        d.leaf = fresh;
+        d.cached = false;
+        Ok(d)
+    }
+
+    /// Descend to `k`'s leaf as read from the store: the load-link of a
+    /// write. Writers never trust a cached leaf.
+    fn descend_fresh(&self, k: &EntryKey) -> Result<Descent> {
+        let d = self.descend(k, true)?;
+        if !d.cached {
+            return Ok(d);
+        }
+        let fresh = self.read(d.leaf_id)?;
+        self.settle(d, k, fresh)
+    }
+
     /// Insert `(key, rid)`. Returns `false` if the exact entry already
     /// existed.
     pub fn insert(&self, key: Bytes, rid: u64) -> Result<bool> {
         let k: EntryKey = (key, rid);
         for _ in 0..self.config.max_retries {
-            let d = self.descend(&k, true)?;
-            let mut leaf = d.leaf;
+            let d = self.descend_fresh(&k)?;
+            let (token, leaf) = d.leaf;
+            let mut leaf = Arc::unwrap_or_clone(leaf);
             match leaf.search(&k) {
                 Ok(_) => return Ok(false),
                 Err(pos) => leaf.entries.insert(pos, (k.clone(), rid)),
             }
             if leaf.entries.len() <= self.config.max_entries {
-                match self.client.store_conditional(
-                    &self.node_key(d.leaf_id),
-                    d.leaf_token,
-                    leaf.encode(),
-                ) {
-                    Ok(_) => return Ok(true),
+                match self.client.store_conditional(&self.node_key(d.leaf_id), token, leaf.encode())
+                {
+                    Ok(t) => {
+                        // The PN's own write must not make its next read
+                        // mis-speculate.
+                        self.cache.put(d.leaf_id, t, leaf);
+                        return Ok(true);
+                    }
                     Err(Error::Conflict) => continue,
                     Err(e) => return Err(e),
                 }
@@ -203,13 +253,11 @@ impl<C: StoreApi> DistributedBTree<C> {
             // split node, then tell the parent.
             let new_id = self.alloc_node_id()?;
             let (sep, right) = leaf.split(new_id);
-            self.client.insert(&self.node_key(new_id), right.encode())?;
-            match self.client.store_conditional(
-                &self.node_key(d.leaf_id),
-                d.leaf_token,
-                leaf.encode(),
-            ) {
-                Ok(_) => {
+            let right_token = self.client.insert(&self.node_key(new_id), right.encode())?;
+            match self.client.store_conditional(&self.node_key(d.leaf_id), token, leaf.encode()) {
+                Ok(t) => {
+                    self.cache.put(d.leaf_id, t, leaf);
+                    self.cache.put(new_id, right_token, right);
                     self.add_separator(&d.path, d.leaf_id, sep, new_id)?;
                     return Ok(true);
                 }
@@ -229,19 +277,19 @@ impl<C: StoreApi> DistributedBTree<C> {
         let k: EntryKey = (key.clone(), rid);
         for _ in 0..self.config.max_retries {
             // Deletions always verify against a fresh leaf.
-            let d = self.descend(&k, true)?;
-            let mut leaf = d.leaf;
+            let d = self.descend_fresh(&k)?;
+            let (token, leaf) = d.leaf;
             let pos = match leaf.search(&k) {
                 Ok(p) => p,
                 Err(_) => return Ok(false),
             };
+            let mut leaf = Arc::unwrap_or_clone(leaf);
             leaf.entries.remove(pos);
-            match self.client.store_conditional(
-                &self.node_key(d.leaf_id),
-                d.leaf_token,
-                leaf.encode(),
-            ) {
-                Ok(_) => return Ok(true),
+            match self.client.store_conditional(&self.node_key(d.leaf_id), token, leaf.encode()) {
+                Ok(t) => {
+                    self.cache.put(d.leaf_id, t, leaf);
+                    return Ok(true);
+                }
                 Err(Error::Conflict) => continue,
                 Err(e) => return Err(e),
             }
@@ -251,16 +299,22 @@ impl<C: StoreApi> DistributedBTree<C> {
 
     /// All rids indexed under exactly `key`, in rid order.
     pub fn lookup(&self, key: &Bytes) -> Result<Vec<u64>> {
-        let mut out = Vec::new();
-        self.walk((key.clone(), 0), |entry| {
-            if entry.0 == *key {
-                out.push(entry.1);
-                true
-            } else {
-                false
-            }
-        })?;
-        Ok(out)
+        Ok(self.lookup_prefetch(key, |_| ())?.0)
+    }
+
+    /// [`lookup`](Self::lookup) that hands `prefetch` the rids a cached
+    /// leaf predicts before the leaf read is waited on, so whatever it
+    /// submits rides the leaf read's frame. Returns `prefetch`'s result when
+    /// it was called; the prediction may be wrong, so the caller keeps only
+    /// what it fetched for rids the lookup returns.
+    pub fn lookup_prefetch<P>(
+        &self,
+        key: &Bytes,
+        prefetch: impl FnOnce(&[u64]) -> P,
+    ) -> Result<(Vec<u64>, Option<P>)> {
+        let (entries, prefetched) =
+            self.scan((key.clone(), 0), |k| k > key.as_ref(), usize::MAX, prefetch)?;
+        Ok((entries.into_iter().map(|(_, rid)| rid).collect(), prefetched))
     }
 
     /// Entries with `start <= key < end` (end `None` = unbounded), up to
@@ -271,27 +325,25 @@ impl<C: StoreApi> DistributedBTree<C> {
         end: Option<&Bytes>,
         limit: usize,
     ) -> Result<Vec<(Bytes, u64)>> {
-        let mut out = Vec::new();
-        self.walk((start.clone(), 0), |entry| {
-            if let Some(e) = end {
-                if entry.0.as_ref() >= e.as_ref() {
-                    return false;
-                }
-            }
-            out.push((entry.0.clone(), entry.1));
-            out.len() < limit
-        })?;
-        Ok(out)
+        Ok(self.range_prefetch(start, end, limit, |_| ())?.0)
+    }
+
+    /// [`range`](Self::range) with a prefetch of the rids the cached chain
+    /// of leaves predicts, as in [`lookup_prefetch`](Self::lookup_prefetch).
+    pub fn range_prefetch<P>(
+        &self,
+        start: &Bytes,
+        end: Option<&Bytes>,
+        limit: usize,
+        prefetch: impl FnOnce(&[u64]) -> P,
+    ) -> Result<(Vec<EntryKey>, Option<P>)> {
+        let past = |k: &[u8]| end.is_some_and(|e| k >= e.as_ref());
+        self.scan((start.clone(), 0), past, limit, prefetch)
     }
 
     /// Total number of entries (test/diagnostic helper; full leaf walk).
     pub fn len(&self) -> Result<usize> {
-        let mut n = 0usize;
-        self.walk(min_key(), |_| {
-            n += 1;
-            true
-        })?;
-        Ok(n)
+        Ok(self.scan(min_key(), |_| false, usize::MAX, |_| ())?.0.len())
     }
 
     /// True when the tree holds no entries.
@@ -299,25 +351,91 @@ impl<C: StoreApi> DistributedBTree<C> {
         Ok(self.len()? == 0)
     }
 
-    /// Walk leaf entries in order starting at `from`, calling `f` per entry
-    /// until it returns `false` or the tree is exhausted.
-    fn walk(&self, from: EntryKey, mut f: impl FnMut(&EntryKey) -> bool) -> Result<()> {
+    /// Leaf entries `>= from` in order, up to the first whose key is
+    /// `past` or until `limit` are collected.
+    ///
+    /// Every leaf the entries come from is read from the store (§5.3.1).
+    /// When the descent lands on a cached leaf the scan speculates: it
+    /// submits reads of the chain of cached leaves it expects to visit,
+    /// hands `prefetch` the rids that chain names — so what `prefetch`
+    /// submits rides the same frame — and only then waits. A leaf whose
+    /// token is unchanged is the cached copy; one whose token moved is
+    /// decoded, re-cached, and the scan goes on from it (right hops, fresh
+    /// reads) exactly as it would have without the cache.
+    fn scan<P>(
+        &self,
+        from: EntryKey,
+        past: impl Fn(&[u8]) -> bool,
+        limit: usize,
+        prefetch: impl FnOnce(&[u64]) -> P,
+    ) -> Result<(Vec<EntryKey>, Option<P>)> {
         let d = self.descend(&from, true)?;
-        let mut node = d.leaf;
-        loop {
-            for (ek, _) in &node.entries {
-                if cmp_entry(ek, &from) == std::cmp::Ordering::Less {
-                    continue;
-                }
-                if !f(ek) {
-                    return Ok(());
+        let (d, mut frame, prefetched) = if d.cached {
+            let (chain, predicted) = self.cached_chain(d.leaf_id, &d.leaf, &from, &past, limit);
+            let reads: Vec<_> = chain
+                .into_iter()
+                .map(|(id, seen)| {
+                    (id, seen, self.client.submit(StoreOp::Get { key: self.node_key(id) }))
+                })
+                .collect();
+            let rids: Vec<u64> = predicted.iter().map(|(_, rid)| *rid).collect();
+            let prefetched = prefetch(&rids);
+            let mut frame = Vec::new();
+            for (id, seen, read) in reads {
+                match read.wait()?.into_cell()? {
+                    Some((token, _)) if token == seen.0 => frame.push((id, seen)),
+                    Some(cell) => frame.push((id, self.accept(id, Some(cell))?)),
+                    None => self.cache.invalidate(id),
                 }
             }
-            match node.right {
-                Some(r) => node = self.fetch(r)?.1,
-                None => return Ok(()),
+            let first = match take(&mut frame, d.leaf_id) {
+                Some(fresh) => fresh,
+                None => self.fetch(d.leaf_id)?,
+            };
+            (self.settle(d, &from, first)?, frame, Some(prefetched))
+        } else {
+            (d, Vec::new(), None)
+        };
+        let mut out = Vec::new();
+        let mut leaf = d.leaf.1;
+        while scan_leaf(&leaf, &from, &past, limit, &mut out) {
+            let right =
+                leaf.right.ok_or_else(|| Error::corrupt("high fence without right sibling"))?;
+            leaf = match take(&mut frame, right) {
+                Some(fresh) => fresh.1,
+                None => self.fetch(right)?.1,
+            };
+        }
+        Ok((out, prefetched))
+    }
+
+    /// The chain of cached leaves a scan starting in `first` would visit,
+    /// each linked to the one before by its fences (`low` equals the
+    /// previous `high`), and the entries the chain predicts the scan
+    /// returns. The chain ends where the scan would stop, or at the first
+    /// right sibling that is not cached.
+    fn cached_chain(
+        &self,
+        first_id: u64,
+        first: &Seen,
+        from: &EntryKey,
+        past: &impl Fn(&[u8]) -> bool,
+        limit: usize,
+    ) -> (Vec<(u64, Seen)>, Vec<EntryKey>) {
+        let mut predicted = Vec::new();
+        let mut chain = vec![(first_id, first.clone())];
+        loop {
+            let leaf = Arc::clone(&chain[chain.len() - 1].1 .1);
+            if !scan_leaf(&leaf, from, past, limit, &mut predicted) {
+                break;
+            }
+            let (Some(high), Some(right)) = (&leaf.high, leaf.right) else { break };
+            match self.cache.get(right) {
+                Some(next) if next.1.is_leaf && next.1.low == *high => chain.push((right, next)),
+                _ => break,
             }
         }
+        (chain, predicted)
     }
 
     fn add_separator(
@@ -341,7 +459,7 @@ impl<C: StoreApi> DistributedBTree<C> {
         child: u64,
     ) -> Result<()> {
         for _ in 0..self.config.max_retries {
-            let (token, mut node) = self.fetch(parent_id)?; // always fresh for writes
+            let (token, node) = self.read(parent_id)?; // always fresh for writes
             if node.beyond_high(&sep) {
                 parent_id = node
                     .right
@@ -351,6 +469,7 @@ impl<C: StoreApi> DistributedBTree<C> {
             if node.is_leaf {
                 return Err(Error::corrupt("separator insert reached a leaf"));
             }
+            let mut node = Arc::unwrap_or_clone(node);
             match node.search(&sep) {
                 Ok(_) => return Ok(()), // idempotent
                 Err(pos) => node.entries.insert(pos, (sep.clone(), child)),
@@ -461,12 +580,12 @@ impl<C: StoreApi> DistributedBTree<C> {
     pub fn check_invariants(&self) -> Result<usize> {
         // Find the leftmost leaf by descending on the minimum key.
         let d = self.descend(&min_key(), false)?;
-        let mut node = d.leaf;
+        let mut node = d.leaf.1;
         let mut count = 0usize;
         let mut prev: Option<EntryKey> = None;
         loop {
             for w in node.entries.windows(2) {
-                if cmp_entry(&w[0].0, &w[1].0) != std::cmp::Ordering::Less {
+                if cmp_entry(&w[0].0, &w[1].0) != Ordering::Less {
                     return Err(Error::corrupt("leaf entries out of order"));
                 }
             }
@@ -475,7 +594,7 @@ impl<C: StoreApi> DistributedBTree<C> {
                     return Err(Error::corrupt("entry outside node fences"));
                 }
                 if let Some(p) = &prev {
-                    if cmp_entry(p, ek) != std::cmp::Ordering::Less {
+                    if cmp_entry(p, ek) != Ordering::Less {
                         return Err(Error::corrupt("entries out of order across leaves"));
                     }
                 }
@@ -495,6 +614,40 @@ impl<C: StoreApi> DistributedBTree<C> {
             }
         }
     }
+}
+
+/// Append `leaf`'s entries `>= from` to `out`, stopping before the first
+/// key that is `past` or once `out` holds `limit`. True when the scan must go
+/// on into the right sibling: nothing stopped it here, and the high fence is
+/// not `past` (keys at or above the fence live to the right).
+fn scan_leaf(
+    leaf: &NodeData,
+    from: &EntryKey,
+    past: &impl Fn(&[u8]) -> bool,
+    limit: usize,
+    out: &mut Vec<EntryKey>,
+) -> bool {
+    let start = leaf.entries.partition_point(|(ek, _)| cmp_entry(ek, from) == Ordering::Less);
+    for (ek, _) in &leaf.entries[start..] {
+        if out.len() >= limit || past(&ek.0) {
+            return false;
+        }
+        out.push(ek.clone());
+    }
+    out.len() < limit && leaf.high.as_ref().is_some_and(|h| !past(&h.0))
+}
+
+/// Decode a node's store cell; a missing node is corruption.
+fn decode_node(node_id: u64, cell: Option<(Token, Bytes)>) -> Result<Seen> {
+    let (token, raw) =
+        cell.ok_or_else(|| Error::corrupt(format!("index node {node_id} missing")))?;
+    Ok((token, Arc::new(NodeData::decode(&raw)?)))
+}
+
+/// Remove and return the read of node `id` from a speculation's frame.
+fn take(frame: &mut Vec<(u64, Seen)>, id: u64) -> Option<Seen> {
+    let pos = frame.iter().position(|(i, _)| *i == id)?;
+    Some(frame.swap_remove(pos).1)
 }
 
 #[cfg(test)]

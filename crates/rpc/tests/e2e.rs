@@ -177,6 +177,56 @@ fn remote_index_scan_and_insert_in_transaction() {
 }
 
 #[test]
+fn warm_indexed_reads_cost_one_frame() {
+    let (servers, db) = boot(2, 1);
+    let table = db.create_table("accounts", vec![pk_spec()]).unwrap();
+    db.bulk_load(&table, (0..256u64).map(|i| account(i, i)).collect()).unwrap();
+    let pk = table.primary_index().id;
+    let key = |i: u64| Bytes::copy_from_slice(&i.to_be_bytes());
+
+    // Warm this worker's node cache with every leaf of the index.
+    let pn = db.processing_node();
+    let mut txn = pn.begin().unwrap();
+    assert_eq!(txn.index_range(&table, pk, &key(0), None, 256).unwrap().len(), 256);
+    txn.commit().unwrap();
+
+    // The leaf read and the record read it predicts share one frame.
+    let mut txn = pn.begin().unwrap();
+    let before = servers.sn.frames_served();
+    let hits = txn.index_lookup(&table, pk, &key(77)).unwrap();
+    assert_eq!(servers.sn.frames_served() - before, 1, "a warm lookup is one frame");
+    assert_eq!(hits.len(), 1);
+    assert_eq!(balance_of(&hits[0].1), 77);
+
+    // A 64-key range: its chain of leaf reads and one record read.
+    let before = servers.sn.frames_served();
+    let rows = txn.index_range(&table, pk, &key(100), Some(&key(164)), 64).unwrap();
+    assert_eq!(servers.sn.frames_served() - before, 1, "a warm 64-key range is one frame");
+    assert_eq!(rows.len(), 64);
+    assert!(rows.iter().enumerate().all(|(i, (_, _, row))| balance_of(row) == 100 + i as u64));
+    txn.commit().unwrap();
+
+    // Another worker replaces the row under key 77 with a new record, so
+    // the leaf this worker cached no longer names the right rid.
+    let other = db.processing_node();
+    other
+        .run(100, |txn| {
+            let (rid, _) = txn.index_lookup(&table, pk, &key(77))?[0].clone();
+            txn.delete(&table, rid)
+        })
+        .unwrap();
+    other.run(100, |txn| txn.insert(&table, account(7777, 77)).map(|_| ())).unwrap();
+
+    let mut txn = pn.begin().unwrap();
+    let before = servers.sn.frames_served();
+    let hits = txn.index_lookup(&table, pk, &key(77)).unwrap();
+    assert!(servers.sn.frames_served() - before <= 2, "a mis-speculated lookup is at most two");
+    assert_eq!(hits.len(), 1);
+    assert_eq!(balance_of(&hits[0].1), 7777, "the new row, not the cached prediction");
+    txn.commit().unwrap();
+}
+
+#[test]
 fn killed_storage_node_surfaces_typed_errors_not_hangs() {
     let (servers, db) = boot(1, 1);
     let table = db.create_table("t", vec![pk_spec()]).unwrap();

@@ -75,6 +75,25 @@ echo "==> end-to-end benchmark smoke (tell_e2e --smoke)"
 cargo run --release --quiet --offline \
   --manifest-path crates/bench/src/bin/tell_e2e/Cargo.toml -- --smoke
 
+echo "==> wire batching gate (tell_e2e --workload batch_read --trace 1, 2 s)"
+# A warm indexed read sends its leaf read and the record read the cached
+# leaf predicts as one batched frame, so batch_read must coalesce ops on
+# the wire and stay well under the 41 frames per commit of two serial
+# calls per lookup. A change that silently un-batches it fails here.
+batch_read_json="$(cargo run --release --quiet --offline \
+  --manifest-path crates/bench/src/bin/tell_e2e/Cargo.toml -- \
+  --workload batch_read --seed 1 --seconds 2 --trace 1 | tail -n 1)"
+python3 - "$batch_read_json" <<'EOF'
+import json, sys
+
+metrics = json.loads(sys.argv[1])["metrics"]
+ops_per_frame = metrics["rpc.batch_ops_per_frame"]["value"]
+frames = metrics["rpc.frames_per_commit"]["value"]
+print(f"batch_read: rpc.batch_ops_per_frame {ops_per_frame:.2f}, rpc.frames_per_commit {frames:.1f}")
+if not (ops_per_frame > 0 and frames <= 30):
+    sys.exit("error: batch_read needs rpc.batch_ops_per_frame > 0 and rpc.frames_per_commit <= 30")
+EOF
+
 echo "==> trace smoke (tell_top trace against a loopback cluster)"
 # The tool validates the emitted Chrome trace-event JSON and exits
 # nonzero when it is malformed or no trace was assembled.
