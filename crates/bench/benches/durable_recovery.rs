@@ -1,9 +1,8 @@
 //! Durable-tier characterization: restart recovery time as a function of
-//! log size (with and without checkpoints), and object-cache hit rate
-//! under a skewed read mix. Not a paper figure — the paper's storage tier
-//! is RAMCloud — but the numbers gate the tell-durable design: recovery
-//! must be log-linear and checkpoints must flatten it, and the LRU must
-//! hold a skewed working set far smaller than the full log.
+//! log size, with and without checkpoints. Not a paper figure — the
+//! paper's storage tier is RAMCloud — but the numbers gate the
+//! tell-durable design: recovery must be log-linear and checkpoints must
+//! flatten it.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -28,8 +27,6 @@ fn config(checkpoint_every: u64) -> DurableNodeConfig {
         // stretch the (untimed) load phase.
         fsync: FsyncPolicy::Never,
         checkpoint_every,
-        cache_bytes: 64 << 20,
-        background_eviction: false,
     }
 }
 
@@ -58,47 +55,6 @@ fn recovery_run(records: u64, checkpoint_every: u64) -> (f64, u64, u64) {
     let live: u64 = parts.iter().map(|p| p.entries.len() as u64).sum();
     std::fs::remove_dir_all(&dir).unwrap();
     (ms, log_bytes, live)
-}
-
-/// Write `keys` values, then read with an 80/20 skew (80% of lookups hit
-/// the first 20% of the key space) through a cache sized to ~25% of the
-/// value bytes. Returns the measured hit rate.
-fn cache_run(keys: u64, lookups: u64) -> f64 {
-    let dir = bench_dir("cache");
-    let value_bytes = 256usize;
-    let mut cfg = config(0);
-    cfg.cache_bytes = keys as usize * value_bytes / 4;
-    let (node, _) = DurableNode::open(dir.clone(), cfg).unwrap();
-    let value = Bytes::from(vec![0x5Au8; value_bytes]);
-    for i in 0..keys {
-        let cell = Cell { token: i + 1, value: value.clone() };
-        node.record(i as u32 % PIDS, i / PIDS as u64 + 1, &key(i, keys), Some(&cell)).unwrap();
-    }
-
-    // Deterministic xorshift stream picks the key; the same stream's next
-    // draw picks hot vs cold.
-    let mut state = 0x9E3779B97F4A7C15u64;
-    let mut rand = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let (mut hits, mut misses) = (0u64, 0u64);
-    for _ in 0..lookups {
-        let hot = rand() % 100 < 80;
-        let i = if hot { rand() % (keys / 5).max(1) } else { keys / 5 + rand() % (keys * 4 / 5) };
-        let k = key(i, keys);
-        let in_cache = node.cache().get(i as u32 % PIDS, &k).is_some();
-        if in_cache {
-            hits += 1;
-        } else {
-            misses += 1;
-        }
-        let _ = node.get(i as u32 % PIDS, &k).unwrap();
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
-    hits as f64 / (hits + misses) as f64
 }
 
 fn main() {
@@ -133,20 +89,9 @@ fn main() {
         }
     }
 
-    let (keys, lookups) = if tiny { (800, 4_000) } else { (8_000, 80_000) };
-    let hit_rate = cache_run(keys, lookups);
-    println!();
-    println!(
-        "cache: {keys} keys, {lookups} lookups, 80/20 skew, cache = 25% of values \
-         -> hit rate {:.1}%",
-        hit_rate * 100.0
-    );
-
     if let Ok(dir) = std::env::var("TELL_BENCH_JSON") {
         let json = format!(
-            "{{\n  \"bench\": \"durable_recovery\",\n  \"recovery\": [\n    {}\n  ],\n  \
-             \"cache\": {{\"keys\": {keys}, \"lookups\": {lookups}, \"skew\": \"80/20\", \
-             \"hit_rate\": {hit_rate:.4}}}\n}}\n",
+            "{{\n  \"bench\": \"durable_recovery\",\n  \"recovery\": [\n    {}\n  ]\n}}\n",
             rows.join(",\n    ")
         );
         let path = std::path::Path::new(&dir).join("BENCH_durable_recovery.json");

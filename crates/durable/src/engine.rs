@@ -6,23 +6,24 @@
 //! sn-3/
 //!   MANIFEST          atomic commit point (checkpoint id + covered seg_seq)
 //!   ckpt-7.dat        current checkpoint (live entries + watermark trailer)
-//!   seg-0.log         segment files, named by recycled *slot*; replay
-//!   seg-1.log         order comes from the seg_seq in each header
+//!   seg-4.log         segment files, named by their seg_seq (the number in
+//!   seg-5.log         each header); replay runs in seg_seq order
 //! ```
 //!
-//! Writes append CRC-framed records to the active segment; the in-RAM index
-//! maps `(pid, key)` to the value's on-disk location, and the LRU object
-//! cache holds hot value bytes. Rotation seals a full segment; every
-//! `checkpoint_every` records the engine rewrites the live set into a fresh
-//! checkpoint, commits it via the manifest, and recycles subsumed segment
-//! slots. Recovery loads the manifest's checkpoint and replays strictly
-//! newer segments, truncating a torn tail in the newest one.
+//! The engine is a log, not a second store: the cluster keeps every
+//! partition copy in RAM, and the engine's index holds the live [`Cell`] of
+//! each key as refcounted clones of the cluster's own bytes. Writes append
+//! CRC-framed records to the active segment and update the index. Rotation
+//! seals a full segment; every `checkpoint_every` records the engine writes
+//! the index into a fresh checkpoint, commits it via the manifest, and
+//! deletes the subsumed segments. Files are read only by [`DurableNode::open`]:
+//! recovery loads the manifest's checkpoint and replays strictly newer
+//! segments, truncating a torn tail in the newest one.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Seek, SeekFrom};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -34,12 +35,10 @@ use tell_store::durability::{
 };
 use tell_store::Cell;
 
-use crate::alloc::SlotAllocator;
-use crate::cache::ObjectCache;
 use crate::manifest::{sync_dir, Manifest, NO_CHECKPOINT};
 use crate::segment::{
-    decode_header, encode_header, frame_into, io_err, read_frames, write_all, FrameEnd, LogRecord,
-    CKPT_MAGIC, FRAME_PREFIX, HEADER_LEN, SEG_MAGIC,
+    decode_header, encode_header, frame_record, io_err, read_frames, write_all, FrameEnd,
+    LogRecord, CKPT_MAGIC, HEADER_LEN, SEG_MAGIC,
 };
 
 /// When to fsync the active segment.
@@ -73,10 +72,6 @@ pub struct DurableNodeConfig {
     pub fsync: FsyncPolicy,
     /// Checkpoint after this many records (0 = only explicit checkpoints).
     pub checkpoint_every: u64,
-    /// Object-cache byte budget (0 disables caching).
-    pub cache_bytes: usize,
-    /// Trim the cache from a background thread instead of only inline.
-    pub background_eviction: bool,
 }
 
 impl Default for DurableNodeConfig {
@@ -85,54 +80,45 @@ impl Default for DurableNodeConfig {
             segment_bytes: 8 << 20,
             fsync: FsyncPolicy::Always,
             checkpoint_every: 4096,
-            cache_bytes: 32 << 20,
-            background_eviction: false,
         }
     }
 }
 
-/// Which file a value lives in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FileKey {
-    Seg(u32),
-    Ckpt(u64),
-}
-
-#[derive(Clone, Copy, Debug)]
-struct ValueLoc {
-    file: FileKey,
-    off: u64,
-    len: u32,
-}
-
-#[derive(Clone, Debug)]
-struct IndexEntry {
-    token: u64,
-    loc: ValueLoc,
-}
-
+/// What the log holds for one partition: its live cells and watermarks.
 #[derive(Debug, Default)]
 struct PartitionIndex {
-    map: std::collections::BTreeMap<Bytes, IndexEntry>,
+    map: BTreeMap<Bytes, Cell>,
     applied_seq: u64,
     max_token: u64,
 }
 
+impl PartitionIndex {
+    fn apply(&mut self, seq: u64, key: Bytes, cell: Option<Cell>) {
+        match cell {
+            Some(cell) => {
+                self.max_token = self.max_token.max(cell.token);
+                self.map.insert(key, cell);
+            }
+            None => {
+                self.map.remove(&key);
+            }
+        }
+        self.applied_seq = self.applied_seq.max(seq);
+    }
+}
+
 struct ActiveSegment {
     file: File,
-    slot: u32,
     seg_seq: u64,
     len: u64,
 }
 
 struct Inner {
-    allocator: SlotAllocator,
     active: ActiveSegment,
-    /// Sealed segments awaiting checkpoint subsumption: `(slot, seg_seq)`.
-    sealed: Vec<(u32, u64)>,
-    next_seg_seq: u64,
+    /// Sealed segments awaiting checkpoint subsumption, by seg_seq.
+    sealed: Vec<u64>,
     manifest: Manifest,
-    index: HashMap<u32, PartitionIndex>,
+    index: BTreeMap<u32, PartitionIndex>,
     records_since_ckpt: u64,
     /// Whether a record was appended to the active segment since its last
     /// sync.
@@ -143,10 +129,7 @@ struct Inner {
 pub struct DurableNode {
     dir: PathBuf,
     config: DurableNodeConfig,
-    cache: ObjectCache,
     inner: Mutex<Inner>,
-    evictor_stop: Arc<AtomicBool>,
-    evictor: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for DurableNode {
@@ -155,46 +138,39 @@ impl std::fmt::Debug for DurableNode {
     }
 }
 
-fn seg_path(dir: &Path, slot: u32) -> PathBuf {
-    dir.join(format!("seg-{slot}.log"))
+fn seg_path(dir: &Path, seg_seq: u64) -> PathBuf {
+    dir.join(format!("seg-{seg_seq}.log"))
 }
 
 fn ckpt_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("ckpt-{id}.dat"))
 }
 
-fn parse_seg_name(name: &str) -> Option<u32> {
-    name.strip_prefix("seg-")?.strip_suffix(".log")?.parse().ok()
+fn parse_name(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
+    name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
 }
 
-fn parse_ckpt_name(name: &str) -> Option<u64> {
-    name.strip_prefix("ckpt-")?.strip_suffix(".dat")?.parse().ok()
-}
-
-fn read_value_at(dir: &Path, loc: &ValueLoc) -> Result<Bytes> {
-    let path = match loc.file {
-        FileKey::Seg(slot) => seg_path(dir, slot),
-        FileKey::Ckpt(id) => ckpt_path(dir, id),
-    };
-    let mut file = File::open(&path).map_err(|e| io_err("open value file", &e))?;
-    file.seek(SeekFrom::Start(loc.off)).map_err(|e| io_err("seek value", &e))?;
-    let mut buf = vec![0u8; loc.len as usize];
-    std::io::Read::read_exact(&mut file, &mut buf).map_err(|e| io_err("read value", &e))?;
-    Ok(Bytes::from(buf))
-}
-
-fn open_fresh_segment(dir: &Path, slot: u32, seg_seq: u64) -> Result<ActiveSegment> {
-    let mut file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(seg_path(dir, slot))
-        .map_err(|e| io_err("create segment", &e))?;
+fn open_fresh_segment(dir: &Path, seg_seq: u64) -> Result<ActiveSegment> {
+    let mut file =
+        File::create(seg_path(dir, seg_seq)).map_err(|e| io_err("create segment", &e))?;
     write_all(&mut file, "segment header", &encode_header(SEG_MAGIC, seg_seq))?;
     file.sync_all().map_err(|e| io_err("sync segment header", &e))?;
     sync_dir(dir)?;
-    Ok(ActiveSegment { file, slot, seg_seq, len: HEADER_LEN })
+    Ok(ActiveSegment { file, seg_seq, len: HEADER_LEN })
+}
+
+/// Whether `path` starts with a whole `magic` header naming `seq` (the
+/// number in the file name).
+fn header_names(path: &Path, magic: &[u8; 4], seq: u64) -> bool {
+    let mut header = [0u8; HEADER_LEN as usize];
+    File::open(path).and_then(|mut f| f.read_exact(&mut header)).is_ok()
+        && decode_header(&header, magic).ok() == Some(seq)
+}
+
+/// Decode and apply every intact record of `file` past its header.
+fn replay(file: &mut File, mut apply: impl FnMut(LogRecord) -> Result<()>) -> Result<FrameEnd> {
+    file.seek(SeekFrom::Start(HEADER_LEN)).map_err(|e| io_err("seek log file", &e))?;
+    read_frames(&mut BufReader::new(file), HEADER_LEN, |payload| apply(LogRecord::decode(payload)?))
 }
 
 impl DurableNode {
@@ -209,94 +185,62 @@ impl DurableNode {
         let manifest = Manifest::load(&dir)?;
 
         // Inventory the directory.
-        let mut segs: Vec<(u64, u32)> = Vec::new(); // (seg_seq, slot)
-        let mut ckpts: Vec<u64> = Vec::new();
+        let mut segs: Vec<u64> = Vec::new();
         let entries = fs::read_dir(&dir).map_err(|e| io_err("list data dir", &e))?;
         for entry in entries {
             let entry = entry.map_err(|e| io_err("list data dir", &e))?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            if let Some(slot) = parse_seg_name(name) {
-                let path = seg_path(&dir, slot);
-                let mut header = [0u8; HEADER_LEN as usize];
-                let ok = File::open(&path)
-                    .ok()
-                    .and_then(|mut f| std::io::Read::read_exact(&mut f, &mut header).ok())
-                    .and_then(|_| decode_header(&header, SEG_MAGIC).ok());
-                match ok {
-                    // An unreadable header is a torn creation only while the
-                    // file is at most header-sized: the header is synced
-                    // before the segment goes active, so no acked record can
-                    // follow a header that never fully reached disk. A
-                    // longer file holds framed records — an unreadable
-                    // header there is real corruption (e.g. a bit flip in an
-                    // old synced segment) and deleting it would silently
-                    // drop acked writes.
-                    None => {
-                        let len =
-                            fs::metadata(&path).map_err(|e| io_err("stat segment", &e))?.len();
-                        if len > HEADER_LEN {
-                            return Err(Error::corrupt(format!(
-                                "segment {name} has an unreadable header but {len} bytes of data"
-                            )));
-                        }
-                        fs::remove_file(&path).map_err(|e| io_err("drop torn segment", &e))?;
-                        incr(Counter::DurableTornTailsTruncated);
+            if let Some(seg_seq) = parse_name(name, "seg-", ".log") {
+                let path = seg_path(&dir, seg_seq);
+                if !header_names(&path, SEG_MAGIC, seg_seq) {
+                    // A bad header is a torn creation only while the file is
+                    // at most header-sized: the header is synced before the
+                    // segment goes active, so no acked record can follow a
+                    // header that never fully reached disk. A longer file
+                    // holds framed records — a bad header there is real
+                    // corruption (e.g. a bit flip in an old synced segment)
+                    // and deleting it would silently drop acked writes.
+                    let len = fs::metadata(&path).map_err(|e| io_err("stat segment", &e))?.len();
+                    if len > HEADER_LEN {
+                        return Err(Error::corrupt(format!(
+                            "segment {name} has an unreadable header but {len} bytes of data"
+                        )));
                     }
-                    Some(seg_seq) if seg_seq <= manifest.covered_seg_seq => {
-                        // Subsumed by the checkpoint; a crash beat the cleanup.
-                        fs::remove_file(&path).map_err(|e| io_err("drop covered segment", &e))?;
-                    }
-                    Some(seg_seq) => segs.push((seg_seq, slot)),
+                    fs::remove_file(&path).map_err(|e| io_err("drop torn segment", &e))?;
+                    incr(Counter::DurableTornTailsTruncated);
+                } else if seg_seq <= manifest.covered_seg_seq {
+                    // Subsumed by the checkpoint; a crash beat the cleanup.
+                    fs::remove_file(&path).map_err(|e| io_err("drop covered segment", &e))?;
+                } else {
+                    segs.push(seg_seq);
                 }
-            } else if let Some(id) = parse_ckpt_name(name) {
-                if manifest.checkpoint_id == NO_CHECKPOINT || id != manifest.checkpoint_id {
+            } else if let Some(id) = parse_name(name, "ckpt-", ".dat") {
+                if id != manifest.checkpoint_id {
                     fs::remove_file(ckpt_path(&dir, id))
                         .map_err(|e| io_err("drop stale checkpoint", &e))?;
-                } else {
-                    ckpts.push(id);
                 }
             }
         }
         segs.sort_unstable();
 
-        let mut index: HashMap<u32, PartitionIndex> = HashMap::new();
+        let mut index: BTreeMap<u32, PartitionIndex> = BTreeMap::new();
         let mut recovered_records = 0u64;
 
         // Load the checkpoint the manifest points at.
         if manifest.checkpoint_id != NO_CHECKPOINT {
-            if ckpts.is_empty() {
+            let (id, path) = (manifest.checkpoint_id, ckpt_path(&dir, manifest.checkpoint_id));
+            if !header_names(&path, CKPT_MAGIC, id) {
                 return Err(Error::corrupt(format!(
-                    "MANIFEST names checkpoint {} but the file is missing",
-                    manifest.checkpoint_id
+                    "MANIFEST names checkpoint {id} but the file is missing or its header is bad"
                 )));
             }
-            let id = manifest.checkpoint_id;
-            let mut file =
-                File::open(ckpt_path(&dir, id)).map_err(|e| io_err("open checkpoint", &e))?;
-            let mut header = [0u8; HEADER_LEN as usize];
-            std::io::Read::read_exact(&mut file, &mut header)
-                .map_err(|e| io_err("read checkpoint header", &e))?;
-            if decode_header(&header, CKPT_MAGIC)? != id {
-                return Err(Error::corrupt("checkpoint id mismatch"));
-            }
+            let mut file = File::open(&path).map_err(|e| io_err("open checkpoint", &e))?;
             let mut saw_trailer = false;
-            let end = read_frames(&mut file, HEADER_LEN, |payload, payload_off| {
-                let (rec, value_off) = LogRecord::decode(payload)?;
+            let end = replay(&mut file, |rec| {
                 match rec {
                     LogRecord::Put { pid, key, cell, .. } => {
-                        let part = index.entry(pid).or_default();
-                        part.map.insert(
-                            key,
-                            IndexEntry {
-                                token: cell.token,
-                                loc: ValueLoc {
-                                    file: FileKey::Ckpt(id),
-                                    off: payload_off + value_off as u64,
-                                    len: cell.value.len() as u32,
-                                },
-                            },
-                        );
+                        index.entry(pid).or_default().apply(0, key, Some(cell));
                         recovered_records += 1;
                     }
                     LogRecord::Delete { .. } => {
@@ -328,46 +272,21 @@ impl DurableNode {
 
         // Replay segments newer than the checkpoint, oldest seg_seq first.
         // Only the newest may be torn (the crash tail); truncate it clean.
-        let mut allocator = SlotAllocator::new();
-        let mut max_seg_seq = manifest.covered_seg_seq;
-        for (i, &(seg_seq, slot)) in segs.iter().enumerate() {
-            allocator.reserve(slot);
-            max_seg_seq = max_seg_seq.max(seg_seq);
-            let path = seg_path(&dir, slot);
+        for (i, &seg_seq) in segs.iter().enumerate() {
             let mut file = OpenOptions::new()
                 .read(true)
                 .write(true)
-                .open(&path)
+                .open(seg_path(&dir, seg_seq))
                 .map_err(|e| io_err("open segment", &e))?;
-            file.seek(SeekFrom::Start(HEADER_LEN)).map_err(|e| io_err("seek segment", &e))?;
-            let end = read_frames(&mut file, HEADER_LEN, |payload, payload_off| {
-                let (rec, value_off) = LogRecord::decode(payload)?;
-                match rec {
-                    LogRecord::Put { pid, seq, key, cell } => {
-                        let part = index.entry(pid).or_default();
-                        part.map.insert(
-                            key,
-                            IndexEntry {
-                                token: cell.token,
-                                loc: ValueLoc {
-                                    file: FileKey::Seg(slot),
-                                    off: payload_off + value_off as u64,
-                                    len: cell.value.len() as u32,
-                                },
-                            },
-                        );
-                        part.applied_seq = part.applied_seq.max(seq);
-                        part.max_token = part.max_token.max(cell.token);
-                    }
-                    LogRecord::Delete { pid, seq, key } => {
-                        let part = index.entry(pid).or_default();
-                        part.map.remove(&key);
-                        part.applied_seq = part.applied_seq.max(seq);
-                    }
+            let end = replay(&mut file, |rec| {
+                let (pid, seq, key, cell) = match rec {
+                    LogRecord::Put { pid, seq, key, cell } => (pid, seq, key, Some(cell)),
+                    LogRecord::Delete { pid, seq, key } => (pid, seq, key, None),
                     LogRecord::CheckpointTrailer { .. } => {
                         return Err(Error::corrupt("checkpoint trailer inside segment"));
                     }
-                }
+                };
+                index.entry(pid).or_default().apply(seq, key, cell);
                 recovered_records += 1;
                 Ok(())
             })?;
@@ -384,102 +303,22 @@ impl DurableNode {
         }
         add(Counter::DurableRecoveredRecords, recovered_records);
 
-        // Recovered segments stay sealed; appends go to a fresh one.
-        let sealed: Vec<(u32, u64)> = segs.iter().map(|&(seq, slot)| (slot, seq)).collect();
-        let next_seg_seq = max_seg_seq + 1;
-        let slot = allocator.alloc();
-        let active = open_fresh_segment(&dir, slot, next_seg_seq)?;
-
-        let node = Arc::new(DurableNode {
-            cache: ObjectCache::new(config.cache_bytes),
-            dir: dir.clone(),
-            config: config.clone(),
-            inner: Mutex::new(Inner {
-                allocator,
-                active,
-                sealed,
-                next_seg_seq: next_seg_seq + 1,
-                manifest,
-                index,
-                records_since_ckpt: 0,
-                unsynced: false,
-            }),
-            evictor_stop: Arc::new(AtomicBool::new(false)),
-            evictor: Mutex::new(None),
-        });
-
-        // Materialize recovered images (and warm the cache along the way).
-        let mut partitions = Vec::new();
-        {
-            let inner = node.inner.lock();
-            let mut pids: Vec<u32> = inner.index.keys().copied().collect();
-            pids.sort_unstable();
-            for pid in pids {
-                let part = &inner.index[&pid];
-                let mut entries = Vec::with_capacity(part.map.len());
-                for (key, entry) in &part.map {
-                    let value = read_value_at(&dir, &entry.loc)?;
-                    node.cache.put(pid, key.clone(), value.clone());
-                    entries.push((key.clone(), Cell { token: entry.token, value }));
-                }
-                partitions.push(RecoveredPartition {
-                    pid,
-                    applied_seq: part.applied_seq,
-                    max_token: part.max_token,
-                    entries,
-                });
-            }
-        }
-
-        if config.background_eviction && config.cache_bytes > 0 {
-            node.spawn_evictor();
-        }
-        Ok((node, partitions))
-    }
-
-    fn spawn_evictor(self: &Arc<Self>) {
-        let stop = Arc::clone(&self.evictor_stop);
-        let weak = Arc::downgrade(self);
-        let low_watermark = self.config.cache_bytes - self.config.cache_bytes / 8;
-        let handle = std::thread::Builder::new()
-            .name("tell-durable-evictor".into())
-            .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(std::time::Duration::from_millis(25));
-                    let Some(node) = weak.upgrade() else { break };
-                    node.cache.trim_to(low_watermark);
-                }
+        let partitions = index
+            .iter()
+            .map(|(&pid, part)| RecoveredPartition {
+                pid,
+                applied_seq: part.applied_seq,
+                max_token: part.max_token,
+                entries: part.map.iter().map(|(k, c)| (k.clone(), c.clone())).collect(),
             })
-            .expect("spawn evictor thread");
-        *self.evictor.lock() = Some(handle);
-    }
+            .collect();
 
-    /// The object cache (benches read hit/miss state through tell-obs, but
-    /// tests also want direct occupancy checks).
-    pub fn cache(&self) -> &ObjectCache {
-        &self.cache
-    }
-
-    /// Read one key through the cache, falling back to the on-disk value.
-    pub fn get(&self, pid: u32, key: &Bytes) -> Result<Option<Cell>> {
-        let inner = self.inner.lock();
-        let Some(entry) = inner.index.get(&pid).and_then(|p| p.map.get(key)).cloned() else {
-            return Ok(None);
-        };
-        if let Some(value) = self.cache.get(pid, key) {
-            return Ok(Some(Cell { token: entry.token, value }));
-        }
-        // Stay under the lock: a concurrent checkpoint could otherwise
-        // delete the segment between the index lookup and the read.
-        let value = read_value_at(&self.dir, &entry.loc)?;
-        self.cache.put(pid, key.clone(), value.clone());
-        Ok(Some(Cell { token: entry.token, value }))
-    }
-
-    /// Segment files currently on disk (sealed + active).
-    pub fn segment_count(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.sealed.len() + 1
+        // Recovered segments stay sealed; appends go to a fresh one.
+        let last = segs.last().copied().unwrap_or(manifest.covered_seg_seq);
+        let active = open_fresh_segment(&dir, last + 1)?;
+        let inner =
+            Inner { active, sealed: segs, manifest, index, records_since_ckpt: 0, unsynced: false };
+        Ok((Arc::new(DurableNode { dir, config, inner: Mutex::new(inner) }), partitions))
     }
 
     /// Force a checkpoint now.
@@ -493,12 +332,9 @@ impl DurableNode {
         incr(Counter::DurableFsyncs);
         incr(Counter::DurableSegmentsSealed);
         inner.unsynced = false;
-        let seg_seq = inner.next_seg_seq;
-        inner.next_seg_seq += 1;
-        let slot = inner.allocator.alloc();
-        let fresh = open_fresh_segment(&self.dir, slot, seg_seq)?;
+        let fresh = open_fresh_segment(&self.dir, inner.active.seg_seq + 1)?;
         let old = std::mem::replace(&mut inner.active, fresh);
-        inner.sealed.push((old.slot, old.seg_seq));
+        inner.sealed.push(old.seg_seq);
         Ok(())
     }
 
@@ -510,64 +346,32 @@ impl DurableNode {
         let covered = inner.active.seg_seq - 1;
         let id = inner.manifest.checkpoint_id.wrapping_add(1);
 
-        let path = ckpt_path(&self.dir, id);
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| io_err("create checkpoint", &e))?;
-        write_all(&mut file, "checkpoint header", &encode_header(CKPT_MAGIC, id))?;
-        let mut off = HEADER_LEN;
-        let mut relocations: Vec<(u32, Bytes, ValueLoc)> = Vec::new();
-        let mut trailer_parts: Vec<(u32, u64, u64)> = Vec::new();
-        let mut pids: Vec<u32> = inner.index.keys().copied().collect();
-        pids.sort_unstable();
-        let mut payload = Vec::new();
+        let file =
+            File::create(ckpt_path(&self.dir, id)).map_err(|e| io_err("create checkpoint", &e))?;
+        let mut out = BufWriter::new(file);
+        write_all(&mut out, "checkpoint header", &encode_header(CKPT_MAGIC, id))?;
         let mut framed = Vec::new();
         let mut records = 0u64;
-        for &pid in &pids {
-            let part = &inner.index[&pid];
-            trailer_parts.push((pid, part.applied_seq, part.max_token));
-            for (key, entry) in &part.map {
-                let value = match self.cache.get(pid, key) {
-                    Some(v) => v,
-                    None => read_value_at(&self.dir, &entry.loc)?,
-                };
-                let rec = LogRecord::Put {
-                    pid,
-                    seq: 0,
-                    key: key.clone(),
-                    cell: Cell { token: entry.token, value },
-                };
-                payload.clear();
+        for (&pid, part) in &inner.index {
+            for (key, cell) in &part.map {
                 framed.clear();
-                let value_off = rec.encode_into(&mut payload);
-                frame_into(&mut framed, &payload);
-                write_all(&mut file, "checkpoint record", &framed)?;
-                relocations.push((
-                    pid,
-                    key.clone(),
-                    ValueLoc {
-                        file: FileKey::Ckpt(id),
-                        off: off + FRAME_PREFIX + value_off as u64,
-                        len: entry.loc.len,
-                    },
-                ));
-                off += framed.len() as u64;
+                let rec = LogRecord::Put { pid, seq: 0, key: key.clone(), cell: cell.clone() };
+                frame_record(&mut framed, &rec);
+                write_all(&mut out, "checkpoint record", &framed)?;
                 records += 1;
             }
         }
-        let trailer =
-            LogRecord::CheckpointTrailer { covered_seg_seq: covered, partitions: trailer_parts };
-        payload.clear();
+        let partitions =
+            inner.index.iter().map(|(&pid, p)| (pid, p.applied_seq, p.max_token)).collect();
         framed.clear();
-        trailer.encode_into(&mut payload);
-        frame_into(&mut framed, &payload);
-        write_all(&mut file, "checkpoint trailer", &framed)?;
+        frame_record(
+            &mut framed,
+            &LogRecord::CheckpointTrailer { covered_seg_seq: covered, partitions },
+        );
+        write_all(&mut out, "checkpoint trailer", &framed)?;
+        let file = out.into_inner().map_err(|e| io_err("write checkpoint", e.error()))?;
         file.sync_all().map_err(|e| io_err("sync checkpoint", &e))?;
         incr(Counter::DurableFsyncs);
-        drop(file);
 
         // Commit point: the manifest now names the new checkpoint.
         let old_id = inner.manifest.checkpoint_id;
@@ -579,29 +383,18 @@ impl DurableNode {
         if old_id != NO_CHECKPOINT {
             let _ = fs::remove_file(ckpt_path(&self.dir, old_id));
         }
-        let mut recycled = 0u64;
-        for (slot, _seg_seq) in inner.sealed.drain(..) {
-            let _ = fs::remove_file(seg_path(&self.dir, slot));
-            inner.allocator.free(slot);
-            recycled += 1;
+        let subsumed = inner.sealed.len() as u64;
+        for seg_seq in inner.sealed.drain(..) {
+            let _ = fs::remove_file(seg_path(&self.dir, seg_seq));
         }
         sync_dir(&self.dir)?;
-        for (pid, key, loc) in relocations {
-            if let Some(entry) = inner.index.get_mut(&pid).and_then(|p| p.map.get_mut(&key)) {
-                // Only relocate if the entry wasn't overwritten meanwhile
-                // (it can't be — we hold the lock — but stay defensive).
-                entry.loc = loc;
-            }
-        }
         inner.records_since_ckpt = 0;
         incr(Counter::DurableCheckpoints);
         add(Counter::DurableCheckpointRecords, records);
-        add(Counter::DurableSegmentsRecycled, recycled);
+        add(Counter::DurableSegmentsRecycled, subsumed);
         Ok(())
     }
-}
 
-impl DurableNode {
     fn append_locked(
         &self,
         inner: &mut Inner,
@@ -615,41 +408,14 @@ impl DurableNode {
             Some(c) => LogRecord::Put { pid, seq, key: key.clone(), cell: c.clone() },
             None => LogRecord::Delete { pid, seq, key: key.clone() },
         };
-        let mut payload = Vec::new();
-        let value_off = rec.encode_into(&mut payload);
         let mut framed = Vec::new();
-        frame_into(&mut framed, &payload);
-
-        let at = inner.active.len;
+        frame_record(&mut framed, &rec);
         write_all(&mut inner.active.file, "append record", &framed)?;
         inner.active.len += framed.len() as u64;
         incr(Counter::DurableAppends);
         add(Counter::DurableAppendBytes, framed.len() as u64);
 
-        let slot = inner.active.slot;
-        let part = inner.index.entry(pid).or_default();
-        match cell {
-            Some(c) => {
-                part.map.insert(
-                    key.clone(),
-                    IndexEntry {
-                        token: c.token,
-                        loc: ValueLoc {
-                            file: FileKey::Seg(slot),
-                            off: at + FRAME_PREFIX + value_off as u64,
-                            len: c.value.len() as u32,
-                        },
-                    },
-                );
-                part.max_token = part.max_token.max(c.token);
-                self.cache.put(pid, key.clone(), c.value.clone());
-            }
-            None => {
-                part.map.remove(key);
-                self.cache.remove(pid, key);
-            }
-        }
-        part.applied_seq = part.applied_seq.max(seq);
+        inner.index.entry(pid).or_default().apply(seq, key.clone(), cell.cloned());
         inner.unsynced = true;
 
         if inner.active.len >= self.config.segment_bytes {
@@ -698,7 +464,7 @@ impl NodeDurability for DurableNode {
 
     fn reset_partition(&self, pid: u32, applied_seq: u64, entries: &[(Bytes, Cell)]) -> Result<()> {
         let mut inner = self.inner.lock();
-        let keep: std::collections::HashSet<&Bytes> = entries.iter().map(|(k, _)| k).collect();
+        let keep: HashSet<&Bytes> = entries.iter().map(|(k, _)| k).collect();
         let stale: Vec<Bytes> = inner
             .index
             .get(&pid)
@@ -731,15 +497,6 @@ impl NodeDurability for DurableNode {
     fn sync(&self) -> Result<()> {
         let mut inner = self.inner.lock();
         self.sync_locked(&mut inner)
-    }
-}
-
-impl Drop for DurableNode {
-    fn drop(&mut self) {
-        self.evictor_stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.evictor.lock().take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -789,14 +546,22 @@ mod tests {
         Cell { token, value: b(value) }
     }
 
+    /// Segment files in `dir`, oldest seg_seq first.
+    fn segment_files(dir: &Path) -> Vec<PathBuf> {
+        let mut segs: Vec<(u64, PathBuf)> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter_map(|p| {
+                let name = p.file_name()?.to_str()?;
+                Some((parse_name(name, "seg-", ".log")?, p.clone()))
+            })
+            .collect();
+        segs.sort();
+        segs.into_iter().map(|(_, p)| p).collect()
+    }
+
     fn tiny_config() -> DurableNodeConfig {
-        DurableNodeConfig {
-            segment_bytes: 256,
-            fsync: FsyncPolicy::Always,
-            checkpoint_every: 0,
-            cache_bytes: 1 << 20,
-            background_eviction: false,
-        }
+        DurableNodeConfig { segment_bytes: 256, fsync: FsyncPolicy::Always, checkpoint_every: 0 }
     }
 
     #[test]
@@ -811,7 +576,7 @@ mod tests {
             node.record(0, 3, &b("alpha"), Some(&cell(12, "one-v2"))).unwrap();
             node.record(1, 2, &b("gamma"), None).unwrap();
         }
-        let (node, recovered) = DurableNode::open(dir.clone(), tiny_config()).unwrap();
+        let (_node, recovered) = DurableNode::open(dir.clone(), tiny_config()).unwrap();
         assert_eq!(recovered.len(), 2);
         let p0 = &recovered[0];
         assert_eq!((p0.pid, p0.applied_seq, p0.max_token), (0, 3, 12));
@@ -822,8 +587,6 @@ mod tests {
         let p1 = &recovered[1];
         assert_eq!((p1.pid, p1.applied_seq, p1.max_token), (1, 2, 5));
         assert!(p1.entries.is_empty(), "delete replayed, applied_seq kept");
-        assert_eq!(node.get(0, &b("alpha")).unwrap(), Some(cell(12, "one-v2")));
-        assert_eq!(node.get(1, &b("gamma")).unwrap(), None);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -835,19 +598,21 @@ mod tests {
             let key = b(&format!("key-{i:03}"));
             node.record(0, i + 1, &key, Some(&cell(i + 1, &format!("value-{i}")))).unwrap();
         }
-        assert!(node.segment_count() > 1, "tiny segments forced rotation");
+        assert!(segment_files(&dir).len() > 1, "tiny segments forced rotation");
         node.checkpoint().unwrap();
-        assert_eq!(node.segment_count(), 1, "checkpoint recycled sealed segments");
-        // Values remain readable from the checkpoint file (cold cache).
-        node.cache.trim_to(0);
-        assert_eq!(node.get(0, &b("key-007")).unwrap(), Some(cell(8, "value-7")));
+        assert_eq!(node.inner.lock().sealed.len(), 0, "checkpoint subsumed sealed segments");
+        let active = node.inner.lock().active.seg_seq;
+        assert_eq!(segment_files(&dir), vec![seg_path(&dir, active)], "only the active one left");
         drop(node);
         // Recovery from checkpoint + empty tail.
-        let (node, recovered) = DurableNode::open(dir.clone(), tiny_config()).unwrap();
+        let (_node, recovered) = DurableNode::open(dir.clone(), tiny_config()).unwrap();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].entries.len(), 40);
         assert_eq!(recovered[0].applied_seq, 40);
-        assert_eq!(node.get(0, &b("key-039")).unwrap(), Some(cell(40, "value-39")));
+        assert_eq!(recovered[0].max_token, 40);
+        let entries: BTreeMap<_, _> = recovered[0].entries.iter().cloned().collect();
+        assert_eq!(entries[&b("key-007")], cell(8, "value-7"));
+        assert_eq!(entries[&b("key-039")], cell(40, "value-39"));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -954,6 +719,20 @@ mod tests {
         let (_node, recovered) = DurableNode::open(dir.clone(), tiny_config()).unwrap();
         assert_eq!(recovered[0].entries, vec![(b("a"), cell(1, "v"))]);
         assert!(!seg_path(&dir, 99).exists(), "torn creation removed");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn segment_named_for_another_seg_seq_fails_loudly() {
+        let dir = test_dir("renamed");
+        {
+            let (node, _) = DurableNode::open(dir.clone(), tiny_config()).unwrap();
+            node.record(0, 1, &b("a"), Some(&cell(1, "v"))).unwrap();
+        }
+        let seg = segment_files(&dir).pop().unwrap();
+        fs::rename(&seg, seg_path(&dir, 77)).unwrap();
+        let err = DurableNode::open(dir.clone(), tiny_config()).unwrap_err();
+        assert!(format!("{err:?}").contains("unreadable header"), "got {err:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

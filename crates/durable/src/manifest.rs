@@ -7,7 +7,7 @@
 //! `seg_seq` at or below `covered_seg_seq` are garbage awaiting deletion,
 //! everything newer is replayed on top of the checkpoint.
 
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -76,12 +76,7 @@ impl Manifest {
         buf.extend_from_slice(&body);
 
         let tmp = dir.join("MANIFEST.tmp");
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)
-            .map_err(|e| io_err("create manifest tmp", &e))?;
+        let mut file = File::create(&tmp).map_err(|e| io_err("create manifest tmp", &e))?;
         file.write_all(&buf).map_err(|e| io_err("write manifest tmp", &e))?;
         file.sync_all().map_err(|e| io_err("sync manifest tmp", &e))?;
         drop(file);

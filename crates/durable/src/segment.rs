@@ -8,13 +8,13 @@
 //! ```
 //!
 //! `seg_seq` is a per-node monotonic sequence number assigned when the
-//! segment is created; replay order follows `seg_seq`, not the (recycled)
-//! file-name slot. Frames carry [`LogRecord`]s. A reader stops cleanly at
+//! segment is created; it names the file (`seg-<seg_seq>.log`) and orders
+//! replay. Frames carry [`LogRecord`]s. A reader stops cleanly at
 //! the first frame that is short, oversized or fails its CRC — in the
 //! newest segment that is the torn tail of a crash and is truncated away;
 //! anywhere else it is real corruption and surfaces as an error.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
 
 use bytes::Bytes;
 use tell_common::{Error, Result};
@@ -89,30 +89,22 @@ const KIND_DELETE: u8 = 2;
 const KIND_TRAILER: u8 = 3;
 
 impl LogRecord {
-    /// Serialize into `out`. For `Put`, returns the offset *within the
-    /// payload* where the value bytes start (the engine's value locator
-    /// points straight at them).
-    pub fn encode_into(&self, out: &mut Vec<u8>) -> usize {
+    /// Serialize into `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             LogRecord::Put { pid, seq, key, cell } => {
                 out.push(KIND_PUT);
                 out.extend_from_slice(&pid.to_le_bytes());
                 out.extend_from_slice(&seq.to_le_bytes());
                 out.extend_from_slice(&cell.token.to_le_bytes());
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-                out.extend_from_slice(&(cell.value.len() as u32).to_le_bytes());
-                let value_off = out.len();
-                out.extend_from_slice(&cell.value);
-                value_off
+                put_bytes(out, key);
+                put_bytes(out, &cell.value);
             }
             LogRecord::Delete { pid, seq, key } => {
                 out.push(KIND_DELETE);
                 out.extend_from_slice(&pid.to_le_bytes());
                 out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-                0
+                put_bytes(out, key);
             }
             LogRecord::CheckpointTrailer { covered_seg_seq, partitions } => {
                 out.push(KIND_TRAILER);
@@ -123,50 +115,40 @@ impl LogRecord {
                     out.extend_from_slice(&seq.to_le_bytes());
                     out.extend_from_slice(&token.to_le_bytes());
                 }
-                0
             }
         }
     }
 
-    /// Decode one payload. Returns the record and, for `Put`, the offset of
-    /// the value bytes within the payload.
-    pub fn decode(payload: &[u8]) -> Result<(LogRecord, usize)> {
+    /// Decode one payload.
+    pub fn decode(payload: &[u8]) -> Result<LogRecord> {
         let mut cur = Cursor { buf: payload, pos: 0 };
-        let kind = cur.u8()?;
-        match kind {
+        let rec = match cur.u8()? {
             KIND_PUT => {
-                let pid = cur.u32()?;
-                let seq = cur.u64()?;
-                let token = cur.u64()?;
-                let klen = cur.u32()? as usize;
-                let key = cur.bytes(klen)?;
-                let vlen = cur.u32()? as usize;
-                let value_off = cur.pos;
-                let value = cur.bytes(vlen)?;
-                cur.done()?;
-                Ok((LogRecord::Put { pid, seq, key, cell: Cell { token, value } }, value_off))
+                let (pid, seq, token, key) = (cur.u32()?, cur.u64()?, cur.u64()?, cur.bytes()?);
+                LogRecord::Put { pid, seq, key, cell: Cell { token, value: cur.bytes()? } }
             }
             KIND_DELETE => {
-                let pid = cur.u32()?;
-                let seq = cur.u64()?;
-                let klen = cur.u32()? as usize;
-                let key = cur.bytes(klen)?;
-                cur.done()?;
-                Ok((LogRecord::Delete { pid, seq, key }, 0))
+                LogRecord::Delete { pid: cur.u32()?, seq: cur.u64()?, key: cur.bytes()? }
             }
             KIND_TRAILER => {
                 let covered_seg_seq = cur.u64()?;
-                let n = cur.u32()? as usize;
-                let mut partitions = Vec::with_capacity(n);
-                for _ in 0..n {
-                    partitions.push((cur.u32()?, cur.u64()?, cur.u64()?));
-                }
-                cur.done()?;
-                Ok((LogRecord::CheckpointTrailer { covered_seg_seq, partitions }, 0))
+                let n = cur.u32()?;
+                let partitions = (0..n)
+                    .map(|_| Ok((cur.u32()?, cur.u64()?, cur.u64()?)))
+                    .collect::<Result<_>>()?;
+                LogRecord::CheckpointTrailer { covered_seg_seq, partitions }
             }
-            other => Err(Error::corrupt(format!("unknown log record kind {other}"))),
-        }
+            other => return Err(Error::corrupt(format!("unknown log record kind {other}"))),
+        };
+        cur.done()?;
+        Ok(rec)
     }
+}
+
+/// Append `bytes` with its `u32` length prefix.
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(bytes);
 }
 
 struct Cursor<'a> {
@@ -191,7 +173,9 @@ impl Cursor<'_> {
     fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn bytes(&mut self, n: usize) -> Result<Bytes> {
+    /// A `u32`-length-prefixed byte string.
+    fn bytes(&mut self) -> Result<Bytes> {
+        let n = self.u32()? as usize;
         Ok(Bytes::copy_from_slice(self.take(n)?))
     }
     fn done(&self) -> Result<()> {
@@ -238,6 +222,13 @@ pub fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
+/// Encode `rec` and frame it into `out`.
+pub fn frame_record(out: &mut Vec<u8>, rec: &LogRecord) {
+    let mut payload = Vec::new();
+    rec.encode_into(&mut payload);
+    frame_into(out, &payload);
+}
+
 /// How a sequential frame read ended.
 #[derive(Debug, PartialEq, Eq)]
 pub enum FrameEnd {
@@ -249,21 +240,22 @@ pub enum FrameEnd {
 }
 
 /// Read every intact frame of an already-opened file positioned just past
-/// its header. Calls `f(payload, payload_file_offset)` per frame; returns
-/// how the stream ended.
-pub fn read_frames<R: Read>(
+/// its header (at file offset `start_offset`). Calls `f(payload)` per
+/// frame; returns how the stream ended.
+pub fn read_frames<R: BufRead>(
     reader: &mut R,
     start_offset: u64,
-    mut f: impl FnMut(&[u8], u64) -> Result<()>,
+    mut f: impl FnMut(&[u8]) -> Result<()>,
 ) -> Result<FrameEnd> {
     let mut offset = start_offset;
     let mut payload = Vec::new();
     loop {
+        if reader.fill_buf().map_err(|e| io_err("read segment", &e))?.is_empty() {
+            return Ok(FrameEnd::Eof);
+        }
         let mut prefix = [0u8; FRAME_PREFIX as usize];
-        match read_exact_or_eof(reader, &mut prefix)? {
-            ReadEnd::Eof => return Ok(FrameEnd::Eof),
-            ReadEnd::Partial => return Ok(FrameEnd::Torn { offset }),
-            ReadEnd::Full => {}
+        if !read_full(reader, &mut prefix)? {
+            return Ok(FrameEnd::Torn { offset });
         }
         let len = u32::from_le_bytes(prefix[..4].try_into().unwrap());
         let crc = u32::from_le_bytes(prefix[4..8].try_into().unwrap());
@@ -271,37 +263,21 @@ pub fn read_frames<R: Read>(
             return Ok(FrameEnd::Torn { offset });
         }
         payload.resize(len as usize, 0);
-        match read_exact_or_eof(reader, &mut payload)? {
-            ReadEnd::Full => {}
-            _ => return Ok(FrameEnd::Torn { offset }),
-        }
-        if crc32(&payload) != crc {
+        if !read_full(reader, &mut payload)? || crc32(&payload) != crc {
             return Ok(FrameEnd::Torn { offset });
         }
-        f(&payload, offset + FRAME_PREFIX)?;
+        f(&payload)?;
         offset += FRAME_PREFIX + len as u64;
     }
 }
 
-enum ReadEnd {
-    Full,
-    Partial,
-    Eof,
-}
-
-fn read_exact_or_eof<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<ReadEnd> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 { ReadEnd::Eof } else { ReadEnd::Partial });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(io_err("read segment", &e)),
-        }
+/// `read_exact`, reporting a short read as `false` instead of an error.
+fn read_full<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<bool> {
+    match reader.read_exact(buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(io_err("read segment", &e)),
     }
-    Ok(ReadEnd::Full)
 }
 
 /// Map an I/O error into the workspace error type.
@@ -345,13 +321,8 @@ mod tests {
             },
         ] {
             let mut buf = Vec::new();
-            let value_off = rec.encode_into(&mut buf);
-            let (decoded, off) = LogRecord::decode(&buf).unwrap();
-            assert_eq!(decoded, rec);
-            assert_eq!(off, value_off);
-            if let LogRecord::Put { cell, .. } = &rec {
-                assert_eq!(&buf[off..off + cell.value.len()], cell.value.as_ref());
-            }
+            rec.encode_into(&mut buf);
+            assert_eq!(LogRecord::decode(&buf).unwrap(), rec);
         }
     }
 
@@ -381,21 +352,20 @@ mod tests {
 
         // Whole file: two frames, clean EOF.
         let mut seen = Vec::new();
-        let end = read_frames(&mut &file[HEADER_LEN as usize..], HEADER_LEN, |p, off| {
-            seen.push((LogRecord::decode(p).unwrap().0, off));
+        let end = read_frames(&mut &file[HEADER_LEN as usize..], HEADER_LEN, |p| {
+            seen.push(LogRecord::decode(p).unwrap());
             Ok(())
         })
         .unwrap();
         assert_eq!(end, FrameEnd::Eof);
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0].1, HEADER_LEN + FRAME_PREFIX);
+        assert_eq!(seen, vec![put(0, 1, "a", "1"), put(0, 2, "b", "2")]);
 
         // Truncate anywhere strictly inside the second frame (a cut exactly
         // on the boundary is a clean EOF): the first frame survives and the
         // tear is reported at the second frame's start.
         for cut in second_at as usize + 1..file.len() {
             let mut n = 0;
-            let end = read_frames(&mut &file[HEADER_LEN as usize..cut], HEADER_LEN, |_, _| {
+            let end = read_frames(&mut &file[HEADER_LEN as usize..cut], HEADER_LEN, |_| {
                 n += 1;
                 Ok(())
             })
@@ -409,7 +379,7 @@ mod tests {
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0xFF;
         let end =
-            read_frames(&mut &corrupt[HEADER_LEN as usize..], HEADER_LEN, |_, _| Ok(())).unwrap();
+            read_frames(&mut &corrupt[HEADER_LEN as usize..], HEADER_LEN, |_| Ok(())).unwrap();
         assert_eq!(end, FrameEnd::Torn { offset: second_at });
     }
 

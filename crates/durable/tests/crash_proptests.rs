@@ -2,14 +2,16 @@
 //! a crash at an arbitrary byte position (torn tail, truncated header,
 //! corrupt CRC), and recovery must yield *exactly* the prefix of writes
 //! whose frames survived — never a reordering, never a resurrection,
-//! never a loss of an intact earlier frame.
+//! never a loss of an intact earlier frame. A second family checkpoints at
+//! arbitrary points across restarts, and every reopen must yield exactly
+//! the writes made so far.
 //!
 //! The expected state is computed from an independent model: each op's
 //! framed length is derived from the public `LogRecord` encoding, so the
 //! byte position of every frame boundary — and therefore the exact
 //! surviving prefix for any cut — is known without consulting the engine.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,6 +20,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use tell_durable::segment::{frame_into, HEADER_LEN};
 use tell_durable::{DurableNode, DurableNodeConfig, FsyncPolicy, LogRecord};
+use tell_store::durability::RecoveredPartition;
 use tell_store::{Cell, NodeDurability};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -39,8 +42,6 @@ fn config(segment_bytes: u64) -> DurableNodeConfig {
         // fsync knob only costs wall time here.
         fsync: FsyncPolicy::Never,
         checkpoint_every: 0, // no checkpoints: frame positions stay modelable
-        cache_bytes: 1 << 20,
-        background_eviction: false,
     }
 }
 
@@ -129,23 +130,27 @@ fn model(seqd: &[(Op, u64)], k: usize) -> BTreeMap<u32, PartModel> {
     parts
 }
 
+/// Record one modeled op through a live engine.
+fn record_op(node: &DurableNode, op: &Op, seq: u64) {
+    let cell = op
+        .put
+        .as_ref()
+        .map(|(token, value)| Cell { token: *token, value: Bytes::from(value.clone()) });
+    node.record(op.pid, seq, &key_bytes(op.key), cell.as_ref()).expect("record");
+}
+
 /// Write every op through a live engine, then drop it.
 fn write_all_ops(dir: &Path, seqd: &[(Op, u64)], segment_bytes: u64) {
     let (node, recovered) =
         DurableNode::open(dir.to_path_buf(), config(segment_bytes)).expect("open fresh engine");
     assert!(recovered.is_empty(), "fresh dir must recover nothing");
     for (op, seq) in seqd {
-        let cell = op
-            .put
-            .as_ref()
-            .map(|(token, value)| Cell { token: *token, value: Bytes::from(value.clone()) });
-        node.record(op.pid, *seq, &key_bytes(op.key), cell.as_ref()).expect("record");
+        record_op(&node, op, *seq);
     }
 }
 
-/// Recover `dir` and compare the result against `expected`.
-fn check_recovery(dir: PathBuf, expected: &BTreeMap<u32, PartModel>) -> Result<(), TestCaseError> {
-    let (_node, recovered) = DurableNode::open(dir, config(1 << 30)).expect("recovery open");
+/// Recovered partition images in the model's shape.
+fn as_model(recovered: Vec<RecoveredPartition>) -> BTreeMap<u32, PartModel> {
     let mut got: BTreeMap<u32, PartModel> = BTreeMap::new();
     for part in recovered {
         let entries = part.entries.into_iter().collect();
@@ -154,18 +159,25 @@ fn check_recovery(dir: PathBuf, expected: &BTreeMap<u32, PartModel>) -> Result<(
             PartModel { applied_seq: part.applied_seq, max_token: part.max_token, entries },
         );
     }
-    prop_assert_eq!(&got, expected);
+    got
+}
+
+/// Recover `dir` and compare the result against `expected`.
+fn check_recovery(dir: PathBuf, expected: &BTreeMap<u32, PartModel>) -> Result<(), TestCaseError> {
+    let (_node, recovered) = DurableNode::open(dir, config(1 << 30)).expect("recovery open");
+    prop_assert_eq!(&as_model(recovered), expected);
     Ok(())
 }
 
-/// Segment files present in `dir`, as `(slot, path)` sorted by slot.
-fn segments(dir: &Path) -> Vec<(u32, PathBuf)> {
+/// Segment files present in `dir`, as `(seg_seq, path)` sorted by the
+/// seg_seq that names each file.
+fn segments(dir: &Path) -> Vec<(u64, PathBuf)> {
     let mut segs = Vec::new();
     for entry in fs::read_dir(dir).expect("read data dir") {
         let path = entry.expect("dir entry").path();
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("").to_string();
-        if let Some(slot) = name.strip_prefix("seg-").and_then(|s| s.strip_suffix(".log")) {
-            segs.push((slot.parse().expect("slot number"), path));
+        if let Some(seg_seq) = name.strip_prefix("seg-").and_then(|s| s.strip_suffix(".log")) {
+            segs.push((seg_seq.parse().expect("seg_seq"), path));
         }
     }
     segs.sort();
@@ -286,6 +298,40 @@ proptest! {
         let k = active_start
             + ends[active_start..].iter().filter(|&&e| e <= cut).count();
         check_recovery(dir.clone(), &model(&seqd, k))?;
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Checkpoints across restarts: the ops are split over two sessions on
+    /// tiny segments, with `checkpoint()` calls at arbitrary points and one
+    /// more at the end of the second session. Every reopen recovers exactly
+    /// the model of the ops written so far, watermarks included.
+    #[test]
+    fn checkpoints_across_restarts_match_the_model(
+        ops in ops_strategy(60),
+        ckpt_sel in proptest::collection::vec(any::<usize>(), 0..6),
+        split_sel in any::<usize>(),
+    ) {
+        const SEG_BYTES: u64 = 200;
+        let seqd = with_seqs(&ops);
+        let split = split_sel % (seqd.len() + 1);
+        let ckpt_after: BTreeSet<usize> = ckpt_sel.iter().map(|c| c % seqd.len()).collect();
+        let dir = fresh_dir("ckpt");
+        for (range, final_checkpoint) in [(0..split, false), (split..seqd.len(), true)] {
+            let (node, recovered) =
+                DurableNode::open(dir.clone(), config(SEG_BYTES)).expect("reopen");
+            prop_assert_eq!(&as_model(recovered), &model(&seqd, range.start));
+            for i in range {
+                let (op, seq) = &seqd[i];
+                record_op(&node, op, *seq);
+                if ckpt_after.contains(&i) {
+                    node.checkpoint().expect("checkpoint");
+                }
+            }
+            if final_checkpoint {
+                node.checkpoint().expect("final checkpoint");
+            }
+        }
+        check_recovery(dir.clone(), &model(&seqd, seqd.len()))?;
         fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

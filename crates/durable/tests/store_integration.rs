@@ -18,13 +18,7 @@ fn test_root(tag: &str) -> PathBuf {
 }
 
 fn tiny_engine_config() -> DurableNodeConfig {
-    DurableNodeConfig {
-        segment_bytes: 512,
-        fsync: FsyncPolicy::Always,
-        checkpoint_every: 32,
-        cache_bytes: 1 << 20,
-        background_eviction: false,
-    }
+    DurableNodeConfig { segment_bytes: 512, fsync: FsyncPolicy::Always, checkpoint_every: 32 }
 }
 
 fn durable_config(root: &Path, nodes: usize, rf: usize) -> StoreConfig {

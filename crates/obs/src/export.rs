@@ -459,7 +459,6 @@ mod tests {
             dropped: 1,
             folded: "txn 5\ntxn;txn.read 12\nrpc.dispatch;cm.apply 3\n".to_string(),
             locks: Vec::new(),
-            alloc: Vec::new(),
         };
         let json = speedscope_json(&report).unwrap();
         validate_json(&json).unwrap();

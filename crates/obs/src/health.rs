@@ -33,9 +33,6 @@ pub enum RuleKind {
     /// Slow-reader backpressure engaging on RPC connections
     /// (`rpc_conn_backpressure_total` moving).
     SlowReaderBackpressure,
-    /// Durable object-cache thrash: hit rate under threshold while
-    /// evictions churn.
-    DurableCacheThrash,
     /// Replica copies falling behind durably (replica-side durability
     /// records dropped; the copy re-syncs only on restart).
     ReplicationStaleness,
@@ -56,7 +53,6 @@ impl RuleKind {
             RuleKind::ReplicaUnavailable => "replica_unavailable",
             RuleKind::CmSaturation => "cm_saturation",
             RuleKind::SlowReaderBackpressure => "slow_reader_backpressure",
-            RuleKind::DurableCacheThrash => "durable_cache_thrash",
             RuleKind::ReplicationStaleness => "replication_staleness",
             RuleKind::AbortRateSpike => "abort_rate_spike",
             RuleKind::LockWaitSpike => "lock_wait_spike",
@@ -68,7 +64,6 @@ impl RuleKind {
         RuleKind::ReplicaUnavailable,
         RuleKind::CmSaturation,
         RuleKind::SlowReaderBackpressure,
-        RuleKind::DurableCacheThrash,
         RuleKind::ReplicationStaleness,
         RuleKind::AbortRateSpike,
         RuleKind::LockWaitSpike,
@@ -138,10 +133,6 @@ pub struct HealthConfig {
     pub abort_ratio: f64,
     /// …given at least this many finished transactions in the interval.
     pub abort_min_txns: u64,
-    /// Durable-cache hit ratio below which an interval is bad…
-    pub cache_hit_ratio: f64,
-    /// …given at least this many evictions in the interval.
-    pub cache_min_evictions: u64,
     /// Intervals in the CM-saturation trend window.
     pub saturation_window: usize,
     /// Minimum lav-lag growth (tids) across the window to count as
@@ -163,8 +154,6 @@ impl Default for HealthConfig {
             backpressure_per_tick: 1,
             abort_ratio: 0.5,
             abort_min_txns: 20,
-            cache_hit_ratio: 0.5,
-            cache_min_evictions: 32,
             saturation_window: 4,
             saturation_lag_growth: 8,
             lock_wait_fraction: 0.10,
@@ -288,21 +277,6 @@ impl HealthEngine {
                 } else {
                     Verdict::Good
                 }
-            }
-            RuleKind::DurableCacheThrash => {
-                let hits = point.counter(Counter::DurableCacheHits);
-                let misses = point.counter(Counter::DurableCacheMisses);
-                let evictions = point.counter(Counter::DurableCacheEvictions);
-                let lookups = hits + misses;
-                if evictions >= self.cfg.cache_min_evictions && lookups > 0 {
-                    let ratio = hits as f64 / lookups as f64;
-                    if ratio < self.cfg.cache_hit_ratio {
-                        return Verdict::Bad(format!(
-                            "hit ratio {ratio:.2} under {evictions} evictions"
-                        ));
-                    }
-                }
-                Verdict::Good
             }
             RuleKind::ReplicationStaleness => {
                 let dropped = point.counter(Counter::DurableReplicaRecordsDropped);

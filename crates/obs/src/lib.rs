@@ -100,9 +100,7 @@ pub mod trace;
 
 pub use health::{HealthConfig, HealthEngine, HealthEvent, NodeTick, RuleKind};
 pub use probe::{Probe, Sample, Site, PHASE_SAMPLE_EVERY, SPAN_SAMPLE_EVERY};
-pub use prof::{
-    AllocStat, CollapsedTable, LockStat, ProfMutex, ProfRwLock, ProfileReport, SimProfile,
-};
+pub use prof::{CollapsedTable, LockStat, ProfMutex, ProfRwLock, ProfileReport, SimProfile};
 pub use registry::{global, help_for, Counter, Gauge, Phase, Registry};
 pub use snapshot::MetricsSnapshot;
 pub use span::{current_span, Span, SpanAttrs, SpanStatus};

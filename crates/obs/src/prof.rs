@@ -25,9 +25,6 @@
 //!   `wait / period` synthetic samples to the blocking stack capped with a
 //!   [`Site::LockWait`] frame, so lock wait shows up inside the
 //!   flamegraph exactly where it was paid.
-//! * **Allocation**: with the off-by-default `prof-alloc` feature, a
-//!   counting global allocator charges every allocation's bytes/count to
-//!   the allocating thread's current top frame.
 //!
 //! Determinism under the simulator: wall-clock sampling is useless there
 //! (the turnstile parks workers between steps with their phase frames
@@ -353,18 +350,6 @@ pub struct LockStat {
     pub wait_us: u64,
 }
 
-/// Allocation totals charged to one frame (requires `prof-alloc`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AllocStat {
-    /// Top frame at allocation time (`(untracked)` when no frame was
-    /// active).
-    pub frame: String,
-    /// Number of allocations.
-    pub allocs: u64,
-    /// Bytes requested.
-    pub bytes: u64,
-}
-
 /// Everything one profiler scrape returns; `Response::Profile` carries
 /// this across the wire.
 #[derive(Clone, Debug, PartialEq)]
@@ -385,15 +370,13 @@ pub struct ProfileReport {
     pub folded: String,
     /// Per-lock contention totals, busiest (by wait) first.
     pub locks: Vec<LockStat>,
-    /// Per-frame allocation totals; empty unless built with `prof-alloc`.
-    pub alloc: Vec<AllocStat>,
 }
 
 impl ProfileReport {
     /// Merge several nodes' reports into one cluster profile. Stacks,
     /// sample, idle and drop counts add up; lock stats add up by name,
-    /// busiest (by wait) first; allocation rows are concatenated. The rate
-    /// is the first report's, and the merge is running if any part is.
+    /// busiest (by wait) first. The rate is the first report's, and the
+    /// merge is running if any part is.
     /// `None` for no parts; an error for a malformed folded payload.
     pub fn merge(parts: Vec<ProfileReport>) -> Result<Option<ProfileReport>> {
         let mut table = CollapsedTable::new(usize::MAX);
@@ -417,7 +400,6 @@ impl ProfileReport {
                     None => acc.locks.push(lock),
                 }
             }
-            acc.alloc.extend(part.alloc);
         }
         Ok(merged.map(|mut report| {
             report.folded = table.to_folded();
@@ -575,7 +557,6 @@ pub fn fetch() -> ProfileReport {
         dropped,
         folded,
         locks: lock_snapshot(),
-        alloc: alloc_snapshot(),
     }
 }
 
@@ -835,9 +816,8 @@ impl SimProfile {
         })
     }
 
-    /// Snapshot as a [`ProfileReport`] (locks and alloc stay empty: both
-    /// are wall-clock phenomena with no deterministic meaning in the
-    /// sim).
+    /// Snapshot as a [`ProfileReport`] (locks stay empty: lock wait is a
+    /// wall-clock phenomenon with no deterministic meaning in the sim).
     pub fn report(&self) -> ProfileReport {
         let t = self.table.lock();
         ProfileReport {
@@ -848,7 +828,6 @@ impl SimProfile {
             dropped: t.dropped(),
             folded: t.to_folded(),
             locks: Vec::new(),
-            alloc: Vec::new(),
         }
     }
 }
@@ -908,107 +887,6 @@ pub fn sim_tick(now_us: f64) {
             st.prof.table.lock().add(&key, n);
         }
     });
-}
-
-// ---------------------------------------------------------------------------
-// Allocation accounting (feature `prof-alloc`)
-// ---------------------------------------------------------------------------
-
-/// Display name for allocations made outside any frame.
-pub const UNTRACKED_FRAME: &str = "(untracked)";
-
-#[cfg(feature = "prof-alloc")]
-mod alloc_counting {
-    use super::*;
-    use std::alloc::{GlobalAlloc, Layout, System};
-
-    const BUCKETS: usize = Site::ALL.len() + 1;
-
-    static ALLOCS: [AtomicU64; BUCKETS] = [const { AtomicU64::new(0) }; BUCKETS];
-    static BYTES: [AtomicU64; BUCKETS] = [const { AtomicU64::new(0) }; BUCKETS];
-
-    /// Counting allocator: forwards to [`System`], charging bytes and
-    /// counts to the allocating thread's current top frame. It only ever
-    /// *reads* the const-init slot cell — never registers a slot — so it
-    /// cannot recurse or allocate on its own behalf.
-    pub struct ProfAlloc;
-
-    #[inline]
-    fn charge(size: usize) {
-        let idx = SLOT
-            .try_with(|c| c.get())
-            .ok()
-            .flatten()
-            .and_then(|slot| {
-                let d = slot.depth.load(Ordering::Relaxed);
-                if d == 0 || d > MAX_DEPTH {
-                    None
-                } else {
-                    Some(slot.frames[d - 1].load(Ordering::Relaxed) as usize)
-                }
-            })
-            .filter(|&i| i < BUCKETS - 1)
-            .unwrap_or(BUCKETS - 1);
-        ALLOCS[idx].fetch_add(1, Ordering::Relaxed);
-        BYTES[idx].fetch_add(size as u64, Ordering::Relaxed);
-    }
-
-    unsafe impl GlobalAlloc for ProfAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            charge(layout.size());
-            System.alloc(layout)
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            charge(layout.size());
-            System.alloc_zeroed(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            charge(new_size.saturating_sub(layout.size()));
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    pub fn snapshot() -> Vec<AllocStat> {
-        let mut out = Vec::new();
-        for (i, (a, b)) in ALLOCS.iter().zip(BYTES.iter()).enumerate() {
-            let allocs = a.load(Ordering::Relaxed);
-            let bytes = b.load(Ordering::Relaxed);
-            if allocs == 0 {
-                continue;
-            }
-            let frame = if i < Site::ALL.len() {
-                Site::ALL[i].name().to_string()
-            } else {
-                UNTRACKED_FRAME.to_string()
-            };
-            out.push(AllocStat { frame, allocs, bytes });
-        }
-        out.sort_by(|x, y| y.bytes.cmp(&x.bytes).then(x.frame.cmp(&y.frame)));
-        out
-    }
-}
-
-#[cfg(feature = "prof-alloc")]
-#[global_allocator]
-static PROF_ALLOC: alloc_counting::ProfAlloc = alloc_counting::ProfAlloc;
-
-/// Per-frame allocation totals; empty unless the `prof-alloc` feature is
-/// enabled.
-pub fn alloc_snapshot() -> Vec<AllocStat> {
-    #[cfg(feature = "prof-alloc")]
-    {
-        alloc_counting::snapshot()
-    }
-    #[cfg(not(feature = "prof-alloc"))]
-    {
-        Vec::new()
-    }
 }
 
 #[cfg(test)]
@@ -1144,7 +1022,6 @@ mod tests {
             dropped: 1,
             folded: folded.to_string(),
             locks,
-            alloc: Vec::new(),
         };
         let a = report("txn 2\ntxn;txn.read 3\n", 5, 4, vec![lock("cm.state", 2, 30)]);
         let b = report(

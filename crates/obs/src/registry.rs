@@ -133,7 +133,7 @@ id_enum! {
         DurableFsyncs => "durable_fsyncs_total",
         /// Segments sealed (rotated out of the active write position).
         DurableSegmentsSealed => "durable_segments_sealed_total",
-        /// Segment slots recycled after a checkpoint subsumed them.
+        /// Sealed segments deleted after a checkpoint subsumed them.
         DurableSegmentsRecycled => "durable_segments_recycled_total",
         /// Checkpoints completed by the durable tier.
         DurableCheckpoints => "durable_checkpoints_total",
@@ -143,12 +143,6 @@ id_enum! {
         DurableRecoveredRecords => "durable_recovered_records_total",
         /// Torn segment tails truncated away during recovery.
         DurableTornTailsTruncated => "durable_torn_tails_truncated_total",
-        /// Durable object-cache hits.
-        DurableCacheHits => "durable_cache_hits_total",
-        /// Durable object-cache misses (value re-read from disk).
-        DurableCacheMisses => "durable_cache_misses_total",
-        /// Values evicted from the durable object cache.
-        DurableCacheEvictions => "durable_cache_evictions_total",
         /// Replica-side durability records dropped because the replica's
         /// engine errored; the copy stays fresh in RAM and its log catches
         /// up via peer re-sync after a restart.

@@ -28,7 +28,7 @@ use bytes::{Bytes, BytesMut};
 use tell_commitmgr::SnapshotDescriptor;
 use tell_common::codec::{Reader, Writer};
 use tell_common::{Error, IsolationLevel, Result, TxnId};
-use tell_obs::{AllocStat, LockStat, ProfileReport, Span, TelemetryPage};
+use tell_obs::{LockStat, ProfileReport, Span, TelemetryPage};
 use tell_store::{Expect, Key, Predicate, Token, WriteOp};
 
 /// Upper bound on a frame's `len` field. Generous — the largest legitimate
@@ -166,8 +166,7 @@ pub enum Response {
     /// points.
     Telemetry(TelemetryPage),
     /// Answer to `Request::ProfileFetch`: the server's collapsed-stack
-    /// profile, lock-contention totals, and (when built with
-    /// `prof-alloc`) allocation totals.
+    /// profile and lock-contention totals.
     Profile(ProfileReport),
 }
 
@@ -754,12 +753,6 @@ fn put_profile_report(out: &mut Vec<u8>, report: &ProfileReport) {
         out.put_u64(l.contended);
         out.put_u64(l.wait_us);
     }
-    out.put_u32(report.alloc.len() as u32);
-    for a in &report.alloc {
-        out.put_string(&a.frame);
-        out.put_u64(a.allocs);
-        out.put_u64(a.bytes);
-    }
 }
 
 fn read_profile_report(r: &mut Reader<'_>) -> Result<ProfileReport> {
@@ -774,12 +767,7 @@ fn read_profile_report(r: &mut Reader<'_>) -> Result<ProfileReport> {
     for _ in 0..n {
         locks.push(LockStat { name: r.string()?, contended: r.u64()?, wait_us: r.u64()? });
     }
-    let n = r.u32()? as usize;
-    let mut alloc = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        alloc.push(AllocStat { frame: r.string()?, allocs: r.u64()?, bytes: r.u64()? });
-    }
-    Ok(ProfileReport { running, hz, samples, idle, dropped, folded, locks, alloc })
+    Ok(ProfileReport { running, hz, samples, idle, dropped, folded, locks })
 }
 
 fn read_bool(r: &mut Reader<'_>) -> Result<bool> {
@@ -1039,7 +1027,6 @@ mod tests {
                 dropped: 0,
                 folded: String::new(),
                 locks: Vec::new(),
-                alloc: Vec::new(),
             }),
             Response::Profile(ProfileReport {
                 running: true,
@@ -1052,7 +1039,6 @@ mod tests {
                     LockStat { name: "cm.state".into(), contended: 12, wait_us: 480 },
                     LockStat { name: "index.cache.nodes".into(), contended: 2, wait_us: 9 },
                 ],
-                alloc: vec![AllocStat { frame: "txn.read".into(), allocs: 5, bytes: 640 }],
             }),
         ];
         for resp in resps {
@@ -1071,7 +1057,6 @@ mod tests {
             dropped: 0,
             folded: "txn 9\n".into(),
             locks: vec![LockStat { name: "cm.state".into(), contended: 1, wait_us: 2 }],
-            alloc: vec![AllocStat { frame: "(untracked)".into(), allocs: 1, bytes: 8 }],
         })
         .encode();
         for cut in 0..body.len() {

@@ -33,13 +33,7 @@ fn fresh_root(tag: &str) -> PathBuf {
 fn provider(root: &Path) -> Arc<dyn DurabilityProvider> {
     FsDurability::new(
         root.to_path_buf(),
-        DurableNodeConfig {
-            segment_bytes: 512,
-            fsync: FsyncPolicy::Always,
-            checkpoint_every: 32,
-            cache_bytes: 1 << 20,
-            background_eviction: false,
-        },
+        DurableNodeConfig { segment_bytes: 512, fsync: FsyncPolicy::Always, checkpoint_every: 32 },
     )
 }
 

@@ -10,9 +10,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use tell_commitmgr::SnapshotDescriptor;
 use tell_common::{BitSet, IsolationLevel, TxnId};
-use tell_obs::{
-    AllocStat, LockStat, PhaseDigest, Site, Span, SpanAttrs, SpanStatus, TelemetryPage, TsPoint,
-};
+use tell_obs::{LockStat, PhaseDigest, Site, Span, SpanAttrs, SpanStatus, TelemetryPage, TsPoint};
 use tell_rpc::wire::{encode_frame, TraceContext, FRAME_HEADER};
 use tell_rpc::{FrameDecoder, Request, Response, WireError, MAX_FRAME};
 use tell_store::{CmpOp, Expect, Predicate, WriteOp};
@@ -454,7 +452,6 @@ const MAX_ELEMENT: usize = {
         std::mem::size_of::<Span>(),
         std::mem::size_of::<TsPoint>(),
         std::mem::size_of::<LockStat>(),
-        std::mem::size_of::<AllocStat>(),
         std::mem::size_of::<Predicate>(),
     ];
     let mut max = 0;

@@ -864,8 +864,6 @@ pub fn run_with_plan(config: &SimConfig, plan: FaultPlan) -> SimOutcome {
                 segment_bytes: 4096,
                 fsync: FsyncPolicy::Never,
                 checkpoint_every: 64,
-                cache_bytes: 1 << 20,
-                background_eviction: false,
             },
         ) as std::sync::Arc<dyn tell_store::DurabilityProvider>
     });

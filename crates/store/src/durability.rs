@@ -30,6 +30,14 @@ use crate::cell::Cell;
 /// could be read, lost in a crash, and its LL/SC token handed out again
 /// after a restart from the log — and a store-conditional against the
 /// stale read would then succeed.
+///
+/// The seam has no read method: the cluster serves every read from its RAM
+/// copies and only reads an engine's state back through
+/// [`DurabilityProvider::open_node`]. An engine may keep, in RAM, the live
+/// map its log would recover (the file engine does, to write checkpoints
+/// from). That map covers every partition recorded on the node since it
+/// opened, including one whose RAM copy has since moved off the node, until
+/// the next restart.
 pub trait NodeDurability: Send + Sync + std::fmt::Debug {
     /// Persist one acked mutation: `key` in partition `pid` now holds
     /// `cell` (`None` = delete) at partition mutation sequence `seq`.

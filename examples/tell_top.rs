@@ -588,12 +588,6 @@ fn profile_summary(report: &ProfileReport, nodes: usize) -> Result<String, Strin
     if contended.is_empty() {
         out.push_str("  (no contention observed)\n");
     }
-    if !report.alloc.is_empty() {
-        out.push_str("\nALLOCATIONS:\n");
-        for a in report.alloc.iter().take(5) {
-            out.push_str(&format!("  {:<24} allocs={} bytes={}\n", a.frame, a.allocs, a.bytes));
-        }
-    }
     Ok(out)
 }
 

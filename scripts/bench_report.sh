@@ -31,8 +31,8 @@ fi
 
 cargo bench -q -p tell-bench --bench table2_mixes
 
-# Durable-tier characterization: restart recovery time vs log size (with
-# and without checkpoints) and LRU hit rate under an 80/20 read skew.
+# Durable-tier characterization: restart recovery time vs log size, with
+# and without checkpoints.
 cargo bench -q -p tell-bench --bench durable_recovery
 
 # Real-wire server comparison: the epoll reactor vs the thread-per-
