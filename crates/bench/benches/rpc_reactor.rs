@@ -179,7 +179,7 @@ fn handle_connection(mut stream: TcpStream, peer: SocketAddr, shared: Arc<Blocki
             let reply_writer = Arc::clone(&writer);
             let reply_broken = Arc::clone(&broken);
             let service = shared.service.as_ref();
-            dispatch_frame(service, false, Some(peer), ctx, &body, move |response| {
+            dispatch_frame(service, Some(peer), ctx, &body, move |response| {
                 let sent = encode_frame(corr_id, ctx, &response.encode())
                     .map(|frame| reply_writer.lock().write_all(&frame));
                 if !matches!(sent, Ok(Ok(()))) {

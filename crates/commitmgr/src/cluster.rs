@@ -190,28 +190,6 @@ impl<E: StoreEndpoint> CmCluster<E> {
     pub fn current_lav(&self) -> u64 {
         self.managers.read().iter().map(|cm| cm.current_lav()).min().unwrap_or(0)
     }
-
-    /// Notify the issuing manager of a commit; falls back to any live
-    /// manager when the issuer died (the outcome is in the log either way —
-    /// this keeps the snapshot fresh).
-    pub fn set_committed(
-        &self,
-        issuer: &Arc<CommitManager<E>>,
-        tid: TxnId,
-        meter: &NetMeter,
-    ) -> Result<()> {
-        issuer.set_committed(tid, meter)
-    }
-
-    /// Notify the issuing manager of an abort.
-    pub fn set_aborted(
-        &self,
-        issuer: &Arc<CommitManager<E>>,
-        tid: TxnId,
-        meter: &NetMeter,
-    ) -> Result<()> {
-        issuer.set_aborted(tid, meter)
-    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,20 @@
-//! Point-in-time metric snapshots and their two renderings: Prometheus text
-//! exposition for scrapes, and a JSON document for machine-readable bench
-//! reports and the `Request::Metrics` wire op.
+//! Point-in-time metric snapshots: their wire encoding (the
+//! `Request::Metrics` answer, in the workspace's binary codec) and their
+//! two renderings — Prometheus text exposition for scrapes, and a JSON
+//! document for machine-readable bench reports and `tell_top metrics
+//! --json`.
 //!
-//! The workspace vendors no serde, so both the JSON writer and the parser
-//! are hand-rolled against exactly the subset this format uses: one object
-//! of objects, string keys without escapes, and numbers. Floats are printed
-//! with Rust's shortest round-trip formatting (`{:?}`), so
-//! `from_json(to_json())` reproduces every value bit-for-bit.
+//! The workspace vendors no serde, so the JSON writer is hand-rolled
+//! against exactly the subset this format uses: one object of objects,
+//! metric names as keys (they need no escapes), and numbers. Floats are
+//! printed with Rust's shortest round-trip formatting (`{:?}`).
 
 use std::fmt::Write as _;
 
-use tell_common::Summary;
+use tell_common::codec::{Reader, Writer};
+use tell_common::{Result, Summary};
+
+use crate::timeseries::check_len;
 
 /// A merged view of every counter, gauge, and histogram in a registry.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -23,8 +27,7 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<(String, Summary)>,
     /// Sparse raw bucket data per histogram, as ascending
     /// `(upper_bound, count)` pairs. Only histograms with at least one
-    /// sample appear; documents written before this section existed parse
-    /// with it empty.
+    /// sample appear.
     pub buckets: Vec<(String, Vec<(f64, u64)>)>,
 }
 
@@ -39,12 +42,11 @@ impl MetricsSnapshot {
     /// is prefixed `tell_`. Histograms with raw bucket data (the `buckets`
     /// section) render as native cumulative histograms — `_bucket{le=...}`
     /// series plus `le="+Inf"`, `_sum`, and `_count`; histograms without
-    /// (empty, or parsed from a pre-buckets document) fall back to the
-    /// summary rendering with `quantile="0"` / `quantile="1"` carrying the
-    /// observed min and max. Names the local registry recognizes get a
-    /// `# HELP` line from the metric id's doc comment (a snapshot parsed
-    /// from a remote node may carry names this build does not know; those
-    /// render without HELP).
+    /// samples fall back to the summary rendering with `quantile="0"` /
+    /// `quantile="1"` carrying the observed min and max. Names the local
+    /// registry recognizes get a `# HELP` line from the metric id's doc
+    /// comment (a snapshot decoded from a remote node may carry names this
+    /// build does not know; those render without HELP).
     pub fn to_prometheus_text(&self) -> String {
         let mut out = String::new();
         let help = |out: &mut String, name: &str| {
@@ -90,7 +92,7 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Render as a JSON document. The inverse of [`MetricsSnapshot::from_json`].
+    /// Render as a JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
@@ -127,9 +129,8 @@ impl MetricsSnapshot {
         }
         out.push('}');
         if !self.buckets.is_empty() {
-            // Emitted only when non-empty so pre-buckets consumers keep
-            // parsing snapshots that carry no histogram samples, and the
-            // empty snapshot's rendering is unchanged.
+            // Emitted only when non-empty: a snapshot without histogram
+            // samples renders without the section.
             out.push_str(",\"buckets\":{");
             for (i, (name, pairs)) in self.buckets.iter().enumerate() {
                 if i > 0 {
@@ -150,179 +151,64 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Parse a document produced by [`MetricsSnapshot::to_json`]. Accepts
-    /// arbitrary whitespace between tokens but only the subset of JSON this
-    /// format emits (no escapes in strings, no arrays, no null).
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let mut p = Parser { b: text.as_bytes(), i: 0 };
-        let snap = p.snapshot()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing bytes at offset {}", p.i));
-        }
-        Ok(snap)
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at offset {}", c as char, self.i))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.i;
-        while self.i < self.b.len() && self.b[self.i] != b'"' {
-            if self.b[self.i] == b'\\' {
-                return Err(format!("escape sequences unsupported at offset {}", self.i));
+    /// Append the wire encoding: each section as a count, then its entries.
+    pub fn encode(&self, w: &mut impl Writer) {
+        for section in [&self.counters, &self.gauges] {
+            w.put_u32(section.len() as u32);
+            for (name, v) in section {
+                w.put_string(name);
+                w.put_u64(*v);
             }
-            self.i += 1;
         }
-        if self.i == self.b.len() {
-            return Err("unterminated string".into());
+        w.put_u32(self.histograms.len() as u32);
+        for (name, s) in &self.histograms {
+            w.put_string(name);
+            w.put_u64(s.count);
+            for v in [s.min, s.max, s.mean, s.stddev, s.p50, s.p99, s.p999] {
+                w.put_f64(v);
+            }
         }
-        let s = std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|_| "invalid utf-8 in string".to_string())?
-            .to_string();
-        self.i += 1;
-        Ok(s)
-    }
-
-    fn number_token(&mut self) -> Result<&'a str, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self.i < self.b.len()
-            && matches!(self.b[self.i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.i += 1;
-        }
-        if self.i == start {
-            return Err(format!("expected number at offset {start}"));
-        }
-        std::str::from_utf8(&self.b[start..self.i]).map_err(|_| "invalid number".into())
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let tok = self.number_token()?;
-        tok.parse::<u64>().map_err(|e| format!("bad u64 {tok:?}: {e}"))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        let tok = self.number_token()?;
-        tok.parse::<f64>().map_err(|e| format!("bad f64 {tok:?}: {e}"))
-    }
-
-    /// `{ "k": <v>, ... }` with `each` parsing one value after its key.
-    fn object<F: FnMut(&mut Self, String) -> Result<(), String>>(
-        &mut self,
-        mut each: F,
-    ) -> Result<(), String> {
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            each(self, key)?;
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.i)),
+        w.put_u32(self.buckets.len() as u32);
+        for (name, pairs) in &self.buckets {
+            w.put_string(name);
+            w.put_u32(pairs.len() as u32);
+            for (upper, count) in pairs {
+                w.put_f64(*upper);
+                w.put_u64(*count);
             }
         }
     }
 
-    fn summary(&mut self) -> Result<Summary, String> {
-        let mut s = Summary {
-            count: 0,
-            min: 0.0,
-            max: 0.0,
-            mean: 0.0,
-            stddev: 0.0,
-            p50: 0.0,
-            p99: 0.0,
-            p999: 0.0,
-        };
-        self.object(|p, key| {
-            match key.as_str() {
-                "count" => s.count = p.u64()?,
-                "min" => s.min = p.f64()?,
-                "max" => s.max = p.f64()?,
-                "mean" => s.mean = p.f64()?,
-                "stddev" => s.stddev = p.f64()?,
-                "p50" => s.p50 = p.f64()?,
-                "p99" => s.p99 = p.f64()?,
-                "p999" => s.p999 = p.f64()?,
-                other => return Err(format!("unknown summary field {other:?}")),
-            }
-            Ok(())
-        })?;
-        Ok(s)
-    }
-
-    fn snapshot(&mut self) -> Result<MetricsSnapshot, String> {
+    /// Decode one snapshot from the reader.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let mut snap = MetricsSnapshot::default();
-        self.object(|p, section| {
-            match section.as_str() {
-                "counters" => p.object(|p, name| {
-                    let v = p.u64()?;
-                    snap.counters.push((name, v));
-                    Ok(())
-                })?,
-                "gauges" => p.object(|p, name| {
-                    let v = p.u64()?;
-                    snap.gauges.push((name, v));
-                    Ok(())
-                })?,
-                "histograms" => p.object(|p, name| {
-                    let s = p.summary()?;
-                    snap.histograms.push((name, s));
-                    Ok(())
-                })?,
-                "buckets" => p.object(|p, name| {
-                    let mut pairs = Vec::new();
-                    p.object(|p, upper| {
-                        let u = upper
-                            .parse::<f64>()
-                            .map_err(|e| format!("bad bucket bound {upper:?}: {e}"))?;
-                        let c = p.u64()?;
-                        pairs.push((u, c));
-                        Ok(())
-                    })?;
-                    snap.buckets.push((name, pairs));
-                    Ok(())
-                })?,
-                other => return Err(format!("unknown section {other:?}")),
+        for section in [&mut snap.counters, &mut snap.gauges] {
+            for _ in 0..check_len(r.u32()?)? {
+                section.push((r.string()?, r.u64()?));
             }
-            Ok(())
-        })?;
+        }
+        for _ in 0..check_len(r.u32()?)? {
+            let name = r.string()?;
+            let s = Summary {
+                count: r.u64()?,
+                min: r.f64()?,
+                max: r.f64()?,
+                mean: r.f64()?,
+                stddev: r.f64()?,
+                p50: r.f64()?,
+                p99: r.f64()?,
+                p999: r.f64()?,
+            };
+            snap.histograms.push((name, s));
+        }
+        for _ in 0..check_len(r.u32()?)? {
+            let name = r.string()?;
+            let mut pairs = Vec::new();
+            for _ in 0..check_len(r.u32()?)? {
+                pairs.push((r.f64()?, r.u64()?));
+            }
+            snap.buckets.push((name, pairs));
+        }
         Ok(snap)
     }
 }
@@ -358,36 +244,49 @@ mod tests {
         snap
     }
 
+    fn round_trip(snap: &MetricsSnapshot) -> MetricsSnapshot {
+        let mut buf = Vec::new();
+        snap.encode(&mut buf);
+        let mut r = Reader::new(&buf);
+        let back = MetricsSnapshot::decode(&mut r).expect("decode");
+        assert!(r.is_exhausted());
+        back
+    }
+
+    /// A scraper renders the snapshot it decoded: the JSON it prints is
+    /// the JSON the server would have rendered.
     #[test]
     fn json_round_trips() {
         let snap = sample();
-        let json = snap.to_json();
-        let back = MetricsSnapshot::from_json(&json).expect("parse");
+        let back = round_trip(&snap);
         assert_eq!(back, snap);
+        assert_eq!(back.to_json(), snap.to_json());
     }
 
     #[test]
     fn empty_snapshot_round_trips() {
         let snap = MetricsSnapshot::default();
-        let back = MetricsSnapshot::from_json(&snap.to_json()).expect("parse");
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn whitespace_is_tolerated() {
-        let spaced = r#" { "counters" : { "a" : 1 } ,
-            "gauges" : { } , "histograms" : { } } "#;
-        let snap = MetricsSnapshot::from_json(spaced).expect("parse");
-        assert_eq!(snap.counters, vec![("a".to_string(), 1)]);
+        assert_eq!(round_trip(&snap), snap);
+        assert_eq!(snap.to_json(), r#"{"counters":{},"gauges":{},"histograms":{}}"#);
     }
 
     #[test]
     fn garbage_is_rejected() {
-        assert!(MetricsSnapshot::from_json("").is_err());
-        assert!(MetricsSnapshot::from_json("{}extra").is_err());
-        assert!(MetricsSnapshot::from_json(r#"{"counters":{"a":-1}}"#).is_err());
-        assert!(MetricsSnapshot::from_json(r#"{"bogus":{}}"#).is_err());
-        assert!(MetricsSnapshot::from_json(r#"{"counters":{"a\n":1}}"#).is_err());
+        let mut body = Vec::new();
+        sample_with_buckets().encode(&mut body);
+        for cut in 0..body.len() {
+            assert!(MetricsSnapshot::decode(&mut Reader::new(&body[..cut])).is_err(), "cut {cut}");
+        }
+        // A hostile count fails before anything is allocated for it.
+        let mut hostile = Vec::new();
+        hostile.put_u32(1 << 30);
+        assert!(MetricsSnapshot::decode(&mut Reader::new(&hostile)).is_err());
+        // Names must be UTF-8.
+        let mut bad = Vec::new();
+        bad.put_u32(1);
+        bad.put_bytes(&[0xff]);
+        bad.put_u64(1);
+        assert!(MetricsSnapshot::decode(&mut Reader::new(&bad)).is_err());
     }
 
     #[test]
@@ -395,12 +294,29 @@ mod tests {
         let snap = sample_with_buckets();
         let json = snap.to_json();
         assert!(json.contains("\"buckets\":{\"txn_total_us\":{\"2.0\":2,\"1073741824.0\":1}}"));
-        let back = MetricsSnapshot::from_json(&json).expect("parse");
+        assert!(!sample().to_json().contains("buckets"));
+        let back = round_trip(&snap);
         assert_eq!(back, snap);
-        // A pre-buckets document still parses, with the section empty.
-        let old = sample().to_json();
-        assert!(!old.contains("buckets"));
-        assert_eq!(MetricsSnapshot::from_json(&old).expect("parse").buckets, vec![]);
+        assert_eq!(back.to_json(), json);
+    }
+
+    /// Nothing parses the JSON rendering back, so its bytes are pinned:
+    /// `tell_top metrics --json` and the bench reports print exactly this.
+    #[test]
+    fn to_json_bytes_are_pinned() {
+        let json = sample_with_buckets().to_json();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"counters":{"txn_committed_total":42,"gc_cycles_total":0},"#,
+                r#""gauges":{"cm_base":17},"#,
+                r#""histograms":{"txn_total_us":{"count":3,"min":1.5,"max":1000000000.0,"#,
+                r#""mean":12.25,"stddev":0.001,"p50":2.0,"p99":1000000000.0,"#,
+                r#""p999":1000000000.0}},"#,
+                r#""buckets":{"txn_total_us":{"2.0":2,"1073741824.0":1}}}"#,
+            )
+        );
+        crate::export::validate_json(&json).expect("well-formed JSON");
     }
 
     #[test]

@@ -157,11 +157,12 @@ impl TsPoint {
     }
 }
 
-/// Metric-id sets are small; any larger length in a decoded point is a
-/// corrupt or hostile frame, rejected before allocating.
-fn check_len(n: u32) -> Result<u32> {
+/// Metric sets, and a histogram's buckets, are small; any larger length in
+/// a decoded point or snapshot is a corrupt or hostile frame, rejected
+/// before allocating.
+pub(crate) fn check_len(n: u32) -> Result<u32> {
     if n > 4096 {
-        return Err(Error::corrupt(format!("telemetry vector length {n} exceeds 4096")));
+        return Err(Error::corrupt(format!("decoded vector length {n} exceeds 4096")));
     }
     Ok(n)
 }

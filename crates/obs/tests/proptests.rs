@@ -1,5 +1,6 @@
-//! Property tests for the snapshot JSON renderer — any snapshot must
-//! round-trip bit-for-bit through `to_json` / `from_json` — and for the
+//! Property tests for the snapshot wire codec — any snapshot must
+//! round-trip bit-for-bit through `encode` / `decode`, and `decode` must
+//! refuse arbitrary bytes without panicking — and for the
 //! telemetry time-series ring: `since` must match a reference model under
 //! arbitrary scrape cursors and ring wrap, and rollup deltas must tile the
 //! counter totals exactly. The profiler's collapsed-stack encoder gets the
@@ -10,6 +11,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use tell_common::codec::Reader;
 use tell_common::Summary;
 use tell_obs::{CollapsedTable, Counter, MetricsSnapshot, Registry, Rollup, Site, TsPoint, TsRing};
 
@@ -70,15 +72,27 @@ fn snapshot() -> impl Strategy<Value = MetricsSnapshot> {
 
 proptest! {
     #[test]
-    fn snapshot_round_trips_through_json(snap in snapshot()) {
-        let json = snap.to_json();
-        let back = MetricsSnapshot::from_json(&json).expect("rendered JSON must parse");
+    fn snapshot_round_trips_through_the_codec(snap in snapshot()) {
+        let mut buf = Vec::new();
+        snap.encode(&mut buf);
+        let mut r = Reader::new(&buf);
+        let back = MetricsSnapshot::decode(&mut r).expect("encoded snapshot must decode");
+        prop_assert!(r.is_exhausted());
         prop_assert_eq!(back, snap);
     }
 
+    /// A valid encoding cut anywhere and followed by arbitrary bytes.
     #[test]
-    fn parser_never_panics_on_arbitrary_input(text in "\\PC{0,200}") {
-        let _ = MetricsSnapshot::from_json(&text);
+    fn decode_never_panics(
+        snap in snapshot(),
+        cut in any::<usize>(),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut buf = Vec::new();
+        snap.encode(&mut buf);
+        buf.truncate(cut % (buf.len() + 1));
+        buf.extend(noise);
+        let _ = MetricsSnapshot::decode(&mut Reader::new(&buf));
     }
 }
 

@@ -206,7 +206,7 @@ fn decode_replies(decoder: &mut FrameDecoder, ready: &mut Vec<(u64, Reply)>) -> 
         match Response::decode(&body) {
             Ok(response) => ready.push((corr_id, (response, received))),
             Err(e) => {
-                ready.push((corr_id, (Response::Error(e.into()), received)));
+                ready.push((corr_id, (Response::Error(e), received)));
                 return false;
             }
         }
@@ -306,7 +306,7 @@ impl Connection {
         let (response, sent, received) = self.call(request)?;
         meter.charge_real(sent, received);
         match response {
-            Response::Error(e) => Err(e.into()),
+            Response::Error(e) => Err(e),
             other => Ok(other),
         }
     }
@@ -505,12 +505,6 @@ impl SubmitWindow {
         } else {
             Request::Batch { ops: requests }
         };
-        // Injected batch-flush stall (simulation harness): widens the
-        // window in which the server side can fail underneath queued ops.
-        let stall = crate::fault::flush_stall_us();
-        if stall > 0 {
-            thread::sleep(std::time::Duration::from_micros(stall));
-        }
         // The flush is a probe of its own so the waterfall shows how many
         // ops one frame coalesced; the `RpcClientCall` underneath it is
         // the wire round trip.
@@ -529,7 +523,7 @@ impl SubmitWindow {
                 ))),
                 // A top-level error (e.g. "this node does not serve
                 // storage") applies to every op in the frame.
-                Response::Error(e) => Err(e.into()),
+                Response::Error(e) => Err(e),
                 other => Err(unexpected("batch", other)),
             }
         });
@@ -588,12 +582,12 @@ fn op_to_request(op: &StoreOp) -> Request {
 /// its window-mates; a shape mismatch is a protocol corruption.
 fn complete_op(op: &StoreOp, response: Response) -> Result<OpResult> {
     match (op, response) {
-        (_, Response::Error(e)) => Err(e.into()),
+        (_, Response::Error(e)) => Err(e),
         (StoreOp::Get { .. }, Response::Cell(cell)) => Ok(OpResult::Cell(cell)),
         (StoreOp::MultiGet { .. }, Response::Cells(cells)) => Ok(OpResult::Cells(cells)),
         (StoreOp::Write { .. }, Response::Written(token)) => Ok(OpResult::Written(token)),
         (StoreOp::MultiWrite { .. }, Response::WriteResults(results)) => {
-            Ok(OpResult::WriteResults(results.into_iter().map(|r| r.map_err(Into::into)).collect()))
+            Ok(OpResult::WriteResults(results))
         }
         (StoreOp::Increment { .. }, Response::Counter(v)) => Ok(OpResult::Counter(v)),
         (_, other) => Err(unexpected("batched op", other)),
@@ -607,7 +601,7 @@ fn unexpected(context: &str, response: Response) -> Error {
 /// How a response ends the span of the call (or dispatch) it answers.
 pub(crate) fn response_status(response: &Response) -> SpanStatus {
     match response {
-        Response::Error(crate::wire::WireError::Conflict) => SpanStatus::Conflict,
+        Response::Error(Error::Conflict) => SpanStatus::Conflict,
         Response::Error(_) => SpanStatus::Error,
         _ => SpanStatus::Ok,
     }
@@ -781,9 +775,33 @@ impl RemoteCmClient {
         RemoteCmClient { targets }
     }
 
-    /// Call `request` on target `idx`, charging `meter` for the traffic.
-    fn call_on(&self, idx: usize, request: &Request, meter: &NetMeter) -> Result<Response> {
-        self.targets[idx].request(request, meter)
+    /// Call `request` on every commit server, charging `meter`, and hand
+    /// each answer to `accept`, which gives back an answer of the wrong
+    /// shape. Unreachable servers are skipped; any other error fails the
+    /// call, and so does reaching none.
+    fn fan_out(
+        &self,
+        request: &Request,
+        meter: &NetMeter,
+        what: &str,
+        mut accept: impl FnMut(Response) -> std::result::Result<(), Response>,
+    ) -> Result<()> {
+        let mut reached = false;
+        for target in &self.targets {
+            match target.request(request, meter) {
+                Ok(response) => {
+                    accept(response).map_err(|other| unexpected(&format!("cm_{what}"), other))?;
+                    reached = true;
+                }
+                Err(Error::Unavailable(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if reached {
+            Ok(())
+        } else {
+            Err(unavailable(format!("no commit server reachable for {what}")))
+        }
     }
 }
 
@@ -822,53 +840,32 @@ impl CommitService for RemoteCmClient {
     }
 
     fn current_lav(&self) -> Result<u64> {
-        let meter = NetMeter::free();
-        let mut lav: Option<u64> = None;
-        for idx in 0..self.targets.len() {
-            match self.call_on(idx, &Request::CmLav, &meter) {
-                Ok(Response::Lav(v)) => lav = Some(lav.map_or(v, |cur| cur.min(v))),
-                Ok(other) => return Err(unexpected("cm_lav", other)),
-                Err(Error::Unavailable(_)) => continue,
-                Err(e) => return Err(e),
+        let mut lav = u64::MAX;
+        self.fan_out(&Request::CmLav, &NetMeter::free(), "lav", |response| match response {
+            Response::Lav(v) => {
+                lav = lav.min(v);
+                Ok(())
             }
-        }
-        lav.ok_or_else(|| unavailable("no commit server reachable for lav"))
+            other => Err(other),
+        })?;
+        Ok(lav)
     }
 
     fn force_resolve(&self, tid: TxnId, committed: bool) -> Result<()> {
-        let meter = NetMeter::free();
         let request = Request::CmResolve { tid, committed };
-        let mut reached = false;
-        for idx in 0..self.targets.len() {
-            match self.call_on(idx, &request, &meter) {
-                Ok(Response::Unit) => reached = true,
-                Ok(other) => return Err(unexpected("cm_resolve", other)),
-                Err(Error::Unavailable(_)) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        if reached {
-            Ok(())
-        } else {
-            Err(unavailable("no commit server reachable for resolve"))
-        }
+        self.fan_out(&request, &NetMeter::free(), "resolve", unit)
     }
 
     fn sync_all(&self, meter: &NetMeter) -> Result<()> {
-        let mut reached = false;
-        for idx in 0..self.targets.len() {
-            match self.call_on(idx, &Request::CmSync, meter) {
-                Ok(Response::Unit) => reached = true,
-                Ok(other) => return Err(unexpected("cm_sync", other)),
-                Err(Error::Unavailable(_)) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        if reached {
-            Ok(())
-        } else {
-            Err(unavailable("no commit server reachable for sync"))
-        }
+        self.fan_out(&Request::CmSync, meter, "sync", unit)
+    }
+}
+
+/// `Response::Unit`, or the answer handed back as the wrong shape.
+fn unit(response: Response) -> std::result::Result<(), Response> {
+    match response {
+        Response::Unit => Ok(()),
+        other => Err(other),
     }
 }
 

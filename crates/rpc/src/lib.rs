@@ -23,11 +23,8 @@
 //! * [`client`] — pipelined connections under the generic [`RpcChannel`]
 //!   (no reader thread: a waiting caller reads its own reply), the remote
 //!   storage client, and the remote commit-manager client with fail-over.
-//! * [`fault`] — deterministic fault injection (drop/delay/duplicate frames,
-//!   batch-flush stalls) for the simulation harness; off by default.
 
 pub mod client;
-pub mod fault;
 pub mod reactor;
 pub mod server;
 pub mod service;
@@ -39,4 +36,4 @@ pub use client::{
 };
 pub use server::{ReactorConfig, RpcServer, Services};
 pub use service::{ReplySink, RequestCtx, Router, RpcService};
-pub use wire::{FrameDecoder, Request, Response, WireError, MAX_FRAME};
+pub use wire::{FrameDecoder, Request, Response, MAX_FRAME};

@@ -418,7 +418,7 @@ fn arm_locked(shared: &Shared, conn: &Conn, io: &mut ConnIo) {
     let _ = epoll_ctl_op(shared.epoll.fd(), EPOLL_CTL_MOD, conn.fd(), want, conn.token);
 }
 
-/// Fault-inject, dispatch, and route the reply into the write buffer.
+/// Dispatch one frame and route its reply into the write buffer.
 fn process_frame(
     shared: &Arc<Shared>,
     conn: &Arc<Conn>,
@@ -426,41 +426,19 @@ fn process_frame(
     ctx: Option<TraceContext>,
     body: &[u8],
 ) {
-    // The fault injector (when armed by the simulation harness) acts on
-    // the frame as a unit, before any dispatch side effects: a dropped
-    // frame kills the stream like a broken link would, a delayed frame
-    // holds up everything pipelined behind it on this connection, a
-    // duplicated frame re-dispatches — at-least-once delivery the
-    // protocol must absorb.
-    let injected = crate::fault::server_action();
-    if injected == crate::fault::ServerFault::Drop {
-        close_conn(shared, conn);
-        return;
-    }
-    if let crate::fault::ServerFault::DelayUs(us) = injected {
-        thread::sleep(std::time::Duration::from_micros(us));
-    }
-    let duplicate = injected == crate::fault::ServerFault::Duplicate;
     let reply_shared = Arc::clone(shared);
     let reply_conn = Arc::clone(conn);
-    dispatch_frame(
-        shared.service.as_ref(),
-        duplicate,
-        Some(conn.peer),
-        ctx,
-        body,
-        move |response| {
-            let out = response.encode();
-            tell_obs::incr(Counter::RpcServerFramesOut);
-            tell_obs::add(Counter::RpcServerBytesOut, out.len() as u64);
-            match encode_frame(corr_id, ctx, &out) {
-                Ok(framed) => enqueue_write(&reply_shared, &reply_conn, &framed),
-                // Response exceeds MAX_FRAME: unframeable, the stream cannot
-                // stay synchronized.
-                Err(_) => close_conn(&reply_shared, &reply_conn),
-            }
-        },
-    );
+    dispatch_frame(shared.service.as_ref(), Some(conn.peer), ctx, body, move |response| {
+        let out = response.encode();
+        tell_obs::incr(Counter::RpcServerFramesOut);
+        tell_obs::add(Counter::RpcServerBytesOut, out.len() as u64);
+        match encode_frame(corr_id, ctx, &out) {
+            Ok(framed) => enqueue_write(&reply_shared, &reply_conn, &framed),
+            // Response exceeds MAX_FRAME: unframeable, the stream cannot
+            // stay synchronized.
+            Err(_) => close_conn(&reply_shared, &reply_conn),
+        }
+    });
 }
 
 /// Append an encoded reply to the connection's write buffer. The owner

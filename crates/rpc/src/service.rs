@@ -67,11 +67,6 @@ impl ReplySink {
         ReplySink { complete: Some(Box::new(complete)) }
     }
 
-    /// Sink that discards its response (duplicate-delivery re-dispatch).
-    pub fn ignore() -> ReplySink {
-        ReplySink::new(|_| {})
-    }
-
     /// Complete the request.
     pub fn send(mut self, response: Response) {
         if let Some(complete) = self.complete.take() {
@@ -123,7 +118,7 @@ impl ReplySink {
 impl Drop for ReplySink {
     fn drop(&mut self) {
         if let Some(complete) = self.complete.take() {
-            complete(Response::Error(Error::invalid("request dropped without a reply").into()));
+            complete(Response::Error(Error::invalid("request dropped without a reply")));
         }
     }
 }
@@ -170,7 +165,7 @@ impl Router {
             Request::Ping => Response::Pong,
             // Served by every node regardless of hosted services: the
             // snapshot is of this process's global registry.
-            Request::Metrics => Response::Metrics(tell_obs::snapshot().to_json()),
+            Request::Metrics => Response::Metrics(tell_obs::snapshot()),
             // Likewise process-wide. The default scrape peeks; draining is
             // destructive and must be asked for explicitly.
             Request::Spans { drain } => Response::Spans(if drain {
@@ -197,9 +192,7 @@ impl Router {
             // The wire decoder already refuses nested batches; keep the
             // refusal here too so a future in-process caller cannot sneak
             // one in.
-            Request::Batch { .. } => {
-                Response::Error(Error::invalid("Batch nested inside Batch").into())
-            }
+            Request::Batch { .. } => Response::Error(Error::invalid("Batch nested inside Batch")),
             Request::Get { .. }
             | Request::MultiGet { .. }
             | Request::Write { .. }
@@ -211,9 +204,9 @@ impl Router {
                 Some(cluster) => {
                     with_store_client(cluster, |client| dispatch_store(client, request))
                 }
-                None => Response::Error(
-                    Error::Unsupported("this node does not serve storage".into()).into(),
-                ),
+                None => {
+                    Response::Error(Error::Unsupported("this node does not serve storage".into()))
+                }
             },
             Request::CmStart { .. }
             | Request::CmComplete { .. }
@@ -221,9 +214,9 @@ impl Router {
             | Request::CmSync
             | Request::CmResolve { .. } => match &self.commit {
                 Some(route) => dispatch_commit(route, request),
-                None => Response::Error(
-                    Error::Unsupported("this node does not serve commit managers".into()).into(),
-                ),
+                None => Response::Error(Error::Unsupported(
+                    "this node does not serve commit managers".into(),
+                )),
             },
         }
     }
@@ -279,9 +272,7 @@ fn dispatch_store(client: &StoreClient, request: Request) -> Response {
             .wait()
             .and_then(OpResult::into_written)
             .map(Response::Written),
-        Request::MultiWrite { ops } => client.multi_write(ops).map(|results| {
-            Response::WriteResults(results.into_iter().map(|r| r.map_err(Into::into)).collect())
-        }),
+        Request::MultiWrite { ops } => client.multi_write(ops).map(Response::WriteResults),
         Request::Increment { key, delta } => client.increment(&key, delta).map(Response::Counter),
         Request::Scan { start, end, limit, reverse } => {
             let limit = clamp_limit(limit);
@@ -304,7 +295,7 @@ fn dispatch_store(client: &StoreClient, request: Request) -> Response {
         }
         _ => unreachable!("non-storage request routed to dispatch_store"),
     };
-    result.unwrap_or_else(|e| Response::Error(e.into()))
+    result.unwrap_or_else(Response::Error)
 }
 
 fn dispatch_commit(route: &CmRoute, request: Request) -> Response {
@@ -337,7 +328,7 @@ fn dispatch_commit(route: &CmRoute, request: Request) -> Response {
         }
         _ => unreachable!("non-commit request routed to dispatch_commit"),
     };
-    result.unwrap_or_else(|e| Response::Error(e.into()))
+    result.unwrap_or_else(Response::Error)
 }
 
 fn clamp_limit(limit: u64) -> usize {
@@ -389,14 +380,8 @@ fn count_request(request: &Request) {
 /// uses: decode → trace adoption → dispatch span → service call → span
 /// status. `ctx` is the context the frame header carried; the transport
 /// echoes it on the response.
-///
-/// `duplicate` re-dispatches the request after answering with the first
-/// result (the fault injector's at-least-once delivery). `CmStart` is
-/// exempt — allocation is not idempotent, and a tid handed out by a
-/// duplicate would never be completed by anyone.
 pub fn dispatch_frame(
     service: &dyn RpcService,
-    duplicate: bool,
     peer: Option<SocketAddr>,
     ctx: Option<TraceContext>,
     body: &[u8],
@@ -405,7 +390,7 @@ pub fn dispatch_frame(
     let request = match Request::decode(body) {
         Ok(request) => request,
         Err(e) => {
-            reply(Response::Error(e.into()));
+            reply(Response::Error(e));
             return;
         }
     };
@@ -430,12 +415,5 @@ pub fn dispatch_frame(
     // in the reactor that thread owns the connection, which would then
     // never be served again. The unwind drops the sink, which answers a
     // typed error, and the transport carries on.
-    let _ = panic::catch_unwind(AssertUnwindSafe(|| {
-        if duplicate && !matches!(request, Request::CmStart { .. }) {
-            service.call(request.clone(), &rctx, sink);
-            service.call(request, &rctx, ReplySink::ignore());
-        } else {
-            service.call(request, &rctx, sink);
-        }
-    }));
+    let _ = panic::catch_unwind(AssertUnwindSafe(|| service.call(request, &rctx, sink)));
 }

@@ -28,7 +28,7 @@ use bytes::{Bytes, BytesMut};
 use tell_commitmgr::SnapshotDescriptor;
 use tell_common::codec::{Reader, Writer};
 use tell_common::{Error, IsolationLevel, Result, TxnId};
-use tell_obs::{LockStat, ProfileReport, Span, TelemetryPage};
+use tell_obs::{LockStat, MetricsSnapshot, ProfileReport, Span, TelemetryPage};
 use tell_store::{Expect, Key, Predicate, Token, WriteOp};
 
 /// Upper bound on a frame's `len` field. Generous — the largest legitimate
@@ -94,9 +94,8 @@ pub enum Request {
     /// Resolve a tid on every live manager (recovery path).
     CmResolve { tid: TxnId, committed: bool },
     /// Snapshot the server's metrics registry. Answered with
-    /// [`Response::Metrics`] carrying the JSON rendering of a
-    /// `tell_obs::MetricsSnapshot`; any server answers it regardless of
-    /// which services it hosts.
+    /// [`Response::Metrics`]; any server answers it regardless of which
+    /// services it hosts.
     Metrics,
     /// Scrape the server's span ring. Answered with [`Response::Spans`];
     /// any server answers it regardless of which services it hosts. The
@@ -129,7 +128,7 @@ pub enum Request {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// The request failed; carries the typed error.
-    Error(WireError),
+    Error(Error),
     /// Answer to `Get`.
     Cell(Option<(Token, Bytes)>),
     /// Answer to `MultiGet`.
@@ -137,7 +136,7 @@ pub enum Response {
     /// Answer to `Write`: the new token, or `None` for a delete.
     Written(Option<Token>),
     /// Answer to `MultiWrite`: independent per-op outcomes.
-    WriteResults(Vec<std::result::Result<Option<Token>, WireError>>),
+    WriteResults(Vec<Result<Option<Token>>>),
     /// Answer to `Increment`.
     Counter(u64),
     /// Answer to `Scan` / `ScanPrefix`.
@@ -155,10 +154,10 @@ pub enum Response {
     Unit,
     /// Answer to `CmLav`.
     Lav(u64),
-    /// Answer to `Request::Metrics`: a `tell_obs::MetricsSnapshot` rendered
-    /// as JSON (the wire stays renderer-agnostic; scrapers re-render to
-    /// Prometheus text locally).
-    Metrics(String),
+    /// Answer to `Request::Metrics`: the server's metrics snapshot (the
+    /// wire stays renderer-agnostic; scrapers render Prometheus text or
+    /// JSON locally).
+    Metrics(MetricsSnapshot),
     /// Answer to `Request::Spans`: the server's span ring contents, oldest
     /// first per shard (removed only when the request asked to drain).
     Spans(Vec<Span>),
@@ -168,66 +167,6 @@ pub enum Response {
     /// Answer to `Request::ProfileFetch`: the server's collapsed-stack
     /// profile and lock-contention totals.
     Profile(ProfileReport),
-}
-
-/// `tell_common::Error` in wire form. The mapping is lossless in both
-/// directions so a remote call surfaces exactly the error the server saw —
-/// in particular `Conflict` stays `Conflict`, which the optimistic
-/// transaction layer depends on for its retry decision.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireError {
-    Conflict,
-    Aborted(String),
-    NotFound,
-    Unavailable(String),
-    CapacityExceeded { node: u32, capacity: u64 },
-    Corrupt(String),
-    InvalidOperation(String),
-    Parse { message: String, position: u64 },
-    Query(String),
-    Unsupported(String),
-}
-
-impl From<Error> for WireError {
-    fn from(e: Error) -> WireError {
-        match e {
-            Error::Conflict => WireError::Conflict,
-            Error::Aborted(r) => WireError::Aborted(r),
-            Error::NotFound => WireError::NotFound,
-            Error::Unavailable(w) => WireError::Unavailable(w),
-            Error::CapacityExceeded { node, capacity } => {
-                WireError::CapacityExceeded { node, capacity: capacity as u64 }
-            }
-            Error::Corrupt(w) => WireError::Corrupt(w),
-            Error::InvalidOperation(w) => WireError::InvalidOperation(w),
-            Error::Parse { message, position } => {
-                WireError::Parse { message, position: position as u64 }
-            }
-            Error::Query(w) => WireError::Query(w),
-            Error::Unsupported(w) => WireError::Unsupported(w),
-        }
-    }
-}
-
-impl From<WireError> for Error {
-    fn from(e: WireError) -> Error {
-        match e {
-            WireError::Conflict => Error::Conflict,
-            WireError::Aborted(r) => Error::Aborted(r),
-            WireError::NotFound => Error::NotFound,
-            WireError::Unavailable(w) => Error::Unavailable(w),
-            WireError::CapacityExceeded { node, capacity } => {
-                Error::CapacityExceeded { node, capacity: capacity as usize }
-            }
-            WireError::Corrupt(w) => Error::Corrupt(w),
-            WireError::InvalidOperation(w) => Error::InvalidOperation(w),
-            WireError::Parse { message, position } => {
-                Error::Parse { message, position: position as usize }
-            }
-            WireError::Query(w) => Error::Query(w),
-            WireError::Unsupported(w) => Error::Unsupported(w),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -317,59 +256,63 @@ fn read_write_op(r: &mut Reader<'_>) -> Result<WriteOp> {
     Ok(WriteOp { key, expect, value })
 }
 
-fn put_wire_error(out: &mut Vec<u8>, e: &WireError) {
+/// `tell_common::Error` on the wire: a one-byte tag per variant, then the
+/// variant's fields. Lossless both ways, so a remote call surfaces exactly
+/// the error the server saw — `Conflict` in particular, which the
+/// optimistic transaction layer's retry decision depends on.
+fn put_error(out: &mut Vec<u8>, e: &Error) {
     match e {
-        WireError::Conflict => out.put_u8(1),
-        WireError::Aborted(r) => {
+        Error::Conflict => out.put_u8(1),
+        Error::Aborted(r) => {
             out.put_u8(2);
             out.put_string(r);
         }
-        WireError::NotFound => out.put_u8(3),
-        WireError::Unavailable(w) => {
+        Error::NotFound => out.put_u8(3),
+        Error::Unavailable(w) => {
             out.put_u8(4);
             out.put_string(w);
         }
-        WireError::CapacityExceeded { node, capacity } => {
+        Error::CapacityExceeded { node, capacity } => {
             out.put_u8(5);
             out.put_u32(*node);
-            out.put_u64(*capacity);
+            out.put_u64(*capacity as u64);
         }
-        WireError::Corrupt(w) => {
+        Error::Corrupt(w) => {
             out.put_u8(6);
             out.put_string(w);
         }
-        WireError::InvalidOperation(w) => {
+        Error::InvalidOperation(w) => {
             out.put_u8(7);
             out.put_string(w);
         }
-        WireError::Parse { message, position } => {
+        Error::Parse { message, position } => {
             out.put_u8(8);
             out.put_string(message);
-            out.put_u64(*position);
+            out.put_u64(*position as u64);
         }
-        WireError::Query(w) => {
+        Error::Query(w) => {
             out.put_u8(9);
             out.put_string(w);
         }
-        WireError::Unsupported(w) => {
+        Error::Unsupported(w) => {
             out.put_u8(10);
             out.put_string(w);
         }
     }
 }
 
-fn read_wire_error(r: &mut Reader<'_>) -> Result<WireError> {
+fn read_error(r: &mut Reader<'_>) -> Result<Error> {
     Ok(match r.u8()? {
-        1 => WireError::Conflict,
-        2 => WireError::Aborted(r.string()?),
-        3 => WireError::NotFound,
-        4 => WireError::Unavailable(r.string()?),
-        5 => WireError::CapacityExceeded { node: r.u32()?, capacity: r.u64()? },
-        6 => WireError::Corrupt(r.string()?),
-        7 => WireError::InvalidOperation(r.string()?),
-        8 => WireError::Parse { message: r.string()?, position: r.u64()? },
-        9 => WireError::Query(r.string()?),
-        10 => WireError::Unsupported(r.string()?),
+        1 => Error::Conflict,
+        2 => Error::Aborted(r.string()?),
+        3 => Error::NotFound,
+        4 => Error::Unavailable(r.string()?),
+        5 => Error::CapacityExceeded { node: r.u32()?, capacity: r.u64()? as usize },
+        6 => Error::Corrupt(r.string()?),
+        7 => Error::InvalidOperation(r.string()?),
+        8 => Error::Parse { message: r.string()?, position: r.u64()? as usize },
+        9 => Error::Query(r.string()?),
+        10 => Error::Unsupported(r.string()?),
         t => return Err(Error::corrupt(format!("bad error tag {t}"))),
     })
 }
@@ -552,7 +495,7 @@ impl Response {
         match self {
             Response::Error(e) => {
                 out.put_u8(0);
-                put_wire_error(&mut out, e);
+                put_error(&mut out, e);
             }
             Response::Cell(cell) => {
                 out.put_u8(1);
@@ -587,7 +530,7 @@ impl Response {
                         }
                         Err(e) => {
                             out.put_u8(2);
-                            put_wire_error(&mut out, e);
+                            put_error(&mut out, e);
                         }
                     }
                 }
@@ -630,9 +573,9 @@ impl Response {
                 out.put_u8(18);
                 out.put_u64(*v);
             }
-            Response::Metrics(json) => {
+            Response::Metrics(snapshot) => {
                 out.put_u8(19);
-                out.put_string(json);
+                snapshot.encode(&mut out);
             }
             Response::Spans(spans) => {
                 out.put_u8(20);
@@ -657,7 +600,7 @@ impl Response {
     pub fn decode(body: &[u8]) -> Result<Response> {
         let mut r = Reader::new(body);
         let resp = match r.u8()? {
-            0 => Response::Error(read_wire_error(&mut r)?),
+            0 => Response::Error(read_error(&mut r)?),
             1 => Response::Cell(read_cell(&mut r)?),
             2 => {
                 let n = r.u32()? as usize;
@@ -679,7 +622,7 @@ impl Response {
                     results.push(match r.u8()? {
                         0 => Ok(None),
                         1 => Ok(Some(r.u64()?)),
-                        2 => Err(read_wire_error(&mut r)?),
+                        2 => Err(read_error(&mut r)?),
                         t => return Err(Error::corrupt(format!("bad result tag {t}"))),
                     });
                 }
@@ -722,7 +665,7 @@ impl Response {
             }
             17 => Response::Unit,
             18 => Response::Lav(r.u64()?),
-            19 => Response::Metrics(r.string()?),
+            19 => Response::Metrics(MetricsSnapshot::decode(&mut r)?),
             20 => {
                 let n = r.u32()? as usize;
                 let mut spans = Vec::with_capacity(n.min(1024));
@@ -950,21 +893,21 @@ mod tests {
     fn response_roundtrip_covers_every_variant() {
         let val = Bytes::copy_from_slice(b"payload");
         let resps = vec![
-            Response::Error(WireError::Conflict),
-            Response::Error(WireError::CapacityExceeded { node: 2, capacity: 4096 }),
+            Response::Error(Error::Conflict),
+            Response::Error(Error::CapacityExceeded { node: 2, capacity: 4096 }),
             Response::Cell(None),
             Response::Cell(Some((5, val.clone()))),
             Response::Cells(vec![None, Some((1, Bytes::new()))]),
             Response::Written(None),
             Response::Written(Some(8)),
-            Response::WriteResults(vec![Ok(None), Ok(Some(3)), Err(WireError::NotFound)]),
+            Response::WriteResults(vec![Ok(None), Ok(Some(3)), Err(Error::NotFound)]),
             Response::Counter(77),
             Response::Rows(vec![(Bytes::copy_from_slice(b"a"), 1, val.clone())]),
             Response::Pong,
             Response::Batch {
                 results: vec![
                     Response::Cell(Some((5, val.clone()))),
-                    Response::Error(WireError::Conflict),
+                    Response::Error(Error::Conflict),
                     Response::Counter(1),
                 ],
             },
@@ -976,7 +919,8 @@ mod tests {
             },
             Response::Unit,
             Response::Lav(6),
-            Response::Metrics("{\"counters\":{}}".into()),
+            Response::Metrics(MetricsSnapshot::default()),
+            Response::Metrics(tell_obs::Registry::new().snapshot()),
             Response::Spans(Vec::new()),
             Response::Spans(vec![
                 Span {
@@ -1122,8 +1066,8 @@ mod tests {
     #[test]
     fn batch_per_op_errors_survive_the_roundtrip_losslessly() {
         let results = vec![
-            Response::Error(WireError::Conflict),
-            Response::Error(WireError::Unavailable("sn:1 down".into())),
+            Response::Error(Error::Conflict),
+            Response::Error(Error::Unavailable("sn:1 down".into())),
             Response::Written(Some(3)),
         ];
         let body = Response::Batch { results: results.clone() }.encode();
@@ -1131,9 +1075,6 @@ mod tests {
             panic!("expected a batch back");
         };
         assert_eq!(back, results);
-        // And the nested errors map back to the exact tell_common errors.
-        let Response::Error(e) = &back[0] else { panic!() };
-        assert_eq!(Error::from(e.clone()), Error::Conflict);
     }
 
     /// Pins the header layout byte for byte: a traced request and an
@@ -1224,8 +1165,11 @@ mod tests {
             Error::Unsupported("joins".into()),
         ];
         for e in errors {
-            let wire = WireError::from(e.clone());
-            assert_eq!(Error::from(wire), e);
+            let body = Response::Error(e.clone()).encode();
+            assert_eq!(Response::decode(&body).unwrap(), Response::Error(e));
         }
+        // Tag 0 (error), tag 5 (capacity), node u32, capacity u64.
+        let body = Response::Error(Error::CapacityExceeded { node: 2, capacity: 4096 }).encode();
+        assert_eq!(body, [0, 5, 2, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0]);
     }
 }

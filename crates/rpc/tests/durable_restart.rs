@@ -10,9 +10,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use tell_common::SnId;
+use tell_common::{Error, SnId};
 use tell_durable::{DurableNodeConfig, FsDurability, FsyncPolicy};
-use tell_rpc::{Connection, Request, Response, RpcServer, WireError};
+use tell_rpc::{Connection, Request, Response, RpcServer};
 use tell_store::{DurabilityProvider, Expect, StoreCluster, StoreConfig, WriteOp};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -88,7 +88,7 @@ fn killed_durable_server_restarts_from_data_dir_with_every_acked_write() {
     for (key, result) in keys.iter().zip(&results) {
         match result {
             Response::Written(Some(_)) => acked_round1.push(key.clone()),
-            Response::Error(WireError::Unavailable(_)) => errored += 1,
+            Response::Error(Error::Unavailable(_)) => errored += 1,
             other => panic!("expected an ack or a typed error, got {other:?}"),
         }
     }
@@ -141,8 +141,7 @@ fn durable_counters_are_visible_over_a_metrics_scrape() {
     assert!(results.iter().all(|r| round_of(r) == 0));
 
     let (resp, _, _) = conn.call(&Request::Metrics).unwrap();
-    let Response::Metrics(json) = resp else { panic!("expected Metrics, got {resp:?}") };
-    let snap = tell_obs::MetricsSnapshot::from_json(&json).unwrap();
+    let Response::Metrics(snap) = resp else { panic!("expected Metrics, got {resp:?}") };
     let counter = |name: &str| {
         snap.counters
             .iter()

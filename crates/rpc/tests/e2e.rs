@@ -17,7 +17,6 @@ use tell_netsim::{NetMeter, NetworkProfile};
 use tell_rpc::wire::{encode_frame, TraceContext};
 use tell_rpc::{
     Connection, FrameDecoder, RemoteCmClient, RemoteEndpoint, Request, Response, RpcServer,
-    WireError,
 };
 use tell_store::{
     keys, Expect, OpHandle, OpResult, StoreApi, StoreCluster, StoreConfig, StoreEndpoint, StoreOp,
@@ -415,10 +414,9 @@ fn batch_straddling_a_dead_node_half_applies_with_per_op_errors_not_a_hang() {
     for pair in results.chunks(2) {
         match (&pair[0], &pair[1]) {
             (Response::Cell(Some(_)), Response::Written(Some(_))) => live += 1,
-            (
-                Response::Error(WireError::Unavailable(_)),
-                Response::Error(WireError::Unavailable(_)),
-            ) => dead += 1,
+            (Response::Error(Error::Unavailable(_)), Response::Error(Error::Unavailable(_))) => {
+                dead += 1
+            }
             other => panic!("a key's get/put pair must fail or succeed together: {other:?}"),
         }
     }
@@ -544,8 +542,7 @@ fn metrics_scrape_over_tcp_returns_parseable_snapshot() {
 
     let conn = Connection::connect(&servers.sn.local_addr().to_string()).unwrap();
     let (resp, _, _) = conn.call(&Request::Metrics).unwrap();
-    let Response::Metrics(json) = resp else { panic!("expected Metrics, got {resp:?}") };
-    let snap = tell_obs::MetricsSnapshot::from_json(&json).unwrap();
+    let Response::Metrics(snap) = resp else { panic!("expected Metrics, got {resp:?}") };
 
     // Servers and clients share this process, so the snapshot covers both
     // sides: transactions begun, frames served, and the scrape itself

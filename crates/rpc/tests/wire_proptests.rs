@@ -9,10 +9,13 @@ use std::cell::Cell;
 use bytes::Bytes;
 use proptest::prelude::*;
 use tell_commitmgr::SnapshotDescriptor;
-use tell_common::{BitSet, IsolationLevel, TxnId};
-use tell_obs::{LockStat, PhaseDigest, Site, Span, SpanAttrs, SpanStatus, TelemetryPage, TsPoint};
+use tell_common::{BitSet, Error, IsolationLevel, Summary, TxnId};
+use tell_obs::{
+    LockStat, MetricsSnapshot, PhaseDigest, Site, Span, SpanAttrs, SpanStatus, TelemetryPage,
+    TsPoint,
+};
 use tell_rpc::wire::{encode_frame, TraceContext, FRAME_HEADER};
-use tell_rpc::{FrameDecoder, Request, Response, WireError, MAX_FRAME};
+use tell_rpc::{FrameDecoder, Request, Response, MAX_FRAME};
 use tell_store::{CmpOp, Expect, Predicate, WriteOp};
 
 /// Keys up to the longest the system composes in practice (`keys::record`
@@ -41,21 +44,20 @@ fn write_op_strategy() -> impl Strategy<Value = WriteOp> {
         .prop_map(|(key, expect, value)| WriteOp { key, expect, value })
 }
 
-fn wire_error_strategy() -> impl Strategy<Value = WireError> {
+fn error_strategy() -> impl Strategy<Value = Error> {
     let msg = || ".{0,24}".prop_map(String::from);
     prop_oneof![
-        Just(WireError::Conflict),
-        msg().prop_map(WireError::Aborted),
-        Just(WireError::NotFound),
-        msg().prop_map(WireError::Unavailable),
-        (any::<u32>(), any::<u64>())
-            .prop_map(|(node, capacity)| WireError::CapacityExceeded { node, capacity }),
-        msg().prop_map(WireError::Corrupt),
-        msg().prop_map(WireError::InvalidOperation),
-        (msg(), any::<u64>())
-            .prop_map(|(message, position)| WireError::Parse { message, position }),
-        msg().prop_map(WireError::Query),
-        msg().prop_map(WireError::Unsupported),
+        Just(Error::Conflict),
+        msg().prop_map(Error::Aborted),
+        Just(Error::NotFound),
+        msg().prop_map(Error::Unavailable),
+        (any::<u32>(), any::<usize>())
+            .prop_map(|(node, capacity)| Error::CapacityExceeded { node, capacity }),
+        msg().prop_map(Error::Corrupt),
+        msg().prop_map(Error::InvalidOperation),
+        (msg(), any::<usize>()).prop_map(|(message, position)| Error::Parse { message, position }),
+        msg().prop_map(Error::Query),
+        msg().prop_map(Error::Unsupported),
     ]
 }
 
@@ -200,6 +202,34 @@ fn ts_point_strategy() -> impl Strategy<Value = TsPoint> {
         })
 }
 
+fn metrics_strategy() -> impl Strategy<Value = MetricsSnapshot> {
+    let name = || "[a-z_]{1,24}".prop_map(String::from);
+    let value = || 0.0..1e12f64;
+    let summary =
+        (any::<u64>(), prop::collection::vec(value(), 7)).prop_map(|(count, v)| Summary {
+            count,
+            min: v[0],
+            max: v[1],
+            mean: v[2],
+            stddev: v[3],
+            p50: v[4],
+            p99: v[5],
+            p999: v[6],
+        });
+    (
+        prop::collection::vec((name(), any::<u64>()), 0..6),
+        prop::collection::vec((name(), any::<u64>()), 0..6),
+        prop::collection::vec((name(), summary), 0..4),
+        prop::collection::vec((name(), prop::collection::vec((value(), any::<u64>()), 1..6)), 0..4),
+    )
+        .prop_map(|(counters, gauges, histograms, buckets)| MetricsSnapshot {
+            counters,
+            gauges,
+            histograms,
+            buckets,
+        })
+}
+
 fn telemetry_page_strategy() -> impl Strategy<Value = TelemetryPage> {
     (prop::collection::vec(ts_point_strategy(), 0..4), any::<u64>())
         .prop_map(|(points, next_cursor)| TelemetryPage { points, next_cursor })
@@ -208,14 +238,14 @@ fn telemetry_page_strategy() -> impl Strategy<Value = TelemetryPage> {
 /// Every `Response` variant, all fields randomized.
 fn response_strategy() -> impl Strategy<Value = Response> {
     prop_oneof![
-        wire_error_strategy().prop_map(Response::Error),
+        error_strategy().prop_map(Response::Error),
         cell_strategy().prop_map(Response::Cell),
         prop::collection::vec(cell_strategy(), 0..6).prop_map(Response::Cells),
         prop::option::of(any::<u64>()).prop_map(Response::Written),
         prop::collection::vec(
             prop_oneof![
                 prop::option::of(any::<u64>()).prop_map(Ok),
-                wire_error_strategy().prop_map(Err),
+                error_strategy().prop_map(Err),
             ],
             0..6,
         )
@@ -229,6 +259,7 @@ fn response_strategy() -> impl Strategy<Value = Response> {
         }),
         Just(Response::Unit),
         any::<u64>().prop_map(Response::Lav),
+        metrics_strategy().prop_map(Response::Metrics),
         prop::collection::vec(span_strategy(), 0..6).prop_map(Response::Spans),
         telemetry_page_strategy().prop_map(Response::Telemetry),
     ]
@@ -422,6 +453,7 @@ fn hostile_input_strategy() -> impl Strategy<Value = Vec<u8>> {
         framed,
         any_request_strategy().prop_map(|r| r.encode()),
         any_response_strategy().prop_map(|r| r.encode()),
+        metrics_strategy().prop_map(|m| Response::Metrics(m).encode()),
     ];
     let offset = prop_oneof![0usize..8, any::<usize>()];
     prop_oneof![
@@ -447,7 +479,7 @@ const MAX_ELEMENT: usize = {
         std::mem::size_of::<Response>(),
         std::mem::size_of::<WriteOp>(),
         std::mem::size_of::<Option<(u64, Bytes)>>(),
-        std::mem::size_of::<Result<Option<u64>, WireError>>(),
+        std::mem::size_of::<Result<Option<u64>, Error>>(),
         std::mem::size_of::<(Bytes, u64, Bytes)>(),
         std::mem::size_of::<Span>(),
         std::mem::size_of::<TsPoint>(),

@@ -680,22 +680,6 @@ impl Scheduler<'_> {
                     },
                 ),
             },
-            FaultKind::RpcDegrade { drop_pct, delay_pct, delay_us, dup_pct, flush_stall_us } => {
-                // No-op for the in-process stack (nothing routes through
-                // tell-rpc here), but the hook is driven anyway so a future
-                // remote-backed harness inherits the schedule unchanged.
-                tell_rpc::fault::install(
-                    self.cfg.seed,
-                    tell_rpc::fault::FaultConfig {
-                        drop_prob: drop_pct as f64 / 100.0,
-                        delay_prob: delay_pct as f64 / 100.0,
-                        delay_us: delay_us as u64,
-                        dup_prob: dup_pct as f64 / 100.0,
-                        flush_stall_us: flush_stall_us as u64,
-                    },
-                );
-            }
-            FaultKind::RpcHeal => tell_rpc::fault::clear(),
         }
     }
 
@@ -841,7 +825,6 @@ static DURABLE_RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64:
 
 /// Run `plan` against a fresh deployment described by `config`.
 pub fn run_with_plan(config: &SimConfig, plan: FaultPlan) -> SimOutcome {
-    tell_rpc::fault::clear();
     // A durable run gets a fresh per-run data root; recovery content is a
     // pure function of the writes, so determinism is unaffected. Tiny
     // segments + a low checkpoint threshold make rotation, checkpointing
@@ -1027,7 +1010,6 @@ pub fn run_with_plan(config: &SimConfig, plan: FaultPlan) -> SimOutcome {
         )
     });
 
-    tell_rpc::fault::clear();
     stats.final_lav = db.commit_managers().current_lav();
     stats.txns = history.txns.len();
     stats.commits = history.txns.iter().filter(|t| t.committed).count();

@@ -9,8 +9,7 @@
 //!
 //! * [`plan`] — a seed expands into a [`plan::FaultPlan`]: timed fault
 //!   events (SN kill/revive, CM kill/restart-from-log, PN crash mid-commit,
-//!   RPC degradation via the `tell_rpc::fault` hook, GC runs) over the
-//!   virtual-time horizon.
+//!   GC runs) over the virtual-time horizon.
 //! * [`driver`] — a turn-based deterministic scheduler: worker threads run
 //!   real [`tell_core::txn::Transaction`]s against a full in-process
 //!   PN/SN/CM stack, but only one worker holds the *turn* at a time and the

@@ -40,23 +40,6 @@ pub enum FaultKind {
     /// Run a garbage-collection pass (§5.4) — the driver checks that no
     /// version a live snapshot can read disappears.
     GcRun,
-    /// Degrade the RPC transport via `tell_rpc::fault` (drop/delay/
-    /// duplicate frames, client flush stalls). Percentages, not
-    /// probabilities, so plans print and compare exactly.
-    RpcDegrade {
-        /// Per-frame drop chance, percent.
-        drop_pct: u8,
-        /// Per-frame delay chance, percent.
-        delay_pct: u8,
-        /// Delay magnitude, µs.
-        delay_us: u32,
-        /// Per-frame duplication chance, percent.
-        dup_pct: u8,
-        /// Client batch-flush stall, µs.
-        flush_stall_us: u32,
-    },
-    /// Clear the RPC fault injector.
-    RpcHeal,
 }
 
 impl FaultKind {
@@ -72,12 +55,6 @@ impl FaultKind {
             FaultKind::PnCrash => "pn-crash".into(),
             FaultKind::PnRecover => "pn-recover".into(),
             FaultKind::GcRun => "gc".into(),
-            FaultKind::RpcDegrade { drop_pct, delay_pct, delay_us, dup_pct, flush_stall_us } => {
-                format!(
-                    "rpc-degrade:d{drop_pct}/l{delay_pct}x{delay_us}/x{dup_pct}/s{flush_stall_us}"
-                )
-            }
-            FaultKind::RpcHeal => "rpc-heal".into(),
         }
     }
 }
@@ -92,7 +69,7 @@ pub struct FaultEvent {
 }
 
 /// Which classes of faults a plan draws from. Mirrors the `--faults` flag
-/// of `examples/tell_sim.rs` and the three `scripts/check.sh --sim` seeds.
+/// of `examples/tell_sim.rs` and the four `scripts/check.sh --sim` seeds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultMix {
     /// No faults — GC runs only. The SI baseline every other mix is
@@ -102,8 +79,7 @@ pub enum FaultMix {
     SnChurn,
     /// Commit-manager kill + recover-from-log cycles.
     CmRestart,
-    /// Everything: SN churn, CM restarts, PN crashes mid-commit, RPC
-    /// degradation windows.
+    /// Everything: SN churn, CM restarts, PN crashes mid-commit.
     All,
 }
 
@@ -162,7 +138,7 @@ impl FaultPlan {
     /// many CMs are live, whether a PN crash is pending) so every emitted
     /// event is *applicable* when fired in order: at most `rf - 1` storage
     /// nodes are ever down together, the last commit manager is never
-    /// killed, and every crash/degrade has its matching recover/heal.
+    /// killed, and every crash has its matching recover.
     pub fn generate(seed: u64, mix: FaultMix, horizon_us: f64, topo: Topology) -> FaultPlan {
         // XOR with a constant so the plan stream never coincides with the
         // per-worker workload streams derived from the same seed.
@@ -180,7 +156,6 @@ impl FaultPlan {
         let sn_faults = matches!(mix, FaultMix::SnChurn | FaultMix::All);
         let cm_faults = matches!(mix, FaultMix::CmRestart | FaultMix::All);
         let pn_faults = matches!(mix, FaultMix::All);
-        let rpc_faults = matches!(mix, FaultMix::All);
 
         if sn_faults && topo.storage_nodes > 1 && topo.replication_factor > 1 {
             // Kill/revive cycles. In-memory-only, with RF `r`, up to r-1
@@ -254,27 +229,6 @@ impl FaultPlan {
                 events.push(FaultEvent {
                     at_us: t + rng.random_range(0.02..0.1) * horizon_us,
                     kind: FaultKind::PnRecover,
-                });
-            }
-        }
-
-        if rpc_faults {
-            let windows = rng.random_range(1..=2);
-            for _ in 0..windows {
-                let t = rng.random_range(0.1..0.7) * horizon_us;
-                events.push(FaultEvent {
-                    at_us: t,
-                    kind: FaultKind::RpcDegrade {
-                        drop_pct: rng.random_range(1..=5),
-                        delay_pct: rng.random_range(5..=20),
-                        delay_us: rng.random_range(50..=500),
-                        dup_pct: rng.random_range(1..=5),
-                        flush_stall_us: rng.random_range(0..=200),
-                    },
-                });
-                events.push(FaultEvent {
-                    at_us: t + rng.random_range(0.05..0.2) * horizon_us,
-                    kind: FaultKind::RpcHeal,
                 });
             }
         }

@@ -48,7 +48,7 @@ use tell_obs::export::{
     chrome_trace_json, group_by_trace, orphan_parents, speedscope_json, validate_json, SourcedSpan,
 };
 use tell_obs::registry::{Counter, Phase};
-use tell_obs::{CollapsedTable, MetricsSnapshot, ProfileReport};
+use tell_obs::{CollapsedTable, ProfileReport};
 use tell_rpc::{Connection, RemoteCmClient, RemoteEndpoint, Request, Response, RpcServer};
 
 #[derive(Clone, Copy, PartialEq)]
@@ -471,16 +471,14 @@ fn watch(args: &Args, targets: Vec<Target>) -> Result<(), String> {
 
 fn metrics(target: &Target, json: bool) -> Result<(), String> {
     let response = call_each(std::slice::from_ref(target), &Request::Metrics)?.remove(0);
-    let Response::Metrics(body) = response else {
+    let Response::Metrics(snapshot) = response else {
         return Err(format!("{}: unexpected response: {response:?}", target.name));
     };
     if json {
-        print!("{body}");
-        return Ok(());
+        print!("{}", snapshot.to_json());
+    } else {
+        print!("{}", snapshot.to_prometheus_text());
     }
-    // Parse rather than pass through: a malformed snapshot should fail the
-    // scrape here, not downstream in whatever ingests the text.
-    print!("{}", MetricsSnapshot::from_json(&body)?.to_prometheus_text());
     Ok(())
 }
 

@@ -4,18 +4,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Deterministic fault-schedule simulation smoke (crates/sim): three fixed
-# seeds cover the fault-free, SN-churn and CM-restart schedules. The
+# Deterministic fault-schedule simulation smoke (crates/sim): four fixed
+# seeds cover the fault-free, SN-churn, CM-restart and full-mix schedules
+# (the last adds PN crashes mid-commit to the other two). The
 # verdict line is bit-reproducible per seed, so a change in behavior —
 # not just an SI violation — shows up as a diff here. A long nightly run
 # (not gated; violations there open issues rather than block merges) is
 #   cargo run --release --example tell_sim -- --seed "$(date +%s)" --seconds 30 --faults all
 run_sim_smoke() {
-  echo "==> sim smoke (tell_sim seeds 1/none 2/sn 3/cm)"
+  echo "==> sim smoke (tell_sim seeds 1/none 2/sn 3/cm 6/all)"
   cargo build -q --example tell_sim
   cargo run -q --example tell_sim -- --seed 1 --seconds 0.2 --faults none
   cargo run -q --example tell_sim -- --seed 2 --seconds 0.2 --faults sn
   cargo run -q --example tell_sim -- --seed 3 --seconds 0.2 --faults cm
+  cargo run -q --example tell_sim -- --seed 6 --seconds 0.2 --faults all
 
   # Isolation matrix: three fixed seeds x four levels, each cell checked
   # against its own oracle plus every weaker one, and re-run to prove the
