@@ -19,7 +19,9 @@ use crate::manager::{CmConfig, CommitManager, TxnStart};
 pub struct CmCluster<E: StoreEndpoint = Arc<StoreCluster>> {
     store: E,
     config: CmConfig,
-    managers: RwLock<Vec<Arc<CommitManager<E>>>>,
+    /// The live managers; shared so a failed manager can hand its late
+    /// outcomes to whoever is live when they arrive.
+    managers: Arc<RwLock<Vec<Arc<CommitManager<E>>>>>,
     /// Congruence classes freed by failed managers, to be taken over by
     /// replacements (interleaved tid allocation).
     freed_stripes: parking_lot::Mutex<Vec<(u64, u64)>>,
@@ -53,7 +55,7 @@ impl<E: StoreEndpoint> CmCluster<E> {
         Arc::new(CmCluster {
             store,
             config,
-            managers: RwLock::new(managers),
+            managers: Arc::new(RwLock::new(managers)),
             freed_stripes: parking_lot::Mutex::new(Vec::new()),
             next: AtomicUsize::new(0),
         })
@@ -117,17 +119,32 @@ impl<E: StoreEndpoint> CmCluster<E> {
 
     /// Crash-stop manager `id`: drop it and remove its published state so
     /// peers stop waiting on it. Active transactions it issued can still
-    /// complete (the manager "is not required for completion" — their
-    /// outcome reaches peers through the transaction log and recovery).
+    /// complete through the handle they hold (the manager "is not required
+    /// for completion"). The failed manager is retired first, so it never
+    /// publishes again — a late re-publish would bring back a frozen state
+    /// whose min-active base pins every survivor's lav for ever — and each
+    /// late outcome is resolved on the managers live when it arrives.
     pub fn fail(&self, id: CmId) -> Result<()> {
         let mut managers = self.managers.write();
-        let before = managers.len();
-        if let Some(cm) = managers.iter().find(|cm| cm.id() == id) {
-            self.freed_stripes.lock().push(cm.stripe());
-        }
-        managers.retain(|cm| cm.id() != id);
-        if managers.len() == before {
-            return Err(Error::NotFound);
+        let at = managers.iter().position(|cm| cm.id() == id).ok_or(Error::NotFound)?;
+        let live = Arc::downgrade(&self.managers);
+        managers[at].retire(Arc::new(move |tid, committed| {
+            if let Some(live) = live.upgrade() {
+                for cm in live.read().iter() {
+                    cm.force_resolve(tid, committed);
+                }
+            }
+        }));
+        let cm = managers.remove(at);
+        drop(managers);
+        self.freed_stripes.lock().push(cm.stripe());
+        // The survivors absorb its last published state before it goes:
+        // outcomes it published that they have not pulled yet would be lost
+        // with it, stalling their base on those tids. Best effort: a
+        // survivor that cannot sync in a store fault window is no worse off
+        // than a peer that pulled just before the failure.
+        for survivor in self.managers.read().iter() {
+            let _ = survivor.sync_now(&NetMeter::free());
         }
         use tell_store::StoreApi;
         let client = self.store.unmetered_client();
@@ -249,6 +266,57 @@ mod tests {
     fn fail_unknown_manager_errors() {
         let (cluster, _) = setup(1);
         assert_eq!(cluster.fail(CmId(42)).unwrap_err(), Error::NotFound);
+    }
+
+    #[test]
+    fn a_failed_managers_late_outcome_neither_returns_its_state_nor_pins_the_lav() {
+        let store = StoreCluster::new(StoreConfig::new(2));
+        let cfg = CmConfig { sync_interval: Duration::from_millis(1), ..CmConfig::default() };
+        let cluster = CmCluster::new(Arc::clone(&store), 2, cfg);
+        let m = NetMeter::free();
+        let commit = |n: usize| {
+            for _ in 0..n {
+                let (ts, cm) = cluster.start(&m).unwrap();
+                cm.set_committed(ts.tid, &m).unwrap();
+            }
+        };
+        commit(10);
+        let (held, cm0) = cluster.start_pinned(0, &m).unwrap();
+        assert_eq!(cm0.id(), CmId(0));
+        cluster.fail(CmId(0)).unwrap();
+        cluster.spawn_recovered(CmId(7)).unwrap();
+        // The transaction in flight on the failed manager completes through
+        // the handle it holds.
+        cm0.set_committed(held.tid, &m).unwrap();
+        let state = keys::cm_state(0);
+        assert_eq!(store.unmetered_client().get(&state).unwrap(), None, "cm0 published again");
+        commit(200);
+        cluster.sync_all(&m).unwrap();
+        assert!(
+            cluster.current_lav() > held.tid.raw(),
+            "lav {} still pinned at or below the late tid {}",
+            cluster.current_lav(),
+            held.tid.raw()
+        );
+    }
+
+    #[test]
+    fn survivors_keep_what_a_failed_manager_published() {
+        let store = StoreCluster::new(StoreConfig::new(2));
+        // Survivors never pull on their own cadence in this test.
+        let cfg = CmConfig {
+            sync_interval: Duration::from_secs(3600),
+            sync_every_ops: u64::MAX,
+            ..CmConfig::default()
+        };
+        let cluster = CmCluster::new(store, 2, cfg);
+        let m = NetMeter::free();
+        let (ts, cm0) = cluster.start_pinned(0, &m).unwrap();
+        cm0.set_committed(ts.tid, &m).unwrap();
+        cluster.fail(cm0.id()).unwrap();
+        let (later, cm1) = cluster.start_pinned(0, &m).unwrap();
+        assert_eq!(cm1.id(), CmId(1));
+        assert!(later.snapshot.contains_tid(ts.tid), "the failed manager's commit was lost");
     }
 
     #[test]

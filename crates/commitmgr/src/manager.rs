@@ -82,6 +82,10 @@ impl Default for CmConfig {
     }
 }
 
+/// Where a failed manager sends the outcome of a transaction it issued
+/// that completes after the failure: resolve it on the live managers.
+pub(crate) type HandOff = Arc<dyn Fn(TxnId, bool) + Send + Sync>;
+
 #[derive(Default)]
 struct State {
     /// All tids at or below `base` have completed.
@@ -121,11 +125,22 @@ struct State {
     /// version its stale snapshot can see. The pin advances with each
     /// refresh, so it lags the base by at most one refresh cadence.
     nmsi_pin: Option<u64>,
+    /// Set when the cluster fails this manager. A failed manager never
+    /// publishes again — its published state is deleted, and a re-publish
+    /// would pin every survivor's lav at its frozen min-active base — so
+    /// its late outcomes go to the hand-off instead.
+    retired: Option<HandOff>,
 }
 
 impl State {
     fn local_min_active(&self) -> u64 {
         self.active_bases.keys().next().copied().unwrap_or(self.base)
+    }
+
+    /// The lowest active version: the minimum snapshot base across active
+    /// transactions here and on every peer that has published.
+    fn lav(&self) -> u64 {
+        self.peer_min_active.values().copied().fold(self.local_min_active(), u64::min)
     }
 
     fn pin_base(&mut self, base: u64) {
@@ -344,13 +359,7 @@ impl<E: StoreEndpoint> CommitManager<E> {
         let base = snapshot.base();
         st.active.insert(tid.raw(), base);
         *st.active_bases.entry(base).or_insert(0) += 1;
-        let lav = st
-            .peer_min_active
-            .values()
-            .copied()
-            .chain(std::iter::once(st.local_min_active()))
-            .min()
-            .unwrap_or(st.base);
+        let lav = st.lav();
         // PN ↔ CM round trip; a cached NMSI start elides the descriptor
         // payload (the session reuses the one it already holds).
         let response_bytes = if cached { 24 } else { snapshot.encoded_len() + 16 };
@@ -398,13 +407,7 @@ impl<E: StoreEndpoint> CommitManager<E> {
         if !TICK.fetch_add(1, Ordering::Relaxed).is_multiple_of(16) {
             return;
         }
-        let lav = st
-            .peer_min_active
-            .values()
-            .copied()
-            .chain(std::iter::once(st.local_min_active()))
-            .min()
-            .unwrap_or(st.base);
+        let lav = st.lav();
         tell_obs::set_gauge(Gauge::CmLav, lav);
         tell_obs::set_gauge(Gauge::CmBase, st.base);
         tell_obs::set_gauge(Gauge::CmWatermark, st.watermark);
@@ -456,22 +459,34 @@ impl<E: StoreEndpoint> CommitManager<E> {
         let probe = tell_obs::Probe::enter(tell_obs::Site::CmApply);
         meter.charge_request(40, 16, 1);
         let client = self.endpoint.client(meter.clone());
-        {
-            let mut st = self.state.lock();
+        let mut st = self.state.lock();
+        if let Some(hand_off) = st.retired.clone() {
+            drop(st);
+            hand_off(tid, committed);
+        } else {
             st.finish(tid, committed);
             if Self::publish(&self.id, &client, &mut st).is_err() {
                 st.publish_pending = true;
                 tell_obs::incr(tell_obs::Counter::CmPublishDeferred);
             }
             Self::export_gauges(&st);
-        }
-        if self.maybe_sync(meter).is_err() {
-            tell_obs::incr(tell_obs::Counter::CmSyncDeferred);
+            drop(st);
+            if self.maybe_sync(meter).is_err() {
+                tell_obs::incr(tell_obs::Counter::CmSyncDeferred);
+            }
         }
         let status =
             if committed { tell_obs::SpanStatus::Ok } else { tell_obs::SpanStatus::Conflict };
         probe.finish(0.0, 1, status);
         Ok(())
+    }
+
+    /// Retire this manager after a failure: from now on it never publishes,
+    /// and every outcome reported to it goes to `hand_off`. Taking the state
+    /// lock orders this after any publish in flight, so the caller may
+    /// delete the published state once this returns.
+    pub(crate) fn retire(&self, hand_off: HandOff) {
+        self.state.lock().retired = Some(hand_off);
     }
 
     /// Mark the unused remainder of the local tid range completed, so the
@@ -510,13 +525,7 @@ impl<E: StoreEndpoint> CommitManager<E> {
     /// The lowest active version number as currently known: the minimum
     /// snapshot base across active transactions here and on peers.
     pub fn current_lav(&self) -> u64 {
-        let st = self.state.lock();
-        st.peer_min_active
-            .values()
-            .copied()
-            .chain(std::iter::once(st.local_min_active()))
-            .min()
-            .unwrap_or(st.base)
+        self.state.lock().lav()
     }
 
     /// Current base version (test/metrics hook).
@@ -558,7 +567,12 @@ impl<E: StoreEndpoint> CommitManager<E> {
         Ok(())
     }
 
+    /// Write this manager's state to its `cm_state` key; a retired manager
+    /// writes nothing.
     fn publish<C: StoreApi>(id: &CmId, client: &C, st: &mut State) -> Result<()> {
+        if st.retired.is_some() {
+            return Ok(());
+        }
         let mut buf = Vec::with_capacity(40 + st.committed.encoded_len());
         buf.put_u64(st.base);
         buf.put_u64(st.local_min_active());

@@ -6,10 +6,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
+use tell_common::Result;
 use tell_common::SnId;
 use tell_durable::{DurableNodeConfig, FsDurability, FsyncPolicy};
-use tell_store::cluster::{Expect, Mutation};
-use tell_store::{StoreCluster, StoreConfig};
+use tell_store::{Expect, StoreCluster, StoreConfig, Token, WriteOp};
 
 fn test_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tell-durable-int-{tag}-{}", std::process::id()));
@@ -31,6 +31,11 @@ fn k(s: &str) -> Bytes {
     Bytes::copy_from_slice(s.as_bytes())
 }
 
+/// One conditional write: a one-op `srv_multi_write`.
+fn write(c: &StoreCluster, op: WriteOp) -> Result<(Option<Token>, usize)> {
+    c.srv_multi_write(vec![op]).pop().expect("one result per op")
+}
+
 #[test]
 fn acked_writes_survive_whole_cluster_restart() {
     let root = test_root("cluster-restart");
@@ -38,17 +43,17 @@ fn acked_writes_survive_whole_cluster_restart() {
         let c = StoreCluster::new(durable_config(&root, 3, 2));
         for i in 0..100u32 {
             let key = Bytes::from(format!("key-{i:03}"));
-            c.srv_write(&key, Expect::Absent, Mutation::Put(k(&format!("val-{i}")))).unwrap();
+            write(&c, WriteOp::put(key.clone(), Expect::Absent, k(&format!("val-{i}")))).unwrap();
         }
         // Overwrite some, delete some: recovery must replay the latest.
         for i in (0..100u32).step_by(7) {
             let key = format!("key-{i:03}");
             let (t, _) = c.srv_read(key.as_bytes()).unwrap().unwrap();
-            c.srv_write(&k(&key), Expect::Token(t), Mutation::Put(k("updated"))).unwrap();
+            write(&c, WriteOp::put(k(&key), Expect::Token(t), k("updated"))).unwrap();
         }
         for i in (0..100u32).step_by(11) {
             let key = format!("key-{i:03}");
-            c.srv_write(&k(&key), Expect::Any, Mutation::Delete).unwrap();
+            write(&c, WriteOp::delete(k(&key), Expect::Any)).unwrap();
         }
     }
     // Whole-process "restart": a fresh cluster over the same data dirs.
@@ -73,7 +78,7 @@ fn kill_all_copy_holders_then_restart_from_log() {
     let c = StoreCluster::new(durable_config(&root, 2, 2));
     for i in 0..40u32 {
         let key = Bytes::from(format!("k{i}"));
-        c.srv_write(&key, Expect::Absent, Mutation::Put(k("v"))).unwrap();
+        write(&c, WriteOp::put(key.clone(), Expect::Absent, k("v"))).unwrap();
     }
     // Every copy-holder of every partition dies.
     c.kill_node(SnId(0));
@@ -89,7 +94,7 @@ fn kill_all_copy_holders_then_restart_from_log() {
     }
     // And the partitions accept new writes with monotonic tokens.
     let (t, _) = c.srv_read(b"k3").unwrap().unwrap();
-    c.srv_write(&k("k3"), Expect::Token(t), Mutation::Put(k("post-restart"))).unwrap();
+    write(&c, WriteOp::put(k("k3"), Expect::Token(t), k("post-restart"))).unwrap();
     fs::remove_dir_all(&root).unwrap();
 }
 
@@ -97,11 +102,11 @@ fn kill_all_copy_holders_then_restart_from_log() {
 fn restarted_node_does_not_resurrect_writes_acked_after_its_death() {
     let root = test_root("no-resurrect");
     let c = StoreCluster::new(durable_config(&root, 2, 2));
-    c.srv_write(&k("x"), Expect::Absent, Mutation::Put(k("first"))).unwrap();
+    write(&c, WriteOp::put(k("x"), Expect::Absent, k("first"))).unwrap();
     c.kill_node(SnId(0));
     // Acked while node 0 is down: only node 1's copy and log see it.
     let (t, _) = c.srv_read(b"x").unwrap().unwrap();
-    c.srv_write(&k("x"), Expect::Token(t), Mutation::Put(k("second"))).unwrap();
+    write(&c, WriteOp::put(k("x"), Expect::Token(t), k("second"))).unwrap();
     // Node 0 restarts from a log that predates "second": its copy must
     // catch up from node 1 rather than serve "first".
     c.restart_node_from_log(SnId(0)).unwrap();

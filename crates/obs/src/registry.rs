@@ -85,10 +85,6 @@ id_enum! {
         ReqIncrement => "rpc_req_increment_total",
         /// `Request::Scan` frames served.
         ReqScan => "rpc_req_scan_total",
-        /// `Request::ScanPrefix` frames served.
-        ReqScanPrefix => "rpc_req_scan_prefix_total",
-        /// `Request::ScanPrefixFiltered` frames served.
-        ReqScanPrefixFiltered => "rpc_req_scan_prefix_filtered_total",
         /// `Request::Ping` frames served.
         ReqPing => "rpc_req_ping_total",
         /// `Request::Batch` frames served (the envelope, not its inner ops).

@@ -46,8 +46,9 @@ use parking_lot::Mutex;
 use tell_commitmgr::{CommitParticipant, CommitService, TxnStart};
 use tell_common::{Error, IsolationLevel, Result, TxnId};
 use tell_netsim::NetMeter;
+use tell_store::keys::prefix_end;
 use tell_store::{
-    BatchDriver, Key, OpHandle, OpResult, Predicate, StoreApi, StoreEndpoint, StoreOp, Token,
+    BatchDriver, OpHandle, OpResult, Predicate, ScanRow, StoreApi, StoreEndpoint, StoreOp,
 };
 
 use tell_obs::{Counter, Phase, Probe, Sample, Site, SpanStatus};
@@ -649,13 +650,8 @@ impl StoreApi for RemoteStoreClient {
         OpHandle::pending(Rc::clone(&self.window) as Rc<dyn BatchDriver>, ticket)
     }
 
-    fn scan_range(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        self.scan(start, end, limit, false)
+    fn scan_range(&self, start: &[u8], end: Option<&[u8]>, limit: usize) -> Result<Vec<ScanRow>> {
+        self.scan(start, end, limit, false, None)
     }
 
     fn scan_range_rev(
@@ -663,42 +659,21 @@ impl StoreApi for RemoteStoreClient {
         start: &[u8],
         end: Option<&[u8]>,
         limit: usize,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        self.scan(start, end, limit, true)
+    ) -> Result<Vec<ScanRow>> {
+        self.scan(start, end, limit, true, None)
     }
 
-    fn scan_prefix(&self, prefix: &[u8], limit: usize) -> Result<Vec<(Key, Token, Bytes)>> {
-        let request =
-            Request::ScanPrefix { prefix: Bytes::copy_from_slice(prefix), limit: limit as u64 };
-        match self.call(&request)? {
-            Response::Rows(rows) => Ok(rows),
-            other => Err(unexpected("scan_prefix", other)),
-        }
+    fn scan_prefix(&self, prefix: &[u8], limit: usize) -> Result<Vec<ScanRow>> {
+        self.scan(prefix, prefix_end(prefix).as_deref(), limit, false, None)
     }
 
-    /// The predicate is serializable, so it travels in the request and the
-    /// storage node evaluates it before framing the response: only matching
-    /// rows cross the network — the paper's §5.2 selection pushdown, now
-    /// real on the remote path too.
     fn scan_prefix_pushdown(
         &self,
         prefix: &[u8],
         limit: usize,
         filter: &Predicate,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        // Validate encodability up front (depth limit): `Request::encode`
-        // must be infallible by the time the frame is built.
-        let mut scratch = Vec::new();
-        filter.encode_into(&mut scratch)?;
-        let request = Request::ScanPrefixFiltered {
-            prefix: Bytes::copy_from_slice(prefix),
-            limit: limit as u64,
-            predicate: filter.clone(),
-        };
-        match self.call(&request)? {
-            Response::Rows(rows) => Ok(rows),
-            other => Err(unexpected("scan_prefix_pushdown", other)),
-        }
+    ) -> Result<Vec<ScanRow>> {
+        self.scan(prefix, prefix_end(prefix).as_deref(), limit, false, Some(filter))
     }
 
     fn meter(&self) -> &NetMeter {
@@ -707,18 +682,28 @@ impl StoreApi for RemoteStoreClient {
 }
 
 impl RemoteStoreClient {
+    /// The one range read every scan form sends as a `Request::Scan`. A
+    /// filter travels in the request, so the storage node tests it next to
+    /// the data and only admitted rows cross the network (§5.2).
     fn scan(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
         limit: usize,
         reverse: bool,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
+        filter: Option<&Predicate>,
+    ) -> Result<Vec<ScanRow>> {
+        if let Some(f) = filter {
+            // Validate encodability up front (depth limit): `Request::encode`
+            // must be infallible by the time the frame is built.
+            f.encode_into(&mut Vec::new())?;
+        }
         let request = Request::Scan {
             start: Bytes::copy_from_slice(start),
             end: end.map(Bytes::copy_from_slice),
             limit: limit as u64,
             reverse,
+            filter: filter.cloned(),
         };
         match self.call(&request)? {
             Response::Rows(rows) => Ok(rows),
@@ -901,7 +886,7 @@ mod tests {
     use crate::server::RpcServer;
     use tell_common::SimClock;
     use tell_netsim::{NetworkProfile, TrafficStats};
-    use tell_store::{Expect, StoreClient, StoreCluster, StoreConfig, WriteOp};
+    use tell_store::{Expect, Key, StoreClient, StoreCluster, StoreConfig, Token, WriteOp};
 
     fn key(s: &str) -> Key {
         Bytes::copy_from_slice(s.as_bytes())
@@ -1021,6 +1006,108 @@ mod tests {
             assert!(direct_us > 0.0, "{point:?} charges the virtual clock");
             assert!((direct_us - submitted_us).abs() < 1e-9, "{point:?}: same charge both ways");
         }
+    }
+
+    #[test]
+    fn local_and_remote_scans_return_the_same_rows() {
+        // Two nodes, 16 partitions: every range read gathers from several.
+        let store = StoreCluster::new(StoreConfig::new(2));
+        let local = StoreClient::unmetered(Arc::clone(&store));
+        for i in 0..40u8 {
+            let k = Bytes::from(format!("{}/{i:02}", ["a", "b"][usize::from(i % 2)]));
+            local.put(&k, Bytes::from(vec![i % 4, i])).unwrap();
+        }
+        let server = RpcServer::serve_store("127.0.0.1:0", Arc::clone(&store)).unwrap();
+        let addr = server.local_addr().to_string();
+        let remote = RemoteEndpoint::connect(addr.clone(), 1).unmetered_client();
+        let filters = [
+            Predicate::value_eq(0, vec![1]),
+            Predicate::Not(Box::new(Predicate::KeyPrefix(key("a/1")))),
+        ];
+        let mut rows_seen = 0;
+        for limit in [0, 1, 3, usize::MAX] {
+            for end in [Some(&b"b/31"[..]), None] {
+                let start = b"a/05";
+                let (l, r) =
+                    (local.scan_range(start, end, limit), remote.scan_range(start, end, limit));
+                assert_eq!(l, r, "scan_range to {end:?}, limit {limit}");
+                rows_seen += l.unwrap().len();
+                let (l, r) = (
+                    local.scan_range_rev(start, end, limit),
+                    remote.scan_range_rev(start, end, limit),
+                );
+                assert_eq!(l, r, "scan_range_rev to {end:?}, limit {limit}");
+                rows_seen += l.unwrap().len();
+            }
+            // The empty prefix has no end: an unbounded prefix scan.
+            for prefix in [&b"a/"[..], b""] {
+                let (l, r) = (local.scan_prefix(prefix, limit), remote.scan_prefix(prefix, limit));
+                assert_eq!(l, r, "scan_prefix {prefix:?}, limit {limit}");
+                rows_seen += l.unwrap().len();
+                for f in &filters {
+                    let l = local.scan_prefix_pushdown(prefix, limit, f);
+                    assert_eq!(l, remote.scan_prefix_pushdown(prefix, limit, f), "{f:?}, {limit}");
+                    rows_seen += l.unwrap().len();
+                }
+            }
+        }
+        assert!(rows_seen > 100, "the forms read rows: {rows_seen}");
+        // The wire's one range read also takes shapes no `StoreApi` form
+        // sends (a filtered reverse scan, a filtered bounded range): the
+        // server answers each exactly as the cluster does.
+        let conn = Connection::connect(&addr).unwrap();
+        for limit in [0, 1, 3, usize::MAX] {
+            for reverse in [false, true] {
+                for end in [Some(key("b/31")), None] {
+                    for filter in [None, Some(filters[0].clone()), Some(filters[1].clone())] {
+                        let want = store
+                            .srv_scan(b"a/05", end.as_deref(), limit, reverse, filter.as_ref())
+                            .unwrap()
+                            .0;
+                        let request = Request::Scan {
+                            start: key("a/05"),
+                            end: end.clone(),
+                            limit: limit as u64,
+                            reverse,
+                            filter,
+                        };
+                        let (response, _, _) = conn.call(&request).unwrap();
+                        assert_eq!(response, Response::Rows(want), "{request:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_delete_expecting_absence_is_invalid_alone_batched_and_remote() {
+        let invalid = |r: &Result<Option<Token>>| matches!(r, Err(Error::InvalidOperation(_)));
+        let (store, server, remote, t) = served();
+        let local = StoreClient::unmetered(Arc::clone(&store));
+        let conn = Connection::connect(&server.local_addr().to_string()).unwrap();
+        // A present and a missing key: neither shape may answer `Conflict`.
+        for k in [key("k"), key("missing")] {
+            let op = WriteOp::delete(k.clone(), Expect::Absent);
+            let alone = local.submit(StoreOp::Write { op: op.clone() }).wait();
+            assert!(invalid(&alone.and_then(OpResult::into_written)), "alone, {k:?}");
+            let batched = local.multi_write(vec![op.clone()]).unwrap();
+            assert!(invalid(&batched[0]), "in a multi_write, {k:?}: {batched:?}");
+            let remote_alone = remote.submit(StoreOp::Write { op: op.clone() }).wait();
+            assert!(invalid(&remote_alone.and_then(OpResult::into_written)), "remote, {k:?}");
+            let request = Request::Batch {
+                ops: vec![Request::Write { op: op.clone() }, Request::MultiWrite { ops: vec![op] }],
+            };
+            let (response, _, _) = conn.call(&request).unwrap();
+            let Response::Batch { results } = response else { panic!("{response:?}") };
+            assert!(
+                matches!(&results[0], Response::Error(Error::InvalidOperation(_))),
+                "{results:?}"
+            );
+            let Response::WriteResults(inner) = &results[1] else { panic!("{results:?}") };
+            assert!(invalid(&inner[0]), "in a remote batch, {k:?}: {inner:?}");
+        }
+        assert_eq!(local.get(&key("k")).unwrap(), Some((t, val("v0"))), "k untouched");
+        assert_eq!(local.get(&key("missing")).unwrap(), None, "nothing created");
     }
 
     #[test]

@@ -198,9 +198,7 @@ impl Router {
             | Request::Write { .. }
             | Request::MultiWrite { .. }
             | Request::Increment { .. }
-            | Request::Scan { .. }
-            | Request::ScanPrefix { .. }
-            | Request::ScanPrefixFiltered { .. } => match &self.store {
+            | Request::Scan { .. } => match &self.store {
                 Some(cluster) => {
                     with_store_client(cluster, |client| dispatch_store(client, request))
                 }
@@ -265,8 +263,7 @@ fn dispatch_store(client: &StoreClient, request: Request) -> Response {
     let result = match request {
         Request::Get { key } => client.get(&key).map(Response::Cell),
         Request::MultiGet { keys } => client.multi_get(&keys).map(Response::Cells),
-        // The client's submit path owns single-write semantics, refusal of
-        // a meaningless shape included; a local client completes at once.
+        // A local client's submit completes at once.
         Request::Write { op } => client
             .submit(StoreOp::Write { op })
             .wait()
@@ -274,25 +271,13 @@ fn dispatch_store(client: &StoreClient, request: Request) -> Response {
             .map(Response::Written),
         Request::MultiWrite { ops } => client.multi_write(ops).map(Response::WriteResults),
         Request::Increment { key, delta } => client.increment(&key, delta).map(Response::Counter),
-        Request::Scan { start, end, limit, reverse } => {
-            let limit = clamp_limit(limit);
-            let end = end.as_ref().map(|b| b.as_ref());
-            if reverse {
-                client.scan_range_rev(start.as_ref(), end, limit).map(Response::Rows)
-            } else {
-                client.scan_range(start.as_ref(), end, limit).map(Response::Rows)
-            }
-        }
-        Request::ScanPrefix { prefix, limit } => {
-            client.scan_prefix(prefix.as_ref(), clamp_limit(limit)).map(Response::Rows)
-        }
-        Request::ScanPrefixFiltered { prefix, limit, predicate } => {
-            // The §5.2 pushdown: evaluate the predicate here, next to the
-            // data, so only matching rows are framed into the response.
-            client
-                .scan_prefix_pushdown(prefix.as_ref(), clamp_limit(limit), &predicate)
-                .map(Response::Rows)
-        }
+        // The range read goes straight to the cluster, which tests the
+        // filter next to the data (§5.2), so only admitted rows are framed
+        // into the response. A server's meter is free: nothing to charge.
+        Request::Scan { start, end, limit, reverse, filter } => client
+            .cluster()
+            .srv_scan(&start, end.as_deref(), clamp_limit(limit), reverse, filter.as_ref())
+            .map(|(rows, _, _)| Response::Rows(rows)),
         _ => unreachable!("non-storage request routed to dispatch_store"),
     };
     result.unwrap_or_else(Response::Error)
@@ -347,8 +332,6 @@ fn count_request(request: &Request) {
         Request::MultiWrite { .. } => Counter::ReqMultiWrite,
         Request::Increment { .. } => Counter::ReqIncrement,
         Request::Scan { .. } => Counter::ReqScan,
-        Request::ScanPrefix { .. } => Counter::ReqScanPrefix,
-        Request::ScanPrefixFiltered { .. } => Counter::ReqScanPrefixFiltered,
         Request::Ping => Counter::ReqPing,
         Request::Batch { ops } => {
             reg.add(Counter::ReqBatchInnerOps, ops.len() as u64);

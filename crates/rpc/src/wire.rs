@@ -50,7 +50,7 @@ pub struct TraceContext {
     pub parent_span: u64,
 }
 
-/// Operations a client may ask of a server. Storage requests (tags 1–10)
+/// Operations a client may ask of a server. Storage requests (tags 1–9)
 /// mirror `tell_store::StoreApi`; commit requests (tags 16–20) mirror
 /// `tell_commitmgr::{CommitService, CommitParticipant}`.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,10 +66,12 @@ pub enum Request {
     MultiWrite { ops: Vec<WriteOp> },
     /// Atomic fetch-and-add.
     Increment { key: Key, delta: u64 },
-    /// Ordered scan of `[start, end)`; `reverse` walks largest-key-first.
-    Scan { start: Key, end: Option<Key>, limit: u64, reverse: bool },
-    /// Scan every key beginning with `prefix`.
-    ScanPrefix { prefix: Key, limit: u64 },
+    /// The one range read: ordered scan of `[start, end)`; `reverse` walks
+    /// largest-key-first. A `filter` is evaluated **on the storage node**
+    /// (§5.2 selection pushdown): only rows it admits are framed into the
+    /// response, and `limit` counts those. Every `StoreApi` scan form is
+    /// this request; a prefix scan sends `[prefix, prefix_end(prefix))`.
+    Scan { start: Key, end: Option<Key>, limit: u64, reverse: bool, filter: Option<Predicate> },
     /// Liveness / round-trip probe.
     Ping,
     /// Several independent point operations in **one** frame (§5.1
@@ -78,10 +80,6 @@ pub enum Request {
     /// response per op. Nesting a `Batch` inside a `Batch` is a protocol
     /// error. The batch is a framing optimisation, not an atomic unit.
     Batch { ops: Vec<Request> },
-    /// Prefix scan with a serializable [`Predicate`] evaluated **on the
-    /// storage node** (§5.2 selection pushdown): only matching rows are
-    /// framed into the response.
-    ScanPrefixFiltered { prefix: Key, limit: u64, predicate: Predicate },
     /// Begin a transaction at isolation `level` on the manager `hint` pins
     /// the caller to.
     CmStart { hint: u64, level: IsolationLevel },
@@ -139,7 +137,7 @@ pub enum Response {
     WriteResults(Vec<Result<Option<Token>>>),
     /// Answer to `Increment`.
     Counter(u64),
-    /// Answer to `Scan` / `ScanPrefix`.
+    /// Answer to `Scan`: the admitted rows in scan order, at most `limit`.
     Rows(Vec<(Key, Token, Bytes)>),
     /// Answer to `Ping`.
     Pong,
@@ -352,17 +350,20 @@ impl Request {
                 put_key(&mut out, key);
                 out.put_u64(*delta);
             }
-            Request::Scan { start, end, limit, reverse } => {
+            Request::Scan { start, end, limit, reverse, filter } => {
                 out.put_u8(6);
                 put_key(&mut out, start);
                 put_opt_key(&mut out, end);
                 out.put_u64(*limit);
                 out.put_u8(u8::from(*reverse));
-            }
-            Request::ScanPrefix { prefix, limit } => {
-                out.put_u8(7);
-                put_key(&mut out, prefix);
-                out.put_u64(*limit);
+                match filter {
+                    Some(f) => {
+                        out.put_u8(1);
+                        f.encode_into(&mut out)
+                            .expect("predicate depth is validated before sending");
+                    }
+                    None => out.put_u8(0),
+                }
             }
             Request::Ping => out.put_u8(8),
             Request::Batch { ops } => {
@@ -375,14 +376,6 @@ impl Request {
                     );
                     out.put_bytes(&op.encode());
                 }
-            }
-            Request::ScanPrefixFiltered { prefix, limit, predicate } => {
-                out.put_u8(10);
-                put_key(&mut out, prefix);
-                out.put_u64(*limit);
-                predicate
-                    .encode_into(&mut out)
-                    .expect("predicate depth is validated at construction");
             }
             Request::CmStart { hint, level } => {
                 out.put_u8(16);
@@ -448,8 +441,12 @@ impl Request {
                 end: read_opt_key(&mut r)?,
                 limit: r.u64()?,
                 reverse: read_bool(&mut r)?,
+                filter: match r.u8()? {
+                    0 => None,
+                    1 => Some(Predicate::decode_from(&mut r)?),
+                    t => return Err(Error::corrupt(format!("bad filter tag {t}"))),
+                },
             },
-            7 => Request::ScanPrefix { prefix: read_key(&mut r)?, limit: r.u64()? },
             8 => Request::Ping,
             9 => {
                 let n = r.u32()? as usize;
@@ -465,11 +462,6 @@ impl Request {
                 }
                 Request::Batch { ops }
             }
-            10 => Request::ScanPrefixFiltered {
-                prefix: read_key(&mut r)?,
-                limit: r.u64()?,
-                predicate: Predicate::decode_from(&mut r)?,
-            },
             16 => Request::CmStart { hint: r.u64()?, level: read_level(&mut r)? },
             17 => Request::CmComplete { tid: TxnId(r.u64()?), committed: read_bool(&mut r)? },
             18 => Request::CmLav,
@@ -845,16 +837,23 @@ mod tests {
                 ],
             },
             Request::Increment { key: key.clone(), delta: 42 },
-            Request::Scan { start: key.clone(), end: None, limit: 10, reverse: true },
-            Request::Scan { start: Bytes::new(), end: Some(key.clone()), limit: 1, reverse: false },
-            Request::ScanPrefix { prefix: key.clone(), limit: u64::MAX },
-            Request::ScanPrefixFiltered {
-                prefix: key.clone(),
+            Request::Scan { start: key.clone(), end: None, limit: 10, reverse: true, filter: None },
+            Request::Scan {
+                start: Bytes::new(),
+                end: Some(key.clone()),
+                limit: u64::MAX,
+                reverse: false,
+                filter: None,
+            },
+            Request::Scan {
+                start: key.clone(),
+                end: Some(Bytes::copy_from_slice(b"l")),
                 limit: 64,
-                predicate: Predicate::All(vec![
+                reverse: true,
+                filter: Some(Predicate::All(vec![
                     Predicate::value_eq(4, vec![1, 2]),
                     Predicate::KeyPrefix(key.clone()),
-                ]),
+                ])),
             },
             Request::Batch {
                 ops: vec![
@@ -1016,6 +1015,29 @@ mod tests {
     fn trailing_bytes_are_rejected() {
         let mut body = Request::Ping.encode();
         body.push(0);
+        assert!(matches!(Request::decode(&body), Err(Error::Corrupt(_))));
+    }
+
+    #[test]
+    fn retired_scan_tags_are_unknown() {
+        // Tags 7 and 10 carried the old prefix scan forms; no peer sends
+        // them, so they decode like any unknown tag. A filter flag other
+        // than 0/1 is corrupt too.
+        let mut old_prefix_scan = vec![7];
+        put_key(&mut old_prefix_scan, &Bytes::copy_from_slice(b"p"));
+        old_prefix_scan.put_u64(10);
+        for body in [old_prefix_scan, vec![10]] {
+            assert!(matches!(Request::decode(&body), Err(Error::Corrupt(_))), "{body:?}");
+        }
+        let scan = Request::Scan {
+            start: Bytes::new(),
+            end: None,
+            limit: 1,
+            reverse: false,
+            filter: None,
+        };
+        let mut body = scan.encode();
+        *body.last_mut().unwrap() = 2;
         assert!(matches!(Request::decode(&body), Err(Error::Corrupt(_))));
     }
 

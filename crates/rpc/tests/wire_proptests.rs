@@ -152,13 +152,20 @@ fn request_strategy() -> impl Strategy<Value = Request> {
         prop::collection::vec(write_op_strategy(), 0..6)
             .prop_map(|ops| Request::MultiWrite { ops }),
         (key_strategy(), any::<u64>()).prop_map(|(key, delta)| Request::Increment { key, delta }),
-        (key_strategy(), prop::option::of(key_strategy()), any::<u64>(), any::<bool>())
-            .prop_map(|(start, end, limit, reverse)| Request::Scan { start, end, limit, reverse }),
-        (key_strategy(), any::<u64>())
-            .prop_map(|(prefix, limit)| Request::ScanPrefix { prefix, limit }),
-        (key_strategy(), any::<u64>(), predicate_strategy()).prop_map(
-            |(prefix, limit, predicate)| Request::ScanPrefixFiltered { prefix, limit, predicate }
-        ),
+        (
+            key_strategy(),
+            prop::option::of(key_strategy()),
+            any::<u64>(),
+            any::<bool>(),
+            prop::option::of(predicate_strategy()),
+        )
+            .prop_map(|(start, end, limit, reverse, filter)| Request::Scan {
+                start,
+                end,
+                limit,
+                reverse,
+                filter
+            }),
         Just(Request::Ping),
         (any::<u64>(), 0..IsolationLevel::ALL.len())
             .prop_map(|(hint, i)| Request::CmStart { hint, level: IsolationLevel::ALL[i] }),

@@ -36,6 +36,12 @@ use crate::predicate::Predicate;
 /// once, here, as submit-then-wait — so a blocking call issued while
 /// submitted operations are outstanding rides the same frame as the window
 /// it joins. Scans are not submitted: their payload dwarfs framing.
+///
+/// The four scan methods are forms of one range read — `[start, end)`, a
+/// direction, a limit and an optional pushed-down [`Predicate`]. Both
+/// implementations map every form onto that one read: the storage cluster
+/// answers it in `StoreCluster::srv_scan`, and the wire carries it as one
+/// `Scan` request.
 pub trait StoreApi: Clone {
     /// Submit `op` for asynchronous execution. The returned handle may be
     /// waited on at any later point, or dropped to fire-and-forget.
@@ -110,10 +116,9 @@ pub trait StoreApi: Clone {
     /// Scan every key starting with `prefix`.
     fn scan_prefix(&self, prefix: &[u8], limit: usize) -> Result<Vec<(Key, Token, Bytes)>>;
 
-    /// Prefix scan with a [`Predicate`] pushed down to the storage node
-    /// (§5.2). The predicate is serializable, so the remote client ships it
-    /// in the request and only matching rows cross the network — local and
-    /// remote transports now account bandwidth identically.
+    /// Prefix scan with a [`Predicate`] pushed down to the storage nodes
+    /// (§5.2): they test every row of the prefix next to the data, and only
+    /// admitted rows cross the network. `limit` counts admitted rows.
     fn scan_prefix_pushdown(
         &self,
         prefix: &[u8],
@@ -129,47 +134,6 @@ pub trait StoreApi: Clone {
 /// is a protocol corruption, reported as such rather than a panic.
 fn new_token(done: OpResult, op: &str) -> Result<Token> {
     done.into_written()?.ok_or_else(|| Error::corrupt(format!("{op} returned no token")))
-}
-
-impl StoreApi for StoreClient {
-    fn submit(&self, op: StoreOp) -> OpHandle {
-        StoreClient::submit(self, op)
-    }
-
-    fn scan_range(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        StoreClient::scan_range(self, start, end, limit)
-    }
-
-    fn scan_range_rev(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        StoreClient::scan_range_rev(self, start, end, limit)
-    }
-
-    fn scan_prefix(&self, prefix: &[u8], limit: usize) -> Result<Vec<(Key, Token, Bytes)>> {
-        StoreClient::scan_prefix(self, prefix, limit)
-    }
-
-    fn scan_prefix_pushdown(
-        &self,
-        prefix: &[u8],
-        limit: usize,
-        filter: &Predicate,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        StoreClient::scan_prefix_pushdown(self, prefix, limit, filter)
-    }
-
-    fn meter(&self) -> &NetMeter {
-        StoreClient::meter(self)
-    }
 }
 
 /// A `Send + Sync` handle to a storage service from which per-worker

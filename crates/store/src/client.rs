@@ -11,12 +11,13 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use tell_common::{Error, Result};
+use tell_common::Result;
 use tell_netsim::NetMeter;
 use tell_obs::{Probe, Sample, Site, SpanStatus};
 
+use crate::api::StoreApi;
 use crate::cell::Token;
-use crate::cluster::StoreCluster;
+use crate::cluster::{ScanRow, StoreCluster};
 use crate::keys::{prefix_end, Key};
 use crate::op::{OpHandle, OpResult, StoreOp};
 use crate::predicate::Predicate;
@@ -92,20 +93,12 @@ impl StoreClient {
     /// complete. `StoreApi`'s blocking point methods are this plus `wait`,
     /// so their simulated-clock accounting is this method's. Overlap is a
     /// remote-transport phenomenon; in the simulation it is already priced
-    /// into the batched multi-op charges (§5.1). A storage server applies
-    /// every decoded single write through here too.
+    /// into the batched multi-op charges (§5.1).
     pub fn submit(&self, op: StoreOp) -> OpHandle {
         let result = match op {
             StoreOp::Get { key } => self.get(&key).map(OpResult::Cell),
             StoreOp::MultiGet { keys } => self.multi_get(&keys).map(OpResult::Cells),
-            StoreOp::Write { op } => match (&op.expect, &op.value) {
-                // The one refusal of this shape, for both transports: the
-                // wire server applies decoded writes through here.
-                (Expect::Absent, None) => {
-                    Err(Error::invalid("delete with Expect::Absent is meaningless"))
-                }
-                _ => self.write_one(op).map(OpResult::Written),
-            },
+            StoreOp::Write { op } => self.write_one(op).map(OpResult::Written),
             StoreOp::MultiWrite { ops } => self.multi_write(ops).map(OpResult::WriteResults),
             StoreOp::Increment { key, delta } => self.increment(&key, delta).map(OpResult::Counter),
         };
@@ -114,7 +107,7 @@ impl StoreClient {
 
     /// Load-link: read `key`, returning its token and value. The token is
     /// the link for a later
-    /// [`StoreApi::store_conditional`](crate::api::StoreApi::store_conditional).
+    /// [`StoreApi::store_conditional`].
     pub fn get(&self, key: &Key) -> Result<Option<(Token, Bytes)>> {
         let _probe = Probe::enter(Site::StoreRead);
         self.meter.stats().note_reads(1);
@@ -213,74 +206,68 @@ impl StoreClient {
         self.cluster.srv_increment(key, delta)
     }
 
-    /// Ordered scan of `[start, end)`, at most `limit` entries.
-    pub fn scan_range(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        self.scan(start, end, limit, false)
-    }
-
-    /// Reverse-ordered scan (largest key first) of `[start, end)`. Used by
-    /// recovery to iterate the transaction log backwards (§4.4.1).
-    pub fn scan_range_rev(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        self.scan(start, end, limit, true)
-    }
-
     /// Scan every key starting with `prefix`.
-    pub fn scan_prefix(&self, prefix: &[u8], limit: usize) -> Result<Vec<(Key, Token, Bytes)>> {
-        let end = prefix_end(prefix);
-        self.scan(prefix, end.as_deref(), limit, false)
+    pub fn scan_prefix(&self, prefix: &[u8], limit: usize) -> Result<Vec<ScanRow>> {
+        self.scan(prefix, prefix_end(prefix).as_deref(), limit, false, None)
     }
 
-    /// Scan with a **pushed-down filter** (§5.2 of the paper: "executing
-    /// simple operations such as selection or projection in the SN would
-    /// enable to reduce the size of the result set and lower the amount of
-    /// data sent over the network"). The storage nodes evaluate `filter`
-    /// server-side: every scanned row costs server CPU, but only matching
-    /// rows cross the network. The filter is a serializable [`Predicate`],
-    /// so the remote transport ships the very same expression in its frame.
-    pub fn scan_prefix_pushdown(
-        &self,
-        prefix: &[u8],
-        limit: usize,
-        filter: &Predicate,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        let end = prefix_end(prefix);
-        let (rows, masters) = self.cluster.srv_scan(prefix, end.as_deref(), usize::MAX, false)?;
-        let scanned = rows.len();
-        let mut out: Vec<(Key, Token, Bytes)> =
-            rows.into_iter().filter(|(k, _, v)| filter.matches(k, v)).collect();
-        out.truncate(limit);
-        let in_bytes: usize =
-            out.iter().map(|(k, _, v)| k.len() + v.len() + 16).sum::<usize>() + ACK_BYTES;
-        self.meter.charge_request((prefix.len() + OP_OVERHEAD) * masters.max(1), in_bytes, 1);
-        self.meter.charge_cpu(scanned as f64 * SCAN_ROW_CPU_US);
-        Ok(out)
-    }
-
+    /// The one range read every scan form is: the cluster filters and
+    /// merges, and the client charges the exchange. The fan-out requests
+    /// run in parallel, so one round trip carries the start key to every
+    /// master contacted and the admitted rows back; the masters' CPU is
+    /// charged per row examined, admitted or not — §5.2's pushdown trades
+    /// storage-node CPU for bandwidth.
     fn scan(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
         limit: usize,
         reverse: bool,
-    ) -> Result<Vec<(Key, Token, Bytes)>> {
-        let (rows, masters) = self.cluster.srv_scan(start, end, limit, reverse)?;
+        filter: Option<&Predicate>,
+    ) -> Result<Vec<ScanRow>> {
+        let (rows, masters, examined) =
+            self.cluster.srv_scan(start, end, limit, reverse, filter)?;
         let in_bytes: usize =
             rows.iter().map(|(k, _, v)| k.len() + v.len() + 16).sum::<usize>() + ACK_BYTES;
-        // Scatter-gather: the fan-out requests run in parallel; charge one
-        // round trip plus the whole payload crossing our link.
         self.meter.charge_request((start.len() + OP_OVERHEAD) * masters.max(1), in_bytes, 1);
-        self.meter.charge_cpu(rows.len() as f64 * SCAN_ROW_CPU_US);
+        self.meter.charge_cpu(examined as f64 * SCAN_ROW_CPU_US);
         Ok(rows)
+    }
+}
+
+impl StoreApi for StoreClient {
+    fn submit(&self, op: StoreOp) -> OpHandle {
+        StoreClient::submit(self, op)
+    }
+
+    fn scan_range(&self, start: &[u8], end: Option<&[u8]>, limit: usize) -> Result<Vec<ScanRow>> {
+        self.scan(start, end, limit, false, None)
+    }
+
+    fn scan_range_rev(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+        limit: usize,
+    ) -> Result<Vec<ScanRow>> {
+        self.scan(start, end, limit, true, None)
+    }
+
+    fn scan_prefix(&self, prefix: &[u8], limit: usize) -> Result<Vec<ScanRow>> {
+        StoreClient::scan_prefix(self, prefix, limit)
+    }
+
+    fn scan_prefix_pushdown(
+        &self,
+        prefix: &[u8],
+        limit: usize,
+        filter: &Predicate,
+    ) -> Result<Vec<ScanRow>> {
+        self.scan(prefix, prefix_end(prefix).as_deref(), limit, false, Some(filter))
+    }
+
+    fn meter(&self) -> &NetMeter {
+        &self.meter
     }
 }
 

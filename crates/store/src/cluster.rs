@@ -7,6 +7,7 @@
 //! metering.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -20,6 +21,7 @@ use crate::client::WriteOp;
 use crate::durability::{DurabilityProvider, NodeDurability};
 use crate::keys::Key;
 use crate::node::{CopyStore, StorageNode};
+use crate::predicate::Predicate;
 
 /// One row returned by a scan: key, its LL/SC token, and the value.
 pub type ScanRow = (Key, Token, Bytes);
@@ -34,15 +36,6 @@ pub enum Expect {
     /// No precondition (unconditional upsert; used for loading and for
     /// single-writer state like commit-manager snapshots).
     Any,
-}
-
-/// The mutation of a write operation.
-#[derive(Clone, Debug)]
-pub enum Mutation {
-    /// Store these bytes.
-    Put(Bytes),
-    /// Remove the key.
-    Delete,
 }
 
 /// What one op of a batched mutation does to its key, decided from the
@@ -367,31 +360,15 @@ impl StoreCluster {
         Ok(map.get(key).map(|c| (c.token, c.value.clone())))
     }
 
-    /// Apply one conditional write: the one-op case of
-    /// [`StoreCluster::srv_multi_write`]. Returns the new token for puts,
-    /// `None` for deletes, and the number of replicas written, so the
-    /// caller can charge replication cost.
-    pub fn srv_write(
-        &self,
-        key: &Key,
-        expect: Expect,
-        mutation: Mutation,
-    ) -> Result<(Option<Token>, usize)> {
-        let value = match mutation {
-            Mutation::Put(v) => Some(v),
-            Mutation::Delete => None,
-        };
-        self.srv_multi_write(vec![WriteOp { key: key.clone(), expect, value }])
-            .pop()
-            .expect("one result per op")
-    }
-
     /// Apply a batch of conditional writes with independent per-op results
     /// (the batch is a network optimisation, not an atomic unit — commit
     /// atomicity lives in the transaction layer above, §4.3). Each `Ok`
     /// carries the new token (`None` for deletes) and the number of
     /// replicas written. Ops see each other in op order, exactly as one
-    /// write at a time would. Each node's engine gets all of the batch's
+    /// write at a time would. This is the one write rule: a single write is
+    /// a one-op batch, so a delete with `Expect::Absent` answers
+    /// `Error::InvalidOperation` and a failed precondition
+    /// `Error::Conflict` whether the op comes alone or batched. Each node's engine gets all of the batch's
     /// records on that node in one [`NodeDurability::record_all`], and
     /// the written partitions stay write-locked until then, so no reader
     /// sees a write before it is durable.
@@ -401,6 +378,9 @@ impl StoreCluster {
         self.mutate(&keys, |i, existing| {
             let (expect, value) = &mut writes[i];
             match (*expect, existing) {
+                (Expect::Absent, _) if value.is_none() => {
+                    return Err(Error::invalid("delete with Expect::Absent is meaningless"))
+                }
                 (Expect::Absent, Some(_)) | (Expect::Token(_), None) => {
                     return Err(Error::Conflict)
                 }
@@ -689,19 +669,29 @@ impl StoreCluster {
         Ok(Resolved { master, replicas, copy, hosts, peers })
     }
 
-    /// Ordered scan of `[start, end)` across all partitions (scatter-gather
-    /// from every master, merged). Returns at most `limit` entries in
-    /// ascending key order, plus the number of distinct master nodes
-    /// contacted (for cost accounting).
+    /// The one range read: an ordered scan of `[start, end)` across all
+    /// partitions (scatter-gather from every master, merged). Each master
+    /// tests its rows against `filter` before the merge — §5.2's selection
+    /// pushdown — so `limit` counts admitted rows only. Returns at most
+    /// `limit` rows in ascending key order (descending when `reverse`),
+    /// plus, for cost accounting, the number of distinct master nodes
+    /// contacted and the number of rows examined (every row in the range).
+    /// An empty range (`end` before `start`) reads nothing.
     pub fn srv_scan(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
         limit: usize,
         reverse: bool,
-    ) -> Result<(Vec<ScanRow>, usize)> {
-        let mut out: Vec<(Key, Token, Bytes)> = Vec::new();
+        filter: Option<&Predicate>,
+    ) -> Result<(Vec<ScanRow>, usize, usize)> {
+        if end.is_some_and(|e| e < start) {
+            return Ok((Vec::new(), 0, 0));
+        }
+        let range = (Bound::Included(start), end.map_or(Bound::Unbounded, Bound::Excluded));
+        let mut out: Vec<ScanRow> = Vec::new();
         let mut masters = std::collections::HashSet::new();
+        let mut examined = 0;
         for pid in 0..self.partitions.len() {
             let (master, _) = self.master_of(pid)?;
             masters.insert(master);
@@ -709,18 +699,11 @@ impl StoreCluster {
                 .copy_of(master)
                 .ok_or_else(|| Error::Unavailable("master copy missing".into()))?;
             let map = copy.map.read();
-            let range: Box<dyn Iterator<Item = (&Bytes, &Cell)>> = match end {
-                Some(e) => Box::new(map.range::<[u8], _>((
-                    std::ops::Bound::Included(start),
-                    std::ops::Bound::Excluded(e),
-                ))),
-                None => Box::new(map.range::<[u8], _>((
-                    std::ops::Bound::Included(start),
-                    std::ops::Bound::Unbounded,
-                ))),
-            };
-            for (k, c) in range {
-                out.push((k.clone(), c.token, c.value.clone()));
+            for (k, c) in map.range::<[u8], _>(range) {
+                examined += 1;
+                if filter.is_none_or(|f| f.matches(k, &c.value)) {
+                    out.push((k.clone(), c.token, c.value.clone()));
+                }
             }
         }
         if reverse {
@@ -729,7 +712,7 @@ impl StoreCluster {
             out.sort_by(|a, b| a.0.cmp(&b.0));
         }
         out.truncate(limit);
-        Ok((out, masters.len()))
+        Ok((out, masters.len(), examined))
     }
 
     // ---------------------------------------------------------------
@@ -903,10 +886,15 @@ mod tests {
         Bytes::copy_from_slice(s.as_bytes())
     }
 
+    /// One conditional write: a one-op `srv_multi_write`.
+    fn write(c: &StoreCluster, op: WriteOp) -> Result<(Option<Token>, usize)> {
+        c.srv_multi_write(vec![op]).pop().expect("one result per op")
+    }
+
     #[test]
     fn write_then_read() {
         let c = cluster(3, 1);
-        let (t, _) = c.srv_write(&k("a"), Expect::Absent, Mutation::Put(v("1"))).unwrap();
+        let (t, _) = write(&c, WriteOp::put(k("a"), Expect::Absent, v("1"))).unwrap();
         let (token, val) = c.srv_read(b"a").unwrap().unwrap();
         assert_eq!(Some(token), t);
         assert_eq!(val, v("1"));
@@ -916,20 +904,20 @@ mod tests {
     #[test]
     fn insert_twice_conflicts() {
         let c = cluster(1, 1);
-        c.srv_write(&k("a"), Expect::Absent, Mutation::Put(v("1"))).unwrap();
-        let err = c.srv_write(&k("a"), Expect::Absent, Mutation::Put(v("2"))).unwrap_err();
+        write(&c, WriteOp::put(k("a"), Expect::Absent, v("1"))).unwrap();
+        let err = write(&c, WriteOp::put(k("a"), Expect::Absent, v("2"))).unwrap_err();
         assert_eq!(err, Error::Conflict);
     }
 
     #[test]
     fn store_conditional_detects_intervening_write() {
         let c = cluster(1, 1);
-        c.srv_write(&k("a"), Expect::Absent, Mutation::Put(v("1"))).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Absent, v("1"))).unwrap();
         let (t1, _) = c.srv_read(b"a").unwrap().unwrap();
         // Another writer sneaks in.
-        c.srv_write(&k("a"), Expect::Token(t1), Mutation::Put(v("2"))).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Token(t1), v("2"))).unwrap();
         // First writer's SC must now fail.
-        let err = c.srv_write(&k("a"), Expect::Token(t1), Mutation::Put(v("3"))).unwrap_err();
+        let err = write(&c, WriteOp::put(k("a"), Expect::Token(t1), v("3"))).unwrap_err();
         assert_eq!(err, Error::Conflict);
     }
 
@@ -938,34 +926,34 @@ mod tests {
         // Delete + re-insert of the *same value* must still fail an SC that
         // load-linked before the delete (§4.1: LL/SC is stronger than CAS).
         let c = cluster(1, 1);
-        c.srv_write(&k("a"), Expect::Absent, Mutation::Put(v("same"))).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Absent, v("same"))).unwrap();
         let (t1, val1) = c.srv_read(b"a").unwrap().unwrap();
-        c.srv_write(&k("a"), Expect::Token(t1), Mutation::Delete).unwrap();
-        c.srv_write(&k("a"), Expect::Absent, Mutation::Put(v("same"))).unwrap();
+        write(&c, WriteOp::delete(k("a"), Expect::Token(t1))).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Absent, v("same"))).unwrap();
         let (t2, val2) = c.srv_read(b"a").unwrap().unwrap();
         assert_eq!(val1, val2, "value is byte-identical (the ABA scenario)");
         assert_ne!(t1, t2, "but the token moved");
-        let err = c.srv_write(&k("a"), Expect::Token(t1), Mutation::Put(v("x"))).unwrap_err();
+        let err = write(&c, WriteOp::put(k("a"), Expect::Token(t1), v("x"))).unwrap_err();
         assert_eq!(err, Error::Conflict);
     }
 
     #[test]
     fn conditional_delete() {
         let c = cluster(1, 1);
-        c.srv_write(&k("a"), Expect::Absent, Mutation::Put(v("1"))).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Absent, v("1"))).unwrap();
         let (t, _) = c.srv_read(b"a").unwrap().unwrap();
         assert_eq!(
-            c.srv_write(&k("a"), Expect::Token(t + 99), Mutation::Delete).unwrap_err(),
+            write(&c, WriteOp::delete(k("a"), Expect::Token(t + 99))).unwrap_err(),
             Error::Conflict
         );
-        c.srv_write(&k("a"), Expect::Token(t), Mutation::Delete).unwrap();
+        write(&c, WriteOp::delete(k("a"), Expect::Token(t))).unwrap();
         assert_eq!(c.srv_read(b"a").unwrap(), None);
         // Unconditional delete of a missing key is a no-op.
-        let (none, _) = c.srv_write(&k("a"), Expect::Any, Mutation::Delete).unwrap();
+        let (none, _) = write(&c, WriteOp::delete(k("a"), Expect::Any)).unwrap();
         assert_eq!(none, None);
         // Conditional delete of a missing key conflicts.
         assert_eq!(
-            c.srv_write(&k("a"), Expect::Token(t), Mutation::Delete).unwrap_err(),
+            write(&c, WriteOp::delete(k("a"), Expect::Token(t))).unwrap_err(),
             Error::Conflict
         );
     }
@@ -985,14 +973,16 @@ mod tests {
         let c = cluster(4, 1);
         for i in 0..50u32 {
             let key = Bytes::from(format!("scan/{i:04}"));
-            c.srv_write(&key, Expect::Absent, Mutation::Put(v("x"))).unwrap();
+            write(&c, WriteOp::put(key.clone(), Expect::Absent, v("x"))).unwrap();
         }
-        let (rows, masters) = c.srv_scan(b"scan/", Some(b"scan0"), 1000, false).unwrap();
+        let (rows, masters, examined) =
+            c.srv_scan(b"scan/", Some(b"scan0"), 1000, false, None).unwrap();
         assert_eq!(rows.len(), 50);
         assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(masters >= 1);
+        assert_eq!(examined, 50);
         // Reverse scan with limit.
-        let (rev, _) = c.srv_scan(b"scan/", Some(b"scan0"), 10, true).unwrap();
+        let (rev, _, _) = c.srv_scan(b"scan/", Some(b"scan0"), 10, true, None).unwrap();
         assert_eq!(rev.len(), 10);
         assert!(rev.windows(2).all(|w| w[0].0 > w[1].0));
         assert_eq!(rev[0].0, Bytes::from("scan/0049"));
@@ -1003,7 +993,7 @@ mod tests {
         let c = cluster(3, 2);
         for i in 0..100u32 {
             let key = Bytes::from(format!("k{i}"));
-            c.srv_write(&key, Expect::Absent, Mutation::Put(v("d"))).unwrap();
+            write(&c, WriteOp::put(key.clone(), Expect::Absent, v("d"))).unwrap();
         }
         c.kill_node(SnId(0));
         // Every key must still be readable (RF2 tolerates one failure).
@@ -1013,7 +1003,7 @@ mod tests {
         }
         // And writable: tokens keep increasing after failover.
         let (t, _) = c.srv_read(b"k1").unwrap().unwrap();
-        c.srv_write(&k("k1"), Expect::Token(t), Mutation::Put(v("new"))).unwrap();
+        write(&c, WriteOp::put(k("k1"), Expect::Token(t), v("new"))).unwrap();
     }
 
     #[test]
@@ -1021,7 +1011,7 @@ mod tests {
         let c = cluster(2, 1);
         for i in 0..64u32 {
             let key = Bytes::from(format!("k{i}"));
-            c.srv_write(&key, Expect::Absent, Mutation::Put(v("d"))).unwrap();
+            write(&c, WriteOp::put(key.clone(), Expect::Absent, v("d"))).unwrap();
         }
         c.kill_node(SnId(0));
         let mut unavailable = 0;
@@ -1036,11 +1026,11 @@ mod tests {
     #[test]
     fn revive_resyncs_stale_copies() {
         let c = cluster(2, 2);
-        c.srv_write(&k("a"), Expect::Absent, Mutation::Put(v("1"))).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Absent, v("1"))).unwrap();
         c.kill_node(SnId(0));
         // Update while node 0 is down: its copy goes stale.
         let (t, _) = c.srv_read(b"a").unwrap().unwrap();
-        c.srv_write(&k("a"), Expect::Token(t), Mutation::Put(v("2"))).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Token(t), v("2"))).unwrap();
         c.revive_node(SnId(0));
         c.kill_node(SnId(1));
         // Node 0 is master again and must serve the *new* value.
@@ -1053,7 +1043,7 @@ mod tests {
         let c = cluster(3, 2);
         for i in 0..30u32 {
             let key = Bytes::from(format!("k{i}"));
-            c.srv_write(&key, Expect::Absent, Mutation::Put(v("d"))).unwrap();
+            write(&c, WriteOp::put(key.clone(), Expect::Absent, v("d"))).unwrap();
         }
         c.kill_node(SnId(0));
         let created = c.restore_replication();
@@ -1070,21 +1060,21 @@ mod tests {
     fn capacity_is_enforced() {
         let c = StoreCluster::new(StoreConfig::new(1).capacity(4096));
         let big = Bytes::from(vec![0u8; 2000]);
-        c.srv_write(&k("a"), Expect::Absent, Mutation::Put(big.clone())).unwrap();
-        let err = c.srv_write(&k("b"), Expect::Absent, Mutation::Put(Bytes::from(vec![0u8; 3000])));
+        write(&c, WriteOp::put(k("a"), Expect::Absent, big.clone())).unwrap();
+        let err = write(&c, WriteOp::put(k("b"), Expect::Absent, Bytes::from(vec![0u8; 3000])));
         assert!(matches!(err, Err(Error::CapacityExceeded { .. })));
         // Overwriting in place (same size) still fits.
         let (t, _) = c.srv_read(b"a").unwrap().unwrap();
-        c.srv_write(&k("a"), Expect::Token(t), Mutation::Put(big)).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Token(t), big)).unwrap();
         // Deleting frees space.
-        c.srv_write(&k("a"), Expect::Any, Mutation::Delete).unwrap();
-        c.srv_write(&k("b"), Expect::Absent, Mutation::Put(Bytes::from(vec![0u8; 3000]))).unwrap();
+        write(&c, WriteOp::delete(k("a"), Expect::Any)).unwrap();
+        write(&c, WriteOp::put(k("b"), Expect::Absent, Bytes::from(vec![0u8; 3000]))).unwrap();
     }
 
     #[test]
     fn replication_keeps_copies_identical() {
         let c = cluster(3, 3);
-        c.srv_write(&k("x"), Expect::Absent, Mutation::Put(v("1"))).unwrap();
+        write(&c, WriteOp::put(k("x"), Expect::Absent, v("1"))).unwrap();
         let (t0, v0) = c.srv_read(b"x").unwrap().unwrap();
         // Kill the master twice; every surviving replica must agree.
         c.kill_node(SnId(c.route(b"x").raw() % 3));
@@ -1098,10 +1088,10 @@ mod tests {
         // n1, revive n0 with no fresh peer: n0 is alive but stale and must
         // refuse to serve the partition rather than hand back old state.
         let c = cluster(2, 2);
-        c.srv_write(&k("a"), Expect::Absent, Mutation::Put(v("old"))).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Absent, v("old"))).unwrap();
         c.kill_node(SnId(0));
         let (t, _) = c.srv_read(b"a").unwrap().unwrap();
-        c.srv_write(&k("a"), Expect::Token(t), Mutation::Put(v("new"))).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Token(t), v("new"))).unwrap();
         c.kill_node(SnId(1));
         c.revive_node(SnId(0));
         let err = c.srv_read(b"a").unwrap_err();
@@ -1231,11 +1221,11 @@ mod tests {
     #[test]
     fn restart_from_log_rebuilds_a_fully_dead_partition() {
         let (c, _provider) = durable_cluster(1, 1);
-        c.srv_write(&k("keep"), Expect::Absent, Mutation::Put(v("v1"))).unwrap();
-        c.srv_write(&k("gone"), Expect::Absent, Mutation::Put(v("v2"))).unwrap();
+        write(&c, WriteOp::put(k("keep"), Expect::Absent, v("v1"))).unwrap();
+        write(&c, WriteOp::put(k("gone"), Expect::Absent, v("v2"))).unwrap();
         let (t, _) = c.srv_read(b"keep").unwrap().unwrap();
-        c.srv_write(&k("keep"), Expect::Token(t), Mutation::Put(v("v1-new"))).unwrap();
-        c.srv_write(&k("gone"), Expect::Any, Mutation::Delete).unwrap();
+        write(&c, WriteOp::put(k("keep"), Expect::Token(t), v("v1-new"))).unwrap();
+        write(&c, WriteOp::delete(k("gone"), Expect::Any)).unwrap();
         c.kill_node(SnId(0));
         assert!(c.srv_read(b"keep").is_err(), "RF1 with its only holder dead");
         c.restart_node_from_log(SnId(0)).unwrap();
@@ -1244,24 +1234,23 @@ mod tests {
         assert_eq!(c.srv_read(b"gone").unwrap(), None, "delete replayed, not resurrected");
         // Tokens restart strictly above every recovered one (no ABA): a
         // post-restart write to the same partition observes a larger token.
-        let (t_new, _) =
-            c.srv_write(&k("keep"), Expect::Token(t_rec), Mutation::Put(v("x"))).unwrap();
+        let (t_new, _) = write(&c, WriteOp::put(k("keep"), Expect::Token(t_rec), v("x"))).unwrap();
         assert!(t_new.unwrap() > t_rec);
     }
 
     #[test]
     fn master_engine_failure_keeps_write_invisible_and_partition_healthy() {
         let (c, provider) = durable_cluster(1, 1);
-        c.srv_write(&k("a"), Expect::Absent, Mutation::Put(v("v1"))).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Absent, v("v1"))).unwrap();
         provider.failing.lock().insert(0);
-        let err = c.srv_write(&k("a"), Expect::Any, Mutation::Put(v("v2"))).unwrap_err();
+        let err = write(&c, WriteOp::put(k("a"), Expect::Any, v("v2"))).unwrap_err();
         assert!(matches!(err, Error::Unavailable(_)), "got {err:?}");
         // The failed write never became visible: readers still see v1, and
         // the partition is not wedged by a leaked sequence number.
         let (_, val) = c.srv_read(b"a").unwrap().unwrap();
         assert_eq!(val, v("v1"));
         provider.failing.lock().remove(&0);
-        c.srv_write(&k("a"), Expect::Any, Mutation::Put(v("v3"))).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Any, v("v3"))).unwrap();
         let (_, val) = c.srv_read(b"a").unwrap().unwrap();
         assert_eq!(val, v("v3"));
     }
@@ -1272,9 +1261,9 @@ mod tests {
         let p = c.route(b"a").raw() as usize;
         // Placement is deterministic: hosts are p, p+1, p+2 (mod 3).
         let (m, r1) = ((p % 3) as u32, ((p + 1) % 3) as u32);
-        c.srv_write(&k("a"), Expect::Absent, Mutation::Put(v("v1"))).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Absent, v("v1"))).unwrap();
         provider.failing.lock().insert(r1);
-        c.srv_write(&k("a"), Expect::Any, Mutation::Put(v("v2"))).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Any, v("v2"))).unwrap();
         // The replica *after* the failing one still applied the write: with
         // the master and the failing replica dead, the last copy is fresh
         // and serves the acked value.
@@ -1293,7 +1282,7 @@ mod tests {
             );
             for i in 0..20u32 {
                 let key = Bytes::from(format!("k{i}"));
-                c.srv_write(&key, Expect::Absent, Mutation::Put(v("d"))).unwrap();
+                write(&c, WriteOp::put(key.clone(), Expect::Absent, v("d"))).unwrap();
             }
         }
         let c = StoreCluster::new(
@@ -1311,10 +1300,10 @@ mod tests {
         // log: recovered copies are stale and must re-sync from n1 before
         // serving.
         let (c, _provider) = durable_cluster(2, 2);
-        c.srv_write(&k("a"), Expect::Absent, Mutation::Put(v("one"))).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Absent, v("one"))).unwrap();
         c.kill_node(SnId(0));
         let (t, _) = c.srv_read(b"a").unwrap().unwrap();
-        c.srv_write(&k("a"), Expect::Token(t), Mutation::Put(v("two"))).unwrap();
+        write(&c, WriteOp::put(k("a"), Expect::Token(t), v("two"))).unwrap();
         c.restart_node_from_log(SnId(0)).unwrap();
         c.kill_node(SnId(1));
         let (_, val) = c.srv_read(b"a").unwrap().unwrap();
@@ -1328,7 +1317,7 @@ mod tests {
         let (c, _provider) = durable_cluster(2, 2);
         for i in 0..16u32 {
             let key = Bytes::from(format!("k{i}"));
-            c.srv_write(&key, Expect::Absent, Mutation::Put(v("d"))).unwrap();
+            write(&c, WriteOp::put(key.clone(), Expect::Absent, v("d"))).unwrap();
         }
         c.kill_node(SnId(0));
         c.kill_node(SnId(1));

@@ -14,9 +14,16 @@
 //! * synchronous replication with configurable replication factor and
 //!   transparent fail-over to replicas (§4.4.2),
 //! * per-node memory capacity accounting (drives Fig 7's "3 SNs cannot hold
-//!   the data" result), and
+//!   the data" result),
 //! * request **batching**: a multi-get / multi-write is one network
-//!   exchange (§5.1 "Tell aggressively batches operations").
+//!   exchange (§5.1 "Tell aggressively batches operations"),
+//! * one write rule: every put and delete, alone or batched, in process
+//!   or from the wire, is decided per op by
+//!   [`StoreCluster::srv_multi_write`], and
+//! * one range read, [`StoreCluster::srv_scan`], behind every scan form:
+//!   `[start, end)`, either direction, a limit, and an optional
+//!   serializable [`Predicate`] tested on the storage node before rows are
+//!   merged (§5.2 selection pushdown).
 //!
 //! All network costs are charged in virtual time through
 //! [`tell_netsim::NetMeter`]; the data structures themselves are real and
@@ -35,7 +42,7 @@ pub mod predicate;
 pub use api::{StoreApi, StoreEndpoint};
 pub use cell::{Cell, Token};
 pub use client::{Expect, StoreClient, WriteOp};
-pub use cluster::{StoreCluster, StoreConfig};
+pub use cluster::{ScanRow, StoreCluster, StoreConfig};
 pub use durability::{DurabilityProvider, NodeDurability, RecoveredNode, RecoveredPartition};
 pub use keys::Key;
 pub use op::{BatchDriver, OpHandle, OpResult, StoreOp};

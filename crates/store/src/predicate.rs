@@ -79,7 +79,7 @@ impl CmpOp {
 pub const MAX_PREDICATE_DEPTH: usize = 32;
 
 /// A serializable filter over `(key, value)` byte slices, shipped inside
-/// `ScanPrefixFiltered` frames and evaluated on the storage node.
+/// `Scan` frames and evaluated on the storage node.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Predicate {
     /// Matches every row (pushdown degenerates to a plain prefix scan).

@@ -15,10 +15,15 @@ use parking_lot::Mutex;
 use tell_common::{Error, Result, SnId};
 use tell_store::{
     Cell, DurabilityProvider, Expect, NodeDurability, RecoveredNode, RecoveredPartition,
-    StoreCluster, StoreConfig, WriteOp,
+    StoreCluster, StoreConfig, Token, WriteOp,
 };
 
 type Record = (u32, u64, Bytes, Option<Cell>);
+
+/// One conditional write: a one-op `srv_multi_write`.
+fn write(c: &StoreCluster, op: WriteOp) -> Result<(Option<Token>, usize)> {
+    c.srv_multi_write(vec![op]).pop().expect("one result per op")
+}
 
 /// Shared state of the test double: every node's log, and the faults.
 #[derive(Debug, Default)]
@@ -144,7 +149,7 @@ fn keys_on(c: &StoreCluster, nodes: usize, node: u32, n: usize, tag: &str) -> Ve
 fn a_reader_never_sees_a_batch_before_its_record_all_returned() {
     let provider = Arc::new(Provider::default());
     let c = open(&provider, 1, 1);
-    c.srv_write(&b("a"), Expect::Absent, tell_store::cluster::Mutation::Put(b("old"))).unwrap();
+    write(&c, WriteOp::put(b("a"), Expect::Absent, b("old"))).unwrap();
 
     *provider.0.hold.lock().unwrap() = true;
     let entered = provider.0.entered.load(Ordering::SeqCst);
@@ -284,11 +289,10 @@ fn overlapping_batches_in_opposite_orders_never_hang() {
             let counter = b("counter");
             for round in 0..ROUNDS {
                 let k = &keys[round % KEYS];
-                c.srv_write(k, Expect::Any, tell_store::cluster::Mutation::Put(b("single")))
-                    .unwrap();
+                write(&c, WriteOp::put(k.clone(), Expect::Any, b("single"))).unwrap();
                 assert_eq!(c.srv_increment(&counter, 1).unwrap(), round as u64 + 1);
                 assert!(c.srv_read(k).unwrap().is_some());
-                c.srv_scan(b"hot", Some(b"hou"), usize::MAX, false).unwrap();
+                c.srv_scan(b"hot", Some(b"hou"), usize::MAX, false, None).unwrap();
             }
             tx.send(()).unwrap();
         });

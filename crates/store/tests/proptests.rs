@@ -1,7 +1,8 @@
 //! Model-based property tests of the store: a sequence of operations on a
 //! replicated, partitioned cluster behaves exactly like a single HashMap
-//! with tokens — including across node failures under RF2 — and a batched
-//! multi-write behaves exactly like its ops applied one at a time.
+//! with tokens — including across node failures under RF2 — a batched
+//! multi-write behaves exactly like its ops applied one at a time, and a
+//! range read behaves like a sorted map's range, filtered.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -11,8 +12,8 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 use tell_common::{Error, Result, SnId};
 use tell_store::{
-    Cell, DurabilityProvider, Expect, NodeDurability, RecoveredNode, StoreApi, StoreClient,
-    StoreCluster, StoreConfig, Token, WriteOp,
+    Cell, CmpOp, DurabilityProvider, Expect, NodeDurability, Predicate, RecoveredNode, StoreApi,
+    StoreClient, StoreCluster, StoreConfig, Token, WriteOp,
 };
 
 #[derive(Clone, Debug)]
@@ -287,11 +288,67 @@ proptest! {
                 .collect();
             prop_assert_eq!(got, expected);
         }
-        let (rows, _) = cluster.srv_scan(b"", None, usize::MAX, false).unwrap();
+        let (rows, _, _) = cluster.srv_scan(b"", None, usize::MAX, false, None).unwrap();
         let rows: Vec<(Bytes, Token, Bytes)> = rows;
         let want: Vec<(Bytes, Token, Bytes)> =
             model.map.iter().map(|(k, (t, v))| (k.clone(), *t, v.clone())).collect();
         prop_assert_eq!(rows, want);
         prop_assert_eq!(by_partition(&provider.0.lock()), by_partition(&model.log));
+    }
+}
+
+/// A pushed-down filter over the scan test's one-byte values or its keys.
+fn filter_strategy() -> impl Strategy<Value = Predicate> {
+    prop_oneof![
+        any::<u8>().prop_map(|b| Predicate::value_compare(0, CmpOp::Lt, vec![b])),
+        prop::collection::vec(0u8..4, 0..2).prop_map(|p| Predicate::KeyPrefix(Bytes::from(p))),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `srv_scan` against a `BTreeMap` model, over keys spread across 32
+    /// partitions: the rows are the model's `[start, end)` range, filtered,
+    /// in the asked direction, cut to `limit` *admitted* rows; `examined`
+    /// counts every row of the range, admitted or not.
+    #[test]
+    fn srv_scan_matches_a_sorted_map(
+        rows in prop::collection::btree_map(
+            prop::collection::vec(0u8..4, 0..4), any::<u8>(), 0..40),
+        start in prop::collection::vec(0u8..4, 0..3),
+        end in prop::option::of(prop::collection::vec(0u8..4, 0..3)),
+        limit in prop_oneof![0usize..5, Just(usize::MAX)],
+        reverse in any::<bool>(),
+        filter in prop::option::of(filter_strategy()),
+    ) {
+        let cluster = StoreCluster::new(StoreConfig::new(4));
+        let mut model: BTreeMap<Bytes, (Token, Bytes)> = BTreeMap::new();
+        for (k, v) in rows {
+            let (k, v) = (Bytes::from(k), Bytes::from(vec![v]));
+            let put = WriteOp::put(k.clone(), Expect::Any, v.clone());
+            let (token, _) = cluster.srv_multi_write(vec![put]).pop().unwrap().unwrap();
+            model.insert(k, (token.unwrap(), v));
+        }
+        let in_range: Vec<(Bytes, Token, Bytes)> = model
+            .iter()
+            .filter(|(k, _)| {
+                k.as_ref() >= &start[..] && end.as_ref().is_none_or(|e| k.as_ref() < &e[..])
+            })
+            .map(|(k, (t, v))| (k.clone(), *t, v.clone()))
+            .collect();
+        let mut want: Vec<(Bytes, Token, Bytes)> = in_range
+            .iter()
+            .filter(|(k, _, v)| filter.as_ref().is_none_or(|f| f.matches(k, v)))
+            .cloned()
+            .collect();
+        if reverse {
+            want.reverse();
+        }
+        want.truncate(limit);
+        let (got, _, examined) =
+            cluster.srv_scan(&start, end.as_deref(), limit, reverse, filter.as_ref()).unwrap();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(examined, in_range.len());
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! cargo run --release --example tell_sim -- --seed 42 --faults all
-//! tell_sim: seed=42 faults=all isolation=si events=23 seconds=0.5 txns=6901 commits=6119 aborts=782 verdict=ok
+//! tell_sim: seed=42 faults=all isolation=si events=23 seconds=0.5 txns=6908 commits=6141 aborts=767 verdict=ok
 //! cargo run --release --example tell_sim -- --seed 42 --isolation serializable
 //! ```
 //!

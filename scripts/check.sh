@@ -60,12 +60,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> rpc e2e (reactor lifecycle, wire proptests, client/server suite)"
+echo "==> rpc e2e (reactor lifecycle, wire proptests, client/server suite, scan parity)"
 # Named explicitly even though the workspace run above includes them: the
 # reactor's failure-shape tests (shutdown under load, peers dying
 # mid-frame, backpressure) are the gate for any transport change, and an
 # explicit invocation keeps them from silently falling out of the suite.
+# The range read is pinned on both sides of the wire: every scan form
+# returns the same rows locally and remotely, and `srv_scan` matches a
+# sorted-map model.
 cargo test -q -p tell-rpc --test e2e --test reactor_e2e --test wire_proptests
+cargo test -q -p tell-rpc --lib local_and_remote_scans_return_the_same_rows
+cargo test -q -p tell-store --test proptests
 
 echo "==> bench JSON smoke (scripts/bench_report.sh --smoke)"
 scripts/bench_report.sh --smoke
