@@ -490,11 +490,14 @@ impl<E: StoreEndpoint> CommitManager<E> {
     }
 
     /// Mark the unused remainder of the local tid range completed, so the
-    /// global base is not blocked by tids that will never run. Called when a
-    /// commit manager shuts down cleanly.
+    /// global base is not blocked by tids that will never run. Only a unit
+    /// test calls it: no shutdown path does. It does nothing for
+    /// interleaved classes, and nothing else heals a dead interleaved
+    /// class's unissued tids either — the base stays pinned until
+    /// `CmCluster::spawn_recovered` adopts the stripe.
     pub fn release_unused_range(&self) {
         if self.config.interleaved {
-            return; // interleaved classes self-heal via the watermark
+            return;
         }
         let mut st = self.state.lock();
         let (from, to) = (st.tid_next, st.tid_limit);

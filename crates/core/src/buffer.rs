@@ -254,16 +254,7 @@ impl RecordBuffer {
         table: TableId,
         rid: Rid,
     ) -> Result<Option<(Token, VersionedRecord)>> {
-        // The store round-trip is the expensive half of a buffer miss.
-        // Check it against the slow-op budget (free while none is set) so a
-        // stalled record read is attributable to the fetch itself rather
-        // than to the surrounding phase.
-        let fetch_start = tell_obs::slowlog::budget_us().is_some().then(std::time::Instant::now);
-        let got = client.get(&keys::record(table, rid))?;
-        if let Some(t0) = fetch_start {
-            tell_obs::slowlog::check("buffer.fetch", t0.elapsed().as_secs_f64() * 1e6);
-        }
-        match got {
+        match client.get(&keys::record(table, rid))? {
             Some((token, raw)) => Ok(Some((token, VersionedRecord::decode(&raw)?))),
             None => Ok(None),
         }

@@ -159,9 +159,9 @@ impl<E: StoreEndpoint> ProcessingNode<E> {
         // pending, and unpins the trace.
         let (start, cm) =
             self.db.commit_service().start_pinned(self.id.raw() as usize, level, &self.meter)?;
-        let begin_us = begin.finish(self.clock().now_us(), 0, SpanStatus::Ok);
+        begin.finish(self.clock().now_us(), 0, SpanStatus::Ok);
         self.group.note_started(&start.snapshot);
-        Ok(Transaction::new(self, start, cm, level, root, begin_us))
+        Ok(Transaction::new(self, start, cm, level, root))
     }
 
     /// Run `body` inside a transaction, retrying on optimistic-concurrency

@@ -101,8 +101,6 @@ pub struct Transaction<'p, E: StoreEndpoint = Arc<StoreCluster>> {
     /// Root probe (`txn`), opened at begin and finished at completion; it
     /// owns the transaction's trace.
     root: Option<Probe>,
-    /// Per-phase duration accumulator for the closing slow-op line.
-    phase_us: Vec<(&'static str, f64)>,
     /// Transaction buffer (§5.5.1): every record read once is reused for
     /// the transaction's lifetime. `None` records known missing.
     reads: HashMap<(TableId, Rid), Option<(Token, VersionedRecord)>>,
@@ -120,7 +118,6 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
         cm: Arc<dyn CommitParticipant>,
         level: IsolationLevel,
         root: Probe,
-        begin_us: Option<f64>,
     ) -> Self {
         Transaction {
             pn,
@@ -128,7 +125,6 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
             snapshot: start.snapshot,
             sample: root.sample(),
             root: Some(root),
-            phase_us: begin_us.map(|us| (Site::TxnBegin.name(), us)).into_iter().collect(),
             lav: start.lav,
             cm,
             level,
@@ -186,17 +182,9 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
         Probe::sampled(site, self.sample, self.pn.clock().now_us())
     }
 
-    /// Finish a phase probe and fold its duration into the per-phase
-    /// breakdown the closing slow-op line reports.
-    fn probe_finish(&mut self, probe: Probe, count: u32, status: SpanStatus) {
-        let name = probe.site().name();
-        if let Some(us) = probe.finish(self.pn.clock().now_us(), count, status) {
-            if let Some(slot) = self.phase_us.iter_mut().find(|(n, _)| *n == name) {
-                slot.1 += us;
-            } else {
-                self.phase_us.push((name, us));
-            }
-        }
+    /// Finish a phase probe on this transaction's clock.
+    fn probe_finish(&self, probe: Probe, count: u32, status: SpanStatus) {
+        probe.finish(self.pn.clock().now_us(), count, status);
     }
 
     // -----------------------------------------------------------------
@@ -873,13 +861,13 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
     }
 
     /// Close the trace: the root probe records the whole-transaction
-    /// latency and span and runs the closing slow-op check (never sampled
-    /// away while a budget is armed), and the trace is kept for every
-    /// conflict abort, every slow transaction and the span sample.
+    /// latency and span (never sampled away while a slow-op budget is
+    /// armed), and the trace is kept for every conflict abort, every
+    /// transaction over the budget and the span sample.
     fn note_finished(&mut self, status: SpanStatus, conflict: bool) {
         if let Some(root) = self.root.take() {
             let now = self.pn.clock().now_us();
-            root.finish_trace(now, self.writes.len() as u32, status, conflict, &self.phase_us);
+            root.finish_trace(now, self.writes.len() as u32, status, conflict);
         }
     }
 }

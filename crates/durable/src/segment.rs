@@ -262,8 +262,14 @@ pub fn read_frames<R: BufRead>(
         if len > MAX_PAYLOAD {
             return Ok(FrameEnd::Torn { offset });
         }
-        payload.resize(len as usize, 0);
-        if !read_full(reader, &mut payload)? || crc32(&payload) != crc {
+        // Read only the bytes that are there: a corrupt length must not
+        // reserve `MAX_PAYLOAD` before the short read reveals it.
+        payload.clear();
+        let got = reader
+            .take(u64::from(len))
+            .read_to_end(&mut payload)
+            .map_err(|e| io_err("read segment", &e))?;
+        if got != len as usize || crc32(&payload) != crc {
             return Ok(FrameEnd::Torn { offset });
         }
         f(&payload)?;

@@ -111,13 +111,6 @@ impl NetMeter {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_sent.fetch_add(out as u64, Ordering::Relaxed);
         self.stats.bytes_received.fetch_add(inn as u64, Ordering::Relaxed);
-        // A simulated latency spike (wan profile, fault injection) surfaces
-        // here: the exchange cost blows past the slow-op budget and the
-        // line carries the transaction's trace id. Deliberately only the
-        // threshold check — no histogram — because this runs on every
-        // simulated exchange and a per-call record would dominate the
-        // instrumentation budget.
-        tell_obs::slowlog::check("net.exchange", cost);
         cost
     }
 

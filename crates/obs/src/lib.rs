@@ -1,8 +1,8 @@
 //! Observability for the `tell-rs` workspace: one probe per instrumented
-//! site feeding a sharded lock-free metrics registry, causal spans, a
-//! logical-stack profiler and threshold-based slow-op logging, plus
-//! wire-level trace propagation and snapshot exposition in Prometheus text
-//! and JSON.
+//! site feeding a sharded lock-free metrics registry, causal spans with
+//! tail-based retention of slow transactions, and a logical-stack
+//! profiler, plus wire-level trace propagation and snapshot exposition in
+//! Prometheus text and JSON.
 //!
 //! The paper evaluates Tell entirely through observables — per-layer
 //! latency (Table 4 mean ± σ, Table 5 TP99/TP999), abort rates, message
@@ -10,12 +10,11 @@
 //! be first-class. Design rules:
 //!
 //! * **One site, one probe.** Every instrumented place is a [`Site`]: one
-//!   code and one dotted name shared by spans, profiles and slow-op lines,
-//!   carrying its phase histogram. The site opens one [`Probe`], which
-//!   pushes the profiler frame and — by site policy and the transaction's
-//!   [`Sample`] (one per-thread tick per transaction) — opens the span,
-//!   feeds the histogram and runs the slow-op check from a single pair of
-//!   `max(virtual, wall)` clock reads.
+//!   code and one dotted name shared by spans and profiles, carrying its
+//!   phase histogram. The site opens one [`Probe`], which pushes the
+//!   profiler frame and — by site policy and the transaction's [`Sample`]
+//!   (one per-thread tick per transaction) — opens the span and feeds the
+//!   histogram from a single pair of `max(virtual, wall)` clock reads.
 //! * **Hot path pays almost nothing.** Metric ids are enum discriminants
 //!   indexing fixed arrays; counters are relaxed per-shard atomics;
 //!   histograms sit behind per-shard mutexes that threads pinned to
@@ -27,14 +26,15 @@
 //!   [`MetricsSnapshot::to_prometheus_text`] or [`MetricsSnapshot::to_json`].
 //! * **Traces ride a thread-local.** [`Probe::trace_root`] mints and pins an
 //!   id at transaction begin; `tell-rpc` stamps [`current_trace`] into
-//!   every outgoing frame, and [`slowlog::check`] attaches it to slow-op
-//!   lines.
+//!   every outgoing frame.
 //! * **Spans make traces causal.** A probe's span nests through a
 //!   thread-local register and across the wire (the client-call span id
 //!   rides the frame, [`TraceGuard::adopt`] installs it server-side), so a
 //!   scrape of every node's [`span::global_ring`] reassembles into
-//!   per-transaction waterfalls. Retention is tail-based: only slow,
-//!   conflict-aborted, or 1-in-N-sampled traces keep their spans.
+//!   per-transaction waterfalls. Retention is tail-based: only traces over
+//!   the slow-op budget ([`span::slow_budget_us`], `TELL_SLOW_OP_US`),
+//!   conflict-aborted, or 1-in-N-sampled keep their spans, so a retained
+//!   trace is the one record of a slow transaction.
 //! * **History lives in rings.** A [`Rollup`] snapshots the registry every
 //!   interval into a bounded [`TsRing`] of counter deltas, gauge samples,
 //!   and per-phase p50/p99/p999 digests; `Request::Telemetry` scrapes it
@@ -92,7 +92,6 @@ pub mod health;
 pub mod probe;
 pub mod prof;
 pub mod registry;
-pub mod slowlog;
 pub mod snapshot;
 pub mod span;
 pub mod timeseries;

@@ -3,27 +3,29 @@
 //! A [`Site`] names one place the workspace measures — a transaction
 //! phase, an RPC round trip, a server dispatch, a storage or durable-tier
 //! operation. It is the single vocabulary of span waterfalls (the span
-//! wire code), flamegraphs (the frame code and dotted name), phase
-//! histograms ([`Site::phase`]) and slow-op lines (the site name is the
-//! `op`).
+//! wire code), flamegraphs (the frame code and dotted name) and phase
+//! histograms ([`Site::phase`]).
 //!
 //! A [`Probe`] is the one guard every site opens. It always pushes the
 //! site's profiler frame (one relaxed store each way — the profiler's value
 //! is seeing the unsampled majority). By the site's policy and the
-//! transaction's [`Sample`] it also opens a span, feeds the site's phase
-//! histogram and runs the slow-op check, all from one pair of clock reads
-//! taking the larger of the virtual and the wall delta: the virtual clock
-//! is what a simulated network charge advances, the wall clock what a real
-//! TCP round trip advances. An unsampled probe reads no clock at all.
+//! transaction's [`Sample`] it also opens a span and feeds the site's phase
+//! histogram, both from one pair of clock reads taking the larger of the
+//! virtual and the wall delta: the virtual clock is what a simulated
+//! network charge advances, the wall clock what a real TCP round trip
+//! advances. An unsampled probe reads no clock at all. A trace root's
+//! close decides whether the transaction's spans are kept: when it ran
+//! over the slow-op budget ([`span::slow_budget_us`]), aborted on a
+//! conflict, or was tick-sampled.
 
 use std::cell::Cell;
 
 use tell_common::{Error, Result};
 
 use crate::prof::FrameGuard;
-use crate::registry::{self, Phase};
+use crate::registry::{self, Counter, Phase};
 use crate::span::{self, Span, SpanAttrs, SpanStatus, SpanTimer};
-use crate::{slowlog, trace};
+use crate::trace;
 
 id_enum! {
     /// An instrumented site. Discriminants (declaration order) are the span
@@ -83,8 +85,7 @@ impl Site {
             .ok_or_else(|| Error::corrupt(format!("unknown site name {name:?}")))
     }
 
-    /// The histogram a measured probe at this site feeds; sites with one
-    /// also run the slow-op check.
+    /// The histogram a measured probe at this site feeds.
     pub fn phase(self) -> Option<Phase> {
         match self {
             Site::Txn => Some(Phase::TxnTotal),
@@ -116,10 +117,11 @@ impl Site {
 /// statistically faithful while the common transaction reads no clock.
 pub const PHASE_SAMPLE_EVERY: u32 = 32;
 
-/// How often a transaction records its full span tree when no slow-op
-/// budget is armed: 1 in `SPAN_SAMPLE_EVERY` per thread. Arming
-/// `TELL_SLOW_OP_US` switches every transaction to full recording so
-/// over-budget traces retain complete phase detail.
+/// How often a fast transaction's span tree is kept: 1 in
+/// `SPAN_SAMPLE_EVERY` per thread. Only these record spans while no slow-op
+/// budget is armed; arming `TELL_SLOW_OP_US` makes every transaction record
+/// so an over-budget trace keeps complete phase detail, but the rest are
+/// still discarded at close.
 pub const SPAN_SAMPLE_EVERY: u32 = 64;
 
 thread_local! {
@@ -127,25 +129,26 @@ thread_local! {
 }
 
 /// Which of a probe's optional measurements an operation takes part in:
-/// `timed` feeds the phase histograms, `spans` records spans. A
-/// transaction draws one per begin ([`Probe::trace_root`]); work outside a
-/// transaction passes [`Sample::ALL`] and leaves the rest to site policy.
+/// `timed` feeds the phase histograms, `spans` records spans, `kept` keeps
+/// the recorded trace even when it closes fast and clean. A transaction
+/// draws one per begin ([`Probe::trace_root`]); work outside a transaction
+/// passes [`Sample::ALL`] and leaves the rest to site policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Sample {
     timed: bool,
     spans: bool,
+    kept: bool,
 }
 
 impl Sample {
     /// Everything the site's policy allows.
-    pub const ALL: Sample = Sample { timed: true, spans: true };
+    pub const ALL: Sample = Sample { timed: true, spans: true, kept: true };
     /// The profiler frame only.
-    pub const NONE: Sample = Sample { timed: false, spans: false };
+    pub const NONE: Sample = Sample { timed: false, spans: false, kept: false };
 
     /// Advance this thread's tick — once per transaction, and only while
     /// the registry records. The first transaction on a fresh thread is
-    /// both timed and span-recorded, which keeps tests and examples
-    /// deterministic.
+    /// timed and kept, which keeps tests and examples deterministic.
     fn next() -> Sample {
         if !registry::global().enabled() {
             return Sample::NONE;
@@ -155,9 +158,11 @@ impl Sample {
             c.set(t.wrapping_add(1));
             t
         });
+        let kept = t.is_multiple_of(SPAN_SAMPLE_EVERY);
         Sample {
             timed: t.is_multiple_of(PHASE_SAMPLE_EVERY),
-            spans: t.is_multiple_of(SPAN_SAMPLE_EVERY) || slowlog::budget_us().is_some(),
+            spans: kept || span::slow_budget_us().is_some(),
+            kept,
         }
     }
 }
@@ -218,9 +223,9 @@ impl Probe {
     }
 
     /// Open a transaction's trace: pin a fresh trace id to this thread
-    /// (every RPC the transaction issues stamps it into the frame, and
-    /// slow-op lines carry it), draw the transaction's [`Sample`] from this
-    /// thread's tick, and open the root probe at [`Site::Txn`]. Close it
+    /// (every RPC the transaction issues stamps it into the frame), draw
+    /// the transaction's [`Sample`] from this thread's tick, and open the
+    /// root probe at [`Site::Txn`]. Close it
     /// with [`finish_trace`](Probe::finish_trace); dropping it instead
     /// discards whatever the trace buffered and unpins it.
     pub fn trace_root(virt_us: f64) -> Probe {
@@ -266,29 +271,28 @@ impl Probe {
     }
 
     /// Close the probe: pop its frame and, if it measured, feed the
-    /// histogram, run the slow-op check and buffer the span (`count` is
-    /// the site's magnitude — records read, ops written). Returns the
-    /// elapsed microseconds when something measured.
+    /// histogram and buffer the span (`count` is the site's magnitude —
+    /// records read, ops written). Returns the elapsed microseconds when
+    /// something measured.
     pub fn finish(mut self, virt_us: f64, count: u32, status: SpanStatus) -> Option<f64> {
-        self.close(virt_us, count, status, &[]).map(|(us, _)| us)
+        self.close(virt_us, count, status)
     }
 
-    /// Close a [`trace_root`](Probe::trace_root) probe and its trace. The
-    /// slow-op line carries the per-phase `breakdown`. Tail-based
-    /// retention: the trace's buffered spans are kept when it ran slow,
-    /// when `keep` (a conflict abort), or when the transaction was
-    /// span-sampled, and discarded otherwise; an unsampled `keep` still
-    /// leaves a synthesized root span in the ring. Unpins the trace.
-    pub fn finish_trace(
-        mut self,
-        virt_us: f64,
-        count: u32,
-        status: SpanStatus,
-        keep: bool,
-        breakdown: &[(&'static str, f64)],
-    ) {
+    /// Close a [`trace_root`](Probe::trace_root) probe and its trace.
+    /// Tail-based retention: the trace's buffered spans are kept when it
+    /// ran over the slow-op budget (counted in `slow_ops_total`), when
+    /// `keep` (a conflict abort), or when the transaction was tick-sampled,
+    /// and discarded otherwise; an unrecorded `keep` still leaves a
+    /// synthesized root span in the ring. Unpins the trace.
+    pub fn finish_trace(mut self, virt_us: f64, count: u32, status: SpanStatus, keep: bool) {
         let unrecorded = self.span.is_none();
-        let slow = self.close(virt_us, count, status, breakdown).is_some_and(|(_, slow)| slow);
+        let slow = self
+            .close(virt_us, count, status)
+            .zip(span::slow_budget_us())
+            .is_some_and(|(us, budget)| us > budget);
+        if slow {
+            registry::global_add(Counter::SlowOps, 1);
+        }
         if keep && unrecorded && self.trace != 0 {
             // Nothing was recorded while the transaction ran, but the
             // abort must stay visible to a scrape. The wall start is
@@ -308,34 +312,23 @@ impl Probe {
                 attrs: SpanAttrs { count, status },
             });
         }
-        self.end_trace(slow || keep || self.sample.spans);
+        self.end_trace(slow || keep || self.sample.kept);
     }
 
     /// Pop the frame, then measure from the second clock read: returns the
-    /// elapsed time and whether the slow-op check fired.
-    fn close(
-        &mut self,
-        virt_us: f64,
-        count: u32,
-        status: SpanStatus,
-        breakdown: &[(&'static str, f64)],
-    ) -> Option<(f64, bool)> {
+    /// elapsed time.
+    fn close(&mut self, virt_us: f64, count: u32, status: SpanStatus) -> Option<f64> {
         self.frame.pop();
         let start_wall = self.start_wall.take()?;
         let end_wall = span::wall_stamp();
         let elapsed = (virt_us - self.start_virt).max(end_wall - start_wall).max(0.0);
-        let mut slow = false;
-        if let Some(phase) = self.site.phase() {
-            if self.sample.timed {
-                registry::global_observe(phase, elapsed);
-            }
-            let span = self.span.as_ref().map(SpanTimer::id);
-            slow = slowlog::check_closing(self.site.name(), elapsed, span, breakdown);
+        if let Some(phase) = self.site.phase().filter(|_| self.sample.timed) {
+            registry::global_observe(phase, elapsed);
         }
         if let Some(span) = self.span.take() {
             span.close(virt_us, span::epoch_us(end_wall), count, status);
         }
-        Some((elapsed, slow))
+        Some(elapsed)
     }
 
     fn end_trace(&mut self, keep: bool) {
@@ -413,5 +406,37 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    /// An armed budget makes every transaction record spans, but a fast,
+    /// clean trace is kept only when the tick sampled it; an over-budget
+    /// one is kept and counted.
+    #[test]
+    fn armed_budget_keeps_only_slow_or_sampled_traces() {
+        let slow_before = registry::global().counter(Counter::SlowOps);
+        span::set_slow_budget_us(Some(1e6));
+        let (fast, slow) = std::thread::spawn(|| {
+            let run = |end_virt_us: f64| {
+                let root = Probe::trace_root(0.0);
+                let trace = trace::current().unwrap();
+                let child = Probe::sampled(Site::TxnRead, root.sample(), 0.0);
+                assert_ne!(child.span_id(), 0, "an armed budget records every transaction");
+                child.finish(1.0, 1, SpanStatus::Ok);
+                root.finish_trace(end_virt_us, 0, SpanStatus::Ok, false);
+                trace
+            };
+            let fast: Vec<u64> = (0..10).map(|_| run(1.0)).collect();
+            (fast, run(2e6))
+        })
+        .join()
+        .unwrap();
+        span::set_slow_budget_us(None);
+        let ring = span::global_ring().peek();
+        let kept = fast.iter().filter(|&&t| ring.iter().any(|s| s.trace == t)).count();
+        assert_eq!(kept, 1, "only the first (tick-sampled) fast trace is kept");
+        let slow: Vec<&Span> = ring.iter().filter(|s| s.trace == slow).collect();
+        assert!(slow.iter().any(|s| s.kind == Site::Txn && s.parent == 0), "{slow:?}");
+        assert!(slow.iter().any(|s| s.kind == Site::TxnRead));
+        assert!(registry::global().counter(Counter::SlowOps) > slow_before);
     }
 }

@@ -47,7 +47,6 @@ use parking_lot::Mutex;
 use tell_common::{Error, Result};
 
 use crate::registry::Counter;
-use crate::span::wall_now_us;
 use crate::Site;
 
 /// Deepest logical stack the profiler records; deeper pushes still balance
@@ -58,10 +57,6 @@ pub const MAX_DEPTH: usize = 16;
 /// far above any realistic worker count in this workspace.
 const MAX_THREADS: usize = 256;
 
-/// Per-slot ring of recent `(wall µs, top frame)` samples, written only by
-/// the sampler thread and read only by the owning thread (slow-op close).
-const RECENT: usize = 64;
-
 struct ThreadSlot {
     in_use: AtomicBool,
     /// 0 = live thread (wall-clock sampled); non-zero = sim-attached
@@ -69,10 +64,6 @@ struct ThreadSlot {
     domain: AtomicU64,
     depth: AtomicUsize,
     frames: [AtomicU8; MAX_DEPTH],
-    /// Packed `(wall_us << 8) | frame_code`, a ring indexed by
-    /// `recent_next`.
-    recent: [AtomicU64; RECENT],
-    recent_next: AtomicUsize,
 }
 
 impl ThreadSlot {
@@ -82,8 +73,6 @@ impl ThreadSlot {
         domain: AtomicU64::new(0),
         depth: AtomicUsize::new(0),
         frames: [const { AtomicU8::new(0) }; MAX_DEPTH],
-        recent: [const { AtomicU64::new(0) }; RECENT],
-        recent_next: AtomicUsize::new(0),
     };
 }
 
@@ -512,7 +501,6 @@ const WAKE_HZ_CAP: f64 = 250.0;
 /// One sampler tick: walk every live (domain-0) slot, crediting `n`
 /// samples per observed stack.
 fn sample_all_live(n: u64) {
-    let now_us = wall_now_us();
     let mut key = Vec::with_capacity(MAX_DEPTH);
     // The table lock is taken at most once per wake (lazily, on the first
     // non-idle stack) and held across the walk — the walk is a few dozen
@@ -535,10 +523,6 @@ fn sample_all_live(n: u64) {
         }
         LIVE.samples.fetch_add(n, Ordering::Relaxed);
         table.get_or_insert_with(|| LIVE.table.lock()).add(&key, n);
-        // Leave a trail for the slow-op log: (timestamp, top frame).
-        let idx = slot.recent_next.load(Ordering::Relaxed);
-        slot.recent[idx % RECENT].store((now_us << 8) | key[d - 1] as u64, Ordering::Relaxed);
-        slot.recent_next.store(idx.wrapping_add(1), Ordering::Relaxed);
     }
 }
 
@@ -558,40 +542,6 @@ pub fn fetch() -> ProfileReport {
         folded,
         locks: lock_snapshot(),
     }
-}
-
-/// Top `max` frames the sampler observed on *this thread* during the last
-/// `window_us` microseconds, as `(name, samples)` pairs, hottest first.
-/// Cheap and empty when the profiler is not running — the slow-op log
-/// calls this on every slow close.
-pub fn top_frames_in_window(window_us: f64, max: usize) -> Vec<(&'static str, u32)> {
-    if !is_running() {
-        return Vec::new();
-    }
-    let Ok(Some(slot)) = SLOT.try_with(|c| c.get()) else {
-        return Vec::new();
-    };
-    let cutoff = wall_now_us().saturating_sub(window_us.max(0.0) as u64);
-    let mut counts = [0u32; Site::ALL.len()];
-    for r in slot.recent.iter() {
-        let packed = r.load(Ordering::Relaxed);
-        if packed == 0 || (packed >> 8) < cutoff {
-            continue;
-        }
-        let code = (packed & 0xff) as usize;
-        if code < counts.len() {
-            counts[code] += 1;
-        }
-    }
-    let mut top: Vec<(&'static str, u32)> = counts
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c > 0)
-        .map(|(i, &c)| (Site::ALL[i].name(), c))
-        .collect();
-    top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-    top.truncate(max);
-    top
 }
 
 // ---------------------------------------------------------------------------
@@ -1004,10 +954,6 @@ mod tests {
         assert!(!report.running);
         assert!(report.samples > 0, "sampler never saw the frame: {report:?}");
         assert!(report.folded.contains("gc.pass"), "folded: {}", report.folded);
-        // The recent-sample ring feeds the slow-op window lookup.
-        let top = top_frames_in_window(10e6, 3);
-        // Profiler stopped: lookup is disabled again.
-        assert!(top.is_empty());
     }
 
     #[test]

@@ -109,13 +109,11 @@ id_enum! {
         ReqTelemetry => "rpc_req_telemetry_total",
         /// Telemetry rollup ticks (time-series points appended to the ring).
         TelemetryRollups => "telemetry_rollups_total",
-        /// Slow-op log lines suppressed by the per-thread rate limiter.
-        SlowlogSuppressed => "slowlog_suppressed_total",
         /// Finished spans promoted to the span ring.
         SpansRecorded => "spans_recorded_total",
         /// Spans lost to ring eviction or pending-buffer overflow.
         SpansDropped => "spans_dropped_total",
-        /// Operations whose latency exceeded the slow-op budget.
+        /// Traces retained for running over the slow-op budget.
         SlowOps => "slow_ops_total",
         /// Invocations of PN failure recovery.
         RecoveryRuns => "recovery_runs_total",

@@ -13,17 +13,20 @@
 //!
 //! Retention is **tail-based**: spans are buffered per thread while their
 //! transaction runs, and only promoted to the process-wide sharded ring when
-//! the trace closes *interesting* — slower than `TELL_SLOW_OP_US`, aborted
-//! on an LL/SC conflict, or picked by the 1-in-[`crate::SPAN_SAMPLE_EVERY`]
-//! fast-trace sample. Server threads cannot know how a trace will end, so
-//! they flush after every dispatched frame and rely on the bounded
-//! drop-oldest ring as the backstop (approximate tail sampling: a scrape
-//! sees all recent server spans, but only interesting client-side trees).
+//! the trace closes *interesting* — slower than the slow-op budget
+//! ([`slow_budget_us`], `TELL_SLOW_OP_US`), aborted on an LL/SC conflict, or
+//! picked by the 1-in-[`crate::SPAN_SAMPLE_EVERY`] fast-trace sample. A
+//! retained slow trace is the one record of a slow transaction: its root
+//! span carries the elapsed time and its children each phase's. Server
+//! threads cannot know how a trace will end, so they flush after every
+//! dispatched frame and rely on the bounded drop-oldest ring as the
+//! backstop (approximate tail sampling: a scrape sees all recent server
+//! spans, but only interesting client-side trees).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Once, OnceLock};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -303,6 +306,42 @@ impl Drop for SpanTimer {
             }
         });
     }
+}
+
+// ---------------------------------------------------------------------------
+// Slow-op budget: a trace whose root runs longer is retained.
+
+// f64 bits of the budget; 0 (== 0.0) means unset.
+static BUDGET_BITS: AtomicU64 = AtomicU64::new(0);
+static BUDGET_ENV: Once = Once::new();
+
+fn budget_from_env() {
+    BUDGET_ENV.call_once(|| {
+        let env = std::env::var("TELL_SLOW_OP_US").ok();
+        if let Some(us) = env.and_then(|v| v.trim().parse().ok()) {
+            set_budget_bits(us);
+        }
+    });
+}
+
+fn set_budget_bits(us: f64) {
+    BUDGET_BITS.store(if us > 0.0 { us.to_bits() } else { 0 }, Ordering::Relaxed);
+}
+
+/// The slow-op budget in microseconds, or `None` when unset. It starts
+/// from the `TELL_SLOW_OP_US` environment variable. While it is set, every
+/// transaction records its spans, and a trace whose root runs longer is
+/// retained and counted in `slow_ops_total`.
+pub fn slow_budget_us() -> Option<f64> {
+    budget_from_env();
+    let bits = BUDGET_BITS.load(Ordering::Relaxed);
+    (bits != 0).then(|| f64::from_bits(bits))
+}
+
+/// Set (or with `None` / non-positive, clear) the slow-op budget.
+pub fn set_slow_budget_us(us: Option<f64>) {
+    budget_from_env(); // settle env handling so a later read cannot overwrite
+    set_budget_bits(us.unwrap_or(0.0));
 }
 
 // ---------------------------------------------------------------------------

@@ -379,7 +379,7 @@ pub fn dispatch_frame(
     };
     count_request(&request);
     // Expose the originating trace to everything this dispatch touches
-    // (slow-op checks included), parenting it onto the remote client-call
+    // (its spans included), parenting it onto the remote client-call
     // span carried in the frame.
     let _guard = ctx.map(|c| tell_obs::TraceGuard::adopt(c.trace, c.parent_span));
     // The dispatch probe: its frame (store/cm work done below stacks under

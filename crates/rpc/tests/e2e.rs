@@ -674,33 +674,39 @@ fn assembled_trace_parents_pn_sn_and_cm_spans_correctly() {
 
 #[test]
 fn netsim_latency_spike_emits_slow_op_with_originating_trace() {
+    use tell_obs::{span, Site};
+
     // A local simulated deployment on the WAN profile: every exchange costs
     // milliseconds of virtual time, far past the budget set below.
     let db = Database::create(TellConfig { profile: NetworkProfile::wan(), ..Default::default() });
     let table = db.create_table("t", vec![pk_spec()]).unwrap();
     let rid = db.bulk_load(&table, vec![account(1, 0)]).unwrap()[0];
 
-    let buf = tell_obs::slowlog::capture();
-    tell_obs::slowlog::set_budget_us(Some(50.0));
-
+    const BUDGET_US: f64 = 50.0;
+    span::set_slow_budget_us(Some(BUDGET_US));
     let pn = db.processing_node();
     let mut txn = pn.begin().unwrap();
     let trace = tell_obs::current_trace().expect("begin mints a trace id");
     assert!(txn.get(&table, rid).unwrap().is_some());
     txn.update(&table, rid, account(2, 0)).unwrap();
     txn.commit().unwrap();
+    span::set_slow_budget_us(None);
 
-    tell_obs::slowlog::set_budget_us(None);
-    tell_obs::slowlog::log_to_stderr();
-
-    // The spike surfaced as at least one structured line naming the slow
-    // exchange and carrying the transaction's trace id. (Other tests in
-    // this process may log their own lines while the budget is set; only
-    // ours carries our trace.)
-    let needle = format!("\"trace\":\"{}\"", tell_obs::fmt_trace(trace));
-    let lines = buf.lock();
-    assert!(
-        lines.iter().any(|l| l.contains("\"op\":\"net.exchange\"") && l.contains(&needle)),
-        "expected a net.exchange slow-op line with {needle}, got: {lines:#?}"
-    );
+    // The spike left this transaction's whole trace in the ring: a root
+    // `txn` span over budget and its phase children. (Other tests in this
+    // process share the ring; only ours carries our trace.)
+    let spans: Vec<_> =
+        span::global_ring().peek().into_iter().filter(|s| s.trace == trace).collect();
+    let root = spans
+        .iter()
+        .find(|s| s.kind == Site::Txn && s.parent == 0)
+        .unwrap_or_else(|| panic!("no root txn span for the slow trace: {spans:#?}"));
+    assert!(root.virt_dur_us() > BUDGET_US, "root ran over budget: {root:?}");
+    for phase in [Site::TxnBegin, Site::TxnRead, Site::TxnInstall, Site::TxnCmComplete] {
+        assert!(
+            spans.iter().any(|s| s.kind == phase && s.parent == root.id),
+            "missing {} child of the root: {spans:#?}",
+            phase.name()
+        );
+    }
 }

@@ -485,8 +485,9 @@ fn metrics(target: &Target, json: bool) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 // trace: spans from every process, as Chrome trace JSON.
 //
-// Spans are tail-sampled (see `tell-obs`): kept traces are the slow ones,
-// LL/SC conflict aborts, and a 1-in-N sample of fast transactions — the
+// Spans are tail-sampled (see `tell-obs`): kept traces are the ones over
+// the `TELL_SLOW_OP_US` budget, LL/SC conflict aborts, and a 1-in-N sample
+// of fast transactions — the
 // first transaction on a fresh thread is always sampled, so a run always
 // has at least one trace to show. `Request::Spans` drains a server's ring;
 // each run is a one-shot snapshot.

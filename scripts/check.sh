@@ -103,8 +103,21 @@ EOF
 
 echo "==> trace smoke (tell_top trace against a loopback cluster)"
 # The tool validates the emitted Chrome trace-event JSON and exits
-# nonzero when it is malformed or no trace was assembled.
-cargo run -q --example tell_top -- trace --loopback --txns 4 > /dev/null
+# nonzero when it is malformed or no trace was assembled. The run is one
+# insert plus 4 updates: 5 transactions. A 1 us slow-op budget keeps every
+# one's trace; a budget none reaches keeps only the tick-sampled ones, so
+# arming the budget must not retain every fast trace.
+trace_roots() { # slow-op budget in us
+  TELL_SLOW_OP_US="$1" cargo run -q --example tell_top -- trace --loopback --txns 4 |
+    { grep -o '"name":"txn"' || true; } | wc -l
+}
+slow_roots="$(trace_roots 1)"
+fast_roots="$(trace_roots 1000000000)"
+echo "trace smoke: $slow_roots root txn spans kept over a 1 us budget, $fast_roots over 1000 s"
+if [[ "$slow_roots" -ne 5 || "$fast_roots" -ge "$slow_roots" ]]; then
+  echo "error: want 5 roots kept over budget and fewer under it" >&2
+  exit 1
+fi
 
 echo "==> metrics smoke (tell_top metrics against a loopback cluster)"
 # One Request::Metrics scrape, parsed and rendered as Prometheus text.
