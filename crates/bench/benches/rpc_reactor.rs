@@ -42,10 +42,11 @@ use tell_store::{StoreCluster, StoreConfig};
 /// In-flight commit cycles per worker connection pair.
 const DEPTH: usize = 8;
 
-/// Commit managers behind the commit server. Several, as deployed (§4.4):
-/// a completion publishes state to storage under its manager's lock, so a
-/// single manager would serialize every client behind one nested round
-/// trip and the benchmark would measure that lock, not the server.
+/// Commit managers behind the commit server. Several, so the commit server
+/// carries the multi-manager publish path: each completion publishes state
+/// to storage under its manager's lock, a nested round trip the server must
+/// serve without stalling. (One manager keeps its state in memory and
+/// makes no store call at all.)
 const MANAGERS: usize = 8;
 
 #[derive(Clone, Copy, PartialEq)]

@@ -47,6 +47,8 @@ impl<E: StoreEndpoint> CmCluster<E> {
         let meter = NetMeter::free();
         // Two rounds: first everyone publishes, then everyone pulls, so
         // every manager starts with a complete peer map regardless of order.
+        // A lone interleaved manager has no peer map to fill: both rounds
+        // are no-ops for it and boot makes no store call.
         for _ in 0..2 {
             for cm in &managers {
                 cm.sync_now(&meter).expect("initial commit-manager publish");
@@ -166,7 +168,9 @@ impl<E: StoreEndpoint> CmCluster<E> {
                 })?;
         }
         let cm = CommitManager::recover(id, self.store.clone(), cfg)?;
-        cm.sync_now(&NetMeter::free())?; // publish before serving (see new())
+        // Publish before serving (see new()); a no-op when the replacement
+        // adopts the stripe of a lone manager.
+        cm.sync_now(&NetMeter::free())?;
         self.managers.write().push(Arc::clone(&cm));
         Ok(cm)
     }

@@ -197,7 +197,8 @@ impl State {
 /// synchronize through the shared store: tid uniqueness via the atomic
 /// [`TID_COUNTER`], snapshots by periodically publishing local state and
 /// merging peers' published states (a join-semilattice: base advances, bitsets
-/// union — so merging in any order converges).
+/// union — so merging in any order converges). A lone interleaved manager
+/// keeps its state in memory only and makes no store call at all.
 ///
 /// Generic over the storage endpoint so a manager can run over the
 /// in-process store or against remote storage nodes via `tell-rpc`.
@@ -227,6 +228,17 @@ impl<E: StoreEndpoint> CommitManager<E> {
     /// This manager's tid congruence class (interleaved allocation).
     pub fn stripe(&self) -> (u64, u64) {
         self.config.stripe
+    }
+
+    /// Whether this manager can ever have a peer to gossip with. An
+    /// interleaved manager with stripe modulus 1 owns every tid, and
+    /// `CmCluster` only adds a manager to an interleaved cluster by handing
+    /// it a failed manager's stripe: it is and stays alone. Nobody reads a
+    /// lone manager's published state — `pull_peers` skips its own id, and
+    /// recovery only runs after `CmCluster::fail` deleted it — so it neither
+    /// publishes nor pulls (DESIGN.md §5 rule 9).
+    fn gossips(&self) -> bool {
+        !self.config.interleaved || self.config.stripe.1 > 1
     }
 
     /// Start a commit manager that recovers its state after a predecessor
@@ -267,7 +279,8 @@ impl<E: StoreEndpoint> CommitManager<E> {
     /// it only publishes/pulls gossip state, while tid allocation itself is
     /// manager-local (the range counter below propagates its own errors).
     /// The sync's wall-clock trigger would otherwise make `begin` fail at
-    /// arbitrary moments of a storage fault window.
+    /// arbitrary moments of a storage fault window. A lone manager has no
+    /// peer to sync with: its start is memory work under one lock.
     pub fn start(&self, meter: &NetMeter) -> Result<TxnStart> {
         self.start_at(IsolationLevel::Si, meter)
     }
@@ -430,15 +443,17 @@ impl<E: StoreEndpoint> CommitManager<E> {
         self.complete(tid, false, meter)
     }
 
-    /// A completion changes what every future snapshot must contain, so the
-    /// updated state is published to the store immediately. Publishing
-    /// cannot be amortized the way pulling is: a manager may go idle right
-    /// after its last commit, and an unpublished completion would leave
-    /// peers' snapshots missing that version until the next publish —
-    /// their transactions would conflict on it in the meantime. Starts
-    /// don't have this problem (they change nothing a peer's snapshot
-    /// depends on), so the pull side stays on the periodic `maybe_sync`
-    /// cadence.
+    /// A completion changes what every future snapshot must contain, so a
+    /// manager with peers publishes its updated state to the store
+    /// immediately. Publishing cannot be amortized the way pulling is: a
+    /// manager may go idle right after its last commit, and an unpublished
+    /// completion would leave peers' snapshots missing that version until
+    /// the next publish — their transactions would conflict on it in the
+    /// meantime. Starts don't have this problem (they change nothing a
+    /// peer's snapshot depends on), so the pull side stays on the periodic
+    /// `maybe_sync` cadence. A lone manager has no peer to miss the
+    /// version: its completion is memory work under one lock and makes no
+    /// store call.
     ///
     /// The in-memory `finish` is the visibility commit point: every
     /// snapshot this manager hands out afterwards contains the outcome, so
@@ -458,16 +473,18 @@ impl<E: StoreEndpoint> CommitManager<E> {
         // in process the cm_complete phase already covers it).
         let probe = tell_obs::Probe::enter(tell_obs::Site::CmApply);
         meter.charge_request(40, 16, 1);
-        let client = self.endpoint.client(meter.clone());
+        let client = self.gossips().then(|| self.endpoint.client(meter.clone()));
         let mut st = self.state.lock();
         if let Some(hand_off) = st.retired.clone() {
             drop(st);
             hand_off(tid, committed);
         } else {
             st.finish(tid, committed);
-            if Self::publish(&self.id, &client, &mut st).is_err() {
-                st.publish_pending = true;
-                tell_obs::incr(tell_obs::Counter::CmPublishDeferred);
+            if let Some(client) = &client {
+                if Self::publish(&self.id, client, &mut st).is_err() {
+                    st.publish_pending = true;
+                    tell_obs::incr(tell_obs::Counter::CmPublishDeferred);
+                }
             }
             Self::export_gauges(&st);
             drop(st);
@@ -513,6 +530,10 @@ impl<E: StoreEndpoint> CommitManager<E> {
     /// transactions of a failed processing node: the failed PN can no longer
     /// notify anyone, so recovery resolves them on every manager.
     pub fn force_resolve(&self, tid: TxnId, committed: bool) {
+        if !self.gossips() {
+            self.state.lock().finish(tid, committed);
+            return;
+        }
         let client = self.endpoint.unmetered_client();
         let mut st = self.state.lock();
         st.finish(tid, committed);
@@ -541,8 +562,12 @@ impl<E: StoreEndpoint> CommitManager<E> {
         self.state.lock().active.len()
     }
 
-    /// Publish local state and merge peers' states, unconditionally.
+    /// Publish local state and merge peers' states, unconditionally; a
+    /// no-op for a lone manager, which has neither readers nor peers.
     pub fn sync_now(&self, meter: &NetMeter) -> Result<()> {
+        if !self.gossips() {
+            return Ok(());
+        }
         let client = self.endpoint.client(meter.clone());
         let mut st = self.state.lock();
         Self::publish(&self.id, &client, &mut st)?;
@@ -554,6 +579,9 @@ impl<E: StoreEndpoint> CommitManager<E> {
     }
 
     fn maybe_sync(&self, meter: &NetMeter) -> Result<()> {
+        if !self.gossips() {
+            return Ok(());
+        }
         let due = {
             let mut st = self.state.lock();
             st.ops_since_sync += 1;
@@ -810,9 +838,48 @@ mod tests {
         assert!(!t2.snapshot.contains_tid(t1.tid));
     }
 
+    /// Taken by the tests that kill storage nodes: they read or move the
+    /// process-wide deferral counters.
+    static STORE_DOWN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[test]
+    fn lone_manager_serves_with_every_storage_node_down() {
+        use tell_common::SnId;
+        use tell_obs::Counter;
+        let _serial = STORE_DOWN.lock().unwrap_or_else(|e| e.into_inner());
+        let cluster = StoreCluster::new(StoreConfig::new(2));
+        let cm = CommitManager::new(CmId(0), Arc::clone(&cluster), CmConfig::default());
+        let m = NetMeter::free();
+        let deferred = |c| tell_obs::global().counter(c);
+        let before = (deferred(Counter::CmPublishDeferred), deferred(Counter::CmSyncDeferred));
+        cluster.kill_node(SnId(0));
+        cluster.kill_node(SnId(1));
+        let mut last = None;
+        for i in 0..40 {
+            let t = cm.start(&m).unwrap();
+            if let Some(prev) = last {
+                assert!(t.snapshot.contains_tid(prev), "its own last commit is in the snapshot");
+            }
+            if i % 4 == 3 {
+                cm.set_aborted(t.tid, &m).unwrap();
+            } else {
+                cm.set_committed(t.tid, &m).unwrap();
+                last = Some(t.tid);
+            }
+        }
+        cm.sync_now(&m).unwrap();
+        assert_eq!(cm.active_count(), 0);
+        assert_eq!(
+            (deferred(Counter::CmPublishDeferred), deferred(Counter::CmSyncDeferred)),
+            before,
+            "a lone manager tried the store"
+        );
+    }
+
     #[test]
     fn deferred_publish_retries_on_next_op_not_cadence() {
         use tell_common::SnId;
+        let _serial = STORE_DOWN.lock().unwrap_or_else(|e| e.into_inner());
         let cluster = StoreCluster::new(StoreConfig::new(1));
         let cfg = CmConfig {
             sync_interval: Duration::from_secs(3600),

@@ -25,8 +25,9 @@
 //!   counters and histograms into a [`MetricsSnapshot`], rendered with
 //!   [`MetricsSnapshot::to_prometheus_text`] or [`MetricsSnapshot::to_json`].
 //! * **Traces ride a thread-local.** [`Probe::trace_root`] mints and pins an
-//!   id at transaction begin; `tell-rpc` stamps [`current_trace`] into
-//!   every outgoing frame.
+//!   id at transaction begin; `tell-rpc` stamps [`recording_trace`] into
+//!   every outgoing frame of a transaction that records spans, and an
+//!   unrecorded one sends no context at all.
 //! * **Spans make traces causal.** A probe's span nests through a
 //!   thread-local register and across the wire (the client-call span id
 //!   rides the frame, [`TraceGuard::adopt`] installs it server-side), so a
@@ -104,7 +105,9 @@ pub use registry::{global, help_for, Counter, Gauge, Phase, Registry};
 pub use snapshot::MetricsSnapshot;
 pub use span::{current_span, Span, SpanAttrs, SpanStatus};
 pub use timeseries::{PhaseDigest, Rollup, TelemetryPage, TsPoint, TsRing};
-pub use trace::{current as current_trace, fmt_trace, next_trace_id, TraceGuard};
+pub use trace::{
+    current as current_trace, fmt_trace, next_trace_id, recording as recording_trace, TraceGuard,
+};
 
 /// Add `n` to a counter in the global registry (this thread's shard ref is
 /// cached, so the cost is one relaxed load plus one relaxed `fetch_add`).

@@ -213,7 +213,7 @@ impl Probe {
         if !(timed || spans) || !registry::global().enabled() {
             return probe;
         }
-        let trace = if spans { trace::current() } else { None };
+        let trace = if spans { trace::recording() } else { None };
         if timed || trace.is_some() {
             let wall = span::wall_stamp();
             probe.start_wall = Some(wall);
@@ -222,16 +222,18 @@ impl Probe {
         probe
     }
 
-    /// Open a transaction's trace: pin a fresh trace id to this thread
-    /// (every RPC the transaction issues stamps it into the frame), draw
-    /// the transaction's [`Sample`] from this thread's tick, and open the
-    /// root probe at [`Site::Txn`]. Close it
+    /// Open a transaction's trace: draw the transaction's [`Sample`] from
+    /// this thread's tick, pin a fresh trace id to this thread (recording
+    /// when the sample records spans: only then does every RPC the
+    /// transaction issues stamp it into the frame), and open the root
+    /// probe at [`Site::Txn`]. Close it
     /// with [`finish_trace`](Probe::finish_trace); dropping it instead
     /// discards whatever the trace buffered and unpins it.
     pub fn trace_root(virt_us: f64) -> Probe {
+        let sample = Sample::next();
         let trace = trace::next_trace_id();
-        trace::set_current(Some(trace));
-        let mut root = Probe::sampled(Site::Txn, Sample::next(), virt_us);
+        trace::set_current(Some(trace), sample.spans);
+        let mut root = Probe::sampled(Site::Txn, sample, virt_us);
         root.trace = trace;
         root
     }
@@ -334,7 +336,7 @@ impl Probe {
     fn end_trace(&mut self, keep: bool) {
         if self.trace != 0 {
             span::settle_pending(keep);
-            trace::set_current(None);
+            trace::set_current(None, false);
             self.trace = 0;
         }
     }

@@ -2,10 +2,12 @@
 //!
 //! A trace id is a 64-bit token minted when a PN-originated unit of work
 //! (normally a transaction attempt) begins. It rides a thread-local while
-//! the work runs on the PN, and every RPC the thread issues stamps the
-//! current id into the wire frame (see `tell_rpc::wire`), so the storage
-//! and commit-manager sides of one transaction are attributable end-to-end.
-//! Zero is reserved for "no trace".
+//! the work runs on the PN. When the work records spans, every RPC the
+//! thread issues stamps the id into the wire frame (see `tell_rpc::wire`),
+//! so the storage and commit-manager sides of one transaction are
+//! attributable end-to-end; an unrecorded transaction keeps its id pinned
+//! (a conflict abort still names it) but sends no context, so no server
+//! records spans for it. Zero is reserved for "no trace".
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,6 +16,8 @@ static NEXT: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     static CURRENT: Cell<u64> = const { Cell::new(0) };
+    /// Whether the work under `CURRENT` records spans.
+    static RECORDS: Cell<bool> = const { Cell::new(false) };
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -46,25 +50,41 @@ pub fn current() -> Option<u64> {
     }
 }
 
-/// Attach (or with `None`, detach) a trace id to this thread.
-pub fn set_current(t: Option<u64>) {
+/// The trace id attached to work on this thread when that work records
+/// spans: what probes open spans under and what an RPC stamps into its
+/// frame.
+pub fn recording() -> Option<u64> {
+    if RECORDS.with(Cell::get) {
+        current()
+    } else {
+        None
+    }
+}
+
+/// Attach (or with `None`, detach) a trace id to this thread; `records`
+/// says whether the work under it records spans (see [`recording`]).
+pub fn set_current(t: Option<u64>, records: bool) {
     CURRENT.with(|c| c.set(t.unwrap_or(0)));
+    RECORDS.with(|r| r.set(records));
 }
 
 /// Attach a trace id for a lexical scope; the previous id is restored on
 /// drop, so nested traced scopes compose.
 pub struct TraceGuard {
     prev: u64,
+    prev_records: bool,
     /// The current-span register to restore, when [`TraceGuard::adopt`]
     /// replaced it.
     prev_span: Option<u64>,
 }
 
 impl TraceGuard {
-    /// Set `t` as this thread's current trace id until the guard drops.
+    /// Set `t` as this thread's current, recording trace id until the
+    /// guard drops.
     pub fn enter(t: u64) -> Self {
         let prev = CURRENT.with(|c| c.replace(t));
-        TraceGuard { prev, prev_span: None }
+        let prev_records = RECORDS.with(|r| r.replace(true));
+        TraceGuard { prev, prev_records, prev_span: None }
     }
 
     /// Adopt a trace that arrived on the wire: `t` becomes this thread's
@@ -80,6 +100,7 @@ impl TraceGuard {
 impl Drop for TraceGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| c.set(self.prev));
+        RECORDS.with(|r| r.set(self.prev_records));
         if let Some(span) = self.prev_span {
             crate::span::swap_current_span(span);
         }
@@ -106,7 +127,7 @@ mod tests {
 
     #[test]
     fn guard_restores_previous() {
-        set_current(None);
+        set_current(None, false);
         assert_eq!(current(), None);
         {
             let _g = TraceGuard::enter(7);
@@ -118,6 +139,18 @@ mod tests {
             assert_eq!(current(), Some(7));
         }
         assert_eq!(current(), None);
+    }
+
+    #[test]
+    fn an_unrecorded_trace_is_current_but_not_recording() {
+        set_current(Some(5), false);
+        assert_eq!((current(), recording()), (Some(5), None));
+        {
+            let _g = TraceGuard::enter(7);
+            assert_eq!(recording(), Some(7));
+        }
+        assert_eq!((current(), recording()), (Some(5), None));
+        set_current(None, false);
     }
 
     #[test]

@@ -273,14 +273,16 @@ impl Connection {
 
     /// Send one request and wait for its response. Returns the response
     /// plus the frame sizes sent and received, for traffic accounting.
-    /// The thread's current trace id (if any) is stamped into the frame.
+    /// The thread's trace id is stamped into the frame when the work under
+    /// it records spans; an unrecorded transaction's frames carry none.
     pub fn call(&self, request: &Request) -> Result<(Response, usize, usize)> {
-        // One span per round trip. Its id rides the frame so the server's
-        // dispatch span parents onto it; the span itself parents onto
-        // whatever is current on this thread (a txn phase, a batch flush).
-        // Client calls have no virtual clock, so virtual timestamps are 0.
+        // One span per round trip of a recording trace. Its id rides the
+        // frame so the server's dispatch span parents onto it; the span
+        // itself parents onto whatever is current on this thread (a txn
+        // phase, a batch flush). Client calls have no virtual clock, so
+        // virtual timestamps are 0.
         let probe = Probe::enter(Site::RpcClientCall);
-        let ctx = tell_obs::current_trace()
+        let ctx = tell_obs::recording_trace()
             .map(|trace| TraceContext { trace, parent_span: probe.span_id() });
         let outcome = self.send(request, ctx).and_then(PendingReply::wait);
         let (count, status) = match &outcome {

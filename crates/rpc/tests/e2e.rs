@@ -30,25 +30,50 @@ struct Servers {
     store: Arc<StoreCluster>,
     sn: RpcServer,
     _cm: RpcServer,
+    /// The storage server the commit managers reach the store through,
+    /// when it is not `sn` (see [`boot_with`]).
+    cm_sn: Option<RpcServer>,
 }
 
 /// Boot a storage server and a commit server on loopback, then open a
 /// database over remote clients only. The commit managers themselves talk
 /// to the storage nodes across TCP, as in the paper's deployment.
 fn boot(nodes: usize, cms: usize) -> (Servers, Arc<Database<RemoteEndpoint>>) {
+    boot_with(nodes, cms, false)
+}
+
+/// [`boot`]; with `own_cm_sn`, the commit managers reach the same storage
+/// nodes through a second storage server of their own, so a test can
+/// count the frames they send.
+fn boot_with(
+    nodes: usize,
+    cms: usize,
+    own_cm_sn: bool,
+) -> (Servers, Arc<Database<RemoteEndpoint>>) {
     let store = StoreCluster::new(StoreConfig::new(nodes));
     let sn = RpcServer::serve_store("127.0.0.1:0", Arc::clone(&store)).unwrap();
     let sn_addr = sn.local_addr().to_string();
+    let cm_sn =
+        own_cm_sn.then(|| RpcServer::serve_store("127.0.0.1:0", Arc::clone(&store)).unwrap());
+    let cm_sn_addr = cm_sn.as_ref().map_or(sn_addr.clone(), |s| s.local_addr().to_string());
 
     let cm_cluster =
-        CmCluster::new(RemoteEndpoint::connect(sn_addr.clone(), 2), cms, CmConfig::default());
+        CmCluster::new(RemoteEndpoint::connect(cm_sn_addr, 2), cms, CmConfig::default());
     let cm = RpcServer::serve_commit("127.0.0.1:0", cm_cluster as Arc<dyn CommitService>).unwrap();
     let cm_addr = cm.local_addr().to_string();
 
     let endpoint = RemoteEndpoint::connect(sn_addr, 4);
     let commit: Arc<dyn CommitService> = Arc::new(RemoteCmClient::connect([cm_addr]));
     let db = Database::open(endpoint, commit, TellConfig::default());
-    (Servers { store, sn, _cm: cm }, db)
+    (Servers { store, sn, _cm: cm, cm_sn }, db)
+}
+
+/// Taken by the tests that drain the process-wide span ring, arm the
+/// process-wide slow-op budget, or assert which spans the ring holds.
+static SPAN_RING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn span_ring_lock() -> std::sync::MutexGuard<'static, ()> {
+    SPAN_RING.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn account(balance: u64, id: u64) -> Bytes {
@@ -146,6 +171,48 @@ fn remote_conflict_aborts_second_writer_via_ll_sc() {
     let mut reader = pn3.begin().unwrap();
     assert_eq!(balance_of(&reader.get(&table, rid).unwrap().unwrap()), 8);
     reader.commit().unwrap();
+}
+
+#[test]
+fn only_commit_managers_with_peers_call_storage() {
+    // One manager has no reader for its state and keeps it in memory; two
+    // publish each completion and pull each other's on a cadence.
+    for (cms, gossips) in [(1, false), (2, true)] {
+        let (servers, db) = boot_with(2, cms, true);
+        let cm_sn = servers.cm_sn.as_ref().unwrap();
+        let table = db.create_table("acct", vec![pk_spec()]).unwrap();
+        let rids = db.bulk_load(&table, (0..8).map(|i| account(100, i)).collect()).unwrap();
+        let before = cm_sn.frames_served();
+
+        let pn = db.processing_node();
+        for i in 0..97 {
+            let (rid, id) = (rids[i % rids.len()], (i % rids.len()) as u64);
+            pn.run(10, |txn| {
+                let row = txn.get(&table, rid)?.unwrap();
+                txn.update(&table, rid, account(balance_of(&row) + 1, id))
+            })
+            .unwrap();
+        }
+        // One conflict abort: two writers of one row, the second loses.
+        let (mut t1, mut t2) = (pn.begin().unwrap(), pn.begin().unwrap());
+        for (txn, balance) in [(&mut t1, 1), (&mut t2, 2)] {
+            assert!(txn.get(&table, rids[0]).unwrap().is_some());
+            txn.update(&table, rids[0], account(balance, 0)).unwrap();
+        }
+        t1.commit().unwrap();
+        assert_eq!(t2.commit().unwrap_err(), Error::Conflict);
+        // One read-only transaction.
+        let mut reader = pn.begin().unwrap();
+        assert_eq!(balance_of(&reader.get(&table, rids[0]).unwrap().unwrap()), 1);
+        reader.commit().unwrap();
+
+        let sent = cm_sn.frames_served() - before;
+        if gossips {
+            assert!(sent > 0, "{cms} managers never published or pulled");
+        } else {
+            assert_eq!(sent, 0, "a lone commit manager sent {sent} frames to storage");
+        }
+    }
 }
 
 #[test]
@@ -582,6 +649,7 @@ fn assembled_trace_parents_pn_sn_and_cm_spans_correctly() {
     use std::collections::HashMap;
     use tell_obs::{Site, Span};
 
+    let _ring = span_ring_lock();
     let (servers, db) = boot(2, 1);
     let table = db.create_table("spans", vec![pk_spec()]).unwrap();
     let rid = db.bulk_load(&table, vec![account(1, 0)]).unwrap()[0];
@@ -683,6 +751,7 @@ fn netsim_latency_spike_emits_slow_op_with_originating_trace() {
     let rid = db.bulk_load(&table, vec![account(1, 0)]).unwrap()[0];
 
     const BUDGET_US: f64 = 50.0;
+    let _ring = span_ring_lock();
     span::set_slow_budget_us(Some(BUDGET_US));
     let pn = db.processing_node();
     let mut txn = pn.begin().unwrap();
@@ -708,5 +777,50 @@ fn netsim_latency_spike_emits_slow_op_with_originating_trace() {
             "missing {} child of the root: {spans:#?}",
             phase.name()
         );
+    }
+}
+
+#[test]
+fn unsampled_transactions_leave_no_span_on_any_node() {
+    use tell_obs::Site;
+
+    let _ring = span_ring_lock();
+    let (_servers, db) = boot(2, 1);
+    let table = db.create_table("sampling", vec![pk_spec()]).unwrap();
+    let rids = db.bulk_load(&table, (0..11).map(|i| account(1, i)).collect()).unwrap();
+
+    // A fresh thread: its first transaction is tick-sampled, the next ten
+    // are not, and with no slow-op budget armed they record nothing. Each
+    // updates its own row, so none aborts on a conflict.
+    let traces = std::thread::spawn({
+        let db = Arc::clone(&db);
+        let table = Arc::clone(&table);
+        move || {
+            let pn = db.processing_node();
+            let mut traces = Vec::new();
+            for (i, rid) in rids.into_iter().enumerate() {
+                let mut txn = pn.begin().unwrap();
+                traces.push(tell_obs::current_trace().expect("begin pins a trace id"));
+                assert!(txn.get(&table, rid).unwrap().is_some());
+                txn.update(&table, rid, account(2, i as u64)).unwrap();
+                txn.commit().unwrap();
+            }
+            traces
+        }
+    })
+    .join()
+    .unwrap();
+
+    let spans = tell_obs::span::global_ring().peek();
+    let kinds = |trace: u64| -> Vec<Site> {
+        spans.iter().filter(|s| s.trace == trace).map(|s| s.kind).collect()
+    };
+    let sampled = kinds(traces[0]);
+    // PN root, SN write and CM outcome, each reached over the wire.
+    for kind in [Site::Txn, Site::RpcClientCall, Site::StoreWrite, Site::CmApply] {
+        assert!(sampled.contains(&kind), "sampled trace lacks {}: {sampled:?}", kind.name());
+    }
+    for &trace in &traces[1..] {
+        assert_eq!(kinds(trace), [], "an unsampled trace left spans in the ring");
     }
 }

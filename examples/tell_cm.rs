@@ -1,7 +1,8 @@
 //! A standalone commit-manager server (§4.2): issues transaction ids and
-//! snapshot descriptors over the tell-rpc wire protocol, keeping its own
-//! state in the storage nodes it is pointed at — which is what lets a
-//! replacement recover after a failure (§4.4.3).
+//! snapshot descriptors over the tell-rpc wire protocol. Several managers
+//! merge their state through the storage nodes it is pointed at; one
+//! manager keeps its state in memory. Either way a replacement recovers
+//! from the transaction log in storage after a failure (§4.4.3).
 //!
 //! ```text
 //! cargo run --release --example tell_cm -- \
@@ -56,7 +57,7 @@ fn parse_args() -> Result<Args, String> {
                     "tell_cm: serve commit managers over TCP\n\n\
                      options:\n  \
                      --listen ADDR     listen address (default 127.0.0.1:7801)\n  \
-                     --store ADDR      storage server to keep state in (default 127.0.0.1:7701)\n  \
+                     --store ADDR      storage server to share state through (default 127.0.0.1:7701)\n  \
                      --managers N      parallel commit managers (default 1)\n  \
                      --pool N          TCP connections to the storage server (default 2)\n  \
                      --workers N       serving threads (default: auto)"
@@ -84,9 +85,10 @@ fn main() {
         }
     };
     let endpoint = RemoteEndpoint::connect(args.store.clone(), args.pool);
-    // Probe before booting: the managers keep their recoverable state in
-    // the store, so an unreachable store is fatal — better a clean message
-    // than a panic out of the initial state publish.
+    // Probe before booting: several managers publish their state to the
+    // store before serving, and every manager needs it to recover, so an
+    // unreachable store is fatal — better a clean message than a panic out
+    // of the initial state publish.
     if let Err(e) = endpoint.unmetered_client().get(&bytes::Bytes::from_static(b"\xffprobe")) {
         eprintln!("tell_cm: cannot reach storage server {}: {e}", args.store);
         std::process::exit(1);

@@ -15,8 +15,11 @@
 # Writes BENCH_ab_<name>.json at the repository root: per workload and
 # end-to-end metric, each side's median/Q1/Q3 and raw values, the pairs the
 # change won, the relative change of the medians, the parent's spread
-# (IQR / median) and a verdict against the metric's bound — `worse`,
-# `unresolved` (the parent's spread exceeds the bound) or `ok`; per workload,
+# (IQR / median), a verdict against the metric's bound — `worse`,
+# `unresolved` (the parent's spread exceeds the bound) or `ok` — and
+# `claim_met`, the benchmark README's rule for a claimed gain: the change
+# wins at least 9 of the 10 pairs and its median is better than the
+# parent's by more than the parent's interquartile range; per workload,
 # each side's failed and attempted counts. Raw run output stays in
 # .bench_build/ab-<name>/. Needs python3 for the JSON.
 set -euo pipefail
@@ -153,12 +156,17 @@ for w in workloads:
         )
         ps, cs = stats(values["parent"]), stats(values["change"])
         row = {"better": metric["better"], "bound": bound, "parent": ps, "change": cs,
-               "change_wins": wins, "delta": None, "spread": None, "verdict": "unresolved"}
+               "change_wins": wins, "delta": None, "spread": None, "verdict": "unresolved",
+               "claim_met": False}
         if ps["median"] and cs["median"] is not None:
             # Positive delta: the change is better.
             delta = (cs["median"] - ps["median"]) / ps["median"] * (1 if higher else -1)
             spread = (ps["q3"] - ps["q1"]) / ps["median"]
             row["delta"], row["spread"] = delta, spread
+            # The claim rule: nine tenths of the pairs won, and the medians
+            # apart by more than the parent's own interquartile range.
+            gain = (cs["median"] - ps["median"]) * (1 if higher else -1)
+            row["claim_met"] = wins >= 9 and gain > ps["q3"] - ps["q1"]
             p_runs = [v for v in values["parent"] if v is not None]
             c_runs = [v for v in values["change"] if v is not None]
             # A spread wider than the bound cannot tell, unless every run of
@@ -179,7 +187,9 @@ print(f"wrote {path}")
 for w, entry in out["workloads"].items():
     for m, row in entry["metrics"].items():
         d = "n/a" if row["delta"] is None else f"{row['delta']:+.3f}"
-        print(f"{w:18} {m:18} wins {row['change_wins']:2}/10  delta {d:>7}  {row['verdict']}")
+        claim = "claim met" if row["claim_met"] else "claim not met"
+        print(f"{w:18} {m:18} wins {row['change_wins']:2}/10  delta {d:>7}  "
+              f"{row['verdict']:10} {claim}")
     print(f"{w:18} failed_share parent {entry['failed_share']['parent']} "
           f"change {entry['failed_share']['change']}")
 EOF

@@ -101,6 +101,25 @@ if not (ops_per_frame > 0 and frames <= 30):
     sys.exit("error: batch_read needs rpc.batch_ops_per_frame > 0 and rpc.frames_per_commit <= 30")
 EOF
 
+echo "==> lone commit manager gate (tell_e2e --workload point_rw --trace 1, 2 s)"
+# The benchmark runs one commit manager. Nobody reads a lone manager's
+# state, so it keeps it in memory: its starts and completions send no
+# frame to storage, and a commit costs the PN's own frames only (7.0;
+# publishing every completion and syncing on a cadence read 8.4).
+point_rw_json="$(cargo run --release --quiet --offline \
+  --manifest-path crates/bench/src/bin/tell_e2e/Cargo.toml -- \
+  --workload point_rw --seed 1 --seconds 2 --trace 1 | tail -n 1)"
+python3 - "$point_rw_json" <<'EOF'
+import json, sys
+
+metrics = json.loads(sys.argv[1])["metrics"]
+publish = metrics["commitmgr.publish_call_us"]["value"]
+frames = metrics["rpc.frames_per_commit"]["value"]
+print(f"point_rw: commitmgr.publish_call_us {publish:.1f}, rpc.frames_per_commit {frames:.2f}")
+if not (publish == 0 and frames <= 7.2):
+    sys.exit("error: point_rw needs commitmgr.publish_call_us = 0 and rpc.frames_per_commit <= 7.2")
+EOF
+
 echo "==> trace smoke (tell_top trace against a loopback cluster)"
 # The tool validates the emitted Chrome trace-event JSON and exits
 # nonzero when it is malformed or no trace was assembled. The run is one
