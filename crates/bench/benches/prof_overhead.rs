@@ -1,74 +1,58 @@
-//! Profiler overhead: full update transactions with the logical-stack
-//! sampler running at 10× the deployed default rate, against the same
-//! transactions with the sampler stopped. The tentpole claim is that the
-//! always-on profiler is cheap enough to leave armed in production — the
-//! hot path only pays a TLS read plus a handful of relaxed stores per
-//! frame, and the sampler walks the frame arrays from its own thread —
-//! so even a 990 Hz scrape rate must stay under a 3 % transaction-
-//! throughput budget.
+//! Lock-contention probe: three workers commit update transactions
+//! concurrently against an in-process database with **two** commit
+//! managers, and the bench reports the most contended named locks.
 //!
-//! Methodology matches `telemetry_overhead.rs`: process speed drifts over
-//! a run, so the two arms are interleaved in A-B-B-A blocks and the
-//! reported figure is the median of per-block deltas. The timed arms run
-//! single-threaded — lock-convoy noise would otherwise swamp a 3 %
-//! signal — and a separate multi-threaded contention probe (profiler
-//! armed, before the measurement) gives the contended-lock table
-//! something real to say about the commit path.
+//! The subject is `cm.state`, a commit manager's state lock. With two
+//! managers each one publishes its state to storage from inside that
+//! lock, so concurrent starts and completions queue on it; a lone manager
+//! keeps its state in memory and its critical sections are too short to
+//! contend. The probe checks that `ProfMutex` accounting — the per-lock
+//! rows a `Request::Metrics` snapshot carries, and the
+//! `lock_contended_total` counter the `LockWaitSpike` health rule reads —
+//! sees a real hot spot on the commit path.
 //!
-//! `TELL_BENCH_JSON=<dir>` writes `BENCH_prof_overhead.json`, including
-//! the top-5 contended locks — `cm.state` (the commit path) must appear.
+//! `TELL_BENCH_JSON=<dir>` writes `BENCH_prof_overhead.json` with the top
+//! contended locks; `cm.state` must lead with nonzero contention.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
 use tell_core::database::IndexSpec;
 use tell_core::{Database, TellConfig};
 
-/// Sampling rate under test: 10× the deployed default of 99 Hz
-/// (`tell_obs::prof::DEFAULT_HZ`).
-const PROF_HZ: f64 = 10.0 * tell_obs::prof::DEFAULT_HZ;
-const TXNS_PER_BATCH: u32 = 2_000;
-// More blocks than the telemetry bench: the signal under test is smaller
-// (3 % vs 5 %), so the median needs a larger population to settle.
-const BLOCKS: usize = 80;
-const BOUND_PCT: f64 = 3.0;
+const WORKERS: usize = 3;
+const COMMIT_MANAGERS: usize = 2;
+/// Not scaled down for smoke runs: the whole probe takes well under a
+/// second, and fewer transactions do not reliably overlap on `cm.state`.
+const TXNS_PER_WORKER: u32 = 2_000;
 const TOP_LOCKS: usize = 5;
 
 fn main() {
-    let scale = std::env::var("TELL_BENCH_SCALE").unwrap_or_default();
-    let (txns, blocks) = if scale == "tiny" { (200, 10) } else { (TXNS_PER_BATCH, BLOCKS) };
-
-    let db = Database::create(TellConfig::default());
+    let config = TellConfig { commit_managers: COMMIT_MANAGERS, ..TellConfig::default() };
+    let db = Database::create(config);
     let pk = IndexSpec::new("pk", true, |r: &[u8]| r.get(..8).map(Bytes::copy_from_slice));
     let table = db.create_table("bench", vec![pk]).unwrap();
     let pn = db.processing_node();
     let mut rids = Vec::new();
     {
         let mut txn = pn.begin().unwrap();
-        for i in 0..4u8 {
+        for i in 0..WORKERS as u8 {
             rids.push(txn.insert(&table, Bytes::from(vec![i + 1; 64])).unwrap());
         }
         txn.commit().unwrap();
     }
     tell_obs::set_enabled(true);
 
-    // Contention probe: three workers updating their own rows concurrently
-    // with the profiler armed, so `cm.state` (and the partition map) see
-    // real multi-thread contention and the lock table names the commit
-    // path. Runs to completion before the timed arms — the measurement
-    // itself is single-threaded on purpose, since lock-convoy jitter is
-    // orders of magnitude larger than the 3 % signal under test.
-    tell_obs::prof::start(Some(PROF_HZ));
-    let probe_txns = txns;
-    let workers: Vec<_> = (0..3)
-        .map(|w| {
+    // Each worker updates its own row, so the transactions never conflict
+    // on data: what they share is the commit managers.
+    let workers: Vec<_> = rids
+        .iter()
+        .map(|&rid| {
             let db = Arc::clone(&db);
             let table = Arc::clone(&table);
-            let rid = rids[w + 1];
             std::thread::spawn(move || {
                 let pn = db.processing_node();
-                for _ in 0..probe_txns {
+                for _ in 0..TXNS_PER_WORKER {
                     let _ = pn.run(100, |txn| txn.update(&table, rid, Bytes::from(vec![7u8; 64])));
                 }
             })
@@ -77,71 +61,16 @@ fn main() {
     for w in workers {
         w.join().unwrap();
     }
-    tell_obs::prof::stop();
 
-    let rid = rids[0];
-    let run_txn = |payload: u8| {
-        let mut txn = pn.begin().unwrap();
-        txn.update(&table, rid, Bytes::from(vec![payload; 64])).unwrap();
-        txn.commit().unwrap();
-    };
-    // Warm both arms.
-    for on in [false, true] {
-        if on {
-            tell_obs::prof::start(Some(PROF_HZ));
-        }
-        for _ in 0..txns {
-            run_txn(9);
-        }
-        if on {
-            tell_obs::prof::stop();
-        }
-    }
-    let time_batch = |on: bool| {
-        // Arm toggles happen outside the timed window: sampler thread
-        // startup/teardown never lands inside a batch.
-        if on {
-            tell_obs::prof::start(Some(PROF_HZ));
-        }
-        let t = Instant::now();
-        for _ in 0..txns {
-            run_txn(if on { 3 } else { 2 });
-        }
-        let ns = t.elapsed().as_nanos() as f64 / txns as f64;
-        if on {
-            tell_obs::prof::stop();
-        }
-        ns
-    };
-
-    let mut deltas = Vec::with_capacity(blocks);
-    let mut off_ns = Vec::with_capacity(blocks);
-    for _ in 0..blocks {
-        // A-B-B-A: linear drift within the block cancels exactly.
-        let d1 = time_batch(false);
-        let e1 = time_batch(true);
-        let e2 = time_batch(true);
-        let d2 = time_batch(false);
-        deltas.push((e1 + e2 - d1 - d2) / 2.0);
-        off_ns.push((d1 + d2) / 2.0);
-    }
-
-    deltas.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    off_ns.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let delta = deltas[blocks / 2];
-    let off = off_ns[blocks / 2];
-    let on = off + delta;
-    let overhead_pct = delta / off * 100.0;
-
-    let mut locks = tell_obs::prof::lock_snapshot();
+    let mut locks = tell_obs::snapshot().locks;
     locks.truncate(TOP_LOCKS);
     let commit_lock_named = locks.iter().any(|l| l.name == "cm.state" && l.contended > 0);
 
-    println!("prof_overhead: update txn with the stack sampler at {PROF_HZ:.0} Hz (10x default)");
-    println!("{:<44} {:>12.1} ns/txn", "prof/txn_update_sampler_off", off);
-    println!("{:<44} {:>12.1} ns/txn", "prof/txn_update_sampler_on", on);
-    println!("{:<44} {:>11.2} %  (bound: < {BOUND_PCT} %)", "prof/sampler_overhead", overhead_pct);
-    println!("top contended locks (contention probe + both arms):");
+    println!(
+        "prof_overhead: {WORKERS} workers x {TXNS_PER_WORKER} update txns, \
+         {COMMIT_MANAGERS} commit managers"
+    );
+    println!("top contended locks:");
     for l in &locks {
         println!("  {:<28} {:>8} contended {:>10} us waited", l.name, l.contended, l.wait_us);
     }
@@ -160,11 +89,9 @@ fn main() {
             })
             .collect();
         let json = format!(
-            "{{\n  \"bench\": \"prof_overhead\",\n  \"hz\": {PROF_HZ},\n  \
-             \"txns_per_batch\": {txns},\n  \"blocks\": {blocks},\n  \
-             \"sampler_off_ns_per_txn\": {off:.1},\n  \
-             \"sampler_on_ns_per_txn\": {on:.1},\n  \
-             \"overhead_pct\": {overhead_pct:.3},\n  \"bound_pct\": {BOUND_PCT},\n  \
+            "{{\n  \"bench\": \"prof_overhead\",\n  \"workers\": {WORKERS},\n  \
+             \"commit_managers\": {COMMIT_MANAGERS},\n  \
+             \"txns_per_worker\": {TXNS_PER_WORKER},\n  \
              \"commit_path_lock_named\": {commit_lock_named},\n  \
              \"top_contended_locks\": [\n{}\n  ]\n}}\n",
             lock_rows.join(",\n")

@@ -41,8 +41,9 @@ pub struct GcReport {
 pub fn run_gc<E: StoreEndpoint>(db: &Database<E>) -> Result<GcReport> {
     // A sweep is its own trace: the conditional writes it issues carry the
     // id, and the pass itself is one probe (count = versions reclaimed)
-    // whose spans go straight to the ring.
-    let _trace = TraceGuard::enter(tell_obs::next_trace_id());
+    // whose spans go straight to the ring. Every sweep is kept, not one in
+    // the tick's N, so its id carries no tick mark.
+    let _trace = TraceGuard::enter(tell_obs::next_trace_id(false));
     let probe = Probe::enter(Site::GcPass);
     let client = db.admin_client();
     let lav = db.commit_service().current_lav()?;

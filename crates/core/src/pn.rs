@@ -150,8 +150,8 @@ impl<E: StoreEndpoint> ProcessingNode<E> {
         tell_obs::incr(Counter::TxnBegun);
         // The transaction's trace and root probe: the phase probes (and,
         // over the remote transport, RPC client spans) nest under it. Held
-        // by the Transaction until completion so the sampler attributes the
-        // whole lifetime, parked gaps included, to `txn`.
+        // by the Transaction until completion so the root span covers the
+        // whole lifetime, parked gaps included.
         let root = Probe::trace_root(self.clock().now_us());
         let begin = Probe::sampled(Site::TxnBegin, root.sample(), self.clock().now_us());
         // On failure the transaction never existed: dropping the probes

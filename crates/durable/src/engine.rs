@@ -29,7 +29,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use tell_common::{Error, Result, SnId};
-use tell_obs::{add, incr, Counter, Probe, Site};
+use tell_obs::{add, incr, Counter, Probe, Site, SpanStatus};
 use tell_store::durability::{
     DurabilityProvider, NodeDurability, RecoveredNode, RecoveredPartition,
 };
@@ -403,7 +403,7 @@ impl DurableNode {
         key: &Bytes,
         cell: Option<&Cell>,
     ) -> Result<()> {
-        let _probe = Probe::enter(Site::DurableAppend);
+        let probe = Probe::enter(Site::DurableAppend);
         let rec = match cell {
             Some(c) => LogRecord::Put { pid, seq, key: key.clone(), cell: c.clone() },
             None => LogRecord::Delete { pid, seq, key: key.clone() },
@@ -417,6 +417,7 @@ impl DurableNode {
 
         inner.index.entry(pid).or_default().apply(seq, key.clone(), cell.cloned());
         inner.unsynced = true;
+        probe.finish(0.0, 1, SpanStatus::Ok);
 
         if inner.active.len >= self.config.segment_bytes {
             self.rotate(inner)?;
@@ -441,8 +442,9 @@ impl DurableNode {
     }
 
     fn sync_locked(&self, inner: &mut Inner) -> Result<()> {
-        let _probe = Probe::enter(Site::DurableFsync);
+        let probe = Probe::enter(Site::DurableFsync);
         inner.active.file.sync_data().map_err(|e| io_err("fsync segment", &e))?;
+        probe.finish(0.0, 1, SpanStatus::Ok);
         incr(Counter::DurableFsyncs);
         inner.unsynced = false;
         Ok(())

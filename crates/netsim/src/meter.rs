@@ -107,7 +107,6 @@ impl NetMeter {
             + bytes as f64 / self.profile.bandwidth_bytes_per_us
             + self.profile.server_op_us * server_ops.max(1) as f64;
         self.clock.advance(cost);
-        tell_obs::prof::sim_tick(self.clock.now_us());
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_sent.fetch_add(out as u64, Ordering::Relaxed);
         self.stats.bytes_received.fetch_add(inn as u64, Ordering::Relaxed);
@@ -118,7 +117,6 @@ impl NetMeter {
     pub fn charge_replication(&self, replicas: usize, bytes: usize) -> f64 {
         let cost = self.profile.replication_cost_us(replicas, bytes);
         self.clock.advance(cost);
-        tell_obs::prof::sim_tick(self.clock.now_us());
         self.stats.replication_bytes.fetch_add((replicas * bytes) as u64, Ordering::Relaxed);
         cost
     }
@@ -127,7 +125,6 @@ impl NetMeter {
     /// evaluation...). Kept on the meter so all time flows through one place.
     pub fn charge_cpu(&self, us: f64) {
         self.clock.advance(us);
-        tell_obs::prof::sim_tick(self.clock.now_us());
     }
 
     /// Record an exchange that happened over a *real* transport (tell-rpc).

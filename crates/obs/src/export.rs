@@ -1,14 +1,14 @@
-//! Trace assembly and the JSON exports: Chrome trace events and
-//! speedscope profiles.
+//! Trace assembly, the flame-graph fold, and the JSON exports: Chrome
+//! trace events and speedscope profiles.
 //!
 //! A scrape (`tell_top trace`, or a test) drains span rings from several
 //! processes, tags each span with the node it came from, and hands the pile
 //! to this module: [`group_by_trace`] reassembles per-transaction trees,
 //! [`chrome_trace_json`] renders them as Chrome trace-event JSON — one
 //! Perfetto "process" per trace, one "thread" per node, so each transaction
-//! reads as a waterfall across PN, SN, and CM. [`speedscope_json`] renders
-//! a profiler report in the speedscope file format (`tell_top flame
-//! --json`).
+//! reads as a waterfall across PN, SN, and CM. [`fold_self_time`] folds the
+//! same spans into a flame graph, and [`speedscope_json`] renders that in
+//! the speedscope file format (`tell_top flame --json`).
 //!
 //! [`validate_json`] is a dependency-free well-formedness check (RFC 8259
 //! grammar, no schema) used by the e2e test and by `tell_top` to fail fast
@@ -18,9 +18,10 @@ use std::collections::HashMap;
 
 use tell_common::{Error, Result};
 
-use crate::prof::{CollapsedTable, ProfileReport};
+use crate::prof::{CollapsedTable, DEFAULT_MAX_STACKS};
 use crate::span::Span;
-use crate::trace::fmt_trace;
+use crate::trace::{fmt_trace, tick_kept};
+use crate::Site;
 
 /// A span plus the node (scrape endpoint) it was drained from.
 #[derive(Clone, Debug)]
@@ -61,6 +62,93 @@ pub fn orphan_parents(spans: &[SourcedSpan]) -> usize {
                 && !ids.get(&s.span.trace).is_some_and(|v| v.contains(&s.span.parent))
         })
         .count()
+}
+
+/// Which clock a fold reads span intervals from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SpanClock {
+    /// Wall-clock microseconds: a live cluster (`tell_top flame`).
+    Wall,
+    /// Virtual-clock microseconds: a simulated run, where they are a pure
+    /// function of the seed.
+    Virtual,
+}
+
+impl SpanClock {
+    fn interval(self, s: &Span) -> (f64, f64) {
+        match self {
+            SpanClock::Wall => (s.start_wall_us as f64, s.end_wall_us as f64),
+            SpanClock::Virtual => (s.start_virt_us, s.end_virt_us),
+        }
+    }
+}
+
+/// Deepest ancestry path a fold keeps; a deeper (or cyclic, from a corrupt
+/// scrape) chain of parents is cut at the root end.
+const MAX_DEPTH: usize = 16;
+
+/// Fold spans into collapsed stacks weighted in microseconds of self-time:
+/// the flame graph of where the kept transactions spent their time.
+///
+/// * A stack is the span's ancestry path of site names, root first. An
+///   [`Site::RpcDispatch`] span starts a stack of its own and its time is
+///   not subtracted from the client call that caused it, so each stack is
+///   one thread of control: the client's `rpc.client_call` keeps its wait,
+///   and the server's `rpc.dispatch;store.write` stands on its own.
+/// * Self-time is the span's duration on `clock` minus the union of the
+///   intervals its children cover (so overlapping children count once),
+///   clipped to the span; whole microseconds, summed as integers so the
+///   result does not depend on span order.
+/// * Only traces the tick kept are folded ([`crate::trace::tick_kept`]):
+///   traces kept for being slow or conflicting would bias the picture.
+pub fn fold_self_time(spans: &[Span], clock: SpanClock) -> CollapsedTable {
+    let spans: Vec<&Span> = spans.iter().filter(|s| tick_kept(s.trace)).collect();
+    let index: HashMap<(u64, u64), usize> =
+        spans.iter().enumerate().map(|(i, s)| ((s.trace, s.id), i)).collect();
+    let parent: Vec<Option<usize>> = spans
+        .iter()
+        .map(|s| {
+            let local = s.parent != 0 && s.kind != Site::RpcDispatch;
+            local.then(|| index.get(&(s.trace, s.parent)).copied()).flatten()
+        })
+        .collect();
+    let mut children: Vec<Vec<(f64, f64)>> = vec![Vec::new(); spans.len()];
+    for (i, s) in spans.iter().enumerate() {
+        if let Some(p) = parent[i] {
+            children[p].push(clock.interval(s));
+        }
+    }
+    let mut table = CollapsedTable::new(DEFAULT_MAX_STACKS);
+    for (i, s) in spans.iter().enumerate() {
+        let (start, end) = clock.interval(s);
+        let self_us = (end - start - covered(start, end, &mut children[i])).max(0.0).round();
+        if self_us < 1.0 {
+            continue;
+        }
+        let mut path = vec![s.kind as u8];
+        let mut at = parent[i];
+        while let Some(p) = at.filter(|_| path.len() < MAX_DEPTH) {
+            path.push(spans[p].kind as u8);
+            at = parent[p];
+        }
+        path.reverse();
+        table.add(&path, self_us as u64);
+    }
+    table
+}
+
+/// Length of the union of `intervals`, each clipped to `[start, end]`.
+fn covered(start: f64, end: f64, intervals: &mut [(f64, f64)]) -> f64 {
+    intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (mut total, mut reach) = (0.0, start);
+    for &(s, e) in intervals.iter() {
+        let (s, e) = (s.max(reach), e.min(end));
+        if e > s {
+            total += e - s;
+            reach = e;
+        }
+    }
+    total
 }
 
 /// Escape `s` for use inside a JSON string literal.
@@ -140,19 +228,17 @@ pub fn chrome_trace_json(spans: &[SourcedSpan]) -> String {
     format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
 }
 
-/// Render a profiler report in the speedscope file format
+/// Render a flame graph in the speedscope file format
 /// (<https://www.speedscope.app/file-format-schema.json>): a shared frame
 /// table plus one sampled profile whose samples are frame-index stacks
-/// with per-stack weights. Fails only on a malformed folded payload. The
-/// `exporter` field keeps the name of the tool that first wrote these
-/// files, so output stays byte-comparable with older profiles.
-pub fn speedscope_json(report: &ProfileReport) -> Result<String> {
-    let table = CollapsedTable::parse_folded(&report.folded, usize::MAX)?;
+/// with per-stack weights in microseconds. The `exporter` field keeps the
+/// name of the tool that first wrote these files, so output stays
+/// byte-comparable with older profiles.
+pub fn speedscope_json(table: &CollapsedTable) -> String {
     let mut frames: Vec<&str> = Vec::new();
     let mut samples: Vec<String> = Vec::new();
     let mut weights: Vec<String> = Vec::new();
-    let mut total = 0u64;
-    for (names, count) in table.rows() {
+    for (names, weight) in table.rows() {
         let stack: Vec<String> = names
             .iter()
             .map(|&name| {
@@ -164,24 +250,22 @@ pub fn speedscope_json(report: &ProfileReport) -> Result<String> {
             })
             .collect();
         samples.push(format!("[{}]", stack.join(",")));
-        weights.push(count.to_string());
-        total += count;
+        weights.push(weight.to_string());
     }
     let frames: Vec<String> =
         frames.iter().map(|f| format!("{{\"name\":\"{}\"}}", json_escape(f))).collect();
-    Ok(format!(
+    format!(
         "{{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",\
          \"shared\":{{\"frames\":[{}]}},\
-         \"profiles\":[{{\"type\":\"sampled\",\"name\":\"tell ({:.0} Hz, {} samples)\",\
-         \"unit\":\"none\",\"startValue\":0,\"endValue\":{total},\
+         \"profiles\":[{{\"type\":\"sampled\",\"name\":\"tell (span self-time)\",\
+         \"unit\":\"microseconds\",\"startValue\":0,\"endValue\":{},\
          \"samples\":[{}],\"weights\":[{}]}}],\
          \"exporter\":\"tell_flame\"}}\n",
         frames.join(","),
-        report.hz,
-        report.samples,
+        table.total(),
         samples.join(","),
         weights.join(","),
-    ))
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -451,16 +535,11 @@ mod tests {
 
     #[test]
     fn speedscope_export_bytes_are_pinned() {
-        let report = ProfileReport {
-            running: true,
-            hz: 99.0,
-            samples: 21,
-            idle: 7,
-            dropped: 1,
-            folded: "txn 5\ntxn;txn.read 12\nrpc.dispatch;cm.apply 3\n".to_string(),
-            locks: Vec::new(),
-        };
-        let json = speedscope_json(&report).unwrap();
+        let mut table = CollapsedTable::new(DEFAULT_MAX_STACKS);
+        table.add(&[Site::Txn as u8], 5);
+        table.add(&[Site::Txn as u8, Site::TxnRead as u8], 12);
+        table.add(&[Site::RpcDispatch as u8, Site::CmApply as u8], 3);
+        let json = speedscope_json(&table);
         validate_json(&json).unwrap();
         assert_eq!(
             json,
@@ -468,15 +547,90 @@ mod tests {
                 r#"{"$schema":"https://www.speedscope.app/file-format-schema.json","#,
                 r#""shared":{"frames":[{"name":"txn"},{"name":"txn.read"},"#,
                 r#"{"name":"rpc.dispatch"},{"name":"cm.apply"}]},"#,
-                r#""profiles":[{"type":"sampled","name":"tell (99 Hz, 21 samples)","#,
-                r#""unit":"none","startValue":0,"endValue":20,"#,
+                r#""profiles":[{"type":"sampled","name":"tell (span self-time)","#,
+                r#""unit":"microseconds","startValue":0,"endValue":20,"#,
                 r#""samples":[[0],[0,1],[2,3]],"weights":[5,12,3]}],"#,
                 r#""exporter":"tell_flame"}"#,
                 "\n"
             )
         );
-        let bad = ProfileReport { folded: "no_such_frame 1\n".to_string(), ..report };
-        assert!(speedscope_json(&bad).is_err());
+    }
+
+    /// A span of a tick-kept trace (odd id), on both clocks.
+    fn kept(id: u64, parent: u64, kind: Site, start: u64, end: u64) -> Span {
+        Span {
+            start_virt_us: start as f64,
+            end_virt_us: end as f64,
+            ..span(1, id, parent, kind, start, end)
+        }
+    }
+
+    #[test]
+    fn fold_counts_overlapping_children_once() {
+        let spans = vec![
+            kept(1, 0, Site::Txn, 0, 100),
+            kept(2, 1, Site::TxnRead, 10, 60),
+            // Two flushes overlapping on 30..40 cover 20..50 of the read
+            // once; each keeps its own 20 us.
+            kept(3, 2, Site::BatchFlush, 20, 40),
+            kept(4, 2, Site::BatchFlush, 30, 50),
+        ];
+        for clock in [SpanClock::Wall, SpanClock::Virtual] {
+            let folded = fold_self_time(&spans, clock).to_folded();
+            assert_eq!(folded, "txn 50\ntxn;txn.read 20\ntxn;txn.read;rpc.batch_flush 40\n");
+        }
+    }
+
+    #[test]
+    fn fold_starts_a_stack_at_each_dispatch() {
+        let spans = vec![
+            kept(1, 0, Site::Txn, 0, 100),
+            kept(2, 1, Site::TxnRead, 0, 100),
+            kept(3, 2, Site::RpcClientCall, 10, 90),
+            // The server's side of the call: its own stack, and not
+            // subtracted from the client call that waited for it.
+            kept(4, 3, Site::RpcDispatch, 20, 80),
+            kept(5, 4, Site::StoreRead, 30, 70),
+        ];
+        let folded = fold_self_time(&spans, SpanClock::Wall).to_folded();
+        assert_eq!(
+            folded,
+            concat!(
+                "txn;txn.read 20\n",
+                "txn;txn.read;rpc.client_call 80\n",
+                "rpc.dispatch 20\n",
+                "rpc.dispatch;store.read 40\n",
+            )
+        );
+    }
+
+    #[test]
+    fn fold_clamps_self_time_at_zero() {
+        // A child that outlasts its parent (stamps from a detached probe,
+        // or clock rounding) leaves the parent no self-time, not less.
+        let spans = vec![kept(1, 0, Site::Txn, 10, 20), kept(3, 1, Site::TxnInstall, 5, 40)];
+        assert_eq!(fold_self_time(&spans, SpanClock::Wall).to_folded(), "txn;txn.install 35\n");
+    }
+
+    #[test]
+    fn fold_saturates_on_nonsense_stamps() {
+        // Scraped spans are outside input: absurd stamps saturate the
+        // weights instead of overflowing them.
+        let spans = vec![kept(1, 0, Site::Txn, 0, u64::MAX), kept(3, 0, Site::Txn, 0, u64::MAX)];
+        assert_eq!(fold_self_time(&spans, SpanClock::Wall).total(), u64::MAX);
+    }
+
+    #[test]
+    fn fold_skips_traces_the_tick_did_not_keep() {
+        // A conflict abort keeps its trace without the tick's mark: an
+        // even trace id. Only the marked trace is folded.
+        let conflict = Span {
+            attrs: SpanAttrs { count: 0, status: SpanStatus::Conflict },
+            ..span(2, 9, 0, Site::Txn, 0, 500)
+        };
+        let spans = vec![conflict, kept(1, 0, Site::Txn, 0, 7)];
+        assert_eq!(fold_self_time(&spans, SpanClock::Wall).to_folded(), "txn 7\n");
+        assert!(fold_self_time(&spans[..1], SpanClock::Wall).is_empty());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub enum RuleKind {
     /// Lock-wait spike: the interval's `lock_wait_us_total` delta exceeds
     /// a fraction of the interval itself (waiting ~10% of wall time on
     /// locks) while commit volume is above the min-volume guard — the
-    /// contended-lock signal the profiler's `ProfMutex` accounting feeds
+    /// contended-lock signal `ProfMutex` accounting feeds
     /// (DESIGN.md §8.3).
     LockWaitSpike,
 }

@@ -1,8 +1,8 @@
 //! Observability for the `tell-rs` workspace: one probe per instrumented
 //! site feeding a sharded lock-free metrics registry, causal spans with
-//! tail-based retention of slow transactions, and a logical-stack
-//! profiler, plus wire-level trace propagation and snapshot exposition in
-//! Prometheus text and JSON.
+//! tail-based retention of slow transactions, and flame graphs folded from
+//! those spans, plus wire-level trace propagation and snapshot exposition
+//! in Prometheus text and JSON.
 //!
 //! The paper evaluates Tell entirely through observables — per-layer
 //! latency (Table 4 mean ± σ, Table 5 TP99/TP999), abort rates, message
@@ -10,11 +10,11 @@
 //! be first-class. Design rules:
 //!
 //! * **One site, one probe.** Every instrumented place is a [`Site`]: one
-//!   code and one dotted name shared by spans and profiles, carrying its
-//!   phase histogram. The site opens one [`Probe`], which pushes the
-//!   profiler frame and — by site policy and the transaction's [`Sample`]
-//!   (one per-thread tick per transaction) — opens the span and feeds the
-//!   histogram from a single pair of `max(virtual, wall)` clock reads.
+//!   code and one dotted name shared by spans and flame graphs, carrying
+//!   its phase histogram. The site opens one [`Probe`], which — by site
+//!   policy and the transaction's [`Sample`] (one per-thread tick per
+//!   transaction) — opens the span and feeds the histogram from a single
+//!   pair of `max(virtual, wall)` clock reads.
 //! * **Hot path pays almost nothing.** Metric ids are enum discriminants
 //!   indexing fixed arrays; counters are relaxed per-shard atomics;
 //!   histograms sit behind per-shard mutexes that threads pinned to
@@ -41,12 +41,12 @@
 //!   and per-phase p50/p99/p999 digests; `Request::Telemetry` scrapes it
 //!   incrementally by cursor, and a [`HealthEngine`] evaluates declarative
 //!   rules over the stream into deduplicated firing/resolved events.
-//! * **Profiles ride logical stacks.** Probes push their site's code onto a
-//!   per-thread stack; the [`prof`] sampler folds what it sees into
-//!   a collapsed-stack table ([`ProfileReport`], scraped via
-//!   `Request::Profile*`), [`ProfMutex`] attributes lock waits to the
-//!   blocking stack, and a [`SimProfile`] samples on the virtual clock for
-//!   bit-reproducible profiles under tell-sim.
+//! * **Flame graphs fold spans.** [`export::fold_self_time`] turns the
+//!   tick-sampled traces a scrape collects into a collapsed-stack
+//!   [`CollapsedTable`] weighted in microseconds of self-time, on the wall
+//!   clock for a live cluster or the virtual clock under tell-sim (where
+//!   the fold is bit-reproducible). [`ProfMutex`] counts lock contention
+//!   per named lock; the rows ride the [`MetricsSnapshot`].
 
 /// A fixed namespace of ids: a fieldless enum whose discriminants index
 /// arrays (and, for [`Site`], are the wire code), with its names and the
@@ -100,7 +100,7 @@ pub mod trace;
 
 pub use health::{HealthConfig, HealthEngine, HealthEvent, NodeTick, RuleKind};
 pub use probe::{Probe, Sample, Site, PHASE_SAMPLE_EVERY, SPAN_SAMPLE_EVERY};
-pub use prof::{CollapsedTable, LockStat, ProfMutex, ProfRwLock, ProfileReport, SimProfile};
+pub use prof::{CollapsedTable, LockStat, ProfMutex, ProfRwLock};
 pub use registry::{global, help_for, Counter, Gauge, Phase, Registry};
 pub use snapshot::MetricsSnapshot;
 pub use span::{current_span, Span, SpanAttrs, SpanStatus};
@@ -134,9 +134,10 @@ pub fn observe(p: Phase, v: f64) {
     registry::global_observe(p, v);
 }
 
-/// Snapshot the global registry.
+/// Snapshot the global registry, with this process's per-lock contention
+/// rows.
 pub fn snapshot() -> MetricsSnapshot {
-    global().snapshot()
+    MetricsSnapshot { locks: prof::lock_snapshot(), ..global().snapshot() }
 }
 
 /// Enable or disable the global registry.

@@ -3,33 +3,32 @@
 //! A [`Site`] names one place the workspace measures — a transaction
 //! phase, an RPC round trip, a server dispatch, a storage or durable-tier
 //! operation. It is the single vocabulary of span waterfalls (the span
-//! wire code), flamegraphs (the frame code and dotted name) and phase
-//! histograms ([`Site::phase`]).
+//! wire code), flame graphs (stacks of site names folded from spans) and
+//! phase histograms ([`Site::phase`]).
 //!
-//! A [`Probe`] is the one guard every site opens. It always pushes the
-//! site's profiler frame (one relaxed store each way — the profiler's value
-//! is seeing the unsampled majority). By the site's policy and the
-//! transaction's [`Sample`] it also opens a span and feeds the site's phase
+//! A [`Probe`] is the one guard every site opens. By the site's policy and
+//! the transaction's [`Sample`] it opens a span and feeds the site's phase
 //! histogram, both from one pair of clock reads taking the larger of the
 //! virtual and the wall delta: the virtual clock is what a simulated
 //! network charge advances, the wall clock what a real TCP round trip
-//! advances. An unsampled probe reads no clock at all. A trace root's
-//! close decides whether the transaction's spans are kept: when it ran
-//! over the slow-op budget ([`span::slow_budget_us`]), aborted on a
-//! conflict, or was tick-sampled.
+//! advances. The span keeps both stamps, so a fold can read either. An
+//! unsampled probe reads no clock at all. A trace root's close decides
+//! whether the transaction's spans are kept: when it ran over the slow-op
+//! budget ([`span::slow_budget_us`]), aborted on a conflict, or was
+//! tick-sampled; the tick's choice is marked in the trace id
+//! ([`trace::tick_kept`]).
 
 use std::cell::Cell;
 
 use tell_common::{Error, Result};
 
-use crate::prof::FrameGuard;
 use crate::registry::{self, Counter, Phase};
 use crate::span::{self, Span, SpanAttrs, SpanStatus, SpanTimer};
 use crate::trace;
 
 id_enum! {
     /// An instrumented site. Discriminants (declaration order) are the span
-    /// wire code and the profiler's stack-table code; [`Site::name`] is the
+    /// wire code and the flame graph's stack code; [`Site::name`] is the
     /// dotted name both render.
     #[repr(u8)]
     Site {
@@ -63,8 +62,6 @@ id_enum! {
         DurableAppend => "durable.append",
         /// Durable-tier fsync.
         DurableFsync => "durable.fsync",
-        /// Synthetic profiler leaf: time blocked on a contended lock.
-        LockWait => "lock.wait",
     }
 }
 
@@ -99,14 +96,17 @@ impl Site {
         }
     }
 
-    /// Whether a probe here may open a span now: never at the profile-only
-    /// sites; for storage writes and commit-manager transitions only under
-    /// a server dispatch (on the PN the transaction phase already covers
-    /// them); everywhere else whenever a trace is current.
+    /// Whether a probe here may open a span now: for the storage engine,
+    /// the durable tier and commit-manager transitions only under a server
+    /// dispatch (on the PN the transaction phase already covers them);
+    /// everywhere else whenever a trace is current.
     fn records_spans(self) -> bool {
         match self {
-            Site::StoreRead | Site::DurableAppend | Site::DurableFsync | Site::LockWait => false,
-            Site::StoreWrite | Site::CmApply => span::in_server_dispatch(),
+            Site::StoreRead
+            | Site::StoreWrite
+            | Site::CmApply
+            | Site::DurableAppend
+            | Site::DurableFsync => span::in_server_dispatch(),
             _ => true,
         }
     }
@@ -143,7 +143,7 @@ pub struct Sample {
 impl Sample {
     /// Everything the site's policy allows.
     pub const ALL: Sample = Sample { timed: true, spans: true, kept: true };
-    /// The profiler frame only.
+    /// No measurement at all.
     pub const NONE: Sample = Sample { timed: false, spans: false, kept: false };
 
     /// Advance this thread's tick — once per transaction, and only while
@@ -168,13 +168,11 @@ impl Sample {
 }
 
 /// The guard an instrumented site opens (see the module docs). Dropping a
-/// probe without [`finish`](Probe::finish)ing it pops its frame and
-/// records nothing else.
+/// probe without [`finish`](Probe::finish)ing it records nothing.
 #[must_use = "a probe measures the scope it lives in"]
 pub struct Probe {
     site: Site,
     sample: Sample,
-    frame: FrameGuard,
     /// Dispatch probes mark the thread as serving a frame: the flag to
     /// restore.
     server: Option<bool>,
@@ -201,7 +199,6 @@ impl Probe {
         let mut probe = Probe {
             site,
             sample,
-            frame: FrameGuard::enter(site),
             server: (site == Site::RpcDispatch).then(|| span::set_server_dispatch(true)),
             span: None,
             start_virt: virt_us,
@@ -231,7 +228,7 @@ impl Probe {
     /// discards whatever the trace buffered and unpins it.
     pub fn trace_root(virt_us: f64) -> Probe {
         let sample = Sample::next();
-        let trace = trace::next_trace_id();
+        let trace = trace::next_trace_id(sample.kept);
         trace::set_current(Some(trace), sample.spans);
         let mut root = Probe::sampled(Site::Txn, sample, virt_us);
         root.trace = trace;
@@ -258,12 +255,11 @@ impl Probe {
 
     /// Split off the measuring half — span and clocks — into a probe that
     /// may finish later and elsewhere (a dispatch's reply callback), leaving
-    /// this one holding only the frame and the dispatch scope.
+    /// this one holding only the dispatch scope.
     pub fn detach(&mut self) -> Probe {
         Probe {
             site: self.site,
             sample: self.sample,
-            frame: FrameGuard::empty(),
             server: None,
             span: self.span.take(),
             start_virt: self.start_virt,
@@ -272,8 +268,8 @@ impl Probe {
         }
     }
 
-    /// Close the probe: pop its frame and, if it measured, feed the
-    /// histogram and buffer the span (`count` is the site's magnitude —
+    /// Close the probe: if it measured, feed the histogram and buffer the
+    /// span (`count` is the site's magnitude —
     /// records read, ops written). Returns the elapsed microseconds when
     /// something measured.
     pub fn finish(mut self, virt_us: f64, count: u32, status: SpanStatus) -> Option<f64> {
@@ -317,10 +313,8 @@ impl Probe {
         self.end_trace(slow || keep || self.sample.kept);
     }
 
-    /// Pop the frame, then measure from the second clock read: returns the
-    /// elapsed time.
+    /// Measure from the second clock read: returns the elapsed time.
     fn close(&mut self, virt_us: f64, count: u32, status: SpanStatus) -> Option<f64> {
-        self.frame.pop();
         let start_wall = self.start_wall.take()?;
         let end_wall = span::wall_stamp();
         let elapsed = (virt_us - self.start_virt).max(end_wall - start_wall).max(0.0);
@@ -361,9 +355,10 @@ impl Drop for Probe {
 mod tests {
     use super::*;
 
-    /// The code and dotted name of every site, as the span wire format,
-    /// folded profiles and `parse_folded` have always spelled them.
-    const GOLDEN: [(u8, &str); 16] = [
+    /// The code and dotted name of every site, as the span wire format and
+    /// folded flame graphs have always spelled them. Code 15 (`lock.wait`,
+    /// a leaf only the retired stack sampler emitted) is not reused.
+    const GOLDEN: [(u8, &str); 15] = [
         (0, "txn"),
         (1, "txn.begin"),
         (2, "txn.read"),
@@ -379,7 +374,6 @@ mod tests {
         (12, "store.read"),
         (13, "durable.append"),
         (14, "durable.fsync"),
-        (15, "lock.wait"),
     ];
 
     #[test]
@@ -390,13 +384,15 @@ mod tests {
             assert_eq!(Site::from_u8(code).unwrap(), site);
             assert_eq!(Site::from_name(name).unwrap(), site);
         }
+        assert!(Site::from_u8(15).is_err());
         assert!(Site::from_u8(16).is_err());
+        assert!(Site::from_name("lock.wait").is_err());
         assert!(Site::from_name("no.such").is_err());
     }
 
     #[test]
-    fn unsampled_probe_pushes_only_its_frame() {
-        let trace = trace::next_trace_id();
+    fn unsampled_probe_records_nothing() {
+        let trace = trace::next_trace_id(false);
         std::thread::spawn(move || {
             let _guard = trace::TraceGuard::enter(trace);
             let probe = Probe::sampled(Site::TxnRead, Sample::NONE, 0.0);

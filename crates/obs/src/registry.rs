@@ -157,8 +157,6 @@ id_enum! {
         LockContended => "lock_contended_total",
         /// Microseconds spent waiting in contended `ProfMutex` acquires.
         LockWaitUs => "lock_wait_us_total",
-        /// `Request::Profile*` frames served (start, stop, and fetch).
-        ReqProfile => "rpc_req_profile_total",
     }
 }
 
@@ -351,7 +349,7 @@ impl Registry {
                 buckets.push((p.name().to_string(), nz));
             }
         }
-        MetricsSnapshot { counters, gauges, histograms, buckets }
+        MetricsSnapshot { counters, gauges, histograms, buckets, locks: Vec::new() }
     }
 
     /// Zero every counter, gauge, and histogram. For tests and benches.

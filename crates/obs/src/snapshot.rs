@@ -1,8 +1,8 @@
 //! Point-in-time metric snapshots: their wire encoding (the
-//! `Request::Metrics` answer, in the workspace's binary codec) and their
-//! two renderings — Prometheus text exposition for scrapes, and a JSON
-//! document for machine-readable bench reports and `tell_top metrics
-//! --json`.
+//! `Request::Metrics` answer, in the workspace's binary codec, which also
+//! carries the per-lock contention rows) and their two renderings —
+//! Prometheus text exposition for scrapes, and a JSON document for
+//! machine-readable bench reports and `tell_top metrics --json`.
 //!
 //! The workspace vendors no serde, so the JSON writer is hand-rolled
 //! against exactly the subset this format uses: one object of objects,
@@ -14,6 +14,7 @@ use std::fmt::Write as _;
 use tell_common::codec::{Reader, Writer};
 use tell_common::{Result, Summary};
 
+use crate::prof::LockStat;
 use crate::timeseries::check_len;
 
 /// A merged view of every counter, gauge, and histogram in a registry.
@@ -29,6 +30,10 @@ pub struct MetricsSnapshot {
     /// `(upper_bound, count)` pairs. Only histograms with at least one
     /// sample appear.
     pub buckets: Vec<(String, Vec<(f64, u64)>)>,
+    /// Contention per named lock, heaviest waiter first. Process-wide, so
+    /// only the global snapshot ([`crate::snapshot()`]) fills it; carried on
+    /// the wire, not rendered.
+    pub locks: Vec<LockStat>,
 }
 
 fn f(v: f64) -> String {
@@ -177,6 +182,12 @@ impl MetricsSnapshot {
                 w.put_u64(*count);
             }
         }
+        w.put_u32(self.locks.len() as u32);
+        for l in &self.locks {
+            w.put_string(&l.name);
+            w.put_u64(l.contended);
+            w.put_u64(l.wait_us);
+        }
     }
 
     /// Decode one snapshot from the reader.
@@ -209,6 +220,10 @@ impl MetricsSnapshot {
             }
             snap.buckets.push((name, pairs));
         }
+        for _ in 0..check_len(r.u32()?)? {
+            let lock = LockStat { name: r.string()?, contended: r.u64()?, wait_us: r.u64()? };
+            snap.locks.push(lock);
+        }
         Ok(snap)
     }
 }
@@ -235,12 +250,17 @@ mod tests {
                 },
             )],
             buckets: vec![],
+            locks: vec![],
         }
     }
 
     fn sample_with_buckets() -> MetricsSnapshot {
         let mut snap = sample();
         snap.buckets = vec![("txn_total_us".into(), vec![(2.0, 2), (1073741824.0, 1)])];
+        snap.locks = vec![
+            LockStat { name: "cm.state".into(), contended: 12, wait_us: 480 },
+            LockStat { name: "store.partition.map".into(), contended: 0, wait_us: 0 },
+        ];
         snap
     }
 

@@ -577,7 +577,7 @@ mod tests {
     fn timers_nest_and_parent_correctly() {
         // Thread-isolated: CURRENT/PENDING are thread-locals, and the kept
         // spans are filtered by trace id before assertions.
-        let trace = trace::next_trace_id();
+        let trace = trace::next_trace_id(false);
         std::thread::spawn(move || {
             let _guard = trace::TraceGuard::enter(trace);
             let root = Probe::enter(Site::Txn);
@@ -611,7 +611,7 @@ mod tests {
 
     #[test]
     fn dropped_timer_restores_parent_register() {
-        let trace = trace::next_trace_id();
+        let trace = trace::next_trace_id(false);
         std::thread::spawn(move || {
             let _guard = trace::TraceGuard::enter(trace);
             let root = Probe::enter(Site::Txn);
@@ -631,7 +631,7 @@ mod tests {
 
     #[test]
     fn disabled_registry_records_no_spans() {
-        let trace = trace::next_trace_id();
+        let trace = trace::next_trace_id(false);
         std::thread::spawn(move || {
             let _guard = trace::TraceGuard::enter(trace);
             registry::global().set_enabled(false);

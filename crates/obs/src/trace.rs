@@ -29,15 +29,25 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Mint a fresh non-zero trace id, unique within this process and salted
 /// with the pid so ids from different processes in one deployment do not
-/// collide in practice.
-pub fn next_trace_id() -> u64 {
+/// collide in practice. The low bit is the tick mark (see [`tick_kept`]).
+pub fn next_trace_id(tick_kept: bool) -> u64 {
     loop {
         let seq = NEXT.fetch_add(1, Ordering::Relaxed);
-        let id = splitmix64(seq ^ ((std::process::id() as u64) << 32));
+        let id = splitmix64(seq ^ ((std::process::id() as u64) << 32)) & !1 | u64::from(tick_kept);
         if id != 0 {
             return id;
         }
     }
+}
+
+/// Whether the per-thread 1-in-[`crate::SPAN_SAMPLE_EVERY`] tick kept
+/// trace `t`, whatever else happened to it. Traces kept for running slow
+/// or aborting on a conflict are a biased sample of where time goes; a
+/// flame graph folds only tick-kept ones. The mark is the id's low bit, and
+/// the id rides every frame, so the spans a server records for the trace
+/// carry it too.
+pub fn tick_kept(t: u64) -> bool {
+    t & 1 == 1
 }
 
 /// The trace id attached to work on this thread, if any.
@@ -118,11 +128,13 @@ mod tests {
 
     #[test]
     fn ids_are_nonzero_and_distinct() {
-        let a = next_trace_id();
-        let b = next_trace_id();
+        let a = next_trace_id(false);
+        let b = next_trace_id(false);
         assert_ne!(a, 0);
         assert_ne!(b, 0);
         assert_ne!(a, b);
+        assert!(!tick_kept(a) && !tick_kept(b));
+        assert!(tick_kept(next_trace_id(true)));
     }
 
     #[test]

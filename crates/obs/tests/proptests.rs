@@ -3,17 +3,19 @@
 //! refuse arbitrary bytes without panicking — and for the
 //! telemetry time-series ring: `since` must match a reference model under
 //! arbitrary scrape cursors and ring wrap, and rollup deltas must tile the
-//! counter totals exactly. The profiler's collapsed-stack encoder gets the
-//! same treatment: folded text must round-trip, the cardinality bound must
-//! hold, and no sample may vanish — every add lands in a stack or in the
-//! drop counter.
+//! counter totals exactly. The flame graph's collapsed-stack table gets the
+//! same treatment: folded text must encode it losslessly, the cardinality
+//! bound must hold, and no weight may vanish — every add lands in a stack
+//! or in the drop counter.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use tell_common::codec::Reader;
 use tell_common::Summary;
-use tell_obs::{CollapsedTable, Counter, MetricsSnapshot, Registry, Rollup, Site, TsPoint, TsRing};
+use tell_obs::{
+    CollapsedTable, Counter, LockStat, MetricsSnapshot, Registry, Rollup, Site, TsPoint, TsRing,
+};
 
 fn metric_name() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9_]{0,30}"
@@ -61,12 +63,18 @@ fn snapshot() -> impl Strategy<Value = MetricsSnapshot> {
             (metric_name(), proptest::collection::vec((positive_finite_f64(), any::<u64>()), 1..6)),
             0..4,
         ),
+        proptest::collection::vec(
+            (metric_name(), any::<u64>(), any::<u64>())
+                .prop_map(|(name, contended, wait_us)| LockStat { name, contended, wait_us }),
+            0..4,
+        ),
     )
-        .prop_map(|(counters, gauges, histograms, buckets)| MetricsSnapshot {
+        .prop_map(|(counters, gauges, histograms, buckets, locks)| MetricsSnapshot {
             counters,
             gauges,
             histograms,
             buckets,
+            locks,
         })
 }
 
@@ -180,9 +188,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Profiler collapsed-stack encoder.
+// The flame graph's collapsed-stack table.
 
-/// A logical stack: 1..=MAX_DEPTH frame codes, each a valid [`Site`].
+/// A stack: 1..=15 site codes, each a valid [`Site`].
 fn stack() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..Site::ALL.len() as u8, 1..16)
 }
@@ -192,18 +200,24 @@ fn adds() -> impl Strategy<Value = Vec<(Vec<u8>, u64)>> {
 }
 
 proptest! {
-    /// Folded text is a faithful encoding: parsing what `to_folded`
-    /// rendered reproduces the table exactly (same stacks, same counts,
-    /// and — with an unbounded parse — nothing dropped).
+    /// Folded text is a faithful encoding: reading back what `to_folded`
+    /// rendered — one `name;name weight` line per stack, names the sites'
+    /// dotted names — reproduces the table exactly.
     #[test]
     fn folded_encoding_round_trips(adds in adds()) {
         let mut table = CollapsedTable::new(usize::MAX);
         for (key, n) in &adds {
             table.add(key, *n);
         }
-        let folded = table.to_folded();
-        let back = CollapsedTable::parse_folded(&folded, usize::MAX)
-            .expect("rendered folded text must parse");
+        let mut back = CollapsedTable::new(usize::MAX);
+        for line in table.to_folded().lines() {
+            let (stack, weight) = line.rsplit_once(' ').expect("a weight ends every line");
+            let key: Vec<u8> = stack
+                .split(';')
+                .map(|name| Site::from_name(name).expect("rendered name decodes") as u8)
+                .collect();
+            back.add(&key, weight.parse().expect("weight is an integer"));
+        }
         prop_assert_eq!(back.rows(), table.rows());
         prop_assert_eq!(back.total(), table.total());
         prop_assert_eq!(back.dropped(), 0);
@@ -244,36 +258,23 @@ proptest! {
         prop_assert_eq!(table.dropped(), dropped_before);
     }
 
-    /// Merging preserves every sample: totals and drops are additive, and
-    /// merge order cannot change the rendered output when capacity is
-    /// unbounded.
+    /// Folding two batches of spans into one table preserves every
+    /// microsecond: totals are additive, and the order the batches arrive
+    /// in (span rings drain shard by shard) cannot change the rendered
+    /// output when capacity is unbounded.
     #[test]
     fn merge_is_lossless_and_order_independent(a in adds(), b in adds()) {
-        let build = |adds: &[(Vec<u8>, u64)]| {
+        let build = |first: &[(Vec<u8>, u64)], second: &[(Vec<u8>, u64)]| {
             let mut t = CollapsedTable::new(usize::MAX);
-            for (key, n) in adds {
+            for (key, n) in first.iter().chain(second) {
                 t.add(key, *n);
             }
             t
         };
-        let (ta, tb) = (build(&a), build(&b));
-        let mut ab = ta.clone();
-        ab.merge(&tb);
-        let mut ba = tb.clone();
-        ba.merge(&ta);
+        let (ab, ba) = (build(&a, &b), build(&b, &a));
         prop_assert_eq!(ab.to_folded(), ba.to_folded());
-        prop_assert_eq!(ab.total(), ta.total() + tb.total());
+        let sum = |adds: &[(Vec<u8>, u64)]| adds.iter().map(|(_, n)| n).sum::<u64>();
+        prop_assert_eq!(ab.total(), sum(&a) + sum(&b));
         prop_assert_eq!(ab.dropped(), 0);
-    }
-
-    /// The parser never panics, and whatever it accepts re-renders to the
-    /// same parse (idempotent normalization).
-    #[test]
-    fn folded_parser_never_panics(text in "\\PC{0,200}") {
-        if let Ok(table) = CollapsedTable::parse_folded(&text, 32) {
-            let again = CollapsedTable::parse_folded(&table.to_folded(), 32)
-                .expect("normalized folded text must parse");
-            prop_assert_eq!(again.rows(), table.rows());
-        }
     }
 }

@@ -164,7 +164,8 @@ impl Router {
         match request {
             Request::Ping => Response::Pong,
             // Served by every node regardless of hosted services: the
-            // snapshot is of this process's global registry.
+            // snapshot is of this process's global registry and its
+            // per-lock contention rows.
             Request::Metrics => Response::Metrics(tell_obs::snapshot()),
             // Likewise process-wide. The default scrape peeks; draining is
             // destructive and must be asked for explicitly.
@@ -177,18 +178,6 @@ impl Router {
             Request::Telemetry { since } => {
                 Response::Telemetry(tell_obs::timeseries::page_since(since))
             }
-            // Profiler control, also process-wide: the logical-stack
-            // sampler covers every thread in this process, whatever mix
-            // of services it hosts.
-            Request::ProfileStart { hz } => {
-                tell_obs::prof::start((hz > 0.0).then_some(hz));
-                Response::Unit
-            }
-            Request::ProfileStop => {
-                tell_obs::prof::stop();
-                Response::Unit
-            }
-            Request::ProfileFetch => Response::Profile(tell_obs::prof::fetch()),
             // The wire decoder already refuses nested batches; keep the
             // refusal here too so a future in-process caller cannot sneak
             // one in.
@@ -348,9 +337,6 @@ fn count_request(request: &Request) {
         Request::Metrics => Counter::ReqMetrics,
         Request::Spans { .. } => Counter::ReqSpans,
         Request::Telemetry { .. } => Counter::ReqTelemetry,
-        Request::ProfileStart { .. } | Request::ProfileStop | Request::ProfileFetch => {
-            Counter::ReqProfile
-        }
     };
     reg.incr(c);
 }
@@ -382,8 +368,8 @@ pub fn dispatch_frame(
     // (its spans included), parenting it onto the remote client-call
     // span carried in the frame.
     let _guard = ctx.map(|c| tell_obs::TraceGuard::adopt(c.trace, c.parent_span));
-    // The dispatch probe: its frame (store/cm work done below stacks under
-    // it) and dispatch scope last until this function returns; its span
+    // The dispatch probe: its dispatch scope (store/cm work done below
+    // records spans under it) lasts until this function returns; its span
     // closes with the reply, which may come later and on another thread.
     // Dispatch spans skip tail retention: the thread never learns how the
     // trace ends, so the bounded ring is the server-side policy.

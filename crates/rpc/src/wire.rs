@@ -28,7 +28,7 @@ use bytes::{Bytes, BytesMut};
 use tell_commitmgr::SnapshotDescriptor;
 use tell_common::codec::{Reader, Writer};
 use tell_common::{Error, IsolationLevel, Result, TxnId};
-use tell_obs::{LockStat, MetricsSnapshot, ProfileReport, Span, TelemetryPage};
+use tell_obs::{MetricsSnapshot, Span, TelemetryPage};
 use tell_store::{Expect, Key, Predicate, Token, WriteOp};
 
 /// Upper bound on a frame's `len` field. Generous — the largest legitimate
@@ -107,18 +107,6 @@ pub enum Request {
     /// `since: 0` for history from the oldest retained point, then the
     /// returned `next_cursor` on every later scrape.
     Telemetry { since: u64 },
-    /// Start the server's logical-stack profiler sampling at `hz`
-    /// (non-positive: the server's `TELL_PROF_HZ` / default). Answered
-    /// with [`Response::Unit`]; any server answers it. Starting an
-    /// already-running profiler is a no-op (the running profile keeps
-    /// accumulating).
-    ProfileStart { hz: f64 },
-    /// Stop the profiler, keeping the accumulated profile fetchable.
-    /// Answered with [`Response::Unit`]; any server answers it.
-    ProfileStop,
-    /// Fetch the accumulated profile (running or stopped). Answered with
-    /// [`Response::Profile`]; any server answers it.
-    ProfileFetch,
 }
 
 /// Server replies. `Error` may answer any request; the others pair with
@@ -162,9 +150,6 @@ pub enum Response {
     /// Answer to `Request::Telemetry`: one incremental page of time-series
     /// points.
     Telemetry(TelemetryPage),
-    /// Answer to `Request::ProfileFetch`: the server's collapsed-stack
-    /// profile and lock-contention totals.
-    Profile(ProfileReport),
 }
 
 // ---------------------------------------------------------------------------
@@ -403,12 +388,6 @@ impl Request {
                 out.put_u8(23);
                 out.put_u64(*since);
             }
-            Request::ProfileStart { hz } => {
-                out.put_u8(25);
-                out.put_f64(*hz);
-            }
-            Request::ProfileStop => out.put_u8(26),
-            Request::ProfileFetch => out.put_u8(27),
         }
         out
     }
@@ -470,9 +449,6 @@ impl Request {
             21 => Request::Metrics,
             22 => Request::Spans { drain: read_bool(&mut r)? },
             23 => Request::Telemetry { since: r.u64()? },
-            25 => Request::ProfileStart { hz: r.f64()? },
-            26 => Request::ProfileStop,
-            27 => Request::ProfileFetch,
             t => return Err(Error::corrupt(format!("unknown request tag {t}"))),
         };
         expect_exhausted(&r)?;
@@ -580,10 +556,6 @@ impl Response {
                 out.put_u8(21);
                 page.encode(&mut out);
             }
-            Response::Profile(report) => {
-                out.put_u8(22);
-                put_profile_report(&mut out, report);
-            }
         }
         out
     }
@@ -667,42 +639,11 @@ impl Response {
                 Response::Spans(spans)
             }
             21 => Response::Telemetry(TelemetryPage::decode(&mut r)?),
-            22 => Response::Profile(read_profile_report(&mut r)?),
             t => return Err(Error::corrupt(format!("unknown response tag {t}"))),
         };
         expect_exhausted(&r)?;
         Ok(resp)
     }
-}
-
-fn put_profile_report(out: &mut Vec<u8>, report: &ProfileReport) {
-    out.put_u8(u8::from(report.running));
-    out.put_f64(report.hz);
-    out.put_u64(report.samples);
-    out.put_u64(report.idle);
-    out.put_u64(report.dropped);
-    out.put_string(&report.folded);
-    out.put_u32(report.locks.len() as u32);
-    for l in &report.locks {
-        out.put_string(&l.name);
-        out.put_u64(l.contended);
-        out.put_u64(l.wait_us);
-    }
-}
-
-fn read_profile_report(r: &mut Reader<'_>) -> Result<ProfileReport> {
-    let running = read_bool(r)?;
-    let hz = r.f64()?;
-    let samples = r.u64()?;
-    let idle = r.u64()?;
-    let dropped = r.u64()?;
-    let folded = r.string()?;
-    let n = r.u32()? as usize;
-    let mut locks = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        locks.push(LockStat { name: r.string()?, contended: r.u64()?, wait_us: r.u64()? });
-    }
-    Ok(ProfileReport { running, hz, samples, idle, dropped, folded, locks })
 }
 
 fn read_bool(r: &mut Reader<'_>) -> Result<bool> {
@@ -877,10 +818,6 @@ mod tests {
             Request::Spans { drain: true },
             Request::Telemetry { since: 0 },
             Request::Telemetry { since: u64::MAX },
-            Request::ProfileStart { hz: 99.0 },
-            Request::ProfileStart { hz: 0.0 },
-            Request::ProfileStop,
-            Request::ProfileFetch,
         ];
         for req in reqs {
             let body = req.encode();
@@ -920,6 +857,17 @@ mod tests {
             Response::Lav(6),
             Response::Metrics(MetricsSnapshot::default()),
             Response::Metrics(tell_obs::Registry::new().snapshot()),
+            Response::Metrics(tell_obs::MetricsSnapshot {
+                locks: vec![
+                    tell_obs::LockStat { name: "cm.state".into(), contended: 12, wait_us: 480 },
+                    tell_obs::LockStat {
+                        name: "store.partition.map".into(),
+                        contended: 2,
+                        wait_us: 9,
+                    },
+                ],
+                ..tell_obs::MetricsSnapshot::default()
+            }),
             Response::Spans(Vec::new()),
             Response::Spans(vec![
                 Span {
@@ -962,27 +910,6 @@ mod tests {
                 }],
                 next_cursor: 3,
             }),
-            Response::Profile(ProfileReport {
-                running: false,
-                hz: 0.0,
-                samples: 0,
-                idle: 0,
-                dropped: 0,
-                folded: String::new(),
-                locks: Vec::new(),
-            }),
-            Response::Profile(ProfileReport {
-                running: true,
-                hz: 99.0,
-                samples: 1000,
-                idle: 17,
-                dropped: 3,
-                folded: "txn;txn.install 40\ntxn;txn.read 25\n".into(),
-                locks: vec![
-                    LockStat { name: "cm.state".into(), contended: 12, wait_us: 480 },
-                    LockStat { name: "index.cache.nodes".into(), contended: 2, wait_us: 9 },
-                ],
-            }),
         ];
         for resp in resps {
             let body = resp.encode();
@@ -992,22 +919,28 @@ mod tests {
 
     #[test]
     fn truncated_profile_bodies_are_rejected() {
-        let body = Response::Profile(ProfileReport {
-            running: true,
-            hz: 990.0,
-            samples: 9,
-            idle: 1,
-            dropped: 0,
-            folded: "txn 9\n".into(),
-            locks: vec![LockStat { name: "cm.state".into(), contended: 1, wait_us: 2 }],
-        })
-        .encode();
-        for cut in 0..body.len() {
-            assert!(Response::decode(&body[..cut]).is_err(), "prefix of {cut} bytes accepted");
+        // Request tags 25-27 (profiler start/stop/fetch) and response tag 22
+        // (the profile report) are retired with the stack sampler. No body
+        // under those tags decodes, whole or cut, and none panics.
+        let mut start = vec![25];
+        start.put_f64(99.0);
+        for body in [start, vec![26], vec![27]] {
+            for cut in 1..=body.len() {
+                assert!(Request::decode(&body[..cut]).is_err(), "{:?}", &body[..cut]);
+            }
         }
-        let body = Request::ProfileStart { hz: 99.0 }.encode();
-        for cut in 0..body.len() {
-            assert!(Request::decode(&body[..cut]).is_err(), "prefix of {cut} bytes accepted");
+        let mut report = vec![22, 1];
+        report.put_f64(99.0);
+        for n in [9, 1, 0] {
+            report.put_u64(n);
+        }
+        report.put_string("txn 9\n");
+        report.put_u32(1);
+        report.put_string("cm.state");
+        report.put_u64(1);
+        report.put_u64(2);
+        for cut in 1..=report.len() {
+            assert!(Response::decode(&report[..cut]).is_err(), "prefix of {cut} bytes accepted");
         }
     }
 

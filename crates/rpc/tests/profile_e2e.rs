@@ -1,12 +1,13 @@
-//! Remote-profiling end-to-end test over real loopback TCP: start the
-//! sampler through the wire, run a mixed transactional workload across the
-//! same servers, fetch the collapsed stacks through the wire, and check
-//! that the profile actually saw both sides of the deployment — client-side
-//! transaction phases and server-side dispatch frames.
+//! Remote flame-graph end-to-end test over real loopback TCP: run a mixed
+//! transactional workload across the servers, scrape the spans through
+//! the wire, fold them, and check that the flame graph saw both sides of
+//! the deployment — client-side transaction phases ending in the wire call
+//! and server-side dispatch stacks — and that the per-lock contention rows
+//! ride the metrics scrape.
 //!
-//! Lives in its own integration-test binary on purpose: the profiler is
+//! Lives in its own integration-test binary on purpose: the span ring is
 //! process-global, and sharing a process with other tests would smear
-//! their stacks into this one's assertions.
+//! their spans into this one's assertions.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,7 +17,7 @@ use tell_commitmgr::manager::CmConfig;
 use tell_commitmgr::{CmCluster, CommitService};
 use tell_core::database::IndexSpec;
 use tell_core::{Database, TellConfig};
-use tell_obs::CollapsedTable;
+use tell_obs::export::{fold_self_time, SpanClock};
 use tell_rpc::{Connection, RemoteCmClient, RemoteEndpoint, Request, Response, RpcServer};
 use tell_store::{StoreCluster, StoreConfig};
 
@@ -57,14 +58,14 @@ fn remote_profile_scrape_sees_txn_and_dispatch_frames() {
         .unwrap();
     let rids = db.bulk_load(&table, (0..8u64).map(|i| account(100, i)).collect()).unwrap();
 
-    // Start the sampler over the wire, at a rate high enough that even a
-    // short CI-sized workload window collects a healthy sample count.
     let conn = Connection::connect(&sn_addr).unwrap();
-    assert!(matches!(call(&conn, &Request::ProfileStart { hz: 4000.0 }), Response::Unit));
+    let Response::Spans(_) = call(&conn, &Request::Spans { drain: true }) else {
+        panic!("expected Response::Spans");
+    };
 
     // Mixed workload: reads, read-modify-writes, and scans-by-read across
-    // two worker threads, everything crossing TCP, until the profile has
-    // had at least a sampling window's worth of wall time.
+    // two worker threads, everything crossing TCP, long enough for the
+    // tick to keep a few dozen transactions.
     let deadline = Instant::now() + Duration::from_millis(600);
     let handles: Vec<_> = (0..2)
         .map(|worker: usize| {
@@ -94,32 +95,31 @@ fn remote_profile_scrape_sees_txn_and_dispatch_frames() {
         h.join().unwrap();
     }
 
-    // Fetch through the wire while still running, then stop.
-    let Response::Profile(report) = call(&conn, &Request::ProfileFetch) else {
-        panic!("expected Response::Profile");
+    // This process hosts both servers and the PN, so one scrape over the
+    // wire returns all three sides' spans.
+    let Response::Spans(spans) = call(&conn, &Request::Spans { drain: true }) else {
+        panic!("expected Response::Spans");
     };
-    assert!(matches!(call(&conn, &Request::ProfileStop), Response::Unit));
-    let Response::Profile(stopped) = call(&conn, &Request::ProfileFetch) else {
-        panic!("expected Response::Profile");
-    };
-    assert!(report.running, "sampler must report running at fetch time");
-    assert!(!stopped.running, "sampler must report stopped after ProfileStop");
-
-    assert!(report.samples > 0, "workload must produce samples: {report:?}");
-    let table = CollapsedTable::parse_folded(&report.folded, usize::MAX)
-        .expect("wire-fetched folded payload must parse");
-    assert!(!table.is_empty());
-    let has = |frame: &str| table.rows().iter().any(|(names, _)| names.contains(&frame));
-    // Client side: the transaction root frame (every phase nests under it).
-    assert!(has("txn"), "profile must contain a transaction stack:\n{}", report.folded);
-    // Server side: the reactor's dispatch frame, from the same process's
-    // serving threads — the scrape covers both halves of the deployment.
-    assert!(has("rpc.dispatch"), "profile must contain a dispatch stack:\n{}", report.folded);
-    // The lock registry made it across the wire too, led by the rollout's
-    // named hot spots.
+    let folded = fold_self_time(&spans, SpanClock::Wall).to_folded();
+    let has = |stack: &str| folded.lines().any(|l| l.starts_with(&format!("{stack} ")));
+    // Client side: a read phase waiting on the wire (reads leave in a
+    // submit-window flush).
+    let read = "txn;txn.read;rpc.batch_flush;rpc.client_call";
+    assert!(has(read), "no client read stack:\n{folded}");
+    // Server side: the dispatch starts a stack of its own, with the store
+    // work under it.
     assert!(
-        report.locks.iter().any(|l| l.name == "cm.state"),
+        folded.lines().any(|l| l.starts_with("rpc.dispatch;store.")),
+        "no server dispatch stack:\n{folded}"
+    );
+    // The lock registry made it across the wire in the metrics snapshot,
+    // led by the commit path's named lock.
+    let Response::Metrics(snapshot) = call(&conn, &Request::Metrics) else {
+        panic!("expected Response::Metrics");
+    };
+    assert!(
+        snapshot.locks.iter().any(|l| l.name == "cm.state"),
         "lock table must name the commit path: {:?}",
-        report.locks
+        snapshot.locks
     );
 }

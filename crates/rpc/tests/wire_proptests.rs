@@ -228,12 +228,21 @@ fn metrics_strategy() -> impl Strategy<Value = MetricsSnapshot> {
         prop::collection::vec((name(), any::<u64>()), 0..6),
         prop::collection::vec((name(), summary), 0..4),
         prop::collection::vec((name(), prop::collection::vec((value(), any::<u64>()), 1..6)), 0..4),
+        prop::collection::vec(
+            (name(), any::<u64>(), any::<u64>()).prop_map(|(name, contended, wait_us)| LockStat {
+                name,
+                contended,
+                wait_us,
+            }),
+            0..4,
+        ),
     )
-        .prop_map(|(counters, gauges, histograms, buckets)| MetricsSnapshot {
+        .prop_map(|(counters, gauges, histograms, buckets, locks)| MetricsSnapshot {
             counters,
             gauges,
             histograms,
             buckets,
+            locks,
         })
 }
 

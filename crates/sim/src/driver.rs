@@ -74,11 +74,6 @@ pub struct SimConfig {
     /// at once and revive them with [`FaultKind::SnRestart`] — restart
     /// from log — instead of only peer resync.
     pub durable: bool,
-    /// Sample a logical-stack profile on the virtual clock at this rate
-    /// (`None` = off). The profile is a pure function of the seeded
-    /// virtual clocks, so it is bit-identical across replays of the same
-    /// plan — see `tell_obs::prof::SimProfile`.
-    pub profile_hz: Option<f64>,
     /// Isolation level every worker transaction runs at. The post-run
     /// history check uses the matching oracle ([`checker::check_at`]).
     pub isolation: IsolationLevel,
@@ -100,7 +95,6 @@ impl Default for SimConfig {
             replication_factor: 2,
             commit_managers: 2,
             durable: false,
-            profile_hz: None,
             isolation: IsolationLevel::Si,
             zipf_theta: 0.8,
         }
@@ -182,8 +176,6 @@ pub struct SimOutcome {
     pub violation: Option<Violation>,
     /// Checker statistics when the check ran to completion.
     pub check: Option<CheckStats>,
-    /// Virtual-clock profile, when [`SimConfig::profile_hz`] was set.
-    pub profile: Option<tell_obs::ProfileReport>,
 }
 
 impl SimOutcome {
@@ -911,10 +903,6 @@ pub fn run_with_plan(config: &SimConfig, plan: FaultPlan) -> SimOutcome {
     let mut next_scrape = scrape_interval;
     let mut event_idx = 0usize;
 
-    // Optional virtual-clock profile: workers attach before their first
-    // turn and every simulated-cost charge point ticks it, so the folded
-    // output is a pure function of the seeded virtual clocks.
-    let sim_prof = config.profile_hz.map(tell_obs::SimProfile::new);
     let picker = KeyPicker::new(config.keys, config.zipf_theta);
 
     let (history, violation, mut stats, telemetry) = std::thread::scope(|scope| {
@@ -924,17 +912,10 @@ pub fn run_with_plan(config: &SimConfig, plan: FaultPlan) -> SimOutcome {
             let table = &table;
             let rids = &rids[..];
             let picker = &picker;
-            let sim_prof = sim_prof.clone();
             scope.spawn(move || {
-                if let Some(prof) = &sim_prof {
-                    tell_obs::prof::sim_attach(prof, 0.0);
-                }
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     worker_main(w, shared, db, table, rids, picker, config);
                 }));
-                if sim_prof.is_some() {
-                    tell_obs::prof::sim_detach();
-                }
                 if let Err(panic) = result {
                     let message = panic
                         .downcast_ref::<&str>()
@@ -1034,8 +1015,7 @@ pub fn run_with_plan(config: &SimConfig, plan: FaultPlan) -> SimOutcome {
         let _ = std::fs::remove_dir_all(root);
     }
 
-    let profile = sim_prof.map(|p| p.report());
-    SimOutcome { plan, history, stats, telemetry, violation, check, profile }
+    SimOutcome { plan, history, stats, telemetry, violation, check }
 }
 
 /// Shrink a failing plan to the smallest failing prefix by bisection and
@@ -1258,32 +1238,6 @@ mod tests {
             },
         );
         assert_eq!(again.telemetry.rendered_events(), rendered);
-    }
-
-    #[test]
-    fn profiled_run_is_bit_reproducible() {
-        // The profiler acceptance bar: same seed, same plan — the folded
-        // collapsed-stack output is byte-identical across two replays, and
-        // it actually contains transaction-phase frames (the run did real
-        // work under the sampler, it didn't just idle).
-        let cfg = SimConfig { profile_hz: Some(2000.0), ..tiny(FaultMix::SnChurn, 19) };
-        let a = run(&cfg);
-        let b = run(&cfg);
-        assert!(a.ok(), "violation: {:?}", a.violation);
-        let pa = a.profile.clone().expect("profile requested");
-        let pb = b.profile.clone().expect("profile requested");
-        assert!(pa.samples > 0, "sampler must credit samples: {pa:?}");
-        assert!(!pa.folded.is_empty(), "folded output must be non-empty");
-        assert_eq!(pa.folded, pb.folded, "same seed must give a bit-identical profile");
-        let golden = include_str!("../golden/profile_snchurn_seed19_2000hz.folded");
-        assert_eq!(pa.folded, golden, "folded profile drifted from the golden");
-        assert_eq!(pa.samples, pb.samples);
-        assert_eq!(pa.idle, pb.idle);
-        assert!(pa.folded.contains("txn."), "profile must contain a txn phase: {}", pa.folded);
-        // Unprofiled replay of the same seed is unperturbed by profiling.
-        let plain = run(&tiny(FaultMix::SnChurn, 19));
-        assert_eq!(digest(&a), digest(&plain));
-        assert!(plain.profile.is_none());
     }
 
     #[test]

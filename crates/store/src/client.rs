@@ -13,7 +13,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use tell_common::Result;
 use tell_netsim::NetMeter;
-use tell_obs::{Probe, Sample, Site, SpanStatus};
+use tell_obs::{Probe, Site, SpanStatus};
 
 use crate::api::StoreApi;
 use crate::cell::Token;
@@ -109,12 +109,13 @@ impl StoreClient {
     /// the link for a later
     /// [`StoreApi::store_conditional`].
     pub fn get(&self, key: &Key) -> Result<Option<(Token, Bytes)>> {
-        let _probe = Probe::enter(Site::StoreRead);
+        let probe = Probe::enter(Site::StoreRead);
         self.meter.stats().note_reads(1);
         tell_obs::incr(tell_obs::Counter::StoreReadOps);
         let res = self.cluster.srv_read(key)?;
         let inn = res.as_ref().map(|(_, v)| v.len()).unwrap_or(0) + ACK_BYTES;
         self.meter.charge_request(key.len() + OP_OVERHEAD, inn, 1);
+        probe.finish(0.0, 1, SpanStatus::Ok);
         Ok(res)
     }
 
@@ -123,7 +124,7 @@ impl StoreClient {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        let _probe = Probe::enter(Site::StoreRead);
+        let probe = Probe::enter(Site::StoreRead);
         self.meter.stats().note_reads(keys.len() as u64);
         tell_obs::add(tell_obs::Counter::StoreReadOps, keys.len() as u64);
         let mut out = Vec::with_capacity(keys.len());
@@ -136,6 +137,7 @@ impl StoreClient {
             out.push(res);
         }
         self.meter.charge_request(out_bytes, in_bytes, keys.len());
+        probe.finish(0.0, keys.len() as u32, SpanStatus::Ok);
         Ok(out)
     }
 
@@ -144,14 +146,15 @@ impl StoreClient {
     fn write_one(&self, op: WriteOp) -> Result<Option<Token>> {
         let payload = op.payload_len();
         // Charge the exchange whether or not it conflicts: a failed SC costs
-        // a round trip too. A single write takes the frame only: under a
-        // server dispatch its dispatch span already is the apply span.
-        let _probe = Probe::sampled(Site::StoreWrite, Sample::NONE, 0.0);
+        // a round trip too.
+        let probe = Probe::enter(Site::StoreWrite);
         self.meter.stats().note_writes(1);
         tell_obs::incr(tell_obs::Counter::StoreWriteOps);
         self.meter.charge_request(payload, ACK_BYTES, 1);
-        let (token, replicas) =
-            self.cluster.srv_multi_write(vec![op]).pop().expect("one result per op")?;
+        let written = self.cluster.srv_multi_write(vec![op]).pop().expect("one result per op");
+        let status = if written.is_ok() { SpanStatus::Ok } else { SpanStatus::Conflict };
+        probe.finish(0.0, 1, status);
+        let (token, replicas) = written?;
         if replicas > 0 {
             self.meter.charge_replication(replicas, payload);
         }

@@ -19,16 +19,17 @@
 //! command line that replays the failure, and exits 1.
 
 use tell_common::IsolationLevel;
-use tell_obs::export::{chrome_trace_json, validate_json, SourcedSpan};
+use tell_obs::export::{chrome_trace_json, fold_self_time, validate_json, SourcedSpan, SpanClock};
 use tell_sim::{shrink_plan, FaultMix, SimConfig, SimOutcome};
 
 struct Args {
     config: SimConfig,
     bench_json: Option<String>,
+    flame: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args { config: SimConfig::default(), bench_json: None };
+    let mut args = Args { config: SimConfig::default(), bench_json: None, flame: false };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
@@ -61,11 +62,7 @@ fn parse_args() -> Result<Args, String> {
                     value("--zipf")?.parse().map_err(|e| format!("--zipf: {e}"))?
             }
             "--durable" => args.config.durable = true,
-            "--profile" => args.config.profile_hz = Some(tell_obs::prof::default_hz()),
-            "--profile-hz" => {
-                args.config.profile_hz =
-                    Some(value("--profile-hz")?.parse().map_err(|e| format!("--profile-hz: {e}"))?)
-            }
+            "--flame" => args.flame = true,
             "--bench-json" => args.bench_json = Some(value("--bench-json")?),
             "--help" | "-h" => {
                 println!(
@@ -83,9 +80,9 @@ fn parse_args() -> Result<Args, String> {
                                       0 = uniform, higher = hotter hot keys)\n  \
                      --durable        log-structured persistence tier per SN (relaxes the\n  \
                                       SN death budget; revivals may restart from log)\n  \
-                     --profile        sample a logical-stack profile on the virtual clock\n  \
-                                      (bit-identical across replays); folded stacks on stdout\n  \
-                     --profile-hz F   like --profile at an explicit sample rate\n  \
+                     --flame          fold the tick-sampled transactions' spans on the\n  \
+                                      virtual clock (bit-identical across replays); folded\n  \
+                                      stacks on stdout after the verdict line\n  \
                      --bench-json F   write a throughput snapshot to file F\n\n\
                      exit status: 0 = history satisfies the level's oracle, 1 = violation\n\
                      (artifacts are dumped and the minimal failing prefix is reported)"
@@ -216,14 +213,12 @@ fn main() {
     }
     if outcome.ok() {
         println!("{}", verdict_line(&args.config, &outcome));
-        if let Some(profile) = &outcome.profile {
+        if args.flame {
             // Folded stacks after the verdict line: deterministic for the
-            // seed, pipeable straight into inferno/flamegraph.pl.
-            eprintln!(
-                "tell_sim: profile hz={} samples={} idle={} dropped={}",
-                profile.hz, profile.samples, profile.idle, profile.dropped
-            );
-            print!("{}", profile.folded);
+            // seed, pipeable straight into inferno/flamegraph.pl. The run's
+            // spans are the only ones in this process's ring.
+            let spans = tell_obs::span::global_ring().drain();
+            print!("{}", fold_self_time(&spans, SpanClock::Virtual).to_folded());
         }
         return;
     }

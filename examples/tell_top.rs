@@ -8,7 +8,8 @@
 //!                   (--json: the raw snapshot)
 //! tell_top trace    run a few transactions, collect Request::Spans from
 //!                   every process, print Chrome trace JSON for Perfetto
-//! tell_top flame    profile over Request::Profile{Start,Fetch,Stop}: folded
+//! tell_top flame    collect Request::Spans from every process for one
+//!                   second and fold them into a flame graph: folded
 //!                   stacks on stdout (--json: speedscope), the hottest
 //!                   stacks and contended locks on stderr
 //!
@@ -19,36 +20,38 @@
 //! cargo run --release --example tell_top -- trace \
 //!     --store 127.0.0.1:7701 --cm 127.0.0.1:7801 > trace.json
 //! cargo run --release --example tell_top -- flame \
-//!     --node sn0=127.0.0.1:7701 --duration 5 > prof.folded
+//!     --node sn0=127.0.0.1:7701 --node cm0=127.0.0.1:7801 > flame.folded
 //!
 //! # self-contained: boot an SN + CM pair and a committing client in this
 //! # process (the check.sh gates)
 //! cargo run --release --example tell_top -- flame --loopback
 //! ```
 //!
-//! The loopback servers share this process's registry, span ring and
-//! profiler, so `metrics` and `flame` scrape that state from one target
-//! and `trace` reads it from the local ring; scraping it once per server
-//! would count it twice.
+//! The loopback servers share this process's registry and span ring, so
+//! `metrics` and `flame` scrape that state from one target and `trace`
+//! reads it from the local ring; scraping it once per server would count
+//! it twice.
 //!
 //! No raw terminal mode, no curses, no dependencies: the dashboard refresh
 //! is a cursor-home + clear-to-end escape, so the output degrades
 //! gracefully when piped.
 
+use std::collections::HashSet;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use tell_core::database::IndexSpec;
 use tell_core::{Database, TellConfig};
 use tell_monitor::{Collector, NodeView, Target};
 use tell_obs::export::{
-    chrome_trace_json, group_by_trace, orphan_parents, speedscope_json, validate_json, SourcedSpan,
+    chrome_trace_json, fold_self_time, group_by_trace, orphan_parents, speedscope_json,
+    validate_json, SourcedSpan, SpanClock,
 };
 use tell_obs::registry::{Counter, Phase};
-use tell_obs::{CollapsedTable, ProfileReport};
+use tell_obs::{CollapsedTable, LockStat, Span};
 use tell_rpc::{Connection, RemoteCmClient, RemoteEndpoint, Request, Response, RpcServer};
 
 #[derive(Clone, Copy, PartialEq)]
@@ -57,19 +60,6 @@ enum Command {
     Metrics,
     Trace,
     Flame,
-}
-
-/// What `flame` does with the samplers.
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    /// Scrape every target without disturbing the sampler (the default).
-    Fetch,
-    /// Start the sampler on every target and exit.
-    Start,
-    /// Stop the sampler on every target and exit.
-    Stop,
-    /// Start, wait this many seconds, fetch, stop.
-    Window(f64),
 }
 
 struct Args {
@@ -82,8 +72,6 @@ struct Args {
     store: String,
     cm: String,
     txns: u64,
-    mode: Mode,
-    hz: f64,
 }
 
 const HELP: &str = "\
@@ -94,7 +82,8 @@ usage: tell_top [watch|metrics|trace|flame] [options]
   watch (default)   live telemetry dashboard with health alerts
   metrics           one node's metrics as Prometheus text
   trace             run transactions, emit Chrome trace JSON
-  flame             profile: folded stacks on stdout, summary on stderr
+  flame             flame graph of span self-time over one second: folded
+                    stacks on stdout, summary on stderr
 
 options:
   --node NAME=ADDR  add a scrape target (repeatable; metrics takes one)
@@ -107,14 +96,10 @@ options:
   --store ADDR      trace: storage server (default 127.0.0.1:7701)
   --cm ADDR         trace: commit server (default 127.0.0.1:7801)
   --txns N          trace: transactions to run (default 8)
-  --start           flame: start sampling on every target and exit
-  --stop            flame: stop sampling on every target and exit
-  --duration S      flame: start, wait S seconds, fetch, stop
-                    (--loopback: 1 unless given)
-  --hz F            flame: sample rate for --start/--duration (default:
-                    the server's TELL_PROF_HZ, 99 if unset)
 
-flame with no mode flag fetches without disturbing the sampler.";
+trace and flame drain the span rings they read. flame folds only the
+transactions the per-thread sampling tick kept; its server-side stacks
+come from the frames those transactions sent.";
 
 fn parse<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String>
 where
@@ -145,8 +130,6 @@ fn parse_args() -> Result<Args, String> {
         store: "127.0.0.1:7701".to_string(),
         cm: "127.0.0.1:7801".to_string(),
         txns: 8,
-        mode: Mode::Fetch,
-        hz: 0.0,
     };
     let mut it = raw.into_iter();
     while let Some(flag) = it.next() {
@@ -166,10 +149,6 @@ fn parse_args() -> Result<Args, String> {
             "--store" => args.store = value("--store")?,
             "--cm" => args.cm = value("--cm")?,
             "--txns" => args.txns = parse("--txns", value("--txns")?)?,
-            "--start" => args.mode = Mode::Start,
-            "--stop" => args.mode = Mode::Stop,
-            "--duration" => args.mode = Mode::Window(parse("--duration", value("--duration")?)?),
-            "--hz" => args.hz = parse("--hz", value("--hz")?)?,
             "--help" | "-h" => {
                 println!("{HELP}");
                 std::process::exit(0);
@@ -537,47 +516,84 @@ fn trace(args: &Args, loopback: Option<&Loopback>) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// flame: the profiler scrape.
+// flame: span self-time, folded.
 
-fn fetch_profile(targets: &[Target]) -> Result<ProfileReport, String> {
-    let reports = call_each(targets, &Request::ProfileFetch)?
-        .into_iter()
-        .map(|response| match response {
-            Response::Profile(report) => Ok(report),
-            other => Err(format!("unexpected response: {other:?}")),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    ProfileReport::merge(reports)
-        .map_err(|e| format!("bad folded payload: {e}"))?
-        .ok_or_else(|| "no targets".to_string())
+/// How long `flame` collects spans.
+const FLAME_WINDOW: Duration = Duration::from_secs(1);
+
+/// How often `flame` drains the rings during its window. A ring shard holds
+/// about 512 spans, which a busy thread fills in well under a second; one
+/// pull at the end would fold each shard's newest spans, over windows of
+/// different lengths for busy and quiet threads.
+const FLAME_POLL: Duration = Duration::from_millis(100);
+
+/// Drain every target's span ring.
+fn drain_spans(targets: &[Target]) -> Result<Vec<Span>, String> {
+    let mut spans = Vec::new();
+    for (target, response) in
+        targets.iter().zip(call_each(targets, &Request::Spans { drain: true })?)
+    {
+        let Response::Spans(part) = response else {
+            return Err(format!("{}: unexpected response: {response:?}", target.name));
+        };
+        spans.extend(part);
+    }
+    Ok(spans)
 }
 
-/// The human half of `flame`: totals, then the hottest logical stacks and
-/// the most contended locks across every scraped node.
-fn profile_summary(report: &ProfileReport, nodes: usize) -> Result<String, String> {
-    let table = CollapsedTable::parse_folded(&report.folded, usize::MAX)
-        .map_err(|e| format!("bad folded payload: {e}"))?;
+/// Every target's per-lock contention rows from its metrics snapshot,
+/// summed by lock name, heaviest waiter first.
+fn lock_rows(targets: &[Target]) -> Result<Vec<LockStat>, String> {
+    let mut locks: Vec<LockStat> = Vec::new();
+    for (target, response) in targets.iter().zip(call_each(targets, &Request::Metrics)?) {
+        let Response::Metrics(snapshot) = response else {
+            return Err(format!("{}: unexpected response: {response:?}", target.name));
+        };
+        for lock in snapshot.locks {
+            match locks.iter_mut().find(|l| l.name == lock.name) {
+                Some(l) => {
+                    l.contended += lock.contended;
+                    l.wait_us += lock.wait_us;
+                }
+                None => locks.push(lock),
+            }
+        }
+    }
+    locks.sort_by(|a, b| b.wait_us.cmp(&a.wait_us).then(a.name.cmp(&b.name)));
+    Ok(locks)
+}
+
+/// The human half of `flame`: totals, then the hottest stacks and the most
+/// contended locks across every scraped node.
+fn flame_summary(
+    table: &CollapsedTable,
+    locks: &[LockStat],
+    nodes: usize,
+    traces: usize,
+) -> String {
     let mut out = format!(
-        "tell_top flame — {nodes} node(s): running={} hz={} samples={} idle={} dropped={}\n\n\
-         HOTTEST STACKS:\n",
-        report.running, report.hz, report.samples, report.idle, report.dropped,
+        "tell_top flame — {nodes} node(s), {}s window: {traces} tick-sampled trace(s), \
+         {}us of self-time ({}us over the stack bound)\n\nHOTTEST STACKS:\n",
+        FLAME_WINDOW.as_secs_f64(),
+        table.total(),
+        table.dropped(),
     );
     let mut rows = table.rows();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let total = table.total().max(1);
-    for (names, count) in rows.iter().take(10) {
+    for (names, us) in rows.iter().take(10) {
         out.push_str(&format!(
-            "  {:>5.1}% {:>8}  {}\n",
-            *count as f64 * 100.0 / total as f64,
-            count,
+            "  {:>5.1}% {:>8}us  {}\n",
+            *us as f64 * 100.0 / total as f64,
+            us,
             names.join(";")
         ));
     }
     if rows.is_empty() {
-        out.push_str("  (no samples landed in instrumented regions)\n");
+        out.push_str("  (no tick-sampled transaction in the window)\n");
     }
     out.push_str("\nCONTENDED LOCKS:\n");
-    let contended: Vec<_> = report.locks.iter().filter(|l| l.contended > 0).take(10).collect();
+    let contended: Vec<_> = locks.iter().filter(|l| l.contended > 0).take(10).collect();
     for lock in &contended {
         out.push_str(&format!(
             "  {:<24} contended={:<8} wait={}us\n",
@@ -587,43 +603,29 @@ fn profile_summary(report: &ProfileReport, nodes: usize) -> Result<String, Strin
     if contended.is_empty() {
         out.push_str("  (no contention observed)\n");
     }
-    Ok(out)
+    out
 }
 
 fn flame(args: &Args, targets: &[Target]) -> Result<(), String> {
-    let mode = match args.mode {
-        Mode::Fetch if args.loopback => Mode::Window(1.0),
-        mode => mode,
-    };
-    let start = Request::ProfileStart { hz: args.hz };
-    let report = match mode {
-        Mode::Start | Mode::Stop => {
-            let (req, done) = if mode == Mode::Start {
-                (start, "started")
-            } else {
-                (Request::ProfileStop, "stopped")
-            };
-            call_each(targets, &req)?;
-            eprintln!("tell_top: sampling {done} on {} node(s)", targets.len());
-            return Ok(());
-        }
-        Mode::Fetch => fetch_profile(targets)?,
-        Mode::Window(secs) => {
-            call_each(targets, &start)?;
-            std::thread::sleep(Duration::from_secs_f64(secs));
-            let report = fetch_profile(targets)?;
-            call_each(targets, &Request::ProfileStop)?;
-            report
-        }
-    };
-    eprint!("{}", profile_summary(&report, targets.len())?);
+    // Empty the rings, then keep what they record during the window.
+    drain_spans(targets)?;
+    let start = Instant::now();
+    let mut spans = Vec::new();
+    while start.elapsed() < FLAME_WINDOW {
+        std::thread::sleep(FLAME_POLL);
+        spans.extend(drain_spans(targets)?);
+    }
+    let table = fold_self_time(&spans, SpanClock::Wall);
+    let traces: HashSet<u64> =
+        spans.iter().map(|s| s.trace).filter(|&t| tell_obs::trace::tick_kept(t)).collect();
+    eprint!("{}", flame_summary(&table, &lock_rows(targets)?, targets.len(), traces.len()));
     if args.json {
-        let json = speedscope_json(&report).map_err(|e| format!("bad folded payload: {e}"))?;
+        let json = speedscope_json(&table);
         validate_json(&json)
             .map_err(|e| format!("emitted speedscope JSON failed validation: {e}"))?;
         print!("{json}");
     } else {
-        print!("{}", report.folded);
+        print!("{}", table.to_folded());
     }
     Ok(())
 }

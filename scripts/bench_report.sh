@@ -45,10 +45,9 @@ cargo bench -q -p tell-bench --bench rpc_reactor
 # blocks. Bounds the observability tier's hot-path cost at < 5 %.
 cargo bench -q -p tell-bench --bench telemetry_overhead
 
-# Profiler overhead: full update transactions with the logical-stack
-# sampler at 10x the deployed 99 Hz default vs the sampler stopped,
-# A-B-B-A paired blocks, plus the top contended locks (the commit path's
-# cm.state must appear). Bounds the always-on profiler at < 3 %.
+# Lock-contention probe: three workers commit updates against two commit
+# managers, and the top contended locks are reported (the commit path's
+# cm.state must lead with nonzero contention). Not scaled for --smoke.
 cargo bench -q -p tell-bench --bench prof_overhead
 
 # Simulation throughput snapshot: how many transactions the deterministic

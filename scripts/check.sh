@@ -157,11 +157,10 @@ if [[ "$top_json" != *'"reachable":true'* || "$top_json" != *'"polls":1'* ]]; th
   exit 1
 fi
 
-echo "==> profiler smoke (tell_top flame --loopback over the wire)"
-# Boot a loopback cluster, start/fetch/stop the profiler through the
-# Profile wire ops, and require a valid non-empty folded payload that
-# saw the transaction path. The merge in the tool already rejects
-# malformed lines; here we also pin the content.
+echo "==> flame smoke (tell_top flame --loopback over the wire)"
+# Boot a loopback cluster, collect its spans over Request::Spans for a
+# one-second window, and require a non-empty folded flame graph that saw
+# the transaction path and the server's dispatches.
 flame_folded="$(cargo run -q --example tell_top -- flame --loopback 2>/dev/null)"
 if [[ "$flame_folded" != *'txn'* || "$flame_folded" != *'rpc.dispatch'* ]]; then
   echo "error: tell_top flame --loopback produced no transaction/dispatch stacks:" >&2
@@ -177,14 +176,15 @@ if [[ "$flame_json" != *'"exporter":"tell_flame"'* || "$flame_json" != *'rpc.dis
   exit 1
 fi
 
-echo "==> profiled sim replay (folded output matches the committed golden, seed 5)"
-# The verdict line and folded stacks are a pure function of the seed, so a
-# diff against the file earlier builds produced catches any change in what
-# the probes push or where the sim charges time.
+echo "==> sim flame replay (folded output matches the committed golden, seed 5)"
+# The verdict line and the span fold on the virtual clock are a pure
+# function of the seed, so a diff against the file earlier builds produced
+# catches any change in which spans the probes record or where the sim
+# charges time.
 golden=crates/sim/golden/tell_sim_seed5_profile.txt
 if ! diff -u "$golden" \
-  <(TELL_PROF_HZ= cargo run -q --example tell_sim -- --seed 5 --seconds 0.1 --profile); then
-  echo "error: profiled sim replay diverged from $golden" >&2
+  <(cargo run -q --example tell_sim -- --seed 5 --seconds 0.1 --flame); then
+  echo "error: sim flame replay diverged from $golden" >&2
   exit 1
 fi
 
