@@ -115,7 +115,6 @@ struct BlockingShared {
 
 impl BlockingServer {
     fn serve(services: Services) -> BlockingServer {
-        tell_obs::timeseries::ensure_wall_driver();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shared = Arc::new(BlockingShared {

@@ -1,10 +1,14 @@
-//! Telemetry rollup overhead: full update transactions with a background
-//! roller snapshotting the registry into the time-series ring at an
-//! aggressive cadence, against the same transactions with the roller
-//! idle. The tentpole claim is that the per-node telemetry history is
-//! free on the hot path — the ring is only ever touched by the roller —
-//! so even a cadence 50× the deployed default must stay under the 5 %
-//! observability budget.
+//! Telemetry poll overhead: full update transactions with a background
+//! poller taking a registry snapshot and diffing it against the previous
+//! one at an aggressive cadence — what a collector's `Request::Metrics`
+//! poll costs the serving process, plus the diff the collector does —
+//! against the same transactions with the poller idle. Nothing on the
+//! transaction path touches the snapshot, so even a 5 ms cadence (200×
+//! `tell_top watch`'s 1 s default) must stay under the 5 % observability
+//! budget.
+//!
+//! It also reports what one poll costs on its own: µs per
+//! `tell_obs::snapshot()` and the bytes of one `Response::Metrics` frame.
 //!
 //! Methodology matches `micro.rs`'s `obs/txn_update_overhead`: process
 //! speed drifts over a run (frequency scaling, co-tenant VMs), so the two
@@ -21,10 +25,14 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use tell_core::database::IndexSpec;
 use tell_core::{Database, TellConfig};
+use tell_obs::Rollup;
+use tell_rpc::wire::FRAME_HEADER;
+use tell_rpc::Response;
 
-/// Roller cadence under test: 5 ms, 50× the deployed default of 250 ms
-/// (`tell_obs::timeseries::DEFAULT_WALL_INTERVAL_MS`).
+/// Poller cadence under test.
 const TICK_MS: u64 = 5;
+/// Snapshots timed back to back for the per-poll cost.
+const SNAPSHOTS: u32 = 200;
 const TXNS_PER_BATCH: u32 = 2_000;
 const BLOCKS: usize = 40;
 const BOUND_PCT: f64 = 5.0;
@@ -45,23 +53,29 @@ fn main() {
     };
     tell_obs::set_enabled(true);
 
-    // The roller thread lives for the whole run; the `active` flag is the
+    // The poller thread lives for the whole run; the `active` flag is the
     // only thing toggled between arms, so thread startup never lands
-    // inside a timed batch. When active it does exactly what the deployed
-    // wall driver does — registry snapshot, delta, digest, ring push —
-    // just 50× more often.
+    // inside a timed batch. When active it does what a server and its
+    // collector do per poll — the process snapshot, then the diff into an
+    // interval point — every 5 ms.
     let active = Arc::new(AtomicBool::new(false));
     let stop = Arc::new(AtomicBool::new(false));
-    let roller = {
+    let poller = {
         let active = Arc::clone(&active);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
+            let mut rollup = Rollup::new();
+            let started = Instant::now();
+            let mut polls = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 if active.load(Ordering::Relaxed) {
-                    tell_obs::timeseries::roll_global_now();
+                    let at_us = started.elapsed().as_secs_f64() * 1e6;
+                    std::hint::black_box(rollup.diff(tell_obs::snapshot(), at_us));
+                    polls += 1;
                 }
                 std::thread::sleep(Duration::from_millis(TICK_MS));
             }
+            polls
         })
     };
 
@@ -98,31 +112,41 @@ fn main() {
         idle_ns.push((d1 + d2) / 2.0);
     }
     stop.store(true, Ordering::Relaxed);
-    roller.join().unwrap();
+    let polls = poller.join().unwrap();
+
+    // One poll's cost on its own: the server's snapshot, and its frame.
+    let t = Instant::now();
+    for _ in 0..SNAPSHOTS {
+        std::hint::black_box(tell_obs::snapshot());
+    }
+    let snapshot_us = t.elapsed().as_secs_f64() * 1e6 / f64::from(SNAPSHOTS);
+    let frame_bytes = FRAME_HEADER + Response::Metrics(tell_obs::snapshot()).encode().len();
 
     deltas.sort_by(|a, b| a.partial_cmp(b).unwrap());
     idle_ns.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let delta = deltas[blocks / 2];
     let idle = idle_ns[blocks / 2];
-    let rolling = idle + delta;
+    let polling = idle + delta;
     let overhead_pct = delta / idle * 100.0;
-    let points = tell_obs::timeseries::global_ring().latest_seq();
 
-    println!("telemetry_overhead: update txn with the ring roller at {TICK_MS}ms cadence");
-    println!("{:<44} {:>12.1} ns/txn", "telemetry/txn_update_roller_idle", idle);
-    println!("{:<44} {:>12.1} ns/txn", "telemetry/txn_update_roller_active", rolling);
+    println!("telemetry_overhead: update txn with a snapshot-and-diff poller at {TICK_MS}ms");
+    println!("{:<44} {:>12.1} ns/txn", "telemetry/txn_update_poller_idle", idle);
+    println!("{:<44} {:>12.1} ns/txn", "telemetry/txn_update_poller_active", polling);
     println!(
-        "{:<44} {:>11.2} %  (bound: < {BOUND_PCT} %, {points} points rolled)",
-        "telemetry/rollup_overhead", overhead_pct
+        "{:<44} {:>11.2} %  (bound: < {BOUND_PCT} %, {polls} polls)",
+        "telemetry/poll_overhead", overhead_pct
     );
+    println!("{:<44} {:>12.1} us", "telemetry/snapshot_us", snapshot_us);
+    println!("{:<44} {:>12} B", "telemetry/metrics_frame_bytes", frame_bytes);
 
     if let Ok(dir) = std::env::var("TELL_BENCH_JSON") {
         let json = format!(
             "{{\n  \"bench\": \"telemetry_overhead\",\n  \"tick_ms\": {TICK_MS},\n  \
              \"txns_per_batch\": {txns},\n  \"blocks\": {blocks},\n  \
-             \"roller_idle_ns_per_txn\": {idle:.1},\n  \
-             \"roller_active_ns_per_txn\": {rolling:.1},\n  \
-             \"overhead_pct\": {overhead_pct:.3},\n  \"bound_pct\": {BOUND_PCT}\n}}\n"
+             \"poller_idle_ns_per_txn\": {idle:.1},\n  \
+             \"poller_active_ns_per_txn\": {polling:.1},\n  \"polls\": {polls},\n  \
+             \"overhead_pct\": {overhead_pct:.3},\n  \"bound_pct\": {BOUND_PCT},\n  \
+             \"snapshot_us\": {snapshot_us:.1},\n  \"metrics_frame_bytes\": {frame_bytes}\n}}\n"
         );
         let path = std::path::Path::new(&dir).join("BENCH_telemetry_overhead.json");
         match std::fs::write(&path, json) {

@@ -1,14 +1,16 @@
 //! Cluster-wide telemetry collection and health evaluation.
 //!
 //! A [`Collector`] owns a fixed list of scrape [`Target`]s (every PN, SN,
-//! and CM endpoint in the deployment), pulls each node's time-series ring
-//! incrementally over `Request::Telemetry` with a per-node cursor, and
-//! merges the pages into a cluster view: bounded per-node point history
-//! plus a [`HealthEngine`] run over one [`NodeTick`] per node per poll.
-//! `tell_top` renders exactly this view; nothing in here draws.
+//! and CM endpoint in the deployment). Each poll sends every node one
+//! `Request::Metrics`, stamps the cumulative snapshot it gets back with the
+//! poll's wall clock, and diffs it against that node's previous reply into
+//! one [`TsPoint`] per node per poll. It keeps a bounded per-node history
+//! of those points and runs a [`HealthEngine`] over one [`NodeTick`] per
+//! node per poll. `tell_top` renders exactly this view; nothing in here
+//! draws.
 //!
-//! A page's points are indexed by this build's metric declarations, and an
-//! id past the end of a point reads 0.
+//! Snapshots carry metric names; a point is indexed by this build's metric
+//! declarations, and a name the node does not report reads 0.
 //!
 //! A target that refuses the connection or fails the call is marked
 //! unreachable for that poll — which is precisely what feeds the
@@ -16,8 +18,9 @@
 //! the next poll.
 
 use std::collections::VecDeque;
+use std::time::{SystemTime, UNIX_EPOCH};
 
-use tell_obs::{HealthConfig, HealthEngine, HealthEvent, NodeTick, RuleKind, TsPoint};
+use tell_obs::{HealthConfig, HealthEngine, HealthEvent, NodeTick, Rollup, RuleKind, TsPoint};
 use tell_rpc::client::Connection;
 use tell_rpc::{Request, Response};
 
@@ -37,34 +40,17 @@ impl Target {
     }
 }
 
-/// Collapse one scrape page's points (possibly several intervals of
-/// catch-up) into a single interval for rule evaluation: counter deltas
-/// sum, gauges and phase digests take the newest point's values, and the
-/// clock fields come from the newest point.
-pub fn merge_points(points: &[TsPoint]) -> Option<TsPoint> {
-    let last = points.last()?;
-    let mut merged = last.clone();
-    for p in &points[..points.len() - 1] {
-        for (i, v) in p.counters.iter().enumerate() {
-            if let Some(slot) = merged.counters.get_mut(i) {
-                *slot = slot.saturating_add(*v);
-            }
-        }
-    }
-    Some(merged)
-}
-
-/// One node's collected state: scrape cursor, reachability, and a bounded
-/// history of points (newest last).
+/// One node's collected state: reachability, the differ holding its last
+/// snapshot, and a bounded history of points (newest last).
 pub struct NodeView {
     pub target: Target,
     /// Whether the last poll reached the node.
     pub reachable: bool,
     /// Last error message, for display; cleared on a successful poll.
     pub last_error: Option<String>,
-    /// Points, oldest first, at most `history_cap`.
+    /// One point per successful poll, oldest first, at most `history_cap`.
     pub history: VecDeque<TsPoint>,
-    cursor: u64,
+    rollup: Rollup,
     conn: Option<Connection>,
     history_cap: usize,
 }
@@ -76,7 +62,7 @@ impl NodeView {
             reachable: false,
             last_error: None,
             history: VecDeque::new(),
-            cursor: 0,
+            rollup: Rollup::new(),
             conn: None,
             history_cap: history_cap.max(1),
         }
@@ -87,38 +73,36 @@ impl NodeView {
         self.history.back()
     }
 
-    /// Scrape once; returns the interval's merged point.
-    fn scrape(&mut self) -> Result<Option<TsPoint>, String> {
+    /// Scrape once at `at_us`; returns the interval's point.
+    fn scrape(&mut self, at_us: f64) -> Result<TsPoint, String> {
         if self.conn.as_ref().is_none_or(|c| c.is_dead()) {
             self.conn = Some(Connection::connect(&self.target.addr).map_err(|e| e.to_string())?);
         }
         let conn = self.conn.as_ref().expect("connected above");
-        let page = match conn.call(&Request::Telemetry { since: self.cursor }) {
-            Ok((Response::Telemetry(page), _, _)) => page,
+        let snapshot = match conn.call(&Request::Metrics) {
+            Ok((Response::Metrics(snapshot), _, _)) => snapshot,
             Ok((resp, _, _)) => {
                 // The peer may keep answering other requests; drop the
                 // connection so the error is visible, not sticky.
                 self.conn = None;
-                return Err(format!("unexpected telemetry response: {resp:?}"));
+                return Err(format!("unexpected metrics response: {resp:?}"));
             }
             Err(e) => {
                 self.conn = None;
                 return Err(e.to_string());
             }
         };
-        self.cursor = page.next_cursor;
-        for p in &page.points {
-            if self.history.len() == self.history_cap {
-                self.history.pop_front();
-            }
-            self.history.push_back(p.clone());
+        let point = self.rollup.diff(snapshot, at_us);
+        if self.history.len() == self.history_cap {
+            self.history.pop_front();
         }
-        Ok(merge_points(&page.points))
+        self.history.push_back(point.clone());
+        Ok(point)
     }
 }
 
-/// The cluster collector: polls every target, keeps the merged view, and
-/// runs the health rules.
+/// The cluster collector: polls every target, keeps the per-node views,
+/// and runs the health rules.
 pub struct Collector {
     nodes: Vec<NodeView>,
     engine: HealthEngine,
@@ -148,27 +132,32 @@ impl Collector {
 
     /// Scrape every target once, feed the health engine, and return the
     /// transitions this poll caused (also appended to [`Collector::events`]).
-    /// The engine's "virtual clock" for live collection is the poll
-    /// ordinal — wall time never reaches a health decision or event byte.
+    /// Every reply of one poll is stamped with the same wall clock, which
+    /// sets the points' intervals; the engine's event clock is the poll
+    /// ordinal, so wall time never reaches a rendered event byte.
     pub fn poll(&mut self) -> Vec<HealthEvent> {
         self.polls += 1;
+        let wall_us =
+            SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_micros()) as u64;
         let mut ticks = Vec::with_capacity(self.nodes.len());
         for node in &mut self.nodes {
-            let (reachable, point) = match node.scrape() {
+            let point = match node.scrape(wall_us as f64) {
                 Ok(point) => {
                     node.last_error = None;
-                    (true, point)
+                    Some(point)
                 }
                 Err(e) => {
                     node.last_error = Some(e);
-                    (false, None)
+                    None
                 }
             };
-            node.reachable = reachable;
-            ticks.push(NodeTick { node: node.target.name.clone(), reachable, point });
+            node.reachable = point.is_some();
+            ticks.push(NodeTick {
+                node: node.target.name.clone(),
+                reachable: node.reachable,
+                point,
+            });
         }
-        let wall_us =
-            self.nodes.iter().filter_map(|n| n.latest().map(|p| p.wall_us)).max().unwrap_or(0);
         let new = self.engine.observe(self.polls as f64, wall_us, &ticks);
         self.events.extend(new.iter().cloned());
         new
@@ -201,31 +190,28 @@ mod tests {
     use std::sync::Arc;
 
     use tell_obs::registry::{Counter, Gauge, Phase};
-    use tell_obs::TelemetryPage;
+    use tell_obs::MetricsSnapshot;
     use tell_rpc::{ReactorConfig, ReplySink, RequestCtx, RpcServer, RpcService};
 
     use super::*;
 
-    /// Answers each telemetry scrape with one new point that carries only
-    /// the first two counters (`txn_begun_total`, `txn_committed_total`)
-    /// and no gauges or phases.
-    struct ShortPoints {
-        seq: AtomicU64,
+    /// Answers each metrics scrape with a snapshot that carries only two
+    /// counters, `txn_begun_total` and `txn_committed_total`, growing by 5
+    /// and 40 per scrape, and no gauges or histograms.
+    struct ShortSnapshots {
+        scrapes: AtomicU64,
     }
 
-    impl RpcService for ShortPoints {
+    impl RpcService for ShortSnapshots {
         fn call(&self, request: Request, _ctx: &RequestCtx, reply: ReplySink) {
-            if let Request::Telemetry { .. } = request {
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-                let point = TsPoint {
-                    seq,
-                    wall_us: seq * 1_000_000,
-                    counters: vec![5, 40],
-                    ..TsPoint::default()
-                };
-                reply.send(Response::Telemetry(TelemetryPage {
-                    points: vec![point],
-                    next_cursor: seq,
+            if let Request::Metrics = request {
+                let n = self.scrapes.fetch_add(1, Ordering::Relaxed) + 1;
+                reply.send(Response::Metrics(MetricsSnapshot {
+                    counters: vec![
+                        ("txn_begun_total".into(), 5 * n),
+                        ("txn_committed_total".into(), 40 * n),
+                    ],
+                    ..MetricsSnapshot::default()
                 }));
             }
         }
@@ -233,7 +219,7 @@ mod tests {
 
     #[test]
     fn short_points_read_zero_for_missing_ids_and_feed_the_health_rules() {
-        let service = Arc::new(ShortPoints { seq: AtomicU64::new(0) });
+        let service = Arc::new(ShortSnapshots { scrapes: AtomicU64::new(0) });
         let server =
             RpcServer::serve_service("127.0.0.1:0", service, ReactorConfig::default()).unwrap();
         let mut collector =
@@ -245,30 +231,33 @@ mod tests {
         assert!(node.reachable, "{:?}", node.last_error);
         assert_eq!(node.history.len(), 4);
         let latest = node.latest().unwrap();
-        assert!(latest.counters.len() < Counter::COUNT);
+        assert_eq!(latest.counter(Counter::TxnBegun), 5);
         assert_eq!(latest.counter(Counter::TxnCommitted), 40);
         assert_eq!(latest.counter(Counter::TxnAborted), 0);
         assert_eq!(latest.counter(Counter::ALL[Counter::COUNT - 1]), 0);
         assert_eq!(latest.gauge(Gauge::CmLav), 0);
         assert_eq!(latest.phase(Phase::TxnTotal).count, 0);
+        assert_eq!(node.history[0].interval_us, 0.0, "the first reply is diffed against zero");
         assert!(collector.active().is_empty());
     }
 
     #[test]
-    fn merge_sums_counters_and_keeps_newest_gauges() {
-        let a = TsPoint { seq: 1, counters: vec![5, 1], gauges: vec![10], ..TsPoint::default() };
-        let b = TsPoint {
-            seq: 2,
-            virt_us: 9.0,
-            counters: vec![3, 0],
-            gauges: vec![4],
-            ..TsPoint::default()
-        };
-        let m = merge_points(&[a, b]).unwrap();
-        assert_eq!(m.counters, vec![8, 1]);
-        assert_eq!(m.gauges, vec![4]);
-        assert_eq!(m.seq, 2);
-        assert_eq!(m.virt_us, 9.0);
-        assert!(merge_points(&[]).is_none());
+    fn history_keeps_one_point_per_poll_and_drops_the_oldest() {
+        let service = Arc::new(ShortSnapshots { scrapes: AtomicU64::new(0) });
+        let server =
+            RpcServer::serve_service("127.0.0.1:0", service, ReactorConfig::default()).unwrap();
+        let target = Target::new("sn0", server.local_addr().to_string());
+        let mut collector = Collector::with_config(vec![target], HealthConfig::default(), 3);
+        for _ in 0..5 {
+            collector.poll();
+        }
+        let history = &collector.nodes()[0].history;
+        assert_eq!(history.len(), 3, "bounded at the history cap");
+        // Polls 3..=5 survive: each read the same 40-commit step, and the
+        // first of them still has the interval back to poll 2.
+        assert!(history.iter().all(|p| p.counter(Counter::TxnCommitted) == 40));
+        assert!(history.iter().all(|p| p.interval_us > 0.0));
+        let ats: Vec<f64> = history.iter().map(|p| p.at_us).collect();
+        assert!(ats.windows(2).all(|w| w[0] <= w[1]), "oldest first: {ats:?}");
     }
 }

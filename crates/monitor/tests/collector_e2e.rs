@@ -1,5 +1,5 @@
 //! End-to-end collector test: a real loopback `RpcServer` answering
-//! `Request::Telemetry`, plus an unreachable target driving the
+//! `Request::Metrics`, plus an unreachable target driving the
 //! `replica_unavailable` rule through its firing transition.
 
 use tell_monitor::{Collector, Target};
@@ -12,10 +12,9 @@ fn collector_scrapes_live_node_and_fires_on_unreachable_target() {
     let server = RpcServer::serve("127.0.0.1:0", Services { store: None, commit: None }).unwrap();
     let addr = server.local_addr().to_string();
 
-    // Force at least one ring point so the very first scrape has data,
-    // regardless of the wall driver's cadence.
+    // The server shares this process's registry: a commit recorded here is
+    // one the server reports.
     tell_obs::global().incr(Counter::TxnCommitted);
-    tell_obs::timeseries::roll_global_now();
 
     // Port 1 refuses connections: a permanently dead replica.
     let mut collector =
@@ -24,13 +23,16 @@ fn collector_scrapes_live_node_and_fires_on_unreachable_target() {
     collector.poll();
     let live = &collector.nodes()[0];
     assert!(live.reachable, "live node must answer: {:?}", live.last_error);
-    assert!(live.latest().is_some(), "first scrape returns the ring history");
+    let first = live.latest().expect("first scrape yields a point");
+    assert!(first.counter(Counter::TxnCommitted) >= 1, "first point is diffed against zero");
+    assert_eq!(first.interval_us, 0.0);
     let dead = &collector.nodes()[1];
     assert!(!dead.reachable);
     assert!(dead.last_error.is_some());
+    assert!(dead.history.is_empty());
 
     // Default hysteresis fires after 2 consecutive bad ticks.
-    tell_obs::timeseries::roll_global_now();
+    tell_obs::global().add(Counter::TxnCommitted, 3);
     let events = collector.poll();
     assert!(
         events
@@ -45,16 +47,14 @@ fn collector_scrapes_live_node_and_fires_on_unreachable_target() {
         .iter()
         .any(|e| e.rule == RuleKind::ReplicaUnavailable && e.node == "live0"));
 
-    // Incremental cursors: history seqs are strictly increasing — a point
-    // is never scraped twice even across several polls.
-    tell_obs::timeseries::roll_global_now();
+    // One point per poll, and with no other commit traffic the deltas tile
+    // the server's cumulative counter: nothing is counted twice or lost.
     collector.poll();
-    let seqs: Vec<u64> = collector.nodes()[0].history.iter().map(|p| p.seq).collect();
-    assert!(seqs.windows(2).all(|w| w[0] < w[1]), "duplicate or reordered seqs: {seqs:?}");
-
-    // The remapped points carry this build's metric order: the committed
-    // counter bump above is visible in some collected delta.
-    let committed: u64 =
-        collector.nodes()[0].history.iter().map(|p| p.counter(Counter::TxnCommitted)).sum();
-    assert!(committed >= 1, "expected the seeded commit delta in the history");
+    let history = &collector.nodes()[0].history;
+    assert_eq!(history.len(), 3);
+    assert_eq!(history[1].counter(Counter::TxnCommitted), 3);
+    assert_eq!(history[2].counter(Counter::TxnCommitted), 0);
+    assert!(history.iter().skip(1).all(|p| p.interval_us > 0.0), "later points span a poll");
+    let committed: u64 = history.iter().map(|p| p.counter(Counter::TxnCommitted)).sum();
+    assert_eq!(committed, tell_obs::global().counter(Counter::TxnCommitted));
 }

@@ -77,8 +77,8 @@ pub struct NodeTick {
     pub node: String,
     /// Whether the node answered this interval (sim: whether it is alive).
     pub reachable: bool,
-    /// The node's rolled point for this interval, when one was obtained.
-    /// Metric rules hold their state when it is `None`.
+    /// The node's point for this interval, when one was obtained. Metric
+    /// rules hold their state when it is `None`.
     pub point: Option<TsPoint>,
 }
 
@@ -185,37 +185,27 @@ pub struct HealthEngine {
     /// Per node: (lav_lag, commits_delta) for the last `saturation_window`
     /// intervals.
     trend: BTreeMap<String, VecDeque<(u64, u64)>>,
-    /// Per node: virtual clock of its previous tick, for interval-relative
-    /// rules (lock-wait spike needs "fraction of the interval").
-    last_virt: BTreeMap<String, f64>,
     next_seq: u64,
 }
 
 impl HealthEngine {
     /// Engine with the given thresholds.
     pub fn new(cfg: HealthConfig) -> Self {
-        HealthEngine {
-            cfg,
-            states: BTreeMap::new(),
-            trend: BTreeMap::new(),
-            last_virt: BTreeMap::new(),
-            next_seq: 1,
-        }
+        HealthEngine { cfg, states: BTreeMap::new(), trend: BTreeMap::new(), next_seq: 1 }
     }
 
     /// Evaluate one telemetry interval. `ticks` must arrive in a stable
     /// node order (the sim and collector both iterate their fixed target
     /// lists), and the returned events preserve (node, rule) order.
+    /// `virt_us` and `wall_us` only stamp the events; interval-relative
+    /// rules read the interval from each tick's point.
     pub fn observe(&mut self, virt_us: f64, wall_us: u64, ticks: &[NodeTick]) -> Vec<HealthEvent> {
         let mut events = Vec::new();
         for tick in ticks {
-            let interval_us =
-                self.last_virt.get(&tick.node).map(|prev| virt_us - prev).filter(|d| *d > 0.0);
             for &rule in RuleKind::ALL {
-                let verdict = self.judge(rule, tick, interval_us);
+                let verdict = self.judge(rule, tick);
                 self.step(rule, tick, verdict, virt_us, wall_us, &mut events);
             }
-            self.last_virt.insert(tick.node.clone(), virt_us);
         }
         events
     }
@@ -230,7 +220,7 @@ impl HealthEngine {
         self.next_seq - 1
     }
 
-    fn judge(&mut self, rule: RuleKind, tick: &NodeTick, interval_us: Option<f64>) -> Verdict {
+    fn judge(&mut self, rule: RuleKind, tick: &NodeTick) -> Verdict {
         if rule == RuleKind::ReplicaUnavailable {
             return if tick.reachable {
                 Verdict::Good
@@ -301,11 +291,13 @@ impl HealthEngine {
                 Verdict::Good
             }
             RuleKind::LockWaitSpike => {
-                // The first tick of a node has no interval to compare
-                // against; hold rather than guess.
-                let Some(interval) = interval_us else {
+                // A point diffed against zero (a node's first reading, or
+                // its first after a restart) has no interval; hold rather
+                // than guess.
+                let interval = point.interval_us;
+                if interval <= 0.0 {
                     return Verdict::Hold;
-                };
+                }
                 let wait = point.counter(Counter::LockWaitUs);
                 let commits = point.counter(Counter::TxnCommitted);
                 if commits < self.cfg.lock_wait_min_txns {
@@ -480,32 +472,105 @@ mod tests {
         assert_eq!(eng.active().len(), 1);
     }
 
+    /// `point_with` over an interval of `interval_us`.
+    fn interval_point(interval_us: f64, counters: &[(Counter, u64)]) -> TsPoint {
+        TsPoint { interval_us, ..point_with(counters, &[]) }
+    }
+
     #[test]
     fn lock_wait_spike_needs_interval_volume_and_fraction() {
         let cfg = HealthConfig { fire_after: 1, resolve_after: 1, ..HealthConfig::default() };
         let mut eng = HealthEngine::new(cfg);
-        let busy_waiting =
-            point_with(&[(Counter::LockWaitUs, 200_000), (Counter::TxnCommitted, 50)], &[]);
-        // First tick: no interval yet, the rule holds regardless of values.
-        let ev = eng.observe(0.0, 0, &[tick("cm0", true, Some(busy_waiting.clone()))]);
-        assert!(ev.is_empty(), "no interval on the first tick");
-        // Second tick, 1s interval: 200ms of lock wait = 20% > 10%, fires.
-        let ev = eng.observe(1_000_000.0, 0, &[tick("cm0", true, Some(busy_waiting.clone()))]);
+        let busy = [(Counter::LockWaitUs, 200_000), (Counter::TxnCommitted, 50)];
+        // A point diffed against zero has no interval: the rule holds
+        // regardless of values.
+        let ev = eng.observe(0.0, 0, &[tick("cm0", true, Some(interval_point(0.0, &busy)))]);
+        assert!(ev.is_empty(), "no interval on the first reading");
+        // 1s interval: 200ms of lock wait = 20% > 10%, fires.
+        let ev =
+            eng.observe(1_000_000.0, 0, &[tick("cm0", true, Some(interval_point(1e6, &busy)))]);
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].rule, RuleKind::LockWaitSpike);
         assert!(ev[0].detail.contains("20%"), "detail renders the fraction: {}", ev[0].detail);
         // Same waits without commit volume: the min-volume guard clears it.
-        let idle_waiting =
-            point_with(&[(Counter::LockWaitUs, 200_000), (Counter::TxnCommitted, 3)], &[]);
-        let ev = eng.observe(2_000_000.0, 0, &[tick("cm0", true, Some(idle_waiting))]);
+        let idle = [(Counter::LockWaitUs, 200_000), (Counter::TxnCommitted, 3)];
+        let ev =
+            eng.observe(2_000_000.0, 0, &[tick("cm0", true, Some(interval_point(1e6, &idle)))]);
         assert_eq!(ev.len(), 1);
         assert!(!ev[0].firing);
         // Busy but barely waiting: stays quiet.
-        let busy_clean =
-            point_with(&[(Counter::LockWaitUs, 5_000), (Counter::TxnCommitted, 50)], &[]);
-        let ev = eng.observe(3_000_000.0, 0, &[tick("cm0", true, Some(busy_clean))]);
+        let clean = [(Counter::LockWaitUs, 5_000), (Counter::TxnCommitted, 50)];
+        let ev =
+            eng.observe(3_000_000.0, 0, &[tick("cm0", true, Some(interval_point(1e6, &clean)))]);
         assert!(ev.is_empty());
         assert!(eng.active().is_empty());
+    }
+
+    /// A live collector stamps events with its poll ordinal, not a clock.
+    /// The lock-wait fraction must come from the point's own interval: 5us
+    /// of wait over a 1s poll is 0.0005%, however close the ordinals are.
+    #[test]
+    fn lock_wait_spike_reads_the_interval_from_the_point_not_the_tick_clock() {
+        let mut eng = HealthEngine::new(HealthConfig::default());
+        let quiet = [(Counter::LockWaitUs, 5), (Counter::TxnCommitted, 1000)];
+        for poll in 1..=4 {
+            let point = interval_point(1e6, &quiet);
+            let ev = eng.observe(poll as f64, 0, &[tick("cm0", true, Some(point))]);
+            assert!(ev.is_empty(), "poll {poll} fired on 5us of wait: {ev:?}");
+        }
+        let waiting = [(Counter::LockWaitUs, 200_000), (Counter::TxnCommitted, 1000)];
+        let mut fired = Vec::new();
+        for poll in 5..=6 {
+            let point = interval_point(1e6, &waiting);
+            fired.extend(eng.observe(poll as f64, 0, &[tick("cm0", true, Some(point))]));
+        }
+        assert_eq!(fired.len(), 1, "{fired:?}");
+        assert!(fired[0].firing);
+        assert_eq!(fired[0].rule, RuleKind::LockWaitSpike);
+        assert!(fired[0].detail.contains("20%"), "{}", fired[0].detail);
+    }
+
+    /// Feeds `bad` points until the rule fires, then `good` points until it
+    /// resolves, checking the hysteresis counts of the default config.
+    fn fires_and_resolves(rule: RuleKind, bad: TsPoint, good: TsPoint) {
+        let cfg = HealthConfig::default();
+        let mut eng = HealthEngine::new(cfg);
+        let mut t = 0.0;
+        let mut feed = |eng: &mut HealthEngine, p: &TsPoint| {
+            t += 1.0;
+            eng.observe(t, 0, &[tick("sn0", true, Some(p.clone()))])
+        };
+        for i in 1..cfg.fire_after {
+            assert!(feed(&mut eng, &bad).is_empty(), "fired after {i} bad ticks");
+        }
+        let ev = feed(&mut eng, &bad);
+        assert_eq!(ev.len(), 1, "{ev:?}");
+        assert_eq!((ev[0].rule, ev[0].firing), (rule, true));
+        for i in 1..cfg.resolve_after {
+            assert!(feed(&mut eng, &good).is_empty(), "resolved after {i} good ticks");
+        }
+        let ev = feed(&mut eng, &good);
+        assert_eq!(ev.len(), 1, "{ev:?}");
+        assert_eq!((ev[0].rule, ev[0].firing), (rule, false));
+        assert!(eng.active().is_empty());
+    }
+
+    #[test]
+    fn slow_reader_backpressure_fires_and_resolves() {
+        fires_and_resolves(
+            RuleKind::SlowReaderBackpressure,
+            point_with(&[(Counter::ConnBackpressure, 3)], &[]),
+            point_with(&[], &[]),
+        );
+    }
+
+    #[test]
+    fn replication_staleness_fires_and_resolves() {
+        fires_and_resolves(
+            RuleKind::ReplicationStaleness,
+            point_with(&[(Counter::DurableReplicaRecordsDropped, 1)], &[]),
+            point_with(&[], &[]),
+        );
     }
 
     #[test]

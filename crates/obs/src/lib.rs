@@ -36,11 +36,11 @@
 //!   the slow-op budget ([`span::slow_budget_us`], `TELL_SLOW_OP_US`),
 //!   conflict-aborted, or 1-in-N-sampled keep their spans, so a retained
 //!   trace is the one record of a slow transaction.
-//! * **History lives in rings.** A [`Rollup`] snapshots the registry every
-//!   interval into a bounded [`TsRing`] of counter deltas, gauge samples,
-//!   and per-phase p50/p99/p999 digests; `Request::Telemetry` scrapes it
-//!   incrementally by cursor, and a [`HealthEngine`] evaluates declarative
-//!   rules over the stream into deduplicated firing/resolved events.
+//! * **Readers diff snapshots.** A server keeps only cumulative counters;
+//!   a [`Rollup`] diffs two snapshots into a [`TsPoint`] of counter deltas,
+//!   gauge samples, per-phase p50/p99/p999 digests and the interval's
+//!   length, and a [`HealthEngine`] evaluates declarative rules over those
+//!   points into deduplicated firing/resolved events.
 //! * **Flame graphs fold spans.** [`export::fold_self_time`] turns the
 //!   tick-sampled traces a scrape collects into a collapsed-stack
 //!   [`CollapsedTable`] weighted in microseconds of self-time, on the wall
@@ -104,7 +104,7 @@ pub use prof::{CollapsedTable, LockStat, ProfMutex, ProfRwLock};
 pub use registry::{global, help_for, Counter, Gauge, Phase, Registry};
 pub use snapshot::MetricsSnapshot;
 pub use span::{current_span, Span, SpanAttrs, SpanStatus};
-pub use timeseries::{PhaseDigest, Rollup, TelemetryPage, TsPoint, TsRing};
+pub use timeseries::{PhaseDigest, Rollup, TsPoint};
 pub use trace::{
     current as current_trace, fmt_trace, next_trace_id, recording as recording_trace, TraceGuard,
 };

@@ -105,10 +105,6 @@ id_enum! {
         ReqMetrics => "rpc_req_metrics_total",
         /// `Request::Spans` frames served.
         ReqSpans => "rpc_req_spans_total",
-        /// `Request::Telemetry` frames served.
-        ReqTelemetry => "rpc_req_telemetry_total",
-        /// Telemetry rollup ticks (time-series points appended to the ring).
-        TelemetryRollups => "telemetry_rollups_total",
         /// Finished spans promoted to the span ring.
         SpansRecorded => "spans_recorded_total",
         /// Spans lost to ring eviction or pending-buffer overflow.

@@ -12,10 +12,19 @@
 use std::fmt::Write as _;
 
 use tell_common::codec::{Reader, Writer};
-use tell_common::{Result, Summary};
+use tell_common::{Error, Result, Summary};
 
 use crate::prof::LockStat;
-use crate::timeseries::check_len;
+
+/// Metric sets, and a histogram's buckets, are small; any larger length in
+/// a decoded snapshot is a corrupt or hostile frame, rejected before
+/// allocating.
+fn check_len(n: u32) -> Result<u32> {
+    if n > 4096 {
+        return Err(Error::corrupt(format!("decoded vector length {n} exceeds 4096")));
+    }
+    Ok(n)
+}
 
 /// A merged view of every counter, gauge, and histogram in a registry.
 #[derive(Clone, Debug, Default, PartialEq)]

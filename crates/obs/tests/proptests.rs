@@ -1,21 +1,15 @@
 //! Property tests for the snapshot wire codec — any snapshot must
 //! round-trip bit-for-bit through `encode` / `decode`, and `decode` must
-//! refuse arbitrary bytes without panicking — and for the
-//! telemetry time-series ring: `since` must match a reference model under
-//! arbitrary scrape cursors and ring wrap, and rollup deltas must tile the
-//! counter totals exactly. The flame graph's collapsed-stack table gets the
+//! refuse arbitrary bytes without panicking — and for the interval
+//! differ: rollup deltas must tile the counter totals exactly. The flame graph's collapsed-stack table gets the
 //! same treatment: folded text must encode it losslessly, the cardinality
 //! bound must hold, and no weight may vanish — every add lands in a stack
 //! or in the drop counter.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 use tell_common::codec::Reader;
 use tell_common::Summary;
-use tell_obs::{
-    CollapsedTable, Counter, LockStat, MetricsSnapshot, Registry, Rollup, Site, TsPoint, TsRing,
-};
+use tell_obs::{CollapsedTable, Counter, LockStat, MetricsSnapshot, Registry, Rollup, Site};
 
 fn metric_name() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9_]{0,30}"
@@ -105,84 +99,36 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Time-series ring: `since` vs a reference model.
-
-#[derive(Debug, Clone)]
-enum RingOp {
-    Push,
-    Since { cursor: u64, max: usize },
-}
-
-fn ring_ops() -> impl Strategy<Value = Vec<RingOp>> {
-    proptest::collection::vec(
-        prop_oneof![
-            2 => Just(RingOp::Push),
-            1 => (0u64..60, 1usize..12)
-                .prop_map(|(cursor, max)| RingOp::Since { cursor, max }),
-        ],
-        1..80,
-    )
-}
+// Interval differ: deltas vs a reference model.
 
 proptest! {
-    /// The ring's cursor reads must agree with a trivially correct model:
-    /// seqs are 1..=pushed, only the newest `capacity` survive the wrap, a
-    /// scrape returns the kept seqs above the cursor (bounded by `max`),
-    /// and a cursor ahead of the ring resets to the start.
-    #[test]
-    fn ring_since_matches_reference_model(
-        capacity in 1usize..6,
-        ops in ring_ops(),
-    ) {
-        let ring = TsRing::new(capacity);
-        let mut pushed: u64 = 0;
-        for op in ops {
-            match op {
-                RingOp::Push => {
-                    pushed += 1;
-                    prop_assert_eq!(ring.push(TsPoint::default()), pushed);
-                }
-                RingOp::Since { cursor, max } => {
-                    let (points, next) = ring.since(cursor, max);
-                    let latest = pushed;
-                    let cur = if cursor > latest { 0 } else { cursor };
-                    let oldest_kept = pushed.saturating_sub(capacity as u64) + 1;
-                    let expect: Vec<u64> =
-                        (oldest_kept.max(cur + 1)..=latest).take(max).collect();
-                    let got: Vec<u64> = points.iter().map(|p| p.seq).collect();
-                    prop_assert_eq!(&got, &expect);
-                    prop_assert_eq!(next, expect.last().copied().unwrap_or(latest));
-                }
-            }
-        }
-    }
-
     /// Rollup deltas tile the counter totals: each point carries exactly
-    /// what was added in its interval, and (with a ring big enough not to
-    /// evict) the deltas sum to the registry's final total.
+    /// what was added in its interval, so the deltas sum to the registry's
+    /// final total, and each interval is the gap between its readings'
+    /// clocks (0 for the first, which is diffed against zero).
     #[test]
     fn rollup_deltas_match_reference_model(
         intervals in proptest::collection::vec(
-            proptest::collection::vec(0u64..1000, 0..4),
+            (proptest::collection::vec(0u64..1000, 0..4), 1u32..1_000_000),
             1..16,
         ),
     ) {
         let reg = Registry::new();
-        let ring = Arc::new(TsRing::new(64));
-        let mut rollup = Rollup::new(Arc::clone(&ring));
-        for adds in &intervals {
+        let mut rollup = Rollup::new();
+        let mut at_us = 0.0;
+        let mut total = 0u64;
+        for (i, (adds, gap)) in intervals.iter().enumerate() {
             let mut sum = 0u64;
             for n in adds {
                 reg.add(Counter::TxnCommitted, *n);
                 sum += n;
             }
-            let p = rollup.roll(&reg, 0.0, 0);
+            at_us += f64::from(*gap);
+            let p = rollup.diff(reg.snapshot(), at_us);
             prop_assert_eq!(p.counter(Counter::TxnCommitted), sum);
+            prop_assert_eq!(p.interval_us, if i == 0 { 0.0 } else { f64::from(*gap) });
+            total += p.counter(Counter::TxnCommitted);
         }
-        let (points, next) = ring.since(0, 1024);
-        prop_assert_eq!(points.len(), intervals.len());
-        prop_assert_eq!(next, intervals.len() as u64);
-        let total: u64 = points.iter().map(|p| p.counter(Counter::TxnCommitted)).sum();
         prop_assert_eq!(total, reg.counter(Counter::TxnCommitted));
     }
 }

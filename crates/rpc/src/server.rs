@@ -57,9 +57,6 @@ impl RpcServer {
         service: Arc<dyn RpcService>,
         config: ReactorConfig,
     ) -> Result<RpcServer> {
-        // Any serving process keeps a telemetry history for
-        // `Request::Telemetry` to page out.
-        tell_obs::timeseries::ensure_wall_driver();
         let listener =
             TcpListener::bind(addr).map_err(|e| Error::Unavailable(format!("bind failed: {e}")))?;
         let addr = listener

@@ -174,10 +174,6 @@ impl Router {
             } else {
                 tell_obs::span::global_ring().peek()
             }),
-            // Incremental pull of this process's telemetry ring.
-            Request::Telemetry { since } => {
-                Response::Telemetry(tell_obs::timeseries::page_since(since))
-            }
             // The wire decoder already refuses nested batches; keep the
             // refusal here too so a future in-process caller cannot sneak
             // one in.
@@ -336,7 +332,6 @@ fn count_request(request: &Request) {
         Request::CmResolve { .. } => Counter::ReqCmResolve,
         Request::Metrics => Counter::ReqMetrics,
         Request::Spans { .. } => Counter::ReqSpans,
-        Request::Telemetry { .. } => Counter::ReqTelemetry,
     };
     reg.incr(c);
 }

@@ -28,7 +28,7 @@ use bytes::{Bytes, BytesMut};
 use tell_commitmgr::SnapshotDescriptor;
 use tell_common::codec::{Reader, Writer};
 use tell_common::{Error, IsolationLevel, Result, TxnId};
-use tell_obs::{MetricsSnapshot, Span, TelemetryPage};
+use tell_obs::{MetricsSnapshot, Span};
 use tell_store::{Expect, Key, Predicate, Token, WriteOp};
 
 /// Upper bound on a frame's `len` field. Generous — the largest legitimate
@@ -102,11 +102,6 @@ pub enum Request {
     /// about to collect; `drain: true` removes what it returns (each span
     /// scraped exactly once).
     Spans { drain: bool },
-    /// Incremental telemetry scrape: the server's time-series ring points
-    /// with `seq > since`. Answered with [`Response::Telemetry`]; any server answers it. Pass
-    /// `since: 0` for history from the oldest retained point, then the
-    /// returned `next_cursor` on every later scrape.
-    Telemetry { since: u64 },
 }
 
 /// Server replies. `Error` may answer any request; the others pair with
@@ -147,9 +142,6 @@ pub enum Response {
     /// Answer to `Request::Spans`: the server's span ring contents, oldest
     /// first per shard (removed only when the request asked to drain).
     Spans(Vec<Span>),
-    /// Answer to `Request::Telemetry`: one incremental page of time-series
-    /// points.
-    Telemetry(TelemetryPage),
 }
 
 // ---------------------------------------------------------------------------
@@ -384,10 +376,6 @@ impl Request {
                 out.put_u8(22);
                 out.put_u8(u8::from(*drain));
             }
-            Request::Telemetry { since } => {
-                out.put_u8(23);
-                out.put_u64(*since);
-            }
         }
         out
     }
@@ -448,7 +436,6 @@ impl Request {
             20 => Request::CmResolve { tid: TxnId(r.u64()?), committed: read_bool(&mut r)? },
             21 => Request::Metrics,
             22 => Request::Spans { drain: read_bool(&mut r)? },
-            23 => Request::Telemetry { since: r.u64()? },
             t => return Err(Error::corrupt(format!("unknown request tag {t}"))),
         };
         expect_exhausted(&r)?;
@@ -552,10 +539,6 @@ impl Response {
                     s.encode(&mut out);
                 }
             }
-            Response::Telemetry(page) => {
-                out.put_u8(21);
-                page.encode(&mut out);
-            }
         }
         out
     }
@@ -638,7 +621,6 @@ impl Response {
                 }
                 Response::Spans(spans)
             }
-            21 => Response::Telemetry(TelemetryPage::decode(&mut r)?),
             t => return Err(Error::corrupt(format!("unknown response tag {t}"))),
         };
         expect_exhausted(&r)?;
@@ -816,8 +798,6 @@ mod tests {
             Request::Metrics,
             Request::Spans { drain: false },
             Request::Spans { drain: true },
-            Request::Telemetry { since: 0 },
-            Request::Telemetry { since: u64::MAX },
         ];
         for req in reqs {
             let body = req.encode();
@@ -893,23 +873,6 @@ mod tests {
                     attrs: tell_obs::SpanAttrs { count: 0, status: tell_obs::SpanStatus::Conflict },
                 },
             ]),
-            Response::Telemetry(TelemetryPage { points: Vec::new(), next_cursor: 0 }),
-            Response::Telemetry(TelemetryPage {
-                points: vec![tell_obs::TsPoint {
-                    seq: 3,
-                    virt_us: 125.0,
-                    wall_us: 9_000,
-                    counters: vec![10, 2],
-                    gauges: vec![7],
-                    phases: vec![tell_obs::PhaseDigest {
-                        count: 10,
-                        p50: 4.0,
-                        p99: 80.0,
-                        p999: 81.0,
-                    }],
-                }],
-                next_cursor: 3,
-            }),
         ];
         for resp in resps {
             let body = resp.encode();
@@ -949,6 +912,32 @@ mod tests {
         let mut body = Request::Ping.encode();
         body.push(0);
         assert!(matches!(Request::decode(&body), Err(Error::Corrupt(_))));
+    }
+
+    #[test]
+    fn retired_telemetry_tags_are_rejected() {
+        // Request tag 23 (the time-series page scrape) and response tag 21
+        // (the page) are retired: readers diff `Metrics` snapshots. Neither
+        // decodes, whole or cut, with a body of the old shape or none.
+        let mut scrape = vec![23];
+        scrape.put_u64(7);
+        for cut in 1..=scrape.len() {
+            assert!(Request::decode(&scrape[..cut]).is_err(), "{:?}", &scrape[..cut]);
+        }
+        // One page of one empty point: count, seq, virt, wall, three empty
+        // arrays, then the next cursor.
+        let mut page = vec![21];
+        page.put_u32(1);
+        page.put_u64(3);
+        page.put_f64(125.0);
+        page.put_u64(9_000);
+        for _ in 0..3 {
+            page.put_u32(0);
+        }
+        page.put_u64(3);
+        for cut in 1..=page.len() {
+            assert!(Response::decode(&page[..cut]).is_err(), "prefix of {cut} bytes accepted");
+        }
     }
 
     #[test]

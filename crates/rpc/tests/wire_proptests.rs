@@ -10,10 +10,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use tell_commitmgr::SnapshotDescriptor;
 use tell_common::{BitSet, Error, IsolationLevel, Summary, TxnId};
-use tell_obs::{
-    LockStat, MetricsSnapshot, PhaseDigest, Site, Span, SpanAttrs, SpanStatus, TelemetryPage,
-    TsPoint,
-};
+use tell_obs::{LockStat, MetricsSnapshot, Site, Span, SpanAttrs, SpanStatus};
 use tell_rpc::wire::{encode_frame, TraceContext, FRAME_HEADER};
 use tell_rpc::{FrameDecoder, Request, Response, MAX_FRAME};
 use tell_store::{CmpOp, Expect, Predicate, WriteOp};
@@ -176,37 +173,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
         (any::<u64>(), any::<bool>())
             .prop_map(|(tid, committed)| Request::CmResolve { tid: TxnId(tid), committed }),
         any::<bool>().prop_map(|drain| Request::Spans { drain }),
-        any::<u64>().prop_map(|since| Request::Telemetry { since }),
     ]
-}
-
-/// Time-series points with finite clocks and digests, the domain `Rollup`
-/// produces (reflexive floats, so `PartialEq` holds on the round trip).
-fn ts_point_strategy() -> impl Strategy<Value = TsPoint> {
-    (
-        (any::<u64>(), 0u32..1_000_000, any::<u64>()),
-        prop::collection::vec(any::<u64>(), 0..8),
-        prop::collection::vec(any::<u64>(), 0..8),
-        prop::collection::vec(
-            (any::<u64>(), 0u32..1_000_000, 0u32..1_000_000, 0u32..1_000_000).prop_map(
-                |(count, p50, p99, p999)| PhaseDigest {
-                    count,
-                    p50: p50 as f64,
-                    p99: p99 as f64,
-                    p999: p999 as f64,
-                },
-            ),
-            0..4,
-        ),
-    )
-        .prop_map(|((seq, virt, wall_us), counters, gauges, phases)| TsPoint {
-            seq,
-            virt_us: virt as f64,
-            wall_us,
-            counters,
-            gauges,
-            phases,
-        })
 }
 
 fn metrics_strategy() -> impl Strategy<Value = MetricsSnapshot> {
@@ -246,11 +213,6 @@ fn metrics_strategy() -> impl Strategy<Value = MetricsSnapshot> {
         })
 }
 
-fn telemetry_page_strategy() -> impl Strategy<Value = TelemetryPage> {
-    (prop::collection::vec(ts_point_strategy(), 0..4), any::<u64>())
-        .prop_map(|(points, next_cursor)| TelemetryPage { points, next_cursor })
-}
-
 /// Every `Response` variant, all fields randomized.
 fn response_strategy() -> impl Strategy<Value = Response> {
     prop_oneof![
@@ -277,7 +239,6 @@ fn response_strategy() -> impl Strategy<Value = Response> {
         any::<u64>().prop_map(Response::Lav),
         metrics_strategy().prop_map(Response::Metrics),
         prop::collection::vec(span_strategy(), 0..6).prop_map(Response::Spans),
-        telemetry_page_strategy().prop_map(Response::Telemetry),
     ]
 }
 
@@ -429,6 +390,20 @@ proptest! {
         prop_assert!(decoder.is_idle());
     }
 
+    /// The retired telemetry tags (request 23, response 21) decode to an
+    /// error whatever follows them: readers diff `Metrics` snapshots now.
+    #[test]
+    fn retired_telemetry_tags_never_decode(
+        tail in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut request = vec![23];
+        request.extend(&tail);
+        prop_assert!(Request::decode(&request).is_err());
+        let mut response = vec![21];
+        response.extend(&tail);
+        prop_assert!(Response::decode(&response).is_err());
+    }
+
     /// Arbitrary bytes — random, or a valid encoding with one field
     /// overwritten by a huge length — never panic a decoder, and never
     /// make it reserve more than the input plus the decoders' `min(1024)`
@@ -498,7 +473,6 @@ const MAX_ELEMENT: usize = {
         std::mem::size_of::<Result<Option<u64>, Error>>(),
         std::mem::size_of::<(Bytes, u64, Bytes)>(),
         std::mem::size_of::<Span>(),
-        std::mem::size_of::<TsPoint>(),
         std::mem::size_of::<LockStat>(),
         std::mem::size_of::<Predicate>(),
     ];

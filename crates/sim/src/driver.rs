@@ -18,7 +18,7 @@
 //! wall-clock sync interval and sync on (deterministic) operation counts
 //! instead.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 use rand::{Rng, SeedableRng, StdRng};
 use tell_commitmgr::manager::CmConfig;
@@ -27,10 +27,8 @@ use tell_common::{CmId, Error, IsolationLevel, SnId, TxnId};
 use tell_core::database::IndexSpec;
 use tell_core::{Database, TableDef, TellConfig, VersionedRecord};
 use tell_durable::{DurableNodeConfig, FsDurability, FsyncPolicy};
-use tell_obs::timeseries::DEFAULT_RING_POINTS;
 use tell_obs::{
     Counter, Gauge, HealthConfig, HealthEngine, HealthEvent, NodeTick, Registry, Rollup, TsPoint,
-    TsRing,
 };
 use tell_store::{keys, StoreApi, StoreCluster};
 
@@ -141,10 +139,11 @@ pub struct SimStats {
     pub virtual_end_us: f64,
 }
 
-/// The telemetry a run produced: one rolled time-series point per
-/// commit-manager scrape (virtual clock, wall 0) and every health-rule
-/// transition the engine emitted. Both are pure functions of the seed —
-/// the observability e2e tests compare them byte for byte across runs.
+/// The telemetry a run produced: one time-series point per commit-manager
+/// scrape (the sim registry's snapshot diffed on the virtual clock) and
+/// every health-rule transition the engine emitted. Both are pure
+/// functions of the seed — the observability e2e tests compare them byte
+/// for byte across runs.
 #[derive(Clone, Debug, Default)]
 pub struct SimTelemetry {
     /// One point per scrape, oldest first.
@@ -543,11 +542,6 @@ struct Scheduler<'a> {
     rng: StdRng,
     /// CM instance ids handed to recovered managers (fresh, never reused).
     next_cm_id: u32,
-    /// Ids of killed managers whose stale published state we keep erasing
-    /// (in-flight transactions they issued republish it on completion; a
-    /// real deployment's management node performs the same janitorial
-    /// delete).
-    killed_cms: Vec<u32>,
     /// PN crashes awaiting their recovery event: `(pn, tid, key)`.
     pending_crashes: Vec<(tell_common::PnId, TxnId, u64)>,
     stats: SimStats,
@@ -556,9 +550,9 @@ struct Scheduler<'a> {
     /// one process pollute the global registry, and the telemetry history
     /// must be a pure function of the seed.
     reg: Registry,
-    /// Rollup over the sim's own ring, ticked at the scrape cadence.
+    /// Differ over `reg`'s snapshots, taken at the scrape cadence.
     rollup: Rollup,
-    /// Health rules over the rolled points plus per-SN liveness.
+    /// Health rules over the points plus per-SN liveness.
     health: HealthEngine,
     telemetry: SimTelemetry,
     /// Committed/aborted totals already folded into `reg`.
@@ -608,7 +602,6 @@ impl Scheduler<'_> {
                 if members.len() > 1 {
                     let victim = members[0].0;
                     if self.db.commit_managers().fail(victim).is_ok() {
-                        self.killed_cms.push(victim.raw());
                         st.epoch += 1;
                     }
                 }
@@ -752,13 +745,6 @@ impl Scheduler<'_> {
     }
 
     fn scrape(&mut self, st: &mut TurnState, at_us: f64) {
-        // Janitor: erase state republished by killed managers (their
-        // in-flight transactions re-create the key on completion), so the
-        // cluster lav is computed over live members only.
-        let client = self.db.admin_client();
-        for id in &self.killed_cms {
-            let _ = client.delete(&keys::cm_state(*id));
-        }
         let cluster = self.db.commit_managers();
         let bases: Vec<(u32, u64)> =
             cluster.members().iter().map(|(id, base)| (id.raw(), *base)).collect();
@@ -766,8 +752,8 @@ impl Scheduler<'_> {
         st.history.scrapes.push(LavScrape { at_us, epoch: st.epoch, lav, bases });
         self.stats.scrapes += 1;
 
-        // Telemetry rollup tick: fold turnstile state into the sim-local
-        // registry, roll a point (virtual clock, wall 0 — reproducible
+        // Telemetry tick: fold turnstile state into the sim-local registry,
+        // diff its snapshot into a point on the virtual clock (reproducible
         // byte for byte), and run the health rules. Reachability is judged
         // per storage node; the cluster-wide metrics ride a synthetic
         // "cluster" tick so rate rules are evaluated once per interval,
@@ -780,7 +766,7 @@ impl Scheduler<'_> {
         self.last_aborts = aborts;
         let max_tid = st.history.txns.iter().map(|t| t.tid).max().unwrap_or(lav);
         self.reg.set_gauge(Gauge::CmLavLag, max_tid.saturating_sub(lav));
-        let point = self.rollup.roll(&self.reg, at_us, 0);
+        let point = self.rollup.diff(self.reg.snapshot(), at_us);
         let mut ticks: Vec<NodeTick> = self
             .db
             .store()
@@ -889,11 +875,10 @@ pub fn run_with_plan(config: &SimConfig, plan: FaultPlan) -> SimOutcome {
         rids: &rids,
         rng: StdRng::seed_from_u64(config.seed ^ SCHED_STREAM),
         next_cm_id: 100,
-        killed_cms: Vec::new(),
         pending_crashes: Vec::new(),
         stats: SimStats::default(),
         reg: Registry::new(),
-        rollup: Rollup::new(Arc::new(TsRing::new(DEFAULT_RING_POINTS))),
+        rollup: Rollup::new(),
         health: HealthEngine::new(HealthConfig::default()),
         telemetry: SimTelemetry::default(),
         last_commits: 0,

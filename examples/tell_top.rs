@@ -2,8 +2,9 @@
 //! over the wire.
 //!
 //! ```text
-//! tell_top [watch]  live dashboard over every node's Request::Telemetry
-//!                   ring and the health rules (--json: one snapshot)
+//! tell_top [watch]  live dashboard over every node's Request::Metrics,
+//!                   diffed per poll, and the health rules (--json: one
+//!                   poll)
 //! tell_top metrics  one node's Request::Metrics as Prometheus text
 //!                   (--json: the raw snapshot)
 //! tell_top trace    run a few transactions, collect Request::Spans from
@@ -300,19 +301,11 @@ fn sparkline(node: &NodeView, width: usize) -> String {
     deltas.iter().rev().map(|d| SPARK[((d * (SPARK.len() as u64 - 1)) / max) as usize]).collect()
 }
 
-/// Per-second rate of a counter from the node's two newest points (the
-/// wall clocks bound the interval; virtual-clock histories show "-").
+/// Per-second rate of a counter over the node's newest point ("-" until a
+/// point has an interval: the first is diffed against zero).
 fn rate_per_sec(node: &NodeView, c: Counter) -> Option<f64> {
-    let n = node.history.len();
-    if n < 2 {
-        return None;
-    }
-    let (prev, last) = (&node.history[n - 2], &node.history[n - 1]);
-    let dt_us = last.wall_us.saturating_sub(prev.wall_us);
-    if dt_us == 0 {
-        return None;
-    }
-    Some(last.counter(c) as f64 * 1e6 / dt_us as f64)
+    let last = node.latest().filter(|p| p.interval_us > 0.0)?;
+    Some(last.counter(c) as f64 * 1e6 / last.interval_us)
 }
 
 fn fmt_rate(r: Option<f64>) -> String {
@@ -387,12 +380,12 @@ fn render_json(collector: &Collector) -> String {
         }
         let latest = node.latest();
         out.push_str(&format!(
-            "\"{}\":{{\"reachable\":{},\"points\":{},\"last_seq\":{},\
+            "\"{}\":{{\"reachable\":{},\"points\":{},\"interval_us\":{:?},\
              \"txn_committed_delta\":{},\"txn_aborted_delta\":{},\"txn_total_us_p99\":{:?}}}",
             node.target.name,
             node.reachable,
             node.history.len(),
-            latest.map(|p| p.seq).unwrap_or(0),
+            latest.map(|p| p.interval_us).unwrap_or(0.0),
             latest.map(|p| p.counter(Counter::TxnCommitted)).unwrap_or(0),
             latest.map(|p| p.counter(Counter::TxnAborted)).unwrap_or(0),
             latest.map(|p| p.phase(Phase::TxnTotal).p99).unwrap_or(0.0),
@@ -419,11 +412,6 @@ fn render_json(collector: &Collector) -> String {
 fn watch(args: &Args, targets: Vec<Target>) -> Result<(), String> {
     let mut collector = Collector::new(targets);
     if args.json {
-        if args.loopback {
-            // Force a ring point so the very first scrape carries real
-            // deltas (the wall driver's first tick may still be pending).
-            tell_obs::timeseries::roll_global_now();
-        }
         collector.poll();
         println!("{}", render_json(&collector));
         return Ok(());

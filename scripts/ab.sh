@@ -20,7 +20,10 @@
 # `claim_met`, the benchmark README's rule for a claimed gain: the change
 # wins at least 9 of the 10 pairs and its median is better than the
 # parent's by more than the parent's interquartile range; per workload,
-# each side's failed and attempted counts. Raw run output stays in
+# each side's failed and attempted counts, and the retry tail: per run,
+# tell_e2e's `max_attempts` note (how close the unluckiest transaction came
+# to the retry limit), its exit code, and the first `transaction failed
+# after K attempts` line of its stderr, if any. Raw run output stays in
 # .bench_build/ab-<name>/. Needs python3 for the JSON.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -71,8 +74,11 @@ run_one() { # side dir workload seed
   echo "==> $3 seed $4: $1"
   # A failed correctness check exits non-zero; the result line still says
   # why, so record it and carry on.
+  local rc=0
   (cd "$2" && "${cmd[@]}" --workload "$3" --seed "$4" --seconds "$run_seconds" --trace 0) \
-    >"$out.out" 2>"$out.err" || echo "    (exit $?)"
+    >"$out.out" 2>"$out.err" || rc=$?
+  echo "$rc" >"$out.exit"
+  if ((rc != 0)); then echo "    (exit $rc)"; fi
 }
 
 for w in "${workloads[@]}"; do
@@ -102,6 +108,25 @@ def result(side, workload, seed):
         return json.loads([l for l in lines if l.strip()][-1])
     except (OSError, IndexError, ValueError):
         return None
+
+
+def retry_tail(side, workload, seed):
+    """The run's max_attempts note, exit code and first give-up line."""
+    base = f"{runs_dir}/{workload}.{side}.seed{seed}"
+    tail = {"max_attempts": None, "exit_code": None, "failure": None}
+    try:
+        for line in open(f"{base}.out"):
+            parts = line.split()
+            if len(parts) >= 2 and parts[0] == "max_attempts":
+                tail["max_attempts"] = float(parts[1])
+        tail["exit_code"] = int(open(f"{base}.exit").read())
+        for line in open(f"{base}.err"):
+            if "transaction failed after" in line:
+                tail["failure"] = line.strip()
+                break
+    except (OSError, ValueError):
+        pass
+    return tail
 
 
 def quantile(sorted_values, q):
@@ -135,8 +160,12 @@ out = {
 }
 for w in workloads:
     runs = {side: [result(side, w, s) for s in seeds] for side in ("parent", "change")}
-    entry = {"failed": {}, "attempted": {}, "failed_share": {}, "metrics": {}}
+    entry = {"failed": {}, "attempted": {}, "failed_share": {}, "retry_tail": {}, "metrics": {}}
     for side, results in runs.items():
+        tails = [retry_tail(side, w, s) for s in seeds]
+        entry["retry_tail"][side] = {
+            key: [t[key] for t in tails] for key in ("max_attempts", "exit_code", "failure")
+        }
         failed = [r["failed"] if r else None for r in results]
         attempted = [r["attempted"] if r else None for r in results]
         entry["failed"][side] = failed
@@ -192,4 +221,11 @@ for w, entry in out["workloads"].items():
               f"{row['verdict']:10} {claim}")
     print(f"{w:18} failed_share parent {entry['failed_share']['parent']} "
           f"change {entry['failed_share']['change']}")
+    for side, tail in entry["retry_tail"].items():
+        attempts = [a for a in tail["max_attempts"] if a is not None]
+        exits = [c for c in tail["exit_code"] if c not in (None, 0)]
+        print(f"{w:18} {side:6} max_attempts {max(attempts) if attempts else None}  "
+              f"non-zero exits {exits or 'none'}")
+        for failure in filter(None, tail["failure"]):
+            print(f"{w:18} {side:6} {failure}")
 EOF

@@ -40,9 +40,10 @@ cargo bench -q -p tell-bench --bench durable_recovery
 # 64 concurrent connections (tiny scale shortens the measure window).
 cargo bench -q -p tell-bench --bench rpc_reactor
 
-# Telemetry rollup overhead: full update transactions with the ring
-# roller at 50x the deployed cadence vs the roller idle, A-B-B-A paired
-# blocks. Bounds the observability tier's hot-path cost at < 5 %.
+# Telemetry poll overhead: full update transactions with a thread taking
+# a registry snapshot and diffing it every 5 ms vs that thread idle,
+# A-B-B-A paired blocks. Bounds the observability tier's hot-path cost at
+# < 5 %, and reports one snapshot's µs and Response::Metrics frame bytes.
 cargo bench -q -p tell-bench --bench telemetry_overhead
 
 # Lock-contention probe: three workers commit updates against two commit

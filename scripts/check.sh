@@ -148,10 +148,23 @@ if [[ "$metrics_text" != *'tell_txn_committed_total'* ]]; then
 fi
 
 echo "==> telemetry smoke (tell_top watch --json against a loopback cluster)"
-# One collector poll over Request::Telemetry against an in-process SN+CM
-# pair: both nodes must answer and the snapshot must carry ring points.
+# One collector poll over Request::Metrics against an in-process SN+CM
+# pair: both nodes must answer, and the first poll's point (diffed against
+# zero) must carry the commits the loopback workload made before it.
 top_json="$(cargo run -q --example tell_top -- watch --loopback --json)"
-if [[ "$top_json" != *'"reachable":true'* || "$top_json" != *'"polls":1'* ]]; then
+if ! python3 - "$top_json" <<'EOF'
+import json, sys
+
+top = json.loads(sys.argv[1])
+nodes = list(top["nodes"].values())
+print(f"telemetry: polls {top['polls']}, txn_committed_delta "
+      f"{[n['txn_committed_delta'] for n in nodes]}")
+if top["polls"] != 1 or not nodes:
+    sys.exit("error: want one poll over at least one node")
+if not all(n["reachable"] and n["txn_committed_delta"] >= 1 for n in nodes):
+    sys.exit("error: every node must answer with txn_committed_delta >= 1")
+EOF
+then
   echo "error: tell_top watch --loopback --json returned an unhealthy snapshot:" >&2
   echo "$top_json" >&2
   exit 1
