@@ -714,28 +714,10 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
         let write_count = ops.len() as u32;
         self.probe_finish(validate, write_count, SpanStatus::Ok);
         let install = self.probe(Site::TxnInstall);
-        let results = if self.pn.database().config().batching {
-            // One batched call: over the remote transport the whole write
-            // set rides one frame.
-            self.pn.client().multi_write(ops)?
-        } else {
-            // Ablation mode: one exchange per update.
-            ops.into_iter()
-                .map(|op| {
-                    let client = self.pn.client();
-                    match op.value {
-                        Some(v) => match op.expect {
-                            tell_store::Expect::Absent => client.insert(&op.key, v).map(Some),
-                            tell_store::Expect::Token(t) => {
-                                client.store_conditional(&op.key, t, v).map(Some)
-                            }
-                            tell_store::Expect::Any => client.put(&op.key, v).map(Some),
-                        },
-                        None => client.delete(&op.key).map(|_| None),
-                    }
-                })
-                .collect()
-        };
+        // One batched call: over the remote transport the whole write set
+        // rides one frame (one exchange per update in the ablation).
+        let results =
+            tell_store::apply_writes(self.pn.client(), ops, self.pn.database().config().batching)?;
         let conflicted = results.iter().any(|r| r.is_err());
         let install_status = if conflicted { SpanStatus::Conflict } else { SpanStatus::Ok };
         self.probe_finish(install, write_count, install_status);
@@ -763,7 +745,10 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
         }
 
         // Commit: index maintenance. Only key changes touch trees; stale
-        // entries are removed lazily by index GC (§5.3.2).
+        // entries are removed lazily by index GC (§5.3.2). The new entries
+        // of every index go in one grouped insert: one store-conditional
+        // per leaf, all in one frame.
+        let mut inserts = Vec::new();
         for ((table_id, rid), intent) in &self.writes {
             let table = self.tables.get(table_id).expect("table noted at write time");
             for idx in &table.indexes {
@@ -772,10 +757,13 @@ impl<'p, E: StoreEndpoint> Transaction<'p, E> {
                 let new_key = intent.new_row.as_deref().and_then(|r| ex(r));
                 if let Some(nk) = new_key {
                     if old_key.as_ref() != Some(&nk) {
-                        self.pn.tree(idx.id)?.insert(nk, rid.raw())?;
+                        inserts.push((self.pn.tree(idx.id)?, (nk, rid.raw())));
                     }
                 }
             }
+        }
+        if !inserts.is_empty() {
+            tell_index::insert_grouped(&inserts, self.pn.database().config().batching)?;
         }
 
         if let Err(e) = txlog::mark_committed(self.pn.client(), &mut entry) {

@@ -4,11 +4,13 @@
 //! leaf-level nodes are always retrieved from the storage system." The cache
 //! holds decoded nodes keyed by node id, together with the store token
 //! observed when they were read. Inner nodes route descents straight from
-//! the cache. Leaves are cached too, but only to predict: a reader still
-//! reads every leaf it answers from the store, and the cached copy merely
-//! names the records whose read can ride the same frame as that leaf read.
-//! The prediction holds exactly when the fresh read returns the cached
-//! token (LL/SC tokens never repeat, so equal tokens mean equal bytes).
+//! the cache. Leaves are cached too. A reader still reads every leaf it
+//! answers from the store, and the cached copy merely names the records
+//! whose read can ride the same frame as that leaf read; the prediction
+//! holds exactly when the fresh read returns the cached token (LL/SC tokens
+//! never repeat, so equal tokens mean equal bytes). An insert writes on
+//! the cached copy directly: its store-conditional names the cached token,
+//! so the store refuses it if the leaf changed since.
 //!
 //! Entries are shared `Arc`s, so a hit costs a reference-count increment,
 //! not a copy of the node's entries.

@@ -12,11 +12,17 @@
 //! * splits install the new right sibling *first*, then conditionally update
 //!   the split node, then insert the separator into the parent — each step a
 //!   single LL/SC, each retryable;
-//! * inner nodes are cached on the processing node, leaves are always
-//!   fetched fresh; when a leaf's fences show the cached parents are stale,
-//!   the cached path is refreshed (§5.3.1 caching rule). Leaves are cached
-//!   too, but only to predict which records can be read in the same frame
-//!   as the leaf; the leaf's LL/SC token validates the prediction;
+//! * inner nodes are cached on the processing node; when a leaf's fences
+//!   show the cached parents are stale, the cached path is refreshed
+//!   (§5.3.1 caching rule). Leaves are cached too. Readers and removals
+//!   still read every leaf they answer from; a reader's cached leaf only
+//!   predicts which records can be read in the same frame as the leaf.
+//!   An insert's load-link *is* the cached leaf: its store-conditional
+//!   fails if the leaf changed since it was cached, so the LL/SC token
+//!   validates the cached copy either way;
+//! * inserts are grouped by leaf ([`insert_grouped`]): one store-conditional
+//!   per leaf carries all of that leaf's new entries, and a commit sends
+//!   the leaves of all its indexes in one batched frame;
 //! * entries are **version-unaware** `(key, rid)` pairs (§5.3.2): updates
 //!   that do not change the indexed key touch no index node at all.
 //!
@@ -29,4 +35,4 @@ pub mod tree;
 
 pub use cache::{CacheStats, NodeCache};
 pub use node::{EntryKey, NodeData};
-pub use tree::{BTreeConfig, DistributedBTree};
+pub use tree::{insert_grouped, BTreeConfig, DistributedBTree};

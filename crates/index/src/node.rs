@@ -82,8 +82,32 @@ impl NodeData {
     /// `right_id`.
     pub fn split(&mut self, right_id: u64) -> (EntryKey, NodeData) {
         debug_assert!(self.entries.len() >= 2);
-        let mid = self.entries.len() / 2;
-        let upper: Vec<(EntryKey, u64)> = self.entries.split_off(mid);
+        self.split_at(self.entries.len() / 2, right_id)
+    }
+
+    /// Split into `ids.len() + 1` nodes of near-equal size, chained left to
+    /// right: `self` keeps the first part and node `ids[i]` takes part
+    /// `i + 1`. Returns the new nodes in chain order, each with its low
+    /// fence (its separator in the parent) and id.
+    pub fn split_many(&mut self, ids: &[u64]) -> Vec<(EntryKey, u64, NodeData)> {
+        let (n, parts) = (self.entries.len(), ids.len() + 1);
+        debug_assert!(n >= parts);
+        // Peel parts off the right end, so each new node inherits the high
+        // fence and right pointer of the part split off before it.
+        let mut out: Vec<_> = (0..ids.len())
+            .rev()
+            .map(|i| {
+                let (sep, node) = self.split_at(n * (i + 1) / parts, ids[i]);
+                (sep, ids[i], node)
+            })
+            .collect();
+        out.reverse();
+        out
+    }
+
+    /// Move the entries from `at` on into a new right sibling `right_id`.
+    fn split_at(&mut self, at: usize, right_id: u64) -> (EntryKey, NodeData) {
+        let upper: Vec<(EntryKey, u64)> = self.entries.split_off(at);
         let sep = upper[0].0.clone();
         let right = NodeData {
             is_leaf: self.is_leaf,
@@ -257,6 +281,38 @@ mod tests {
         for (ek, _) in &right.entries {
             assert!(cmp_entry(ek, &sep) != std::cmp::Ordering::Less);
         }
+    }
+
+    #[test]
+    fn split_many_chains_near_equal_parts() {
+        let mut node = NodeData {
+            is_leaf: true,
+            low: k("a", 0),
+            high: Some(k("zz", 0)),
+            right: Some(77),
+            entries: (0..11).map(|i| (k(&format!("k{i:02}"), 0), i)).collect(),
+        };
+        let parts = node.split_many(&[100, 101]);
+        let sizes: Vec<usize> = parts.iter().map(|(_, _, n)| n.entries.len()).collect();
+        assert_eq!((node.entries.len(), sizes), (3, vec![4, 4]));
+        assert_eq!((node.high.as_ref(), node.right), (Some(&parts[0].0), Some(100)));
+        assert_eq!(
+            (parts[0].1, parts[0].2.right, parts[0].2.high.as_ref()),
+            (100, Some(101), Some(&parts[1].0))
+        );
+        assert_eq!(
+            (parts[1].1, parts[1].2.right, parts[1].2.high.clone()),
+            (101, Some(77), Some(k("zz", 0)))
+        );
+        for (sep, _, part) in &parts {
+            assert_eq!((&part.low, &part.entries[0].0), (sep, sep));
+        }
+        // A two-way split_many is split.
+        let mut a = NodeData { right: None, high: None, ..parts[0].2.clone() };
+        let mut b = a.clone();
+        let (sep, right) = a.split(9);
+        assert_eq!(b.split_many(&[9]), vec![(sep, 9, right)]);
+        assert_eq!(a, b);
     }
 
     #[test]

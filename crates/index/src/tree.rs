@@ -1,13 +1,14 @@
 //! The distributed latch-free B+tree.
 
 use std::cmp::Ordering;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 use tell_common::{Error, IndexId, Result};
 use tell_store::cell::Token;
-use tell_store::{keys, StoreApi, StoreClient, StoreOp};
+use tell_store::{apply_writes, keys, Expect, StoreApi, StoreClient, StoreOp, WriteOp};
 
 use crate::cache::NodeCache;
 use crate::node::{cmp_entry, min_key, EntryKey, NodeData};
@@ -32,11 +33,13 @@ impl Default for BTreeConfig {
 /// A node as this PN last saw it: the token it was read under, and its body.
 type Seen = (Token, Arc<NodeData>);
 
+#[derive(Clone)]
 struct Descent {
     leaf_id: u64,
     /// The leaf, as read from the store unless `cached`.
     leaf: Seen,
-    /// The leaf came from the node cache: it predicts, it does not answer.
+    /// The leaf came from the node cache: it predicts or load-links an
+    /// insert, it does not answer.
     cached: bool,
     /// Ancestor node ids, root first.
     path: Vec<u64>,
@@ -66,7 +69,7 @@ impl<C: StoreApi> DistributedBTree<C> {
             config,
             root_hint: Mutex::new(None),
         };
-        let root_id = tree.alloc_node_id()?;
+        let root_id = tree.alloc_node_ids(1)?;
         tree.client.insert(&tree.node_key(root_id), NodeData::empty_root_leaf().encode())?;
         tree.client.insert(&tree.root_ptr_key(), Bytes::copy_from_slice(&root_id.to_le_bytes()))?;
         *tree.root_hint.lock() = Some(root_id);
@@ -104,8 +107,10 @@ impl<C: StoreApi> DistributedBTree<C> {
         keys::meta(&format!("idx/{}/root", self.index_id.raw()))
     }
 
-    fn alloc_node_id(&self) -> Result<u64> {
-        self.client.increment(&keys::counter(&format!("idx/{}/next", self.index_id.raw())), 1)
+    /// Allocate `n` fresh node ids; returns the first of them.
+    fn alloc_node_ids(&self, n: u64) -> Result<u64> {
+        let key = keys::counter(&format!("idx/{}/next", self.index_id.raw()));
+        Ok(self.client.increment(&key, n)? - n + 1)
     }
 
     fn read_root(&self) -> Result<(Token, u64)> {
@@ -213,7 +218,7 @@ impl<C: StoreApi> DistributedBTree<C> {
     }
 
     /// Descend to `k`'s leaf as read from the store: the load-link of a
-    /// write. Writers never trust a cached leaf.
+    /// removal, which must not trust a cached leaf to hold the entry.
     fn descend_fresh(&self, k: &EntryKey) -> Result<Descent> {
         let d = self.descend(k, true)?;
         if !d.cached {
@@ -224,52 +229,9 @@ impl<C: StoreApi> DistributedBTree<C> {
     }
 
     /// Insert `(key, rid)`. Returns `false` if the exact entry already
-    /// existed.
+    /// existed. A batch of one of [`insert_grouped`].
     pub fn insert(&self, key: Bytes, rid: u64) -> Result<bool> {
-        let k: EntryKey = (key, rid);
-        for _ in 0..self.config.max_retries {
-            let d = self.descend_fresh(&k)?;
-            let (token, leaf) = d.leaf;
-            let mut leaf = Arc::unwrap_or_clone(leaf);
-            match leaf.search(&k) {
-                Ok(_) => return Ok(false),
-                Err(pos) => leaf.entries.insert(pos, (k.clone(), rid)),
-            }
-            if leaf.entries.len() <= self.config.max_entries {
-                match self.client.store_conditional(&self.node_key(d.leaf_id), token, leaf.encode())
-                {
-                    Ok(t) => {
-                        // The PN's own write must not make its next read
-                        // mis-speculate.
-                        self.cache.put(d.leaf_id, t, leaf);
-                        return Ok(true);
-                    }
-                    Err(Error::Conflict) => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-            // Overflow: B-link split. Install the new right sibling first
-            // (unreachable until the SC below publishes it), then swing the
-            // split node, then tell the parent.
-            let new_id = self.alloc_node_id()?;
-            let (sep, right) = leaf.split(new_id);
-            let right_token = self.client.insert(&self.node_key(new_id), right.encode())?;
-            match self.client.store_conditional(&self.node_key(d.leaf_id), token, leaf.encode()) {
-                Ok(t) => {
-                    self.cache.put(d.leaf_id, t, leaf);
-                    self.cache.put(new_id, right_token, right);
-                    self.add_separator(&d.path, d.leaf_id, sep, new_id)?;
-                    return Ok(true);
-                }
-                Err(Error::Conflict) => {
-                    // Lost the race: remove the orphan and retry.
-                    let _ = self.client.delete(&self.node_key(new_id));
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(Error::Unavailable("index insert retry limit exceeded".into()))
+        Ok(insert_grouped(&[(self, (key, rid))], true)?[0])
     }
 
     /// Remove `(key, rid)`. Returns `false` if it was not present.
@@ -285,12 +247,13 @@ impl<C: StoreApi> DistributedBTree<C> {
             };
             let mut leaf = Arc::unwrap_or_clone(leaf);
             leaf.entries.remove(pos);
+            tell_obs::incr(tell_obs::Counter::IndexLeafWrites);
             match self.client.store_conditional(&self.node_key(d.leaf_id), token, leaf.encode()) {
                 Ok(t) => {
                     self.cache.put(d.leaf_id, t, leaf);
                     return Ok(true);
                 }
-                Err(Error::Conflict) => continue,
+                Err(Error::Conflict) => tell_obs::incr(tell_obs::Counter::IndexLeafConflicts),
                 Err(e) => return Err(e),
             }
         }
@@ -486,7 +449,7 @@ impl<C: StoreApi> DistributedBTree<C> {
                 }
             }
             // Parent overflows: split it too (recursing toward the root).
-            let new_pid = self.alloc_node_id()?;
+            let new_pid = self.alloc_node_ids(1)?;
             let (psep, pright) = node.split(new_pid);
             self.client.insert(&self.node_key(new_pid), pright.encode())?;
             match self.client.store_conditional(&self.node_key(parent_id), token, node.encode()) {
@@ -516,7 +479,7 @@ impl<C: StoreApi> DistributedBTree<C> {
             let (root_token, root_id) = self.read_root()?;
             if root_id == split_node {
                 // We split the root: grow the tree by one level.
-                let new_root_id = self.alloc_node_id()?;
+                let new_root_id = self.alloc_node_ids(1)?;
                 let new_root = NodeData {
                     is_leaf: false,
                     low: min_key(),
@@ -614,6 +577,245 @@ impl<C: StoreApi> DistributedBTree<C> {
             }
         }
     }
+}
+
+/// Entries of a grouped insert headed for one leaf.
+struct Group {
+    /// Which of the batch's trees the leaf belongs to.
+    tree: usize,
+    /// The leaf and its load-link: read from the store unless `cached`.
+    d: Descent,
+    /// Positions in the batch, in the order they joined.
+    entries: Vec<usize>,
+}
+
+/// One leaf's new image, built on its group's load-link.
+struct LeafWrite {
+    g: Group,
+    /// The leaf with the group's new entries; the left part if it splits.
+    leaf: NodeData,
+    /// Entries the load-link already held: present once the SC succeeds.
+    present: Vec<usize>,
+    /// New right siblings in chain order, with their separators.
+    siblings: Vec<(EntryKey, u64, NodeData)>,
+}
+
+/// Insert every `(tree, (key, rid))` of `batch` into trees that share one
+/// store. Returns, per entry, `false` if the exact entry already existed.
+///
+/// Entries descend through the node cache and group by the leaf they land
+/// on, and each leaf is written with one store-conditional carrying all of
+/// its group: with `one_frame` every leaf of every tree rides one
+/// `multi_write` exchange, without it (the batching ablation) each leaf is
+/// its own exchange. A cached leaf is the load-link: the SC fails if the
+/// leaf changed since it was cached, as tokens never repeat. A leaf whose
+/// SC conflicts is re-read, and only its entries retry. A group that finds
+/// all of its entries present in a cached leaf writes nothing, so a fresh
+/// read confirms them (a cached leaf cannot prove what the store holds). A
+/// group that overflows its leaf splits it in the same pass, in B-link
+/// order: the new siblings first, then the leaf's SC, then the parent's
+/// separators.
+pub fn insert_grouped<C: StoreApi, T: Deref<Target = DistributedBTree<C>>>(
+    batch: &[(T, EntryKey)],
+    one_frame: bool,
+) -> Result<Vec<bool>> {
+    let mut trees: Vec<&DistributedBTree<C>> = Vec::new();
+    let tree_of: Vec<usize> = batch
+        .iter()
+        .map(|(t, _)| {
+            let t = &**t;
+            trees.iter().position(|u| std::ptr::eq(*u, t)).unwrap_or_else(|| {
+                trees.push(t);
+                trees.len() - 1
+            })
+        })
+        .collect();
+    let Some(client) = trees.first().map(|t| &t.client) else { return Ok(Vec::new()) };
+    let rounds = trees.iter().map(|t| t.config.max_retries).max().unwrap_or(0);
+    let mut answers: Vec<Option<bool>> = vec![None; batch.len()];
+    let mut unplaced: Vec<usize> = (0..batch.len()).collect();
+    let mut groups: Vec<Group> = Vec::new();
+    for _ in 0..rounds {
+        for i in std::mem::take(&mut unplaced) {
+            let d = trees[tree_of[i]].descend(&batch[i].1, true)?;
+            join(&mut groups, tree_of[i], d, i);
+        }
+        if groups.is_empty() {
+            return Ok(answers.into_iter().map(|a| a.expect("every entry is answered")).collect());
+        }
+        // Each group's new leaf image. `reread` collects the groups whose
+        // leaf must be read fresh before they go on.
+        let mut writes = Vec::new();
+        let mut reread = Vec::new();
+        for g in groups.drain(..) {
+            let mut leaf = NodeData::clone(&g.d.leaf.1);
+            let (mut added, mut present) = (Vec::new(), Vec::new());
+            for &i in &g.entries {
+                let k = &batch[i].1;
+                if !leaf.covers(k) {
+                    // Joined under another load-link of this leaf whose
+                    // fences no longer hold the key: descend again.
+                    unplaced.push(i);
+                    continue;
+                }
+                match leaf.search(k) {
+                    Ok(_) => present.push(i),
+                    Err(pos) => {
+                        leaf.entries.insert(pos, (k.clone(), k.1));
+                        added.push(i);
+                    }
+                }
+            }
+            if added.is_empty() {
+                if g.d.cached {
+                    reread.push(Group { entries: present, ..g });
+                } else {
+                    present.into_iter().for_each(|i| answers[i] = Some(false));
+                }
+                continue;
+            }
+            writes.push(LeafWrite {
+                g: Group { entries: added, ..g },
+                leaf,
+                present,
+                siblings: Vec::new(),
+            });
+        }
+        // Overflowing leaves split into as many near-equal parts as their
+        // entries need, with one id allocation per tree.
+        let parts =
+            |w: &LeafWrite| w.leaf.entries.len().div_ceil(trees[w.g.tree].config.max_entries);
+        for (t, tree) in trees.iter().enumerate() {
+            let need: usize = writes.iter().filter(|w| w.g.tree == t).map(|w| parts(w) - 1).sum();
+            if need == 0 {
+                continue;
+            }
+            let mut next = tree.alloc_node_ids(need as u64)?;
+            for w in writes.iter_mut().filter(|w| w.g.tree == t) {
+                let ids: Vec<u64> = (next..).take(parts(w) - 1).collect();
+                next += ids.len() as u64;
+                w.siblings = w.leaf.split_many(&ids);
+            }
+        }
+        // B-link order: the new siblings exist (unreachable until their
+        // leaf's SC links them) before any leaf SC is sent.
+        let sibling_ops: Vec<WriteOp> = writes
+            .iter()
+            .flat_map(|w| {
+                let tree = trees[w.g.tree];
+                w.siblings.iter().map(move |(_, id, node)| {
+                    WriteOp::put(tree.node_key(*id), Expect::Absent, node.encode())
+                })
+            })
+            .collect();
+        let mut sibling_tokens = Vec::with_capacity(sibling_ops.len());
+        if !sibling_ops.is_empty() {
+            for result in apply_writes(client, sibling_ops, one_frame)? {
+                sibling_tokens.push(written_token(result)?);
+            }
+        }
+        let mut sibling_tokens = sibling_tokens.into_iter();
+        let ops: Vec<WriteOp> = writes
+            .iter()
+            .map(|w| {
+                let key = trees[w.g.tree].node_key(w.g.d.leaf_id);
+                WriteOp::put(key, Expect::Token(w.g.d.leaf.0), w.leaf.encode())
+            })
+            .collect();
+        tell_obs::add(tell_obs::Counter::IndexLeafWrites, ops.len() as u64);
+        let results =
+            if ops.is_empty() { Vec::new() } else { apply_writes(client, ops, one_frame)? };
+        let mut orphans = Vec::new();
+        let mut separators = Vec::new();
+        for (w, result) in writes.into_iter().zip(results) {
+            let tree = trees[w.g.tree];
+            let tokens: Vec<Token> = sibling_tokens.by_ref().take(w.siblings.len()).collect();
+            match written_token(result) {
+                Ok(token) => {
+                    // The PN's own write must not make its next read
+                    // mis-speculate.
+                    tree.cache.put(w.g.d.leaf_id, token, w.leaf);
+                    let mut left = w.g.d.leaf_id;
+                    for ((sep, id, node), token) in w.siblings.into_iter().zip(tokens) {
+                        tree.cache.put(id, token, node);
+                        separators.push((w.g.tree, w.g.d.path.clone(), left, sep, id));
+                        left = id;
+                    }
+                    w.g.entries.iter().for_each(|&i| answers[i] = Some(true));
+                    w.present.iter().for_each(|&i| answers[i] = Some(false));
+                }
+                Err(Error::Conflict) => {
+                    tell_obs::incr(tell_obs::Counter::IndexLeafConflicts);
+                    orphans.extend(
+                        w.siblings
+                            .iter()
+                            .map(|(_, id, _)| WriteOp::delete(tree.node_key(*id), Expect::Any)),
+                    );
+                    let mut entries = w.g.entries;
+                    entries.extend(w.present);
+                    reread.push(Group { entries, ..w.g });
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        if !orphans.is_empty() {
+            // Lost the race: the siblings were never linked.
+            let _ = apply_writes(client, orphans, one_frame);
+        }
+        for (t, path, left, sep, id) in separators {
+            trees[t].add_separator(&path, left, sep, id)?;
+        }
+        groups = reread_groups(&trees, client, reread, batch)?;
+    }
+    Err(Error::Unavailable("index insert retry limit exceeded".into()))
+}
+
+/// Add entry `i`, which descended to `d`, to the group of `d`'s leaf. A
+/// fresh read of the leaf replaces the group's load-link.
+fn join(groups: &mut Vec<Group>, tree: usize, d: Descent, i: usize) {
+    match groups.iter_mut().find(|g| g.tree == tree && g.d.leaf_id == d.leaf_id) {
+        Some(g) => {
+            if !d.cached {
+                g.d = d;
+            }
+            g.entries.push(i);
+        }
+        None => groups.push(Group { tree, d, entries: vec![i] }),
+    }
+}
+
+/// Read every group's leaf fresh, in one exchange, and regroup its entries
+/// on the leaves that hold their keys now (B-link right hops, in key
+/// order, so each sibling is read once).
+fn reread_groups<C: StoreApi, T>(
+    trees: &[&DistributedBTree<C>],
+    client: &C,
+    reread: Vec<Group>,
+    batch: &[(T, EntryKey)],
+) -> Result<Vec<Group>> {
+    let reads: Vec<_> = reread
+        .iter()
+        .map(|g| client.submit(StoreOp::Get { key: trees[g.tree].node_key(g.d.leaf_id) }))
+        .collect();
+    let mut groups = Vec::new();
+    for (g, read) in reread.into_iter().zip(reads) {
+        let tree = trees[g.tree];
+        let fresh = tree.accept(g.d.leaf_id, read.wait()?.into_cell()?)?;
+        let mut entries = g.entries;
+        entries.sort_by(|a, b| cmp_entry(&batch[*a].1, &batch[*b].1));
+        let mut d = Descent { leaf: fresh, cached: false, ..g.d };
+        for i in entries {
+            let leaf = d.leaf.clone();
+            d = tree.settle(d, &batch[i].1, leaf)?;
+            join(&mut groups, g.tree, d.clone(), i);
+        }
+    }
+    Ok(groups)
+}
+
+/// The token a successful put-shaped write returned.
+fn written_token(result: Result<Option<Token>>) -> Result<Token> {
+    result?.ok_or_else(|| Error::corrupt("index node write returned no token"))
 }
 
 /// Append `leaf`'s entries `>= from` to `out`, stopping before the first
@@ -796,9 +998,16 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let t = DistributedBTree::open(StoreClient::unmetered(cluster), IndexId(5), cfg)
                     .unwrap();
-                for i in 0..per {
-                    let key = format!("c{:03}-{:03}", i, th);
-                    t.insert(Bytes::from(key), (th * per + i) as u64).unwrap();
+                // Groups of 1 to 10 entries, each spanning several leaves
+                // that the other threads are writing and splitting too.
+                let entries: Vec<_> = (0..per)
+                    .map(|i| (&t, (b(&format!("c{:03}-{:03}", i, th)), (th * per + i) as u64)))
+                    .collect();
+                let mut rest = &entries[..];
+                while !rest.is_empty() {
+                    let (group, tail) = rest.split_at(rest.len().min(1 + (rest.len() + th) % 10));
+                    assert!(insert_grouped(group, true).unwrap().iter().all(|fresh| *fresh));
+                    rest = tail;
                 }
             }));
         }

@@ -3,6 +3,10 @@
 //! and range exactly as a handle with an empty cache does. The cached leaf
 //! only predicts which records may ride the leaf read's frame; the answer
 //! always comes from the leaf as read from the store.
+//!
+//! Writers may go further: an insert's load-link is the cached leaf, which
+//! the store-conditional validates. A stale cache must still never lose or
+//! duplicate an entry.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -10,7 +14,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use proptest::prelude::*;
 use tell_common::IndexId;
-use tell_index::{BTreeConfig, DistributedBTree};
+use tell_index::{insert_grouped, BTreeConfig, DistributedBTree};
 use tell_store::{StoreClient, StoreCluster, StoreConfig};
 
 const IDX: IndexId = IndexId(1);
@@ -164,9 +168,76 @@ fn entries_ending_at_the_high_fence() {
     }
 }
 
+/// Insert `(key, rid)` pairs through `tree` as one grouped insert.
+fn insert_group(tree: &DistributedBTree, entries: &[(Bytes, u64)]) -> Vec<bool> {
+    let batch: Vec<_> = entries.iter().map(|e| (tree, e.clone())).collect();
+    insert_grouped(&batch, true).unwrap()
+}
+
+#[test]
+fn entry_removed_behind_a_cached_leaf_is_written_again() {
+    let (a, b_handle, cluster) = two_handles();
+    for i in 0..3 {
+        a.insert(k(i), i as u64).unwrap();
+    }
+    // A's cache holds the leaf with (k1, 1); B removes that entry, as index
+    // GC on another node would.
+    assert_eq!(a.lookup(&k(1)).unwrap(), vec![1]);
+    assert!(b_handle.remove(&k(1), 1).unwrap());
+    // The cached leaf still claims the entry: trusting it would answer
+    // "already present" and lose it.
+    assert!(a.insert(k(1), 1).unwrap(), "the entry was gone from the store");
+    assert_eq!(uncached(&cluster).lookup(&k(1)).unwrap(), vec![1]);
+
+    // The same inside a group that writes the leaf anyway: the SC on the
+    // stale cached leaf fails, and the retry writes both entries.
+    assert!(b_handle.remove(&k(2), 2).unwrap());
+    assert_eq!(insert_group(&a, &[(k(2), 2), (k(3), 3)]), vec![true, true]);
+    assert_eq!(uncached(&cluster).lookup(&k(2)).unwrap(), vec![2]);
+    assert_eq!(a.check_invariants().unwrap(), 4);
+}
+
+#[test]
+fn entry_present_in_a_fresh_leaf_is_not_duplicated() {
+    let (a, b_handle, cluster) = two_handles();
+    a.insert(k(5), 5).unwrap();
+    // B's insert moves the leaf's token on; A's cached copy lacks k6.
+    b_handle.insert(k(6), 6).unwrap();
+    assert_eq!(insert_group(&a, &[(k(6), 6), (k(5), 5), (k(6), 6)]), vec![false, false, false]);
+    assert_eq!(uncached(&cluster).lookup(&k(6)).unwrap(), vec![6]);
+    assert_eq!(a.check_invariants().unwrap(), 2);
+}
+
+#[test]
+fn group_into_a_leaf_another_handle_split() {
+    let (a, b_handle, cluster) = two_handles();
+    for i in (0..400).step_by(100) {
+        a.insert(k(i), i as u64).unwrap();
+    }
+    // A caches the one leaf; B splits it many times over.
+    assert_eq!(a.lookup(&k(300)).unwrap(), vec![300]);
+    for i in (0..400).step_by(10) {
+        if i % 100 != 0 {
+            b_handle.insert(k(i), i as u64).unwrap();
+        }
+    }
+    // A's group spans keys now held by many leaves to the right of the one
+    // it cached, and overflows some of them.
+    let group: Vec<(Bytes, u64)> = (0..400).step_by(7).map(|i| (k(i), i as u64)).collect();
+    let fresh = insert_group(&a, &group);
+    let expected: Vec<bool> = (0..400).step_by(7).map(|i| i % 10 != 0).collect();
+    assert_eq!(fresh, expected);
+    let total = 40 + group.iter().filter(|(_, rid)| rid % 10 != 0).count();
+    assert_eq!(a.check_invariants().unwrap(), total);
+    for (key, rid) in &group {
+        assert_eq!(uncached(&cluster).lookup(key).unwrap(), vec![*rid]);
+    }
+}
+
 #[derive(Clone, Debug)]
 enum Op {
     Insert(usize, u8, u8),
+    InsertGroup(usize, Vec<(u8, u8)>),
     Remove(usize, u8, u8),
     Lookup(usize, u8),
     Range(usize, u8, u8, usize),
@@ -177,6 +248,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     // leaf boundaries and stale cached leaves all come up quickly.
     prop_oneof![
         (0usize..2, 0u8..24, 0u8..4).prop_map(|(h, k, r)| Op::Insert(h, k, r)),
+        (0usize..2, prop::collection::vec((0u8..24, 0u8..4), 1..=12))
+            .prop_map(|(h, entries)| Op::InsertGroup(h, entries)),
         (0usize..2, 0u8..24, 0u8..4).prop_map(|(h, k, r)| Op::Remove(h, k, r)),
         (0usize..2, 0u8..24).prop_map(|(h, k)| Op::Lookup(h, k)),
         (0usize..2, 0u8..24, 0u8..24, 0usize..12).prop_map(|(h, a, b, l)| Op::Range(h, a, b, l)),
@@ -214,6 +287,16 @@ proptest! {
                 Op::Insert(h, k, r) => {
                     let fresh = handles[h].insert(Bytes::from(key(k)), r as u64).unwrap();
                     prop_assert_eq!(fresh, model.entry(key(k)).or_default().insert(r as u64));
+                }
+                Op::InsertGroup(h, entries) => {
+                    let group: Vec<(Bytes, u64)> =
+                        entries.iter().map(|(k, r)| (Bytes::from(key(*k)), *r as u64)).collect();
+                    let fresh = insert_group(handles[h], &group);
+                    let expected: Vec<bool> = entries
+                        .iter()
+                        .map(|(k, r)| model.entry(key(*k)).or_default().insert(*r as u64))
+                        .collect();
+                    prop_assert_eq!(fresh, expected);
                 }
                 Op::Remove(h, k, r) => {
                     let removed = handles[h].remove(&Bytes::from(key(k)), r as u64).unwrap();

@@ -53,6 +53,11 @@ id_enum! {
         IndexCacheMisses => "index_cache_misses_total",
         /// Index node-cache invalidations.
         IndexCacheInvalidations => "index_cache_invalidations_total",
+        /// Store-conditional writes of index leaves sent.
+        IndexLeafWrites => "index_leaf_writes_total",
+        /// Index leaf store-conditionals refused with `Conflict` (the leaf
+        /// changed since its load-link).
+        IndexLeafConflicts => "index_leaf_conflicts_total",
         /// Point/multi-get reads issued by storage clients.
         StoreReadOps => "store_read_ops_total",
         /// Conditional writes issued by storage clients.

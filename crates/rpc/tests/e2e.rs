@@ -293,6 +293,40 @@ fn warm_indexed_reads_cost_one_frame() {
 }
 
 #[test]
+fn a_commits_index_inserts_are_one_frame() {
+    let (servers, db) = boot(2, 1);
+    let by_balance =
+        IndexSpec::new("balance", true, |row: &[u8]| row.get(..8).map(Bytes::copy_from_slice));
+    let table = db.create_table("accounts", vec![pk_spec(), by_balance]).unwrap();
+    let key = |i: u64| Bytes::copy_from_slice(&i.to_be_bytes());
+
+    // Twenty rows, each with two unique keys: 40 new index entries, and no
+    // leaf overflows (a leaf holds 64). The uniqueness checks read both
+    // leaves, and those reads are the load-links of the leaf writes.
+    let pn = db.processing_node();
+    let mut txn = pn.begin().unwrap();
+    for i in 0..20u64 {
+        txn.insert(&table, account(1000 + i, i)).unwrap();
+    }
+    let before = servers.sn.frames_served();
+    txn.commit().unwrap();
+    assert_eq!(
+        servers.sn.frames_served() - before,
+        4,
+        "log append, record install, one frame for every leaf of both indexes, commit flag"
+    );
+
+    let mut txn = pn.begin().unwrap();
+    for i in 0..20u64 {
+        let by_pk = txn.index_lookup(&table, table.primary_index().id, &key(i)).unwrap();
+        let by_bal = txn.index_lookup(&table, table.indexes[1].id, &key(1000 + i)).unwrap();
+        assert_eq!(by_pk.len(), 1, "pk {i}");
+        assert_eq!(by_pk, by_bal, "row {i} under both keys");
+    }
+    txn.commit().unwrap();
+}
+
+#[test]
 fn killed_storage_node_surfaces_typed_errors_not_hangs() {
     let (servers, db) = boot(1, 1);
     let table = db.create_table("t", vec![pk_spec()]).unwrap();

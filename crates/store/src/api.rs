@@ -130,6 +130,23 @@ pub trait StoreApi: Clone {
     fn meter(&self) -> &NetMeter;
 }
 
+/// Apply `ops` with independent per-op results: with `batched`, in one
+/// [`StoreApi::multi_write`] exchange; without (§5.1's batching ablation),
+/// one exchange per op, each waited on before the next is sent.
+pub fn apply_writes<C: StoreApi>(
+    client: &C,
+    ops: Vec<WriteOp>,
+    batched: bool,
+) -> Result<Vec<Result<Option<Token>>>> {
+    if batched {
+        return client.multi_write(ops);
+    }
+    Ok(ops
+        .into_iter()
+        .map(|op| client.submit(StoreOp::Write { op }).wait().and_then(OpResult::into_written))
+        .collect())
+}
+
 /// The token a put-shaped write completes with. A completion without one
 /// is a protocol corruption, reported as such rather than a panic.
 fn new_token(done: OpResult, op: &str) -> Result<Token> {

@@ -39,7 +39,7 @@ pub mod node;
 pub mod op;
 pub mod predicate;
 
-pub use api::{StoreApi, StoreEndpoint};
+pub use api::{apply_writes, StoreApi, StoreEndpoint};
 pub use cell::{Cell, Token};
 pub use client::{Expect, StoreClient, WriteOp};
 pub use cluster::{ScanRow, StoreCluster, StoreConfig};

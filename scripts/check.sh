@@ -73,7 +73,11 @@ cargo test -q -p tell-rpc --lib local_and_remote_scans_return_the_same_rows
 cargo test -q -p tell-store --test proptests
 
 echo "==> bench JSON smoke (scripts/bench_report.sh --smoke)"
-scripts/bench_report.sh --smoke
+# The smoke snapshots go to a temporary directory: the committed BENCH_*.json
+# files hold default-size runs, and a check must leave the tree as it was.
+bench_json_dir="$(mktemp -d)"
+trap 'rm -rf "$bench_json_dir"' EXIT
+TELL_BENCH_JSON="$bench_json_dir" scripts/bench_report.sh --smoke
 
 echo "==> end-to-end benchmark smoke (tell_e2e --smoke)"
 # The BENCHMARK.json build of the end-to-end benchmark: every workload
@@ -118,6 +122,27 @@ frames = metrics["rpc.frames_per_commit"]["value"]
 print(f"point_rw: commitmgr.publish_call_us {publish:.1f}, rpc.frames_per_commit {frames:.2f}")
 if not (publish == 0 and frames <= 7.2):
     sys.exit("error: point_rw needs commitmgr.publish_call_us = 0 and rpc.frames_per_commit <= 7.2")
+EOF
+
+echo "==> index grouping gate (tell_e2e --workload neworder_durable --trace 1, 2 s)"
+# A commit writes its new index entries grouped by leaf: one
+# store-conditional per leaf, on the leaf its uniqueness check just read,
+# all in one frame. One entry at a time, each with a fresh leaf read, read
+# about 37.5 index-node calls and 30 durable records per commit.
+neworder_json="$(cargo run --release --quiet --offline \
+  --manifest-path crates/bench/src/bin/tell_e2e/Cargo.toml -- \
+  --workload neworder_durable --seed 1 --seconds 2 --trace 1 | tail -n 1)"
+python3 - "$neworder_json" <<'EOF'
+import json, sys
+
+metrics = json.loads(sys.argv[1])["metrics"]
+calls = metrics["index.node_calls_per_commit"]["value"]
+records = metrics["durable.records_per_commit"]["value"]
+print(f"neworder_durable: index.node_calls_per_commit {calls:.2f}, "
+      f"durable.records_per_commit {records:.2f}")
+if not (calls <= 26 and records <= 26):
+    sys.exit("error: neworder_durable needs index.node_calls_per_commit <= 26 "
+             "and durable.records_per_commit <= 26")
 EOF
 
 echo "==> trace smoke (tell_top trace against a loopback cluster)"
